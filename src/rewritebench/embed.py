@@ -30,6 +30,7 @@ import requests
 
 from .errors import ConfigError, ContractError, EndpointError
 from .geometry import EmbeddingMatrix, l2_normalize
+from .stores import JsonlLog
 from .tokenizers import word_tokens
 
 
@@ -71,6 +72,7 @@ class EncoderClient:
     def __init__(self, endpoint: EncoderEndpoint):
         self.endpoint = endpoint
         self.call_count = 0
+        self._count_lock = threading.Lock()  # matrix cells share the client
         parsed = urlparse(endpoint.url)
         self._scheme = parsed.scheme
         self._mock_kind = parsed.netloc if parsed.scheme == "mock" else None
@@ -81,7 +83,8 @@ class EncoderClient:
         return self.endpoint.encoder_id
 
     def _embed_once(self, texts: Sequence[str]) -> list[list[float]]:
-        self.call_count += 1
+        with self._count_lock:
+            self.call_count += 1
         if self._scheme == "mock":
             return self._embed_mock(texts)
         return self._embed_http(texts)
@@ -142,6 +145,9 @@ class EmbeddingCache:
     Layout: ``vectors.bin`` holds float64 rows back to back; the JSON-Lines
     manifest records (key, encoder_id, dim, offset). Writes are serialized;
     duplicate keys are benign (values are deterministic, last writer wins).
+    One process at a time may write a cache dir. A torn last manifest line
+    (a crash mid-write) is skipped and counted in ``torn_lines``; the first
+    ``put`` cuts it off.
     """
 
     def __init__(self, root: str | Path):
@@ -151,27 +157,46 @@ class EmbeddingCache:
         self.manifest_path = self.root / "manifest.jsonl"
         self._lock = threading.Lock()
         self._index: dict[str, tuple[int, int]] = {}
-        if self.manifest_path.exists():
-            with open(self.manifest_path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    entry = json.loads(line)
-                    self._index[entry["key"]] = (entry["offset"], entry["dim"])
+        self._manifest = JsonlLog(self.manifest_path, self._add_entry)
+        self.torn_lines = self._manifest.torn_lines
+
+    def _add_entry(self, entry: dict) -> None:
+        self._index[entry["key"]] = (entry["offset"], entry["dim"])
 
     def __contains__(self, key: str) -> bool:
         return key in self._index
 
     def get(self, key: str) -> np.ndarray | None:
+        return self.get_many([key])[0]
+
+    def get_many(self, keys: Sequence[str]) -> list[np.ndarray | None]:
+        """Raw vectors for *keys* in order, ``None`` for each miss.
+
+        One read-only mapping of ``vectors.bin`` serves the whole call; the
+        rows are copied out, so no mapping outlives it. A row that runs past
+        the end of the file (a torn vector write) reads as a miss.
+        """
         with self._lock:
-            hit = self._index.get(key)
-        if hit is None:
-            return None
-        offset, dim = hit
-        with open(self.vectors_path, "rb") as fh:
-            fh.seek(offset)
-            buf = fh.read(dim * 8)
-        return np.frombuffer(buf, dtype=np.float64).copy()
+            hits = [self._index.get(key) for key in keys]
+        out: list[np.ndarray | None] = [None] * len(keys)
+        if not any(hits):
+            return out
+        try:
+            size = self.vectors_path.stat().st_size
+        except FileNotFoundError:
+            return out
+        if size == 0:
+            return out
+        # a plain ndarray over the mapping: slicing a memmap costs far more
+        data = np.asarray(np.memmap(self.vectors_path, dtype=np.uint8, mode="r"))
+        for i, hit in enumerate(hits):
+            if hit is None:
+                continue
+            offset, dim = hit
+            end = offset + dim * 8
+            if end <= size:
+                out[i] = data[offset:end].view(np.float64).copy()
+        return out
 
     def put(self, key: str, encoder_id: str, vector: np.ndarray) -> None:
         vector = np.asarray(vector, dtype=np.float64).ravel()
@@ -181,8 +206,7 @@ class EmbeddingCache:
                 fh.write(vector.tobytes())
             entry = {"key": key, "encoder_id": encoder_id,
                      "dim": int(vector.size), "offset": offset}
-            with open(self.manifest_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            self._manifest.append(json.dumps(entry, sort_keys=True))
             self._index[key] = (offset, int(vector.size))
 
 
@@ -202,10 +226,10 @@ def embed_texts(ids: Sequence[str], texts: Sequence[str], client: EncoderClient,
     keys = [content_key(encoder_id, t) for t in texts]
     rows: list[np.ndarray | None] = [None] * len(texts)
 
+    cached = cache.get_many(keys) if cache is not None else [None] * len(keys)
     miss_idx: list[int] = []
     seen_pending: dict[str, int] = {}
-    for i, key in enumerate(keys):
-        vec = cache.get(key) if cache is not None else None
+    for i, (key, vec) in enumerate(zip(keys, cached)):
         if vec is not None:
             rows[i] = vec
         elif key in seen_pending:

@@ -71,12 +71,13 @@ def lexical_stats(tokens: Sequence[int], vocab_size: int) -> LexicalStats:
     if len(tokens) == 0:
         raise DomainError("lexical statistics undefined on empty corpus")
     counts = Counter(tokens)
-    total = len(tokens)
-    unique = len(counts)
-    top_m = math.ceil(0.2 * unique)
-    ranked = ranked_types(counts)
-    top_mass = sum(c for _, c in ranked[:top_m])
-    hapax_types = sum(1 for c in counts.values() if c == 1)
+    return _stats(ranked_types(counts), len(tokens))
+
+
+def _stats(ranked: Sequence[tuple[int, int]], total: int) -> LexicalStats:
+    unique = len(ranked)
+    top_mass = sum(c for _, c in ranked[:math.ceil(0.2 * unique)])
+    hapax_types = sum(1 for _, c in ranked if c == 1)
     return LexicalStats(
         total_tokens=total,
         unique_types=unique,
@@ -102,7 +103,10 @@ def coverage_cdf(token_counts: Mapping[int, int]) -> CoverageCurve:
     """Coverage curve over ranked types plus k80, the smallest k reaching
     80% of total tokens (exact integer comparison, no float threshold)."""
     total, _ = _validated_counts(token_counts)
-    ranked = ranked_types(token_counts)
+    return _coverage(ranked_types(token_counts), total)
+
+
+def _coverage(ranked: Sequence[tuple[int, int]], total: int) -> CoverageCurve:
     points = []
     cum = 0
     k80 = len(ranked)
@@ -225,16 +229,21 @@ class LexicalReport:
 def build_lexical_report(texts: Sequence[str], tokenizer: Tokenizer, *,
                          encoder_id: str, task_id: str, arm: str,
                          rewriter_id: str = "") -> LexicalReport:
-    """Pooled lexical diagnostics over a corpus of texts."""
+    """Pooled lexical diagnostics over a corpus of texts.
+
+    The corpus is counted once and its types ranked once; entropy, stats
+    and coverage curve all read that one table.
+    """
     if len(texts) == 0:
         raise DomainError("lexical report undefined on empty corpus")
-    tokens: list[int] = []
+    counts: Counter[int] = Counter()
     for t in texts:
-        tokens.extend(tokenizer.tokenize(t))
-    if not tokens:
+        counts.update(tokenizer.tokenize(t))
+    if not counts:
         raise DomainError("corpus produced no tokens under this tokenizer")
-    counts = Counter(tokens)
-    stats = lexical_stats(tokens, tokenizer.vocab_size)
+    total = sum(counts.values())
+    ranked = ranked_types(counts)
+    stats = _stats(ranked, total)
     return LexicalReport(
         encoder_id=encoder_id, task_id=task_id, arm=arm, rewriter_id=rewriter_id,
         vocab_size=tokenizer.vocab_size,
@@ -242,7 +251,7 @@ def build_lexical_report(texts: Sequence[str], tokenizer: Tokenizer, *,
         unique_types=stats.unique_types, total_tokens=stats.total_tokens,
         ttr=stats.ttr, top20_mass=stats.top20_mass,
         hapax_type_rate=stats.hapax_type_rate, hapax_token_rate=stats.hapax_token_rate,
-        coverage=coverage_cdf(counts),
+        coverage=_coverage(ranked, total),
     )
 
 

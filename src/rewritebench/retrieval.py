@@ -3,7 +3,8 @@
 Search is brute-force inner product over the full corpus matrix (cosine,
 since rows are unit length), with a deterministic tie-break by ascending
 doc id so runs are byte-reproducible across platforms. Scores stay in
-double precision end to end.
+double precision end to end. A partition finds each query's k-th score,
+and the exact (score, id) sort runs only on the docs that reach it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from .errors import ContractError, DomainError
 from .geometry import EmbeddingMatrix
 
 GAIN_MODES = ("linear", "exp")
+# Query rows partitioned at once; bounds the partition's scratch memory.
+_TOPK_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -69,12 +72,30 @@ def retrieve_topk(query_matrix: EmbeddingMatrix, corpus_matrix: EmbeddingMatrix,
 
     scores = query_matrix.vectors @ corpus_matrix.vectors.T
     out = []
-    for qi, qid in enumerate(query_matrix.ids):
-        row = scores[qi]
-        order = np.lexsort((id_rank, -row))[:k]
-        entries = tuple((corpus_matrix.ids[di], float(row[di])) for di in order)
-        out.append(RankedList(query_id=qid, entries=entries))
+    for start in range(0, query_matrix.n_rows, _TOPK_BLOCK_ROWS):
+        stop = start + _TOPK_BLOCK_ROWS
+        block = scores[start:stop]
+        for qid, row, order in zip(query_matrix.ids[start:stop], block,
+                                   _topk_rows(block, id_rank, k)):
+            entries = tuple((corpus_matrix.ids[di], float(row[di])) for di in order)
+            out.append(RankedList(query_id=qid, entries=entries))
     return out
+
+
+def _topk_rows(block: np.ndarray, id_rank: np.ndarray, k: int) -> Iterator[np.ndarray]:
+    """Column indices of each row's top k by (score desc, doc id asc).
+
+    Only docs scoring at least the row's k-th largest score can make the
+    cut, so the exact sort runs on those candidates alone. Ties straddling
+    the boundary are all candidates, and the id tie-break settles them.
+    """
+    n_docs = block.shape[1]
+    kth = np.partition(block, n_docs - k, axis=1)[:, n_docs - k]
+    for row, bound in zip(block, kth):
+        cand = np.flatnonzero(row >= bound)
+        if cand.size < k:  # NaN scores never pass the bound: sort them all
+            cand = np.arange(n_docs)
+        yield cand[np.lexsort((id_rank[cand], -row[cand]))][:k]
 
 
 def _gain(rel: int, mode: str) -> float:

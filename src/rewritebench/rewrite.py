@@ -30,6 +30,7 @@ import requests
 
 from .errors import ConfigError, ContractError, DomainError, EndpointError
 from .models import Document, Query, Regime, RewritePlan, Strategy
+from .stores import JsonlLog
 from .templates import PromptTemplate, TemplateCatalog
 
 
@@ -114,6 +115,7 @@ class RewriterClient:
     def __init__(self, endpoint: RewriterEndpoint):
         self.endpoint = endpoint
         self.call_count = 0
+        self._count_lock = threading.Lock()  # matrix cells share the client
         parsed = urlparse(endpoint.url)
         self._scheme = parsed.scheme
         self._mock_kind = parsed.netloc if parsed.scheme == "mock" else None
@@ -130,7 +132,8 @@ class RewriterClient:
         return self.endpoint.rewriter_id
 
     def _complete_once(self, system: str, user: str, max_tokens: int) -> tuple[str, bool]:
-        self.call_count += 1
+        with self._count_lock:
+            self.call_count += 1
         if self._scheme == "mock":
             return self._complete_mock(user)
         return self._complete_http(system, user, max_tokens)
@@ -197,19 +200,23 @@ class RewriterClient:
 
 
 class RewriteCache:
-    """JSON-Lines cache of RewriteRecords keyed by (rewriter, template, source)."""
+    """JSON-Lines cache of RewriteRecords keyed by (rewriter, template, source).
+
+    One process at a time may write the file. A torn last line (a crash
+    mid-write) is skipped and counted in ``torn_lines``; the first ``put``
+    cuts it off.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._index: dict[tuple[str, str, str], RewriteRecord] = {}
-        if self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    rec = RewriteRecord.from_dict(json.loads(line))
-                    self._index[(rec.rewriter_id, rec.template_id, rec.source_hash)] = rec
+        self._log = JsonlLog(self.path, self._add_row)
+        self.torn_lines = self._log.torn_lines
+
+    def _add_row(self, row: dict) -> None:
+        rec = RewriteRecord.from_dict(row)
+        self._index[(rec.rewriter_id, rec.template_id, rec.source_hash)] = rec
 
     def get(self, rewriter_id: str, template_id: str, src_hash: str) -> RewriteRecord | None:
         with self._lock:
@@ -217,10 +224,8 @@ class RewriteCache:
 
     def put(self, record: RewriteRecord) -> None:
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record.to_dict(), sort_keys=True,
-                                    ensure_ascii=False) + "\n")
+            self._log.append(json.dumps(record.to_dict(), sort_keys=True,
+                                        ensure_ascii=False))
             self._index[(record.rewriter_id, record.template_id,
                          record.source_hash)] = record
 

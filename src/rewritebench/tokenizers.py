@@ -38,17 +38,35 @@ class Tokenizer:
         raise NotImplementedError
 
 
+class _TypeIds(dict):
+    """token -> stable_token_id, hashed on the first lookup of each type."""
+
+    def __init__(self, vocab_size: int):
+        super().__init__()
+        self.vocab_size = vocab_size
+
+    def __missing__(self, token: str) -> int:
+        tid = self[token] = stable_token_id(token, self.vocab_size)
+        return tid
+
+
 class WordTokenizer(Tokenizer):
-    """Whitespace+punctuation splitter with hashed type ids."""
+    """Whitespace+punctuation splitter with hashed type ids.
+
+    Each surface type is hashed once per instance and remembered, so the
+    cost of a corpus pass is one dict lookup per token occurrence.
+    """
 
     def __init__(self, vocab_size: int = 2 ** 20, id: str = "word"):
         if vocab_size < 1:
             raise ConfigError("vocab_size must be positive")
         self.id = id
         self.vocab_size = vocab_size
+        self._ids = _TypeIds(vocab_size)
 
     def tokenize(self, text: str) -> list[int]:
-        return [stable_token_id(t, self.vocab_size) for t in word_tokens(text)]
+        ids = self._ids
+        return [ids[t] for t in word_tokens(text)]
 
 
 class VocabTokenizer(Tokenizer):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import assert_calls_counted_under_threads
 from rewritebench.embed import (EmbeddingCache, EncoderClient, EncoderEndpoint,
                                 content_key, embed_texts)
-from rewritebench.errors import ContractError, EndpointError
+from rewritebench.errors import ContractError, EndpointError, StoreError
 
 
 def mock_client(url: str = "mock://hash?dim=16", batch_size: int = 32,
@@ -100,3 +101,95 @@ class TestEmbedTexts:
                           mock_client("mock://bow?dim=32"), EmbeddingCache(tmp_path))
         np.testing.assert_allclose(np.linalg.norm(out.vectors, axis=1), 1.0,
                                    atol=1e-9)
+
+
+class TestTornManifest:
+    def _warm(self, root):
+        cache = EmbeddingCache(root)
+        embed_texts(["a", "b"], ["ta", "tb"], mock_client(), cache)
+        return cache
+
+    def test_torn_last_line_is_skipped_and_counted(self, tmp_path):
+        self._warm(tmp_path)
+        with open(tmp_path / "manifest.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"dim": 16, "encoder_id": "mock-enc", "key": "abc')
+        cache = EmbeddingCache(tmp_path)
+        assert cache.torn_lines == 1
+        client = mock_client()
+        embed_texts(["a", "b"], ["ta", "tb"], client, cache)
+        assert client.call_count == 0
+
+    def test_append_after_torn_tail_keeps_manifest_readable(self, tmp_path):
+        self._warm(tmp_path)
+        with open(tmp_path / "manifest.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"dim": 16, "enc')
+        embed_texts(["c"], ["tc"], mock_client(), EmbeddingCache(tmp_path))
+        reopened = EmbeddingCache(tmp_path)
+        assert reopened.torn_lines == 0
+        client = mock_client()
+        embed_texts(["a", "b", "c"], ["ta", "tb", "tc"], client, reopened)
+        assert client.call_count == 0
+
+    def test_intact_manifest_has_no_torn_lines(self, tmp_path):
+        self._warm(tmp_path)
+        assert EmbeddingCache(tmp_path).torn_lines == 0
+
+    def test_malformed_inner_line_still_raises(self, tmp_path):
+        self._warm(tmp_path)
+        path = tmp_path / "manifest.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([lines[0][:10], lines[1]]) + "\n", encoding="utf-8")
+        with pytest.raises(StoreError, match="line 1"):
+            EmbeddingCache(tmp_path)
+
+
+def test_call_count_is_exact_under_threads():
+    assert_calls_counted_under_threads(
+        mock_client(), lambda c, i: c.embed_batch([f"text {i}"]))
+
+
+class TestGetMany:
+    def test_equals_per_key_get_on_hits_and_misses(self, tmp_path):
+        cache = EmbeddingCache(tmp_path)
+        embed_texts(["a", "b", "c"], ["ta", "tb", "tc"],
+                    mock_client("mock://bow?dim=8"), cache)
+        keys = [content_key("mock-enc", t) for t in ("tb", "nope", "ta", "tb", "tc")]
+        many = cache.get_many(keys)
+        one_by_one = [cache.get(k) for k in keys]
+        assert [v is None for v in many] == [False, True, False, False, False]
+        for got, want in zip(many, one_by_one):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+                assert got.flags.writeable and got.flags.owndata
+
+    def test_reopened_cache_reads_same_rows(self, tmp_path):
+        cache = EmbeddingCache(tmp_path)
+        embed_texts(["a", "b"], ["ta", "tb"], mock_client(), cache)
+        keys = [content_key("mock-enc", t) for t in ("ta", "tb")]
+        for got, want in zip(EmbeddingCache(tmp_path).get_many(keys), cache.get_many(keys)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("damage", ["missing", "empty"])
+    def test_missing_or_empty_vectors_file_is_all_misses(self, tmp_path, damage):
+        cache = EmbeddingCache(tmp_path)
+        embed_texts(["a", "b"], ["ta", "tb"], mock_client(), cache)
+        if damage == "missing":
+            (tmp_path / "vectors.bin").unlink()
+        else:
+            (tmp_path / "vectors.bin").write_bytes(b"")
+        keys = [content_key("mock-enc", t) for t in ("ta", "tb")]
+        assert cache.get_many(keys) == [None, None]
+        assert [cache.get(k) for k in keys] == [None, None]
+
+    def test_row_past_end_of_file_is_a_miss(self, tmp_path):
+        cache = EmbeddingCache(tmp_path)
+        embed_texts(["a", "b"], ["ta", "tb"], mock_client(), cache)
+        path = tmp_path / "vectors.bin"
+        path.write_bytes(path.read_bytes()[:-8])
+        first, second = cache.get_many([content_key("mock-enc", t) for t in ("ta", "tb")])
+        assert first is not None and second is None
+
+    def test_no_keys(self, tmp_path):
+        assert EmbeddingCache(tmp_path).get_many([]) == []

@@ -263,3 +263,20 @@ class TestBuildLexicalReport:
     def test_invariant_violation_caught(self):
         with pytest.raises(DomainError):
             _report(20.0, 4, 100)  # H above log2(4)
+
+
+def test_report_agrees_with_public_helpers_on_a_larger_corpus():
+    rng = random.Random(4)
+    words = [f"w{i}" for i in range(300)]
+    texts = [" ".join(rng.choices(words, weights=range(300, 0, -1), k=rng.randint(1, 40)))
+             for _ in range(200)]
+    tok = WordTokenizer(vocab_size=251)  # collisions merge some types
+    tokens = [t for text in texts for t in tok.tokenize(text)]
+    report = build_lexical_report(texts, tok, encoder_id="e", task_id="t", arm="Baseline")
+    stats = lexical_stats(tokens, tok.vocab_size)
+    assert report.h_bits == token_entropy(Counter(tokens))
+    assert report.coverage == coverage_cdf(Counter(tokens))
+    assert (report.unique_types, report.total_tokens, report.ttr, report.top20_mass,
+            report.hapax_type_rate, report.hapax_token_rate) == (
+        stats.unique_types, stats.total_tokens, stats.ttr, stats.top20_mass,
+        stats.hapax_type_rate, stats.hapax_token_rate)

@@ -217,3 +217,57 @@ class TestRetrieveTopk:
                              key=lambda i: (-(float(queries.vectors[qi] @ corpus.vectors[i]) + 7.5),
                                             corpus.ids[i]))[:10]
             assert [corpus.ids[i] for i in shifted] == list(res.doc_ids)
+
+
+def lexsort_oracle(queries: EmbeddingMatrix, corpus: EmbeddingMatrix,
+                   k: int) -> list[list[str]]:
+    """Full (score desc, doc id asc) sort of every score row."""
+    id_rank = np.argsort(np.argsort(np.array(corpus.ids)))
+    scores = queries.vectors @ corpus.vectors.T
+    return [[corpus.ids[i] for i in np.lexsort((id_rank, -row))[:k]]
+            for row in scores]
+
+
+class TestPartitionedTopk:
+    """Few distinct doc vectors, so many exact score ties cross the k-th
+    boundary; more queries than one partition block."""
+
+    @pytest.fixture(scope="class")
+    def tied(self):
+        rng = np.random.default_rng(11)
+        levels = rng.standard_normal((4, 8))
+        n_docs = 60
+        ids = [f"d{i:03d}" for i in rng.permutation(n_docs)]
+        corpus = matrix(ids, levels[rng.integers(0, 4, n_docs)])
+        queries = matrix([f"q{i}" for i in range(300)],
+                         rng.standard_normal((300, 8)))
+        return queries, corpus
+
+    @pytest.mark.parametrize("k", [1, 5, 10, 16, 59, 60])
+    def test_equals_full_sort_oracle(self, tied, k):
+        queries, corpus = tied
+        results = retrieve_topk(queries, corpus, k=k)
+        assert [r.query_id for r in results] == list(queries.ids)
+        assert [list(r.doc_ids) for r in results] == lexsort_oracle(queries, corpus, k)
+
+    def test_ties_do_straddle_the_boundary(self, tied):
+        queries, corpus = tied
+        scores = queries.vectors @ corpus.vectors.T
+        kth = -np.sort(-scores, axis=1)[:, 9]
+        straddling = ((scores == kth[:, None]).sum(axis=1)
+                      > (-np.sort(-scores, axis=1)[:, :10] == kth[:, None]).sum(axis=1))
+        assert straddling.any()
+
+    def test_k_above_corpus_clamps_to_full_sort(self, tied):
+        queries, corpus = tied
+        with pytest.warns(UserWarning, match="clamping"):
+            results = retrieve_topk(queries, corpus, k=75)
+        assert [list(r.doc_ids) for r in results] == lexsort_oracle(queries, corpus, 60)
+
+    def test_scores_are_the_gemm_entries(self, tied):
+        queries, corpus = tied
+        scores = queries.vectors @ corpus.vectors.T
+        col = {d: j for j, d in enumerate(corpus.ids)}
+        for qi, r in enumerate(retrieve_topk(queries, corpus, k=10)):
+            assert [s for _, s in r.entries] == [float(scores[qi, col[d]])
+                                                for d in r.doc_ids]

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from rewritebench.errors import ContractError, DomainError
+from conftest import assert_calls_counted_under_threads
+from rewritebench.errors import ContractError, DomainError, StoreError
 from rewritebench.models import (Document, Query, Regime, RewritePlan,
                                  Strategy, TaskFamily)
 from rewritebench.rewrite import (RewriteCache, RewriteRecord, RewriterClient,
@@ -173,3 +174,48 @@ class TestAuditSample:
     def test_oversized_sample_rejected(self):
         with pytest.raises(DomainError):
             audit_sample(self._records(3), self._sources(3), 4, seed=0)
+
+
+class TestTornRewriteCache:
+    def _warm(self, path):
+        rewrite_corpus(DOCS, nl_qc_plan(), client(), identity_catalog(),
+                       RewriteCache(path))
+
+    def test_torn_last_line_is_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "rewrites.jsonl"
+        self._warm(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"arm": "NL-QC", "failed": false, "output_te')
+        cache = RewriteCache(path)
+        assert cache.torn_lines == 1
+        cold = client()
+        rewrite_corpus(DOCS, nl_qc_plan(), cold, identity_catalog(), cache)
+        assert cold.call_count == 0
+
+    def test_append_after_torn_tail_keeps_file_readable(self, tmp_path):
+        path = tmp_path / "rewrites.jsonl"
+        self._warm(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"arm": "NL')
+        extra = [Document(id="d9", text="def fn_9(): return 9")]
+        rewrite_corpus(extra, nl_qc_plan(), client(), identity_catalog(),
+                       RewriteCache(path))
+        reopened = RewriteCache(path)
+        assert reopened.torn_lines == 0
+        cold = client()
+        rewrite_corpus(DOCS + extra, nl_qc_plan(), cold, identity_catalog(), reopened)
+        assert cold.call_count == 0
+
+    def test_malformed_inner_line_still_raises(self, tmp_path):
+        path = tmp_path / "rewrites.jsonl"
+        self._warm(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([lines[0], lines[1][:12]] + lines[2:]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(StoreError, match="line 2"):
+            RewriteCache(path)
+
+
+def test_call_count_is_exact_under_threads():
+    assert_calls_counted_under_threads(
+        client(), lambda c, i: c.complete("", f"prompt {i}", 16))

@@ -2,7 +2,8 @@ import pytest
 
 from rewritebench.errors import ConfigError
 from rewritebench.tokenizers import (VocabTokenizer, WordTokenizer,
-                                     build_tokenizer, word_tokens)
+                                     build_tokenizer, stable_token_id,
+                                     word_tokens)
 
 
 class TestWordTokens:
@@ -89,3 +90,13 @@ class TestBuildTokenizer:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             build_tokenizer({"kind": "bpe"})
+
+
+def test_memoised_ids_equal_stable_token_id():
+    text = " ".join(f"w{i % 37} id_{i % 11}" for i in range(400)) + " x y x"
+    small, large = WordTokenizer(vocab_size=97), WordTokenizer(vocab_size=2 ** 20)
+    for _ in range(2):  # the second pass reads each instance's memo
+        for tok in (small, large):
+            assert tok.tokenize(text) == [stable_token_id(t, tok.vocab_size)
+                                          for t in word_tokens(text)]
+    assert small.tokenize(text) != large.tokenize(text)
