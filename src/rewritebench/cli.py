@@ -14,16 +14,16 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
-from .embed import EmbeddingCache, EncoderClient, embed_texts
+from .embed import EmbeddingCache, EncoderClient
 from .errors import ConfigError, WorkbenchError
 from .ingest import ingest_collection
 from .matrix import run_matrix
 from .models import Regime, RewritePlan, Strategy
-from .pipeline import run_arm
+from .pipeline import arm_texts, embed_corpus, embed_queries, run_arm
 from .report import (advise_from_reports, correlation_report, join_rows,
                      load_stores, write_csv, write_reports)
 from .retrieval import retrieve_topk
-from .rewrite import RewriteCache, RewriteRecord, RewriterClient, audit_sample, rewrite_corpus, rewrite_queries
+from .rewrite import RewriteCache, RewriteRecord, RewriterClient, audit_sample, dump_records
 from .stores import DiagnosticsStore, RunStore
 from .templates import resolve_catalog
 from .tokenizers import build_tokenizer
@@ -104,26 +104,21 @@ def cmd_rewrite(config: ExperimentConfig, args) -> int:
     plan = _plan_from_args(config, args)
     if plan.is_baseline:
         raise ConfigError("rewrite requires --strategy/--regime/--rewriter")
-    rewrite_cache = RewriteCache(config.cache_dir / "rewrites.jsonl")
-    catalog = resolve_catalog(config.template_catalog)
     rewriter = RewriterClient(_rewriter_spec(config, plan.rewriter_id).endpoint)
-    docs, records = rewrite_corpus(collection.documents, plan, rewriter,
-                                   catalog, rewrite_cache)
+    docs, queries, records = arm_texts(
+        collection, plan, rewriter, resolve_catalog(config.template_catalog),
+        RewriteCache(config.cache_dir / "rewrites.jsonl"))
     out = config.out_dir / "rewritten" / f"{args.task}__{plan.rewriter_id}__{plan.arm_label}"
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "corpus.jsonl", "w", encoding="utf-8") as fh:
-        for d in docs:
-            fh.write(json.dumps({"_id": d.id, "text": d.text}, ensure_ascii=False) + "\n")
+    sides = [("corpus", collection.documents, docs)]
     if plan.regime is Regime.QC:
-        queries, q_records = rewrite_queries(collection.queries, plan, rewriter,
-                                             catalog, rewrite_cache)
-        records.extend(q_records)
-        with open(out / "queries.jsonl", "w", encoding="utf-8") as fh:
-            for q in queries:
-                fh.write(json.dumps({"_id": q.id, "text": q.text}, ensure_ascii=False) + "\n")
-    with open(out / "records.jsonl", "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(r.to_dict(), sort_keys=True, ensure_ascii=False) + "\n")
+        sides.append(("queries", collection.queries, queries))
+    for name, items, texts in sides:
+        with open(out / f"{name}.jsonl", "w", encoding="utf-8") as fh:
+            for item, text in zip(items, texts):
+                fh.write(json.dumps({"_id": item.id, "text": text}, ensure_ascii=False) + "\n")
+    (out / "records.jsonl").write_text(dump_records(records, plan.arm_label),
+                                       encoding="utf-8")
     failed = sum(1 for r in records if r.failed)
     print(f"{plan.arm_label}: {len(records)} rewrites, {failed} fallbacks -> {out}")
     return 0
@@ -132,27 +127,20 @@ def cmd_rewrite(config: ExperimentConfig, args) -> int:
 def _arm_matrices(config: ExperimentConfig, args):
     (collection, plan, encoder, _, embedding_cache, rewrite_cache,
      catalog, rewriter) = _arm_context(config, args)
-    docs, queries = collection.documents, collection.queries
-    if not plan.is_baseline:
-        docs, _ = rewrite_corpus(docs, plan, rewriter, catalog, rewrite_cache)
-        if plan.regime is Regime.QC:
-            queries, _ = rewrite_queries(queries, plan, rewriter, catalog, rewrite_cache)
-    corpus = embed_texts([d.id for d in docs], [d.text for d in docs],
-                         encoder, embedding_cache)
-    qmat = embed_texts([q.id for q in queries], [q.text for q in queries],
-                       encoder, embedding_cache)
-    return collection, plan, corpus, qmat
+    docs, queries, _ = arm_texts(collection, plan, rewriter, catalog, rewrite_cache)
+    return (plan, embed_corpus(collection, docs, encoder, embedding_cache),
+            embed_queries(collection, queries, encoder, embedding_cache))
 
 
 def cmd_embed(config: ExperimentConfig, args) -> int:
-    _, plan, corpus, qmat = _arm_matrices(config, args)
+    plan, corpus, qmat = _arm_matrices(config, args)
     print(f"{plan.arm_label}: corpus {corpus.n_rows}x{corpus.dim}, "
           f"queries {qmat.n_rows}x{qmat.dim} (cache warm)")
     return 0
 
 
 def cmd_retrieve(config: ExperimentConfig, args) -> int:
-    _, plan, corpus, qmat = _arm_matrices(config, args)
+    plan, corpus, qmat = _arm_matrices(config, args)
     ranked = retrieve_topk(qmat, corpus, k=args.k or config.k)
     out = config.out_dir / f"rankings_{args.task}__{args.encoder}__{plan.arm_label}.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -20,15 +20,16 @@ import json
 import os
 import threading
 import time
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 import requests
 
-from .errors import ConfigError, ContractError, EndpointError
+from .errors import ConfigError, ContractError, EndpointError, WorkbenchError
 from .geometry import EmbeddingMatrix, l2_normalize
 from .stores import JsonlLog
 from .tokenizers import word_tokens
@@ -208,6 +209,47 @@ class EmbeddingCache:
                      "dim": int(vector.size), "offset": offset}
             self._manifest.append(json.dumps(entry, sort_keys=True))
             self._index[key] = (offset, int(vector.size))
+
+
+def fetch_missing(texts: Iterable[str], client: EncoderClient, cache: EmbeddingCache,
+                  pool: Executor | None = None) -> None:
+    """Put every distinct text of *texts* that *cache* lacks into it.
+
+    The misses go to the endpoint in batches of its batch size, one request
+    per batch, run on *pool* (or inline without one); their vectors are
+    cached in batch order, so the cache files do not depend on the pool's
+    size. After the first failed batch no further batch is sent. Failed
+    batches are left out: :func:`embed_texts` asks for them again and fails
+    on its own.
+    """
+    encoder_id = client.encoder_id
+    misses: dict[str, str] = {}
+    for text in texts:
+        key = content_key(encoder_id, text)
+        if key not in cache and key not in misses:
+            misses[key] = text
+    keys = list(misses)
+    bs = client.endpoint.batch_size
+    batches = [keys[i:i + bs] for i in range(0, len(keys), bs)]
+    down = threading.Event()
+
+    def fetch(batch: list[str]) -> list[list[float]] | None:
+        if down.is_set():
+            return None
+        try:
+            return client.embed_batch([misses[k] for k in batch])
+        except WorkbenchError:
+            down.set()
+            return None
+
+    for batch, vectors in zip(batches, (pool.map if pool is not None else map)(fetch, batches)):
+        if vectors is None:
+            continue
+        try:
+            for key, vec in zip(batch, vectors):
+                cache.put(key, encoder_id, np.asarray(vec, dtype=np.float64))
+        except WorkbenchError:
+            pass  # the rows not written are left to embed_texts, like a failed batch
 
 
 def embed_texts(ids: Sequence[str], texts: Sequence[str], client: EncoderClient,

@@ -1,9 +1,12 @@
 """The experiment matrix: every (encoder, task, rewriter, strategy, regime)
 cell plus one Baseline cell per (encoder, task).
 
-Cells are independent: a failure in one is recorded and the rest proceed.
-With warm caches a rerun issues zero endpoint calls and rewrites
-byte-identical outputs, so the runner is a fixed point under repetition.
+Cells share their inputs: QC and C of one strategy rank the same rewritten
+corpus, and C ranks the Baseline's queries. Each shared input is computed
+once per run, and a failure is recorded against the cells that depend on
+it while the rest proceed. With warm caches a rerun issues zero endpoint
+calls and rewrites byte-identical outputs, so the runner is a fixed point
+under repetition.
 Per-cell artifacts live under ``out_dir/cells/<cell_id>/``; run records and
 diagnostics are appended to the global stores in deterministic cell order.
 """
@@ -17,14 +20,16 @@ from pathlib import Path
 from typing import Callable
 
 from .config import ExperimentConfig
-from .embed import EmbeddingCache, EncoderClient
+from .embed import EmbeddingCache, EncoderClient, fetch_missing
 from .errors import WorkbenchError
+from .geometry import EmbeddingMatrix
 from .ingest import Collection, ingest_collection
-from .models import Regime, RewritePlan, Strategy
-from .pipeline import ArmResult, run_arm
-from .rewrite import RewriteCache, RewriterClient
+from .models import Regime, RewritePlan, Strategy, TaskFamily
+from .pipeline import ArmResult, Corpus, build_corpus, embed_queries, score_arm
+from .rewrite import (RewriteCache, RewriteJob, RewriterClient, Rewritten,
+                      documents_job, dump_records, queries_job, rewrite_jobs)
 from .stores import DiagnosticsStore, RunStore
-from .templates import resolve_catalog
+from .templates import SIDES, resolve_catalog
 from .tokenizers import build_tokenizer
 
 
@@ -48,6 +53,24 @@ class CellKey:
         else:
             parts.extend([self.rewriter_id, self.strategy.value, self.regime.value])
         return "__".join(p.replace("/", "_").replace(" ", "_") for p in parts)
+
+    def plan(self, family: TaskFamily) -> RewritePlan:
+        if self.is_baseline:
+            return RewritePlan.baseline(task_family=family)
+        return RewritePlan(strategy=self.strategy, regime=self.regime,
+                           rewriter_id=self.rewriter_id, task_family=family)
+
+    def side_key(self, side: str) -> tuple[str, str, Strategy, str]:
+        """What the cell ranks on one side ("documents" or "queries"): the
+        task's originals, keyed as the Baseline's, or a rewrite by the
+        cell's (rewriter, strategy)."""
+        if self.is_baseline or (side == "queries" and self.regime is not Regime.QC):
+            return _originals(self.task_id, side)
+        return self.task_id, self.rewriter_id, self.strategy, side
+
+
+def _originals(task_id: str, side: str) -> tuple[str, str, Strategy, str]:
+    return task_id, "", Strategy.BASELINE, side
 
 
 @dataclass
@@ -97,18 +120,24 @@ def _persist_cell(cell_dir: Path, result: ArmResult, *, config_hash: str,
         "seed": seed,
     })
     if result.rewrite_records:
-        lines = [json.dumps(r.to_dict(), sort_keys=True, ensure_ascii=False)
-                 for r in result.rewrite_records]
-        (cell_dir / "rewrites.jsonl").write_text("\n".join(lines) + "\n",
-                                                 encoding="utf-8")
+        (cell_dir / "rewrites.jsonl").write_text(
+            dump_records(result.rewrite_records, result.plan.arm_label), encoding="utf-8")
 
 
 def run_matrix(config: ExperimentConfig,
                fault_hook: Callable[[CellKey], None] | None = None) -> MatrixResult:
-    """Execute the full matrix described by *config*.
+    """Execute the full matrix described by *config*, in three stages that
+    each map over one pool of ``config.parallelism`` threads:
+
+    1. rewrite every (task, rewriter, strategy) corpus, and its queries
+       when QC is configured, asking once per distinct prompt;
+    2. fetch the vectors the cells lack, each distinct text once, then
+       build every (encoder, task, rewriter, strategy) corpus once;
+    3. score each cell, baselines first: the arms attach deltas against
+       them.
 
     ``fault_hook`` is test instrumentation: it is invoked with each cell
-    key before the cell runs and may raise to simulate a cell failure.
+    key before the cell is scored and may raise to simulate a cell failure.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -120,69 +149,118 @@ def run_matrix(config: ExperimentConfig,
     tokenizers = {e.encoder_id: build_tokenizer(e.tokenizer) for e in config.encoders}
     rewriter_clients = {r.rewriter_id: RewriterClient(r.endpoint)
                         for r in config.rewriters}
-    task_specs = {t.task_id: t for t in config.tasks}
+    families = {t.task_id: t.family for t in config.tasks}
 
     result = MatrixResult(out_dir=out_dir)
+    cells = plan_cells(config)
+    plans = {cell: cell.plan(families[cell.task_id]) for cell in cells}
 
+    # The texts of every side a cell ranks, by CellKey.side_key. The
+    # originals have no rewrite records.
+    sides: dict[tuple, Rewritten | WorkbenchError] = {}
     collections: dict[str, Collection] = {}
-    task_errors: dict[str, str] = {}
     for t in config.tasks:
         try:
-            collections[t.task_id] = ingest_collection(
+            collection = collections[t.task_id] = ingest_collection(
                 t.corpus, t.queries, t.qrels, task_id=t.task_id)
+            for side in SIDES:
+                sides[_originals(t.task_id, side)] = Rewritten(
+                    texts=[x.text for x in getattr(collection, side)], records=[])
         except WorkbenchError as exc:
-            task_errors[t.task_id] = str(exc)
+            for side in SIDES:
+                sides[_originals(t.task_id, side)] = WorkbenchError(
+                    f"task ingest failed: {exc}")
 
-    cells = plan_cells(config)
+    # A rewrite job per side; the corpus job takes the arm of its first cell.
+    jobs: dict[tuple, RewriteJob] = {}
+    for cell in cells:
+        for side, make_job in zip(SIDES, (documents_job, queries_job)):
+            key = cell.side_key(side)
+            if key in sides or key in jobs:
+                continue
+            original = sides[_originals(cell.task_id, side)]
+            if isinstance(original, WorkbenchError):
+                sides[key] = original
+                continue
+            try:
+                jobs[key] = make_job(getattr(collections[cell.task_id], side),
+                                     plans[cell],
+                                     rewriter_clients[cell.rewriter_id], catalog)
+            except WorkbenchError as exc:
+                sides[key] = exc
+
+    def side_of(cell: CellKey, side: str) -> Rewritten:
+        outcome = sides[cell.side_key(side)]
+        if isinstance(outcome, WorkbenchError):
+            raise outcome
+        return outcome
+
+    # Corpora and the Baselines' query matrices, by (encoder, side key).
+    corpus_cells: dict[tuple, CellKey] = {}
+    for cell in cells:
+        corpus_cells.setdefault((cell.encoder_id, cell.side_key("documents")), cell)
+    query_matrices: dict[tuple, EmbeddingMatrix] = {}
     baselines: dict[tuple[str, str], ArmResult] = {}
 
-    def execute(cell: CellKey) -> tuple[CellKey, ArmResult | None, str | None]:
-        if cell.task_id in task_errors:
-            return cell, None, f"task ingest failed: {task_errors[cell.task_id]}"
+    def corpus_of(cell: CellKey) -> Corpus | WorkbenchError:
+        try:
+            docs = side_of(cell, "documents").texts
+            return build_corpus(collections[cell.task_id], docs,
+                                plans[cell],
+                                encoder=encoder_clients[cell.encoder_id],
+                                tokenizer=tokenizers[cell.encoder_id],
+                                embedding_cache=embedding_cache)
+        except WorkbenchError as exc:
+            return exc
+
+    def execute(cell: CellKey) -> ArmResult | WorkbenchError:
         try:
             if fault_hook is not None:
                 fault_hook(cell)
+            docs, queries = side_of(cell, "documents"), side_of(cell, "queries")
+            corpus = corpora[(cell.encoder_id, cell.side_key("documents"))]
+            if isinstance(corpus, WorkbenchError):
+                raise corpus
             collection = collections[cell.task_id]
-            family = task_specs[cell.task_id].family
-            if cell.is_baseline:
-                plan = RewritePlan.baseline(task_family=family)
-                rewriter = None
-            else:
-                plan = RewritePlan(strategy=cell.strategy, regime=cell.regime,
-                                   rewriter_id=cell.rewriter_id,
-                                   template_id="", task_family=family)
-                rewriter = rewriter_clients[cell.rewriter_id]
-            arm = run_arm(
-                collection, plan,
-                encoder=encoder_clients[cell.encoder_id],
-                tokenizer=tokenizers[cell.encoder_id],
-                embedding_cache=embedding_cache,
-                rewriter=rewriter, rewrite_cache=rewrite_cache, catalog=catalog,
-                baseline=baselines.get((cell.encoder_id, cell.task_id)),
-                k=config.k, gain=config.gain)
-            return cell, arm, None
+            # C reuses the Baseline's, which the earlier wave wrote
+            qkey = (cell.encoder_id, cell.side_key("queries"))
+            query_matrix = query_matrices.get(qkey)
+            if query_matrix is None:
+                query_matrix = embed_queries(collection, queries.texts,
+                                             encoder_clients[cell.encoder_id],
+                                             embedding_cache)
+                if cell.is_baseline:
+                    query_matrices[qkey] = query_matrix
+            return score_arm(collection, plans[cell], corpus,
+                             query_matrix,
+                             rewrite_records=docs.records + queries.records,
+                             baseline=baselines.get((cell.encoder_id, cell.task_id)),
+                             k=config.k, gain=config.gain)
         except WorkbenchError as exc:
-            return cell, None, str(exc)
+            return exc
 
-    def run_wave(wave: list[CellKey]) -> None:
-        if config.parallelism > 1 and len(wave) > 1:
-            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                outcomes = list(pool.map(execute, wave))
-        else:
-            outcomes = [execute(c) for c in wave]
-        for cell, arm, err in outcomes:
-            if err is not None:
-                result.failures[cell] = err
-                continue
-            assert arm is not None
-            result.results[cell] = arm
-            if cell.is_baseline:
-                baselines[(cell.encoder_id, cell.task_id)] = arm
-            _persist_cell(out_dir / "cells" / cell.cell_id, arm,
-                          config_hash=config.config_hash, seed=config.seed)
+    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+        sides.update(zip(jobs, rewrite_jobs(list(jobs.values()), rewrite_cache, pool)))
 
-    run_wave([c for c in cells if c.is_baseline])
-    run_wave([c for c in cells if not c.is_baseline])
+        for encoder_id, client in encoder_clients.items():
+            keys = dict.fromkeys(cell.side_key(side) for cell in cells
+                                 if cell.encoder_id == encoder_id for side in SIDES)
+            wanted = [text for key in keys if isinstance(sides[key], Rewritten)
+                      for text in sides[key].texts]
+            fetch_missing(wanted, client, embedding_cache, pool)
+        corpora = dict(zip(corpus_cells, pool.map(corpus_of, corpus_cells.values())))
+
+        for wave in ([c for c in cells if c.is_baseline],
+                     [c for c in cells if not c.is_baseline]):
+            for cell, arm in zip(wave, pool.map(execute, wave)):
+                if isinstance(arm, WorkbenchError):
+                    result.failures[cell] = str(arm)
+                    continue
+                result.results[cell] = arm
+                if cell.is_baseline:
+                    baselines[(cell.encoder_id, cell.task_id)] = arm
+                _persist_cell(out_dir / "cells" / cell.cell_id, arm,
+                              config_hash=config.config_hash, seed=config.seed)
 
     run_store = RunStore(out_dir / "runs.jsonl")
     diag_store = DiagnosticsStore(out_dir / "diagnostics.jsonl")

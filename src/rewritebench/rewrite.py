@@ -1,9 +1,12 @@
-"""Rewrite orchestration: drive a rewriter endpoint over a corpus or query
-set under one plan, with caching, audit records, and fail-soft fallback.
+"""Rewrite orchestration: drive a rewriter endpoint over corpus and query
+sets (jobs), with caching, audit records, and fail-soft fallback. Each
+distinct (rewriter, template, source) prompt is requested once per call,
+however many jobs hold it.
 
 Endpoint failures after the configured retries fall back to the original
 text and flag the record, so corpus size (and hence score denominators)
-stays constant across arms. ``mock://`` rewriter URLs run offline:
+stays constant across arms. Failures are not cached: the next run asks
+again. ``mock://`` rewriter URLs run offline:
 
     mock://identity                  echo the user prompt verbatim
     mock://table?file=PATH           JSON map user-prompt -> output (identity
@@ -20,7 +23,8 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, replace
+from concurrent.futures import Executor
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -28,7 +32,8 @@ from urllib.parse import parse_qs, urlparse
 
 import requests
 
-from .errors import ConfigError, ContractError, DomainError, EndpointError
+from .errors import (ConfigError, ContractError, DomainError, EndpointError,
+                     WorkbenchError)
 from .models import Document, Query, Regime, RewritePlan, Strategy
 from .stores import JsonlLog
 from .templates import PromptTemplate, TemplateCatalog
@@ -202,7 +207,9 @@ class RewriterClient:
 class RewriteCache:
     """JSON-Lines cache of RewriteRecords keyed by (rewriter, template, source).
 
-    One process at a time may write the file. A torn last line (a crash
+    Only successful rewrites belong here: a row flagged ``failed`` (written
+    by an older version) reads as a miss, so the next run asks again. One
+    process at a time may write the file. A torn last line (a crash
     mid-write) is skipped and counted in ``torn_lines``; the first ``put``
     cuts it off.
     """
@@ -215,6 +222,8 @@ class RewriteCache:
         self.torn_lines = self._log.torn_lines
 
     def _add_row(self, row: dict) -> None:
+        if row.get("failed"):
+            return
         rec = RewriteRecord.from_dict(row)
         self._index[(rec.rewriter_id, rec.template_id, rec.source_hash)] = rec
 
@@ -234,33 +243,106 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _rewrite_one(item_id: str, text: str, plan: RewritePlan,
-                 template: PromptTemplate, client: RewriterClient,
-                 cache: RewriteCache | None) -> tuple[str, RewriteRecord]:
-    src = source_hash(text)
-    if cache is not None:
-        hit = cache.get(client.rewriter_id, template.template_id, src)
-        if hit is not None:
-            out = text if hit.failed else hit.output_text
-            return out, replace(hit, source_id=item_id, arm=plan.arm_label)
-    system, user = template.render(text)
+@dataclass(frozen=True)
+class RewriteJob:
+    """The items of one side (documents or queries) to rewrite under one
+    template. ``arm`` labels the job's records."""
+
+    ids: Sequence[str]
+    texts: Sequence[str]
+    template: PromptTemplate
+    client: RewriterClient
+    arm: str
+
+
+@dataclass(frozen=True)
+class Rewritten:
+    """A job's outputs and audit records, in its input order. A failed item's
+    output is its source text."""
+
+    texts: list[str]
+    records: list[RewriteRecord]
+
+
+def _request(miss: tuple[RewriteJob, str, str]) -> tuple[str, bool, bool] | WorkbenchError:
+    """(output, truncated, failed) for one (job, item id, source text), or
+    the error that was not an endpoint failure."""
+    job, _, text = miss
+    system, user = job.template.render(text)
     try:
-        raw, truncated = client.complete(system, user, template.max_output_tokens)
-        out = strip_code_fences(raw)
-        failed = not out  # empty completions count as failures
-        if failed:
-            out = text
+        raw, truncated = job.client.complete(system, user, job.template.max_output_tokens)
     except EndpointError:
-        out, truncated, failed = text, False, True
-    record = RewriteRecord(
-        source_id=item_id, arm=plan.arm_label, source_hash=src,
-        output_text="" if failed else out,
-        rewriter_id=client.rewriter_id, template_id=template.template_id,
-        timestamp=_utc_now(), truncated=truncated, failed=failed,
-    )
-    if cache is not None:
-        cache.put(record)
-    return out, record
+        return "", False, True
+    except WorkbenchError as exc:
+        return exc
+    out = strip_code_fences(raw)
+    return out, truncated, not out  # empty completions count as failures
+
+
+def rewrite_jobs(jobs: Sequence[RewriteJob], cache: RewriteCache | None = None,
+                 pool: Executor | None = None) -> list[Rewritten | WorkbenchError]:
+    """Rewrite every job, asking the endpoint once per distinct
+    (rewriter, template, source) across all of them.
+
+    Cache hits resolve inline. Each miss is one request, run on *pool* (or
+    inline without one); successful rewrites are cached in request order,
+    so the cache file does not depend on the pool's size. A job whose
+    request or cache write raised gets that error in place of its result;
+    the other jobs are unaffected.
+    """
+    records: dict[tuple[str, str, str], RewriteRecord | WorkbenchError] = {}
+    misses: dict[tuple[str, str, str], tuple[RewriteJob, str, str]] = {}
+    job_keys = []
+    for job in jobs:
+        keys = [(job.client.rewriter_id, job.template.template_id, source_hash(text))
+                for text in job.texts]
+        for key, item_id, text in zip(keys, job.ids, job.texts):
+            if key in records or key in misses:
+                continue
+            hit = cache.get(*key) if cache is not None else None
+            if hit is not None:
+                records[key] = hit
+            else:
+                misses[key] = (job, item_id, text)
+        job_keys.append(keys)
+
+    answers = (pool.map if pool is not None else map)(_request, misses.values())
+    for (key, (job, item_id, _)), answer in zip(misses.items(), answers):
+        if isinstance(answer, WorkbenchError):
+            records[key] = answer
+            continue
+        out, truncated, failed = answer
+        record = RewriteRecord(
+            source_id=item_id, arm=job.arm, source_hash=key[2],
+            output_text="" if failed else out, rewriter_id=key[0],
+            template_id=key[1], timestamp=_utc_now(), truncated=truncated,
+            failed=failed)
+        try:
+            if cache is not None and not failed:
+                cache.put(record)
+            records[key] = record
+        except WorkbenchError as exc:
+            records[key] = exc
+
+    results: list[Rewritten | WorkbenchError] = []
+    for job, keys in zip(jobs, job_keys):
+        outs, recs = [], []
+        for key, item_id, text in zip(keys, job.ids, job.texts):
+            rec = records[key]
+            if isinstance(rec, WorkbenchError):
+                results.append(rec)
+                break
+            if rec.source_id != item_id or rec.arm != job.arm:
+                rec = RewriteRecord(
+                    source_id=item_id, arm=job.arm, source_hash=rec.source_hash,
+                    output_text=rec.output_text, rewriter_id=rec.rewriter_id,
+                    template_id=rec.template_id, timestamp=rec.timestamp,
+                    truncated=rec.truncated, failed=rec.failed)
+            outs.append(text if rec.failed else rec.output_text)
+            recs.append(rec)
+        else:
+            results.append(Rewritten(texts=outs, records=recs))
+    return results
 
 
 def _check_plan(plan: RewritePlan, client: RewriterClient) -> None:
@@ -272,6 +354,34 @@ def _check_plan(plan: RewritePlan, client: RewriterClient) -> None:
             f"{client.rewriter_id!r}")
 
 
+def documents_job(documents: Sequence[Document], plan: RewritePlan,
+                  client: RewriterClient, catalog: TemplateCatalog) -> RewriteJob:
+    _check_plan(plan, client)
+    return RewriteJob(ids=[d.id for d in documents], texts=[d.text for d in documents],
+                      template=catalog.for_documents(plan.strategy, plan.task_family),
+                      client=client, arm=plan.arm_label)
+
+
+def queries_job(queries: Sequence[Query], plan: RewritePlan,
+                client: RewriterClient, catalog: TemplateCatalog) -> RewriteJob:
+    """The query side; only legal under the QC regime."""
+    _check_plan(plan, client)
+    if plan.regime is not Regime.QC:
+        raise ContractError(
+            f"regime {plan.regime.value} never rewrites queries (QC only)")
+    return RewriteJob(ids=[q.id for q in queries], texts=[q.text for q in queries],
+                      template=catalog.for_queries(plan.strategy, plan.task_family),
+                      client=client, arm=plan.arm_label)
+
+
+def rewrite_job(job: RewriteJob, cache: RewriteCache | None = None) -> Rewritten:
+    """:func:`rewrite_jobs` for a single job, inline; its error is raised."""
+    (result,) = rewrite_jobs([job], cache)
+    if isinstance(result, WorkbenchError):
+        raise result
+    return result
+
+
 def rewrite_corpus(documents: Sequence[Document], plan: RewritePlan,
                    client: RewriterClient, catalog: TemplateCatalog,
                    cache: RewriteCache | None = None,
@@ -281,15 +391,9 @@ def rewrite_corpus(documents: Sequence[Document], plan: RewritePlan,
     Ids are preserved; failures fall back to the source text and are
     flagged in the returned records.
     """
-    _check_plan(plan, client)
-    template = catalog.for_documents(plan.strategy, plan.task_family)
-    out_docs, records = [], []
-    for doc in documents:
-        out, record = _rewrite_one(doc.id, doc.text, plan, template, client, cache)
-        out_docs.append(Document(id=doc.id, text=out, title=doc.title,
-                                 lang_tag=doc.lang_tag))
-        records.append(record)
-    return out_docs, records
+    done = rewrite_job(documents_job(documents, plan, client, catalog), cache)
+    return [Document(id=d.id, text=t, title=d.title, lang_tag=d.lang_tag)
+            for d, t in zip(documents, done.texts)], done.records
 
 
 def rewrite_queries(queries: Sequence[Query], plan: RewritePlan,
@@ -297,17 +401,15 @@ def rewrite_queries(queries: Sequence[Query], plan: RewritePlan,
                     cache: RewriteCache | None = None,
                     ) -> tuple[list[Query], list[RewriteRecord]]:
     """Rewrite the query side; only legal under the QC regime."""
-    _check_plan(plan, client)
-    if plan.regime is not Regime.QC:
-        raise ContractError(
-            f"regime {plan.regime.value} never rewrites queries (QC only)")
-    template = catalog.for_queries(plan.strategy, plan.task_family)
-    out_queries, records = [], []
-    for q in queries:
-        out, record = _rewrite_one(q.id, q.text, plan, template, client, cache)
-        out_queries.append(Query(id=q.id, text=out))
-        records.append(record)
-    return out_queries, records
+    done = rewrite_job(queries_job(queries, plan, client, catalog), cache)
+    return [Query(id=q.id, text=t) for q, t in zip(queries, done.texts)], done.records
+
+
+def dump_records(records: Sequence[RewriteRecord], arm: str) -> str:
+    """JSON-Lines audit records, each stamped with the *arm* that read it
+    (QC and C read one corpus rewrite)."""
+    return "".join(json.dumps({**r.to_dict(), "arm": arm}, sort_keys=True,
+                              ensure_ascii=False) + "\n" for r in records)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from itertools import permutations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .errors import ConfigError, DomainError
 from .models import Regime
@@ -71,6 +70,9 @@ def _pearson_r(x: np.ndarray, y: np.ndarray) -> float:
 def _t_pvalue(r: float, n: int) -> float:
     if abs(r) >= 1.0:
         return _P_FLOOR
+    # imported here: it takes about a second, and only n >= T_APPROX_MIN_N gets here
+    from scipy import stats as scipy_stats
+
     t = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
     p = 2.0 * float(scipy_stats.t.sf(t, df=n - 2))
     return min(1.0, max(_P_FLOOR, p))

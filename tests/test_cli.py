@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,3 +127,14 @@ class TestSubcommands:
         path = write_matrix_config(tmp_path)
         assert run_cli(path, "eval", "--task", "toy", "--encoder", "bow",
                        "--strategy", "NL") == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy takes about a second to import; only the t-approximation needs it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rewritebench.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

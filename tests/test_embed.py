@@ -1,9 +1,12 @@
+import json
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from conftest import assert_calls_counted_under_threads
 from rewritebench.embed import (EmbeddingCache, EncoderClient, EncoderEndpoint,
-                                content_key, embed_texts)
+                                content_key, embed_texts, fetch_missing)
 from rewritebench.errors import ContractError, EndpointError, StoreError
 
 
@@ -101,6 +104,32 @@ class TestEmbedTexts:
                           mock_client("mock://bow?dim=32"), EmbeddingCache(tmp_path))
         np.testing.assert_allclose(np.linalg.norm(out.vectors, axis=1), 1.0,
                                    atol=1e-9)
+
+
+class TestFetchMissing:
+    def test_distinct_misses_fetched_once_in_batches(self, tmp_path):
+        cache = EmbeddingCache(tmp_path)
+        embed_texts(["a"], ["ta"], mock_client(), cache)
+        client = mock_client(batch_size=2)
+        texts = ["ta", "tb", "tc", "tb", "td", "te", "tc"]
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            fetch_missing(texts, client, cache, pool)
+        assert client.call_count == 2  # tb tc | td te
+        keys = [content_key("mock-enc", t) for t in ["ta", "tb", "tc", "td", "te"]]
+        manifest = (tmp_path / "manifest.jsonl").read_text().splitlines()
+        assert [json.loads(line)["key"] for line in manifest] == keys
+        cold = mock_client()
+        embed_texts(list("abcde"), ["ta", "tb", "tc", "td", "te"], cold, cache)
+        assert cold.call_count == 0
+
+    def test_failed_batch_stops_fetching_and_leaves_it_to_embed_texts(self, tmp_path):
+        cache = EmbeddingCache(tmp_path)
+        client = mock_client("mock://fail", batch_size=1, retries=0)
+        fetch_missing(["ta", "tb", "tc"], client, cache)
+        assert client.call_count == 1
+        assert not any(content_key("mock-enc", t) in cache for t in ["ta", "tb", "tc"])
+        with pytest.raises(EndpointError):
+            embed_texts(["a"], ["ta"], client, cache)
 
 
 class TestTornManifest:

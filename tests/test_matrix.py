@@ -1,7 +1,8 @@
 import json
+import sys
 from pathlib import Path
 
-from conftest import write_matrix_config
+from conftest import TOY_DOCS, TOY_QUERIES, write_matrix_config
 from rewritebench.config import load_config
 from rewritebench.matrix import CellKey, plan_cells, run_matrix
 from rewritebench.models import Regime, Strategy
@@ -95,15 +96,35 @@ class TestRunMatrix:
         a, b = tree_bytes(tmp_path / "out1"), tree_bytes(tmp_path / "out2")
         assert a == b
 
-    def test_parallel_run_matches_serial(self, tmp_path):
-        path = write_matrix_config(tmp_path, strategies=("Rephrase", "NL"),
+    def test_parallel_run_matches_serial(self, tmp_path, monkeypatch):
+        # each pass starts from its own empty cache; a fixed clock makes the
+        # rewrite records' timestamps equal across passes
+        monkeypatch.setattr("rewritebench.rewrite._utc_now",
+                            lambda: "2026-01-01T00:00:00+00:00")
+        strategies = ("Rephrase", "NL")
+        path = write_matrix_config(tmp_path, strategies=strategies,
                                    regimes=("QC", "C"))
-        serial = load_config(path, out_dir=str(tmp_path / "serial"))
-        run_matrix(serial)
-        parallel = load_config(path, out_dir=str(tmp_path / "parallel"))
-        parallel.parallelism = 4
-        run_matrix(parallel)
-        assert tree_bytes(tmp_path / "serial") == tree_bytes(tmp_path / "parallel")
+        # identity templates: one per strategy, for both sides
+        prompts = {(s, row["text"]) for s in strategies
+                   for row in TOY_DOCS + TOY_QUERIES}
+        trees, encoder_calls = {}, set()
+        for parallelism in (1, 2, 4):
+            cfg = load_config(path, out_dir=str(tmp_path / f"out{parallelism}"),
+                              cache_dir=str(tmp_path / f"cache{parallelism}"))
+            cfg.parallelism = parallelism
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the pool's threads finely
+            try:
+                result = run_matrix(cfg)
+            finally:
+                sys.setswitchinterval(interval)
+            assert result.exit_status == 0
+            assert result.endpoint_calls["rewriter:ident"] == len(prompts)
+            encoder_calls.add(result.endpoint_calls["encoder:bow"])
+            trees[parallelism] = (tree_bytes(tmp_path / f"out{parallelism}"),
+                                  tree_bytes(tmp_path / f"cache{parallelism}"))
+        assert len(encoder_calls) == 1
+        assert trees[1] == trees[2] == trees[4]
 
 
 class TestFaultIsolation:
@@ -166,3 +187,50 @@ class TestFaultIsolation:
         assert result.exit_status == 1
         assert len(result.failures) == 2
         assert all("ingest failed" in msg for msg in result.failures.values())
+
+    def test_missing_query_template_fails_only_that_qc_cell(self, tmp_path):
+        catalog = tmp_path / "templates"
+        catalog.mkdir()
+        (catalog / "rephrase.md").write_text(
+            "---\ntemplate_id: rephrase\nstrategy: Rephrase\n"
+            "task_family: CodeToCode\n---\n{input}", encoding="utf-8")
+        (catalog / "nl_docs.md").write_text(
+            "---\ntemplate_id: nl-docs\nstrategy: NL\ntask_family: CodeToCode\n"
+            "applies_to: documents\n---\n{input}", encoding="utf-8")
+        path = write_matrix_config(tmp_path, strategies=("Rephrase", "NL"),
+                                   regimes=("QC", "C"), template_catalog=str(catalog))
+        cfg = load_config(path)
+        seen = []
+        result = run_matrix(cfg, fault_hook=seen.append)
+        nl_qc = CellKey(encoder_id="bow", task_id="toy", rewriter_id="ident",
+                        strategy=Strategy.NL, regime=Regime.QC)
+        assert list(result.failures) == [nl_qc]
+        assert "no template" in result.failures[nl_qc]
+        assert set(result.results) == set(plan_cells(cfg)) - {nl_qc}
+        assert sorted(seen, key=lambda c: c.cell_id) == sorted(
+            plan_cells(cfg), key=lambda c: c.cell_id)
+
+
+class TestRewriteFailuresNotCached:
+    def _run(self, tmp_path, url, out):
+        path = write_matrix_config(
+            tmp_path, regimes=("QC", "C"),
+            rewriters=[{"rewriter_id": "rw", "url": url}])
+        cfg = load_config(path, out_dir=str(tmp_path / out))
+        result = run_matrix(cfg)
+        assert result.exit_status == 0
+        rows = [json.loads(line) for line in
+                (cfg.out_dir / "cells" / "bow__toy__rw__NL__QC" / "rewrites.jsonl")
+                .read_text().splitlines()]
+        return result.endpoint_calls["rewriter:rw"], {r["source_id"]: r for r in rows}
+
+    def test_failed_item_is_rewritten_on_the_next_run(self, tmp_path):
+        # d1 and q1 both mention alpha_one: the flaky endpoint fails on them
+        calls, rows = self._run(tmp_path, "mock://flaky?needle=alpha_one", "out1")
+        assert {i for i, r in rows.items() if r["failed"]} == {"d1", "q1"}
+        calls, rows = self._run(tmp_path, "mock://identity", "out2")
+        assert calls == 2
+        assert not any(r["failed"] for r in rows.values())
+        calls, _ = self._run(tmp_path, "mock://identity", "out3")
+        assert calls == 0
+

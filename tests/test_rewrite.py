@@ -1,15 +1,17 @@
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from conftest import assert_calls_counted_under_threads
-from rewritebench.errors import ContractError, DomainError, StoreError
+from rewritebench.errors import ConfigError, ContractError, DomainError, StoreError
 from rewritebench.models import (Document, Query, Regime, RewritePlan,
                                  Strategy, TaskFamily)
 from rewritebench.rewrite import (RewriteCache, RewriteRecord, RewriterClient,
-                                  RewriterEndpoint, audit_sample,
-                                  rewrite_corpus, rewrite_queries,
-                                  source_hash, strip_code_fences)
+                                  RewriterEndpoint, Rewritten, audit_sample,
+                                  documents_job, queries_job, rewrite_corpus,
+                                  rewrite_jobs, rewrite_queries, source_hash,
+                                  strip_code_fences)
 from rewritebench.templates import identity_catalog
 
 
@@ -98,6 +100,54 @@ class TestRewriteCorpus:
                                   identity_catalog(), RewriteCache(tmp_path / "rw.jsonl"))
         assert [d.text for d in a] == [d.text for d in b]
         assert [r.to_dict() for r in rec_a] == [r.to_dict() for r in rec_b]
+
+
+class TestRewriteJobs:
+    def test_each_distinct_prompt_requested_once(self, tmp_path):
+        # identity templates serve both sides, so a query equal to a document
+        # is the same prompt; duplicates inside a job count once too
+        docs = DOCS + [Document(id="dup", text=DOCS[0].text)]
+        queries = [Query(id="qd", text=DOCS[1].text)] + QUERIES
+        rw = client()
+        cache = RewriteCache(tmp_path / "rw.jsonl")
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            done = rewrite_jobs([documents_job(docs, nl_qc_plan(), rw, identity_catalog()),
+                                 queries_job(queries, nl_qc_plan(), rw, identity_catalog())],
+                                cache, pool)
+        assert rw.call_count == len(DOCS) + len(QUERIES)
+        assert [d.texts for d in done] == [[d.text for d in docs],
+                                           [q.text for q in queries]]
+        assert [r.source_id for r in done[0].records] == [d.id for d in docs]
+        assert [r.source_id for r in done[1].records] == [q.id for q in queries]
+        assert len(cache.path.read_text().splitlines()) == rw.call_count
+
+    def test_error_fails_only_its_job(self):
+        good = documents_job(DOCS, nl_qc_plan(), client(), identity_catalog())
+        bogus = RewriterClient(RewriterEndpoint(rewriter_id="bogus", url="mock://bogus"))
+        bad = documents_job(DOCS[:1], RewritePlan(strategy=Strategy.NL, regime=Regime.QC),
+                            bogus, identity_catalog())
+        done = rewrite_jobs([bad, good])
+        assert isinstance(done[0], ConfigError)
+        assert isinstance(done[1], Rewritten)
+
+    def test_failures_are_not_cached(self, tmp_path):
+        cache = RewriteCache(tmp_path / "rw.jsonl")
+        rewrite_corpus(DOCS, nl_qc_plan(), client("mock://flaky?needle=fn_2"),
+                       identity_catalog(), cache)
+        retry = client()
+        docs, records = rewrite_corpus(DOCS, nl_qc_plan(), retry, identity_catalog(),
+                                       RewriteCache(tmp_path / "rw.jsonl"))
+        assert retry.call_count == 1
+        assert not any(r.failed for r in records)
+
+    def test_failed_row_in_an_old_cache_reads_as_a_miss(self, tmp_path):
+        path = tmp_path / "rw.jsonl"
+        failed = RewriteRecord(source_id="d0", arm="NL-QC",
+                               source_hash=source_hash(DOCS[0].text), output_text="",
+                               rewriter_id="rw", template_id="t",
+                               timestamp="2026-01-01T00:00:00+00:00", failed=True)
+        path.write_text(json.dumps(failed.to_dict()) + "\n", encoding="utf-8")
+        assert RewriteCache(path).get("rw", "t", failed.source_hash) is None
 
 
 class TestRewriteQueries:
