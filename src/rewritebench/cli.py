@@ -201,7 +201,7 @@ def cmd_correlate(config: ExperimentConfig, args) -> int:
     out = config.out_dir / "report" / "correlations.csv"
     write_csv(out, header, table)
     for row in table:
-        print(", ".join(str(v) for v in row[:2] + row[4:7]))
+        print(", ".join("" if v is None else str(v) for v in row[:2] + row[4:7]))
     print(f"-> {out}")
     return 0
 

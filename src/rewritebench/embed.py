@@ -199,6 +199,37 @@ class EmbeddingCache:
                 out[i] = data[offset:end].view(np.float64).copy()
         return out
 
+    def gather(self, keys: Sequence[str]) -> np.ndarray | None:
+        """The raw vectors of *keys* as the rows of one new float64 array,
+        or ``None`` unless every key hits, all with one dim, and every row
+        lies within ``vectors.bin``.
+
+        Each run of rows that are adjacent in the file is read straight
+        into the array with one read; nothing else holds a copy, and no
+        mapping of the file counts towards the process's memory.
+        """
+        with self._lock:
+            hits = [self._index.get(key) for key in keys]
+        if not hits or None in hits or len({dim for _, dim in hits}) != 1:
+            return None
+        row = hits[0][1] * 8
+        out = np.empty((len(hits), hits[0][1]), dtype=np.float64)
+        view = memoryview(out).cast("B")
+        try:
+            with open(self.vectors_path, "rb") as fh:
+                start = 0
+                while start < len(hits):
+                    end = start + 1
+                    while end < len(hits) and hits[end][0] == hits[end - 1][0] + row:
+                        end += 1
+                    fh.seek(hits[start][0])
+                    if fh.readinto(view[start * row:end * row]) != (end - start) * row:
+                        return None  # a row past the end of the file: torn
+                    start = end
+        except FileNotFoundError:
+            return None
+        return out
+
     def put(self, key: str, encoder_id: str, vector: np.ndarray) -> None:
         vector = np.asarray(vector, dtype=np.float64).ravel()
         with self._lock:
@@ -257,7 +288,9 @@ def embed_texts(ids: Sequence[str], texts: Sequence[str], client: EncoderClient,
     """One normalized vector per text, in input order.
 
     Cached texts cost zero endpoint calls; misses are batched by the
-    endpoint's batch size. A dimension mismatch across rows is fatal.
+    endpoint's batch size. A dimension mismatch across rows is fatal. When
+    every text is cached the rows are gathered into the matrix itself and
+    normalized in place, so no other copy of it is made.
     """
     if len(ids) != len(texts):
         raise ContractError(f"{len(ids)} ids for {len(texts)} texts")
@@ -266,6 +299,19 @@ def embed_texts(ids: Sequence[str], texts: Sequence[str], client: EncoderClient,
 
     encoder_id = client.encoder_id
     keys = [content_key(encoder_id, t) for t in texts]
+    vectors = cache.gather(keys) if cache is not None else None
+    if vectors is None:
+        vectors = _fetch_rows(keys, texts, client, cache)
+    matrix = EmbeddingMatrix(encoder_id=encoder_id, ids=tuple(ids),
+                             vectors=vectors, normalized=False)
+    return l2_normalize(matrix, out=vectors)  # nothing else holds the rows
+
+
+def _fetch_rows(keys: Sequence[str], texts: Sequence[str], client: EncoderClient,
+                cache: EmbeddingCache | None) -> np.ndarray:
+    """The raw rows of *texts*, from *cache* where it has them and from the
+    endpoint otherwise (misses are cached)."""
+    encoder_id = client.encoder_id
     rows: list[np.ndarray | None] = [None] * len(texts)
 
     cached = cache.get_many(keys) if cache is not None else [None] * len(keys)
@@ -302,7 +348,4 @@ def embed_texts(ids: Sequence[str], texts: Sequence[str], client: EncoderClient,
     if len(dims) != 1:
         raise EndpointError(
             f"encoder {encoder_id!r} returned inconsistent dimensions {sorted(dims)}")
-
-    matrix = EmbeddingMatrix(encoder_id=encoder_id, ids=tuple(ids),
-                             vectors=np.vstack(rows), normalized=False)
-    return l2_normalize(matrix)
+    return np.vstack(rows)

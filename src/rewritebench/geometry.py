@@ -52,8 +52,11 @@ class EmbeddingMatrix:
         return self.vectors.shape[1]
 
 
-def l2_normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Scale every row to unit length, preserving direction."""
+def l2_normalize(matrix: EmbeddingMatrix, *, out: np.ndarray | None = None,
+                 ) -> EmbeddingMatrix:
+    """Scale every row to unit length, preserving direction. With *out*
+    (which may be ``matrix.vectors`` itself) the rows are written there
+    instead of into a new array; the bits are the same."""
     norms = np.linalg.norm(matrix.vectors, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -61,7 +64,7 @@ def l2_normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     return EmbeddingMatrix(
         encoder_id=matrix.encoder_id,
         ids=matrix.ids,
-        vectors=matrix.vectors / norms[:, None],
+        vectors=np.divide(matrix.vectors, norms[:, None], out=out),
         normalized=True,
     )
 

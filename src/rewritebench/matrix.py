@@ -3,10 +3,10 @@ cell plus one Baseline cell per (encoder, task).
 
 Cells share their inputs: QC and C of one strategy rank the same rewritten
 corpus, and C ranks the Baseline's queries. Each shared input is computed
-once per run, and a failure is recorded against the cells that depend on
-it while the rest proceed. With warm caches a rerun issues zero endpoint
-calls and rewrites byte-identical outputs, so the runner is a fixed point
-under repetition.
+once per run, a corpus is held only while its cells are scored, and a
+failure is recorded against the cells that depend on it while the rest
+proceed. With warm caches a rerun issues zero endpoint calls and rewrites
+byte-identical outputs, so the runner is a fixed point under repetition.
 Per-cell artifacts live under ``out_dir/cells/<cell_id>/``; run records and
 diagnostics are appended to the global stores in deterministic cell order.
 """
@@ -131,10 +131,11 @@ def run_matrix(config: ExperimentConfig,
 
     1. rewrite every (task, rewriter, strategy) corpus, and its queries
        when QC is configured, asking once per distinct prompt;
-    2. fetch the vectors the cells lack, each distinct text once, then
-       build every (encoder, task, rewriter, strategy) corpus once;
-    3. score each cell, baselines first: the arms attach deltas against
-       them.
+    2. fetch the vectors the cells lack, each distinct text once;
+    3. per corpus group, the cells that rank one (encoder, task, rewriter,
+       strategy) corpus, build that corpus, score the group's cells and
+       free it, baselines first: the arms attach deltas against them. At
+       most ``config.parallelism`` corpora are held at once.
 
     ``fault_hook`` is test instrumentation: it is invoked with each cell
     key before the cell is scored and may raise to simulate a cell failure.
@@ -195,10 +196,12 @@ def run_matrix(config: ExperimentConfig,
             raise outcome
         return outcome
 
-    # Corpora and the Baselines' query matrices, by (encoder, side key).
-    corpus_cells: dict[tuple, CellKey] = {}
+    # The cells that rank one corpus, by (encoder, side key): a Baseline
+    # alone, or the regimes of one (rewriter, strategy), contiguous in plan
+    # order.
+    groups: dict[tuple, list[CellKey]] = {}
     for cell in cells:
-        corpus_cells.setdefault((cell.encoder_id, cell.side_key("documents")), cell)
+        groups.setdefault((cell.encoder_id, cell.side_key("documents")), []).append(cell)
     query_matrices: dict[tuple, EmbeddingMatrix] = {}
     baselines: dict[tuple[str, str], ArmResult] = {}
 
@@ -213,12 +216,13 @@ def run_matrix(config: ExperimentConfig,
         except WorkbenchError as exc:
             return exc
 
-    def execute(cell: CellKey) -> ArmResult | WorkbenchError:
+    def score(cell: CellKey, corpus: Corpus | WorkbenchError) -> ArmResult | str:
+        """The cell's result, or its failure message: an error's traceback
+        would keep the corpus alive."""
         try:
             if fault_hook is not None:
                 fault_hook(cell)
             docs, queries = side_of(cell, "documents"), side_of(cell, "queries")
-            corpus = corpora[(cell.encoder_id, cell.side_key("documents"))]
             if isinstance(corpus, WorkbenchError):
                 raise corpus
             collection = collections[cell.task_id]
@@ -237,7 +241,12 @@ def run_matrix(config: ExperimentConfig,
                              baseline=baselines.get((cell.encoder_id, cell.task_id)),
                              k=config.k, gain=config.gain)
         except WorkbenchError as exc:
-            return exc
+            return str(exc)
+
+    def score_group(group: list[CellKey]) -> list[ArmResult | str]:
+        # the corpus dies with this call, so only the items in flight hold one
+        corpus = corpus_of(group[0])
+        return [score(cell, corpus) for cell in group]
 
     with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
         sides.update(zip(jobs, rewrite_jobs(list(jobs.values()), rewrite_cache, pool)))
@@ -248,19 +257,19 @@ def run_matrix(config: ExperimentConfig,
             wanted = [text for key in keys if isinstance(sides[key], Rewritten)
                       for text in sides[key].texts]
             fetch_missing(wanted, client, embedding_cache, pool)
-        corpora = dict(zip(corpus_cells, pool.map(corpus_of, corpus_cells.values())))
 
-        for wave in ([c for c in cells if c.is_baseline],
-                     [c for c in cells if not c.is_baseline]):
-            for cell, arm in zip(wave, pool.map(execute, wave)):
-                if isinstance(arm, WorkbenchError):
-                    result.failures[cell] = str(arm)
-                    continue
-                result.results[cell] = arm
-                if cell.is_baseline:
-                    baselines[(cell.encoder_id, cell.task_id)] = arm
-                _persist_cell(out_dir / "cells" / cell.cell_id, arm,
-                              config_hash=config.config_hash, seed=config.seed)
+        for wave in ([g for g in groups.values() if g[0].is_baseline],
+                     [g for g in groups.values() if not g[0].is_baseline]):
+            for group, outcomes in zip(wave, pool.map(score_group, wave)):
+                for cell, arm in zip(group, outcomes):
+                    if isinstance(arm, str):
+                        result.failures[cell] = arm
+                        continue
+                    result.results[cell] = arm
+                    if cell.is_baseline:
+                        baselines[(cell.encoder_id, cell.task_id)] = arm
+                    _persist_cell(out_dir / "cells" / cell.cell_id, arm,
+                                  config_hash=config.config_hash, seed=config.seed)
 
     run_store = RunStore(out_dir / "runs.jsonl")
     diag_store = DiagnosticsStore(out_dir / "diagnostics.jsonl")

@@ -20,6 +20,10 @@ from .models import Regime, RunRecord, Strategy
 from .stats import JoinedRow, correlation_table, stars
 from .stores import DiagnosticsStore, RunStore
 
+# correlations.csv's method for a pair whose correlation is undefined; its
+# statistic fields are empty
+METHOD_UNDEFINED = "undefined"
+
 LEXICAL_TABLE_COLUMNS = ("Vocab", "Unique", "H_bits", "Delta_H", "TTR",
                          "Top20_mass", "Hapax_pct")
 
@@ -155,7 +159,12 @@ def correlation_report(rows: list[JoinedRow]) -> tuple[list[str], list[list]]:
         if len(in_regime) < 3:
             continue
         for x_label, y_label, res in correlation_table(rows, regime):
-            out.append([f"{x_label} vs {y_label}", regime.value, res.n, res.method,
+            pair = f"{x_label} vs {y_label}"
+            if isinstance(res, DomainError):  # e.g. every arm has one delta
+                out.append([pair, regime.value, len(in_regime), METHOD_UNDEFINED,
+                            *[None] * 6])
+                continue
+            out.append([pair, regime.value, res.n, res.method,
                         res.spearman_rho, res.spearman_p, stars(res.spearman_p),
                         res.pearson_r, res.pearson_p, stars(res.pearson_p)])
     return header, out

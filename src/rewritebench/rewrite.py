@@ -10,7 +10,8 @@ again. ``mock://`` rewriter URLs run offline:
 
     mock://identity                  echo the user prompt verbatim
     mock://table?file=PATH           JSON map user-prompt -> output (identity
-                                     for unmapped inputs)
+                                     for unmapped inputs), read on the
+                                     first request
     mock://flaky?needle=S            fail on prompts containing S
     mock://fail                      always fail
 """
@@ -125,12 +126,17 @@ class RewriterClient:
         self._scheme = parsed.scheme
         self._mock_kind = parsed.netloc if parsed.scheme == "mock" else None
         self._mock_params = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
+        # mock://table: checked here, read on the first request
         self._table: dict[str, str] | None = None
+        self._table_error: str | None = None
+        self._table_lock = threading.Lock()
         if self._mock_kind == "table":
             table_path = self._mock_params.get("file")
             if not table_path:
                 raise ConfigError("mock://table requires a 'file' query parameter")
-            self._table = json.loads(Path(table_path).read_text(encoding="utf-8"))
+            self._table_path = Path(table_path)
+            if not self._table_path.is_file():
+                raise ConfigError(f"mock://table file {table_path} does not exist")
 
     @property
     def rewriter_id(self) -> str:
@@ -148,8 +154,7 @@ class RewriterClient:
         if kind == "identity":
             return user, False
         if kind == "table":
-            assert self._table is not None
-            return self._table.get(user, user), False
+            return self._table_lookup(user), False
         if kind == "flaky":
             needle = self._mock_params.get("needle", "")
             if needle and needle in user:
@@ -159,6 +164,23 @@ class RewriterClient:
         if kind == "fail":
             raise EndpointError(f"mock rewriter {self.rewriter_id!r} configured to fail")
         raise ConfigError(f"unknown mock rewriter kind {kind!r}")
+
+    def _table_lookup(self, user: str) -> str:
+        with self._table_lock:
+            if self._table is None and self._table_error is None:
+                try:
+                    table = json.loads(self._table_path.read_text(encoding="utf-8"))
+                except (OSError, ValueError) as exc:
+                    self._table_error = str(exc)
+                else:
+                    if isinstance(table, dict):
+                        self._table = table
+                    else:
+                        self._table_error = "not a JSON object"
+            if self._table is None:
+                raise ConfigError(f"mock://table file {self._table_path} does not "
+                                  f"parse: {self._table_error}")
+            return self._table.get(user, user)
 
     def _complete_http(self, system: str, user: str, max_tokens: int) -> tuple[str, bool]:
         headers = {"Content-Type": "application/json"}

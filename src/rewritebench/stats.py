@@ -218,11 +218,14 @@ PAIR_LABELS = (
 
 
 def correlation_table(rows: Sequence[JoinedRow], regime: Regime,
-                      ) -> list[tuple[str, str, CorrelationResult]]:
+                      ) -> list[tuple[str, str, CorrelationResult | DomainError]]:
     """Correlations between each diagnostic pair within one regime.
 
     Returns (x_label, y_label, result) triples for delta-H vs delta-NDCG,
     delta-s vs delta-NDCG, and the delta-H vs delta-s cross-correlation.
+    A pair on which the correlation is undefined (constant input) gets its
+    :class:`DomainError` in place of the result; the other pairs are
+    unaffected.
     """
     filtered = [r for r in rows if r.regime == regime.value]
     if len(filtered) < 3:
@@ -232,5 +235,8 @@ def correlation_table(rows: Sequence[JoinedRow], regime: Regime,
     for x_label, y_label in PAIR_LABELS:
         xs = [getattr(r, x_label) for r in filtered]
         ys = [getattr(r, y_label) for r in filtered]
-        out.append((x_label, y_label, correlate_pair(xs, ys)))
+        try:
+            out.append((x_label, y_label, correlate_pair(xs, ys)))
+        except DomainError as exc:
+            out.append((x_label, y_label, exc))
     return out

@@ -35,6 +35,12 @@ class TestExitCodes:
                        "tokenizer": {"kind": "word"}}])
         assert run_cli(path, "run-matrix") == 1
 
+    def test_missing_table_file_is_two(self, tmp_path):
+        path = write_matrix_config(
+            tmp_path, rewriters=[{"rewriter_id": "tab",
+                                  "url": "mock://table?file=none.json"}])
+        assert run_cli(path, "run-matrix") == 2
+
     def test_success_is_zero(self, offline_config):
         assert run_cli(offline_config, "run-matrix") == 0
 

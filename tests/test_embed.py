@@ -8,6 +8,7 @@ from conftest import assert_calls_counted_under_threads
 from rewritebench.embed import (EmbeddingCache, EncoderClient, EncoderEndpoint,
                                 content_key, embed_texts, fetch_missing)
 from rewritebench.errors import ContractError, EndpointError, StoreError
+from rewritebench.geometry import EmbeddingMatrix, l2_normalize
 
 
 def mock_client(url: str = "mock://hash?dim=16", batch_size: int = 32,
@@ -222,3 +223,79 @@ class TestGetMany:
 
     def test_no_keys(self, tmp_path):
         assert EmbeddingCache(tmp_path).get_many([]) == []
+
+
+def _per_row(ids, cache, keys) -> EmbeddingMatrix:
+    """The reference: one copy per cached row, stacked, then normalized."""
+    return l2_normalize(EmbeddingMatrix(encoder_id="mock-enc", ids=tuple(ids),
+                                        vectors=np.vstack(cache.get_many(keys))))
+
+
+class TestGather:
+    TEXTS = [f"text number {i} with words" for i in range(7)]
+
+    def _warm(self, tmp_path, url="mock://bow?dim=16", batch_size=3):
+        cache = EmbeddingCache(tmp_path)
+        embed_texts([f"i{i}" for i in range(len(self.TEXTS))], self.TEXTS,
+                    mock_client(url, batch_size=batch_size), cache)
+        return cache
+
+    def test_all_hits_equal_the_per_row_path_bit_for_bit(self, tmp_path):
+        cache = self._warm(tmp_path)
+        # out of file order, with a repeat: several separate reads
+        texts = [self.TEXTS[i] for i in (4, 5, 6, 0, 1, 3, 3)]
+        ids = [f"x{i}" for i in range(len(texts))]
+        keys = [content_key("mock-enc", t) for t in texts]
+        gathered = cache.gather(keys)
+        np.testing.assert_array_equal(gathered, np.vstack(cache.get_many(keys)))
+        assert gathered.flags.c_contiguous and gathered.flags.owndata
+        client = mock_client("mock://bow?dim=16")
+        out = embed_texts(ids, texts, client, cache)
+        assert client.call_count == 0
+        want = _per_row(ids, cache, keys)
+        assert out.vectors.tobytes() == want.vectors.tobytes()
+        assert out.normalized and out.ids == tuple(ids)
+
+    def test_partial_hit_falls_back(self, tmp_path):
+        cache = self._warm(tmp_path)
+        texts = [self.TEXTS[0], "a text never embedded", self.TEXTS[2]]
+        assert cache.gather([content_key("mock-enc", t) for t in texts]) is None
+        client = mock_client("mock://bow?dim=16")
+        out = embed_texts(["a", "b", "c"], texts, client, cache)
+        assert client.call_count == 1
+        fresh = embed_texts(["a", "b", "c"], texts, mock_client("mock://bow?dim=16"))
+        assert out.vectors.tobytes() == fresh.vectors.tobytes()
+
+    def test_torn_last_row_falls_back(self, tmp_path):
+        cache = self._warm(tmp_path)
+        path = tmp_path / "vectors.bin"
+        path.write_bytes(path.read_bytes()[:-8])
+        keys = [content_key("mock-enc", t) for t in self.TEXTS]
+        assert cache.gather(keys) is None
+        assert cache.gather(keys[:-1]) is not None
+        client = mock_client("mock://bow?dim=16")
+        out = embed_texts(["x"] * len(self.TEXTS), self.TEXTS, client, cache)
+        assert client.call_count == 1  # only the torn row is asked for again
+        fresh = embed_texts(["x"] * len(self.TEXTS), self.TEXTS,
+                            mock_client("mock://bow?dim=16"))
+        assert out.vectors.tobytes() == fresh.vectors.tobytes()
+
+    def test_missing_vectors_file_falls_back(self, tmp_path):
+        cache = self._warm(tmp_path)
+        (tmp_path / "vectors.bin").unlink()
+        assert cache.gather([content_key("mock-enc", self.TEXTS[0])]) is None
+
+    def test_mixed_dimensions_fall_back(self, tmp_path):
+        cache = EmbeddingCache(tmp_path)
+        keys = [content_key("mock-enc", t) for t in ("ta", "tb")]
+        cache.put(keys[0], "mock-enc", np.ones(4))
+        cache.put(keys[1], "mock-enc", np.ones(6))
+        assert cache.gather(keys) is None
+        assert cache.gather(keys[1:]) is not None
+        client = mock_client("mock://bow?dim=4")
+        with pytest.raises(EndpointError, match="inconsistent dimensions"):
+            embed_texts(["a", "b"], ["ta", "tb"], client, cache)
+        assert client.call_count == 0
+
+    def test_no_keys(self, tmp_path):
+        assert EmbeddingCache(tmp_path).gather([]) is None

@@ -67,6 +67,7 @@ def server():
     finally:
         httpd.shutdown()
         thread.join(timeout=5)
+        httpd.server_close()
 
 
 def _embed_client(server, retries=2, auth_env=None) -> EncoderClient:

@@ -1,8 +1,13 @@
 import json
 import sys
+import threading
+import weakref
 from pathlib import Path
 
+import pytest
+
 from conftest import TOY_DOCS, TOY_QUERIES, write_matrix_config
+from rewritebench import matrix
 from rewritebench.config import load_config
 from rewritebench.matrix import CellKey, plan_cells, run_matrix
 from rewritebench.models import Regime, Strategy
@@ -234,3 +239,74 @@ class TestRewriteFailuresNotCached:
         calls, _ = self._run(tmp_path, "mock://identity", "out3")
         assert calls == 0
 
+
+class TestCorpusLifetime:
+    @pytest.mark.parametrize("parallelism", [1, 2, 4])
+    def test_at_most_parallelism_corpora_alive(self, tmp_path, monkeypatch,
+                                               parallelism):
+        encoders = [{"encoder_id": name, "url": f"mock://{name}?dim=32",
+                     "tokenizer": {"kind": "word"}} for name in ("bow", "hash")]
+        path = write_matrix_config(tmp_path, encoders=encoders,
+                                   strategies=("Rephrase", "Pseudo", "NL"),
+                                   regimes=("QC", "C"))
+        cfg = load_config(path)
+        cfg.parallelism = parallelism
+        refs, built, peaks = [], [], []  # Corpus is unhashable: no WeakSet
+        lock = threading.Lock()
+        build_corpus, score_arm = matrix.build_corpus, matrix.score_arm
+
+        def recording_build(*args, **kwargs):
+            corpus = build_corpus(*args, **kwargs)
+            with lock:
+                refs.append(weakref.ref(corpus))
+                built.append(corpus.matrix.encoder_id)
+            return corpus
+
+        def checking_score(*args, **kwargs):
+            with lock:
+                peaks.append(sum(ref() is not None for ref in refs))
+            return score_arm(*args, **kwargs)
+
+        monkeypatch.setattr(matrix, "build_corpus", recording_build)
+        monkeypatch.setattr(matrix, "score_arm", checking_score)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            result = run_matrix(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.exit_status == 0
+        # one corpus per (encoder, strategy) plus each encoder's Baseline's
+        assert sorted(built) == ["bow"] * 4 + ["hash"] * 4
+        assert len(peaks) == len(plan_cells(cfg)) == 2 * (1 + 3 * 2)
+        assert 1 <= max(peaks) <= parallelism
+        assert all(ref() is None for ref in refs)
+
+
+class TestTableRewriter:
+    def _config(self, tmp_path, table_path):
+        return write_matrix_config(
+            tmp_path, regimes=("QC", "C"),
+            rewriters=[{"rewriter_id": "tab", "url": f"mock://table?file={table_path}"},
+                       {"rewriter_id": "ident", "url": "mock://identity"}])
+
+    def test_warm_run_never_reads_the_table(self, tmp_path):
+        table_path = tmp_path / "table.json"
+        table_path.write_text(json.dumps({"unused": "x"}), encoding="utf-8")
+        path = self._config(tmp_path, table_path)
+        cold = run_matrix(load_config(path, out_dir=str(tmp_path / "out1")))
+        assert cold.exit_status == 0 and cold.endpoint_calls["rewriter:tab"] > 0
+        table_path.write_text("{not json", encoding="utf-8")
+        warm = run_matrix(load_config(path, out_dir=str(tmp_path / "out2")))
+        assert warm.exit_status == 0
+        assert all(v == 0 for v in warm.endpoint_calls.values())
+        assert tree_bytes(tmp_path / "out1") == tree_bytes(tmp_path / "out2")
+
+    def test_table_that_does_not_parse_fails_only_its_cells(self, tmp_path):
+        table_path = tmp_path / "table.json"
+        table_path.write_text("{not json", encoding="utf-8")
+        result = run_matrix(load_config(self._config(tmp_path, table_path)))
+        assert result.exit_status == 1
+        assert {c.rewriter_id for c in result.failures} == {"tab"}
+        assert {c.rewriter_id for c in result.results} == {"", "ident"}
+        assert all(str(table_path) in msg for msg in result.failures.values())

@@ -4,14 +4,18 @@ from pathlib import Path
 
 import pytest
 
+from conftest import write_matrix_config
+from rewritebench.config import load_config
 from rewritebench.errors import DomainError
 from rewritebench.geometry import GeometryReport
 from rewritebench.lexical import CoverageCurve, LexicalReport
+from rewritebench.matrix import run_matrix
 from rewritebench.models import Regime, RewritePlan, RunRecord, Strategy
 from rewritebench.report import (LEXICAL_TABLE_COLUMNS, advise_from_reports,
                                  correlation_report, dominance_counts,
                                  find_gaps, join_rows, lexical_table,
                                  ndcg_table, write_reports)
+from rewritebench.stats import JoinedRow
 from rewritebench.stores import DiagnosticsStore, RunStore
 
 
@@ -98,6 +102,34 @@ class TestCorrelationReport:
             assert inverse[6] == "***"
             cross = by_key[("delta_h vs delta_s", regime)]
             assert cross[4] == -1.0
+
+    def test_undefined_pair_gets_its_own_row(self):
+        # delta_ndcg is constant: both pairs against it are undefined, the
+        # delta_h vs delta_s pair is still reported
+        rows = [JoinedRow(encoder_id="e", task_id=f"t{i}", rewriter_id="rw",
+                          strategy="NL", regime="QC", delta_h=0.1 * i,
+                          delta_s=-0.2 * i, delta_ndcg=0.0) for i in range(4)]
+        header, out = correlation_report(rows)
+        by_pair = {r[0]: r for r in out}
+        assert list(by_pair) == ["delta_h vs delta_ndcg", "delta_s vs delta_ndcg",
+                                 "delta_h vs delta_s"]
+        for pair in ("delta_h vs delta_ndcg", "delta_s vs delta_ndcg"):
+            assert by_pair[pair] == [pair, "QC", 4, "undefined"] + [None] * 6
+        assert by_pair["delta_h vs delta_s"][3] == "permutation"
+        assert by_pair["delta_h vs delta_s"][4] == -1.0
+
+    def test_identity_rewrites_still_write_every_report(self, tmp_path):
+        # every arm of an identity rewriter has the same (zero) deltas
+        cfg = load_config(write_matrix_config(
+            tmp_path, strategies=("Rephrase", "Pseudo", "NL"), regimes=("QC", "C")))
+        assert run_matrix(cfg).exit_status == 0
+        written = write_reports(cfg.out_dir)
+        assert len(written) == 8
+        with open(cfg.out_dir / "report" / "correlations.csv", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 2 * 3
+        for row in rows[1:]:
+            assert row[2:] == ["3", "undefined", "", "", "", "", "", ""]
 
     def test_sparse_regime_skipped(self):
         header, rows = correlation_report([])

@@ -87,6 +87,34 @@ class TestRewriteCorpus:
         assert docs[0].text == "mapped output zero"
         assert docs[1].text == DOCS[1].text  # unmapped -> identity
 
+    def test_table_is_read_on_the_first_request(self, tmp_path):
+        table_path = tmp_path / "table.json"
+        table_path.write_text("{not json", encoding="utf-8")
+        lazy = client(f"mock://table?file={table_path}")  # does not parse it
+        table_path.write_text(json.dumps({"prompt": "mapped"}), encoding="utf-8")
+        assert lazy.complete("", "prompt", 16) == ("mapped", False)
+        table_path.write_text("{not json", encoding="utf-8")
+        assert lazy.complete("", "prompt", 16) == ("mapped", False)  # read once
+
+    def test_table_missing_file_is_config_error_at_construction(self, tmp_path):
+        with pytest.raises(ConfigError, match="does not exist"):
+            client(f"mock://table?file={tmp_path / 'none.json'}")
+
+    @pytest.mark.parametrize("body", ["{not json", "[1, 2]", "\xff\xfe"])
+    def test_table_that_does_not_parse_fails_each_request(self, tmp_path, body):
+        table_path = tmp_path / "table.json"
+        table_path.write_bytes(body.encode("latin-1"))
+        bad = client(f"mock://table?file={table_path}")
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=f"{table_path}.*does not parse"):
+                bad.complete("", "prompt", 16)
+        ok = RewriterClient(RewriterEndpoint(rewriter_id="ok", url="mock://identity"))
+        ok_plan = RewritePlan(strategy=Strategy.NL, regime=Regime.QC, rewriter_id="ok")
+        done = rewrite_jobs([documents_job(DOCS, nl_qc_plan(), bad, identity_catalog()),
+                             documents_job(DOCS, ok_plan, ok, identity_catalog())])
+        assert isinstance(done[0], ConfigError)
+        assert isinstance(done[1], Rewritten)
+
     def test_id_multiset_preserved(self):
         docs, _ = rewrite_corpus(DOCS, nl_qc_plan(), client(), identity_catalog())
         assert sorted(d.id for d in docs) == sorted(d.id for d in DOCS)
