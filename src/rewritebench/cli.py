@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .config import ExperimentConfig, load_config
 from .embed import EmbeddingCache, EncoderClient
@@ -23,16 +22,11 @@ from .pipeline import arm_texts, embed_corpus, embed_queries, run_arm
 from .report import (advise_from_reports, correlation_report, join_rows,
                      load_stores, write_csv, write_reports)
 from .retrieval import retrieve_topk
-from .rewrite import RewriteCache, RewriteRecord, RewriterClient, audit_sample, dump_records
-from .stores import DiagnosticsStore, RunStore
+from .rewrite import (RewriteCache, RewriteRecord, RewriterClient, audit_sample,
+                      write_records)
+from .stores import DiagnosticsStore, RunStore, write_json
 from .templates import resolve_catalog
 from .tokenizers import build_tokenizer
-
-
-def _dump(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1, ensure_ascii=False)
-                    + "\n", encoding="utf-8")
 
 
 def _task_spec(config: ExperimentConfig, task_id: str):
@@ -91,7 +85,7 @@ def cmd_ingest(config: ExperimentConfig, args) -> int:
     for t in tasks:
         collection = ingest_collection(t.corpus, t.queries, t.qrels, task_id=t.task_id)
         report = collection.report.to_dict()
-        _dump(config.out_dir / f"ingest_{t.task_id}.json", report)
+        write_json(config.out_dir / f"ingest_{t.task_id}.json", report)
         print(f"{t.task_id}: {report['n_documents']} docs, {report['n_queries']} queries, "
               f"{report['n_qrels_rows']} qrels rows, {report['warning_count']} warnings")
     return 0
@@ -117,8 +111,8 @@ def cmd_rewrite(config: ExperimentConfig, args) -> int:
         with open(out / f"{name}.jsonl", "w", encoding="utf-8") as fh:
             for item, text in zip(items, texts):
                 fh.write(json.dumps({"_id": item.id, "text": text}, ensure_ascii=False) + "\n")
-    (out / "records.jsonl").write_text(dump_records(records, plan.arm_label),
-                                       encoding="utf-8")
+    with open(out / "records.jsonl", "w", encoding="utf-8") as fh:
+        write_records([(fh, plan.arm_label)], records)
     failed = sum(1 for r in records if r.failed)
     print(f"{plan.arm_label}: {len(records)} rewrites, {failed} fallbacks -> {out}")
     return 0
@@ -214,7 +208,7 @@ def cmd_advise(config: ExperimentConfig, args) -> int:
     if not advices:
         print("no rewrite-arm diagnostics in the store yet")
         return 1
-    _dump(config.out_dir / "report" / "advice.json", [a.to_dict() for a in advices])
+    write_json(config.out_dir / "report" / "advice.json", [a.to_dict() for a in advices])
     for a in advices:
         print(f"{a.task_id} [{a.rewriter_id}]: {a.recommended} -- {a.rationale}")
     return 0
@@ -258,7 +252,7 @@ def cmd_audit(config: ExperimentConfig, args) -> int:
     bundle = audit_sample(records, sources, min(args.sample_size, len(records)),
                           args.seed if args.seed is not None else config.seed)
     out = config.out_dir / "audit.json"
-    _dump(out, [item.to_dict() for item in bundle])
+    write_json(out, [item.to_dict() for item in bundle])
     print(f"{len(bundle)} rewrites sampled -> {out}")
     return 0
 

@@ -31,6 +31,7 @@ import requests
 
 from .errors import ConfigError, ContractError, EndpointError, WorkbenchError
 from .geometry import EmbeddingMatrix, l2_normalize
+from .sessions import ThreadSessions
 from .stores import JsonlLog
 from .tokenizers import word_tokens
 
@@ -78,6 +79,11 @@ class EncoderClient:
         self._scheme = parsed.scheme
         self._mock_kind = parsed.netloc if parsed.scheme == "mock" else None
         self._mock_params = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
+        self._sessions = ThreadSessions()
+
+    def close(self) -> None:
+        """Close the client's HTTP sessions."""
+        self._sessions.close()
 
     @property
     def encoder_id(self) -> str:
@@ -107,7 +113,7 @@ class EncoderClient:
             token = os.environ.get(self.endpoint.auth_env)
             if token:
                 headers["Authorization"] = f"Bearer {token}"
-        resp = requests.post(
+        resp = self._sessions.get().post(
             self.endpoint.url,
             json={"model": self.encoder_id, "input": list(texts)},
             headers=headers,
@@ -148,7 +154,9 @@ class EmbeddingCache:
     duplicate keys are benign (values are deterministic, last writer wins).
     One process at a time may write a cache dir. A torn last manifest line
     (a crash mid-write) is skipped and counted in ``torn_lines``; the first
-    ``put`` cuts it off.
+    ``put`` cuts it off. Rows are appended a batch at a time, vectors before
+    their manifest lines: a crash in between leaves bytes no manifest row
+    points to, never a row that points past the end of ``vectors.bin``.
     """
 
     def __init__(self, root: str | Path):
@@ -231,15 +239,29 @@ class EmbeddingCache:
         return out
 
     def put(self, key: str, encoder_id: str, vector: np.ndarray) -> None:
-        vector = np.asarray(vector, dtype=np.float64).ravel()
+        self.put_many([(key, encoder_id, vector)])
+
+    def put_many(self, rows: Iterable[tuple[str, str, np.ndarray]]) -> None:
+        """Append (key, encoder_id, vector) *rows* in order: one write to
+        ``vectors.bin``, then one append of their manifest lines. Until
+        both have succeeded none of the rows is indexed."""
+        rows = [(key, encoder_id, np.asarray(vector, dtype=np.float64).ravel())
+                for key, encoder_id, vector in rows]
+        if not rows:
+            return
         with self._lock:
             with open(self.vectors_path, "ab") as fh:
                 offset = fh.tell()
-                fh.write(vector.tobytes())
-            entry = {"key": key, "encoder_id": encoder_id,
-                     "dim": int(vector.size), "offset": offset}
-            self._manifest.append(json.dumps(entry, sort_keys=True))
-            self._index[key] = (offset, int(vector.size))
+                fh.write(b"".join(vector.tobytes() for _, _, vector in rows))
+            lines, index = [], {}
+            for key, encoder_id, vector in rows:
+                entry = {"key": key, "encoder_id": encoder_id,
+                         "dim": int(vector.size), "offset": offset}
+                lines.append(json.dumps(entry, sort_keys=True))
+                index[key] = (offset, int(vector.size))
+                offset += vector.nbytes
+            self._manifest.append_many(lines)
+            self._index.update(index)
 
 
 def fetch_missing(texts: Iterable[str], client: EncoderClient, cache: EmbeddingCache,
@@ -277,10 +299,9 @@ def fetch_missing(texts: Iterable[str], client: EncoderClient, cache: EmbeddingC
         if vectors is None:
             continue
         try:
-            for key, vec in zip(batch, vectors):
-                cache.put(key, encoder_id, np.asarray(vec, dtype=np.float64))
+            cache.put_many((key, encoder_id, vec) for key, vec in zip(batch, vectors))
         except WorkbenchError:
-            pass  # the rows not written are left to embed_texts, like a failed batch
+            pass  # a batch not written is left to embed_texts, like a failed one
 
 
 def embed_texts(ids: Sequence[str], texts: Sequence[str], client: EncoderClient,
@@ -331,10 +352,9 @@ def _fetch_rows(keys: Sequence[str], texts: Sequence[str], client: EncoderClient
         chunk = miss_idx[start:start + bs]
         fetched = client.embed_batch([texts[i] for i in chunk])
         for i, vec in zip(chunk, fetched):
-            arr = np.asarray(vec, dtype=np.float64)
-            rows[i] = arr
-            if cache is not None:
-                cache.put(keys[i], encoder_id, arr)
+            rows[i] = np.asarray(vec, dtype=np.float64)
+        if cache is not None:
+            cache.put_many((keys[i], encoder_id, rows[i]) for i in chunk)
 
     by_key: dict[str, np.ndarray] = {}
     for i, row in enumerate(rows):

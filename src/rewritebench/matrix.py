@@ -7,17 +7,18 @@ once per run, a corpus is held only while its cells are scored, and a
 failure is recorded against the cells that depend on it while the rest
 proceed. With warm caches a rerun issues zero endpoint calls and rewrites
 byte-identical outputs, so the runner is a fixed point under repetition.
-Per-cell artifacts live under ``out_dir/cells/<cell_id>/``; run records and
-diagnostics are appended to the global stores in deterministic cell order.
+Per-cell artifacts live under ``out_dir/cells/<cell_id>/``; the run records
+and diagnostics of every successful cell are rewritten to the global stores
+in deterministic cell order, replacing an earlier run's.
 """
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from .config import ExperimentConfig
 from .embed import EmbeddingCache, EncoderClient, fetch_missing
@@ -26,9 +27,10 @@ from .geometry import EmbeddingMatrix
 from .ingest import Collection, ingest_collection
 from .models import Regime, RewritePlan, Strategy, TaskFamily
 from .pipeline import ArmResult, Corpus, build_corpus, embed_queries, score_arm
-from .rewrite import (RewriteCache, RewriteJob, RewriterClient, Rewritten,
-                      documents_job, dump_records, queries_job, rewrite_jobs)
-from .stores import DiagnosticsStore, RunStore
+from .rewrite import (RewriteCache, RewriteJob, RewriteRecord, RewriterClient,
+                      Rewritten, documents_job, queries_job, rewrite_jobs,
+                      write_records)
+from .stores import DiagnosticsStore, RunStore, write_json
 from .templates import SIDES, resolve_catalog
 from .tokenizers import build_tokenizer
 
@@ -85,12 +87,6 @@ class MatrixResult:
         return 1 if self.failures else 0
 
 
-def _dump_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1)
-                    + "\n", encoding="utf-8")
-
-
 def plan_cells(config: ExperimentConfig) -> list[CellKey]:
     """Baselines first (arms consume their results), then every arm cell,
     in config order throughout."""
@@ -108,20 +104,34 @@ def plan_cells(config: ExperimentConfig) -> list[CellKey]:
     return baselines + arms
 
 
-def _persist_cell(cell_dir: Path, result: ArmResult, *, config_hash: str,
-                  seed: int) -> None:
-    _dump_json(cell_dir / "record.json", result.run_record.to_dict())
-    _dump_json(cell_dir / "lexical.json", result.lexical.to_dict())
-    _dump_json(cell_dir / "geometry.json", result.geometry.to_dict())
-    _dump_json(cell_dir / "meta.json", {
-        "arm": result.plan.arm_label,
-        "excluded_queries": result.excluded_queries,
-        "config_hash": config_hash,
-        "seed": seed,
-    })
-    if result.rewrite_records:
-        (cell_dir / "rewrites.jsonl").write_text(
-            dump_records(result.rewrite_records, result.plan.arm_label), encoding="utf-8")
+def _persist_group(out_dir: Path, done: list[tuple[CellKey, ArmResult]],
+                   corpus_records: Sequence[RewriteRecord], *, config_hash: str,
+                   seed: int) -> None:
+    """Write the artifacts of the scored cells of one corpus group. Each
+    cell's rewrite records start with *corpus_records*, the records of the
+    corpus they all rank, and each of those is encoded once for every
+    cell's ``rewrites.jsonl``."""
+    with ExitStack() as files:
+        targets = []
+        for cell, arm in done:
+            cell_dir = out_dir / "cells" / cell.cell_id
+            write_json(cell_dir / "record.json", arm.run_record.to_dict())
+            write_json(cell_dir / "lexical.json", arm.lexical.to_dict())
+            write_json(cell_dir / "geometry.json", arm.geometry.to_dict())
+            write_json(cell_dir / "meta.json", {
+                "arm": arm.plan.arm_label,
+                "excluded_queries": arm.excluded_queries,
+                "config_hash": config_hash,
+                "seed": seed,
+            })
+            if arm.rewrite_records:
+                fh = files.enter_context(
+                    open(cell_dir / "rewrites.jsonl", "w", encoding="utf-8"))
+                targets.append((fh, arm))
+        write_records([(fh, arm.plan.arm_label) for fh, arm in targets], corpus_records)
+        for fh, arm in targets:
+            write_records([(fh, arm.plan.arm_label)],
+                          arm.rewrite_records[len(corpus_records):])
 
 
 def run_matrix(config: ExperimentConfig,
@@ -248,7 +258,10 @@ def run_matrix(config: ExperimentConfig,
         corpus = corpus_of(group[0])
         return [score(cell, corpus) for cell in group]
 
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+    # the pool's threads are done before the clients' sessions close
+    with ExitStack() as closing, ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+        for client in (*encoder_clients.values(), *rewriter_clients.values()):
+            closing.callback(client.close)
         sides.update(zip(jobs, rewrite_jobs(list(jobs.values()), rewrite_cache, pool)))
 
         for encoder_id, client in encoder_clients.items():
@@ -261,6 +274,7 @@ def run_matrix(config: ExperimentConfig,
         for wave in ([g for g in groups.values() if g[0].is_baseline],
                      [g for g in groups.values() if not g[0].is_baseline]):
             for group, outcomes in zip(wave, pool.map(score_group, wave)):
+                done = []
                 for cell, arm in zip(group, outcomes):
                     if isinstance(arm, str):
                         result.failures[cell] = arm
@@ -268,25 +282,23 @@ def run_matrix(config: ExperimentConfig,
                     result.results[cell] = arm
                     if cell.is_baseline:
                         baselines[(cell.encoder_id, cell.task_id)] = arm
-                    _persist_cell(out_dir / "cells" / cell.cell_id, arm,
-                                  config_hash=config.config_hash, seed=config.seed)
+                    done.append((cell, arm))
+                if done:
+                    _persist_group(out_dir, done, side_of(group[0], "documents").records,
+                                   config_hash=config.config_hash, seed=config.seed)
 
-    run_store = RunStore(out_dir / "runs.jsonl")
-    diag_store = DiagnosticsStore(out_dir / "diagnostics.jsonl")
-    for cell in cells:
-        arm = result.results.get(cell)
-        if arm is None:
-            continue
-        run_store.append(arm.run_record)
-        diag_store.append("lexical", arm.lexical.to_dict())
-        diag_store.append("geometry", arm.geometry.to_dict())
+    arms = [result.results[cell] for cell in cells if cell in result.results]
+    RunStore(out_dir / "runs.jsonl").write(arm.run_record for arm in arms)
+    DiagnosticsStore(out_dir / "diagnostics.jsonl").write(
+        report for arm in arms for report in (("lexical", arm.lexical.to_dict()),
+                                              ("geometry", arm.geometry.to_dict())))
 
     for name, client in sorted(encoder_clients.items()):
         result.endpoint_calls[f"encoder:{name}"] = client.call_count
     for name, client in sorted(rewriter_clients.items()):
         result.endpoint_calls[f"rewriter:{name}"] = client.call_count
 
-    _dump_json(out_dir / "summary.json", {
+    write_json(out_dir / "summary.json", {
         "config_hash": config.config_hash,
         "seed": config.seed,
         "n_cells": len(cells),

@@ -18,7 +18,7 @@ from .lexical import LexicalReport
 from .geometry import GeometryReport
 from .models import Regime, RunRecord, Strategy
 from .stats import JoinedRow, correlation_table, stars
-from .stores import DiagnosticsStore, RunStore
+from .stores import DiagnosticsStore, RunStore, write_json
 
 # correlations.csv's method for a pair whose correlation is undefined; its
 # statistic fields are empty
@@ -49,13 +49,29 @@ def _arm_strategy(arm: str) -> str:
     return arm.split("-")[0]
 
 
+def _reject_duplicates(path: Path, keys) -> None:
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise DomainError(f"duplicate cell key {key!r} in {path}")
+        seen.add(key)
+
+
 def load_stores(out_dir: str | Path) -> tuple[list[RunRecord], list[LexicalReport],
                                               list[GeometryReport]]:
+    """The stores' records; a cell key stored twice (say, by an ``eval``
+    after ``run-matrix``) is a DomainError."""
     out_dir = Path(out_dir)
-    runs = RunStore(out_dir / "runs.jsonl").records()
+    run_store = RunStore(out_dir / "runs.jsonl")
+    runs = run_store.records()
+    _reject_duplicates(run_store.path, ((r.encoder_id, r.task_id, r.plan.rewriter_id,
+                                         r.plan.arm_label) for r in runs))
     diag = DiagnosticsStore(out_dir / "diagnostics.jsonl")
-    lexical = [LexicalReport.from_dict(d) for d in diag.by_kind("lexical")]
-    geometry = [GeometryReport.from_dict(d) for d in diag.by_kind("geometry")]
+    reports = list(diag.read())
+    _reject_duplicates(diag.path, ((d.get("kind"), d.get("encoder_id"), d.get("task_id"),
+                                    d.get("rewriter_id"), d.get("arm")) for d in reports))
+    lexical = [LexicalReport.from_dict(d) for d in reports if d.get("kind") == "lexical"]
+    geometry = [GeometryReport.from_dict(d) for d in reports if d.get("kind") == "geometry"]
     return runs, lexical, geometry
 
 
@@ -272,9 +288,7 @@ def write_reports(out_dir: str | Path, *, skip_threshold: float = 0.0) -> list[P
 
     advices = advise_from_reports(lexical, skip_threshold=skip_threshold)
     advice_path = report_dir / "advice.json"
-    advice_path.write_text(
-        json.dumps([a.to_dict() for a in advices], sort_keys=True, indent=1,
-                   ensure_ascii=False) + "\n", encoding="utf-8")
+    write_json(advice_path, [a.to_dict() for a in advices])
     written.append(advice_path)
 
     summary = {"counts": dominance_counts(runs), "gaps": find_gaps(runs)}
@@ -284,7 +298,6 @@ def write_reports(out_dir: str | Path, *, skip_threshold: float = 0.0) -> list[P
         summary["config_hash"] = meta.get("config_hash")
         summary["seed"] = meta.get("seed")
     summary_path = report_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, sort_keys=True, indent=1,
-                                       ensure_ascii=False) + "\n", encoding="utf-8")
+    write_json(summary_path, summary)
     written.append(summary_path)
     return written

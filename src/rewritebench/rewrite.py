@@ -28,7 +28,7 @@ from concurrent.futures import Executor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 from urllib.parse import parse_qs, urlparse
 
 import requests
@@ -36,6 +36,7 @@ import requests
 from .errors import (ConfigError, ContractError, DomainError, EndpointError,
                      WorkbenchError)
 from .models import Document, Query, Regime, RewritePlan, Strategy
+from .sessions import ThreadSessions
 from .stores import JsonlLog
 from .templates import PromptTemplate, TemplateCatalog
 
@@ -137,6 +138,11 @@ class RewriterClient:
             self._table_path = Path(table_path)
             if not self._table_path.is_file():
                 raise ConfigError(f"mock://table file {table_path} does not exist")
+        self._sessions = ThreadSessions()
+
+    def close(self) -> None:
+        """Close the client's HTTP sessions."""
+        self._sessions.close()
 
     @property
     def rewriter_id(self) -> str:
@@ -192,7 +198,7 @@ class RewriterClient:
         if system:
             messages.append({"role": "system", "content": system})
         messages.append({"role": "user", "content": user})
-        resp = requests.post(
+        resp = self._sessions.get().post(
             self.endpoint.url,
             json={"model": self.rewriter_id, "messages": messages,
                   "temperature": self.endpoint.temperature, "max_tokens": max_tokens},
@@ -254,9 +260,10 @@ class RewriteCache:
             return self._index.get((rewriter_id, template_id, src_hash))
 
     def put(self, record: RewriteRecord) -> None:
+        """Append *record*: one append per answer, so a crash loses none
+        that finished before it."""
         with self._lock:
-            self._log.append(json.dumps(record.to_dict(), sort_keys=True,
-                                        ensure_ascii=False))
+            self._log.append(record_json(record, record.arm))
             self._index[(record.rewriter_id, record.template_id,
                          record.source_hash)] = record
 
@@ -427,11 +434,40 @@ def rewrite_queries(queries: Sequence[Query], plan: RewritePlan,
     return [Query(id=q.id, text=t) for q, t in zip(queries, done.texts)], done.records
 
 
-def dump_records(records: Sequence[RewriteRecord], arm: str) -> str:
-    """JSON-Lines audit records, each stamped with the *arm* that read it
-    (QC and C read one corpus rewrite)."""
-    return "".join(json.dumps({**r.to_dict(), "arm": arm}, sort_keys=True,
-                              ensure_ascii=False) + "\n" for r in records)
+_encode_str = json.encoder.encode_basestring  # the C escaper of ensure_ascii=False
+
+
+def record_body(record: RewriteRecord) -> str:
+    """The JSON of *record* after its ``"arm"`` value, closing brace
+    included. Under ``sort_keys`` ``"arm"`` comes first, so one body serves
+    every arm that reads the record."""
+    return (f', "failed": {"true" if record.failed else "false"}'
+            f', "output_text": {_encode_str(record.output_text)}'
+            f', "rewriter_id": {_encode_str(record.rewriter_id)}'
+            f', "source_hash": {_encode_str(record.source_hash)}'
+            f', "source_id": {_encode_str(record.source_id)}'
+            f', "template_id": {_encode_str(record.template_id)}'
+            f', "timestamp": {_encode_str(record.timestamp)}'
+            f', "truncated": {"true" if record.truncated else "false"}}}')
+
+
+def record_json(record: RewriteRecord, arm: str) -> str:
+    """``json.dumps({**record.to_dict(), "arm": arm}, sort_keys=True,
+    ensure_ascii=False)``, byte for byte."""
+    return '{"arm": ' + _encode_str(arm) + record_body(record)
+
+
+def write_records(targets: Sequence[tuple[TextIO, str]],
+                  records: Iterable[RewriteRecord]) -> None:
+    """Write *records* as JSON lines to each (file, arm) of *targets*, each
+    line stamped with that file's arm: QC and C read one corpus rewrite,
+    so both files take its records. A record is encoded once for all the
+    files, and only the line in hand is held."""
+    heads = [(fh, '{"arm": ' + _encode_str(arm)) for fh, arm in targets]
+    for record in records:
+        tail = record_body(record) + "\n"
+        for fh, head in heads:
+            fh.write(head + tail)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
-"""Append-only JSON-Lines stores for run records and diagnostics reports.
+"""JSON-Lines stores for run records and diagnostics reports, and the
+``indent=1`` JSON writer every artifact file goes through.
 
-Each line carries a schema version field ``v``. Appends are serialized
-through an in-process lock (single-writer discipline); reads take a
-snapshot of the file.
+Each store line carries a schema version field ``v``. ``run-matrix``
+rewrites a store whole, once per run; single-cell commands append to it.
+Writes are serialized through an in-process lock (single-writer
+discipline); reads take a snapshot of the file.
 """
 
 from __future__ import annotations
@@ -10,17 +12,89 @@ from __future__ import annotations
 import json
 import os
 import threading
+from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import StoreError
 from .models import RunRecord
 
 SCHEMA_VERSION = 1
 
+_encode_str = json.encoder.encode_basestring  # the C escaper of ensure_ascii=False
+_ROWS_PER_CHUNK = 256
+
 
 def _dump(obj: dict[str, Any]) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+
+
+def _indent1(obj) -> str:
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1)
+
+
+def _is_numeric_rows(value) -> bool:
+    """A non-empty list of non-empty lists of ints and floats; the checks
+    run in C, a curve has thousands of points."""
+    return (type(value) is list and bool(value) and set(map(type, value)) == {list}
+            and all(value) and set(map(type, chain.from_iterable(value))) <= {int, float})
+
+
+def _numeric_rows_chunks(rows: list) -> Iterator[str]:
+    """The ``indent=1`` text of non-empty rows of numbers, as a value of a
+    top-level object, in pieces of at most ``_ROWS_PER_CHUNK`` rows. The C
+    encoder writes each piece compactly, and since a number's text holds no
+    ``[``, ``]`` or ``,`` the commas alone place the line breaks."""
+    yield "[\n  [\n   "
+    for start in range(0, len(rows), _ROWS_PER_CHUNK):
+        if start:
+            yield "\n  ],\n  [\n   "
+        compact = json.dumps(rows[start:start + _ROWS_PER_CHUNK], separators=(",", ":"))
+        yield compact[2:-2].replace(",", ",\n   ").replace("],\n   [", "\n  ],\n  [\n   ")
+    yield "\n  ]\n ]"
+
+
+def json_chunks(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj, sort_keys=True, ensure_ascii=False,
+    indent=1)``, byte for byte, in pieces.
+
+    ``indent`` keeps ``json`` off its C encoder. In an object with string
+    keys, a value that is non-empty rows of numbers (a coverage curve) goes
+    through :func:`_numeric_rows_chunks`; every other value is encoded as
+    before and shifted one level in. Small pieces keep a large curve from
+    being copied whole, again and again, on its way to the file.
+    """
+    if not (isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj)):
+        yield _indent1(obj)
+        return
+    separator = "{\n "
+    for key, value in sorted(obj.items()):
+        yield separator + _encode_str(key) + ": "
+        separator = ",\n "
+        if _is_numeric_rows(value):
+            yield from _numeric_rows_chunks(value)
+        else:
+            yield _indent1(value).replace("\n", "\n ")
+    yield "\n}"
+
+
+def write_json(path: Path, obj) -> None:
+    """Write *obj* to *path* as :func:`json_chunks` text and a newline."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json_chunks(obj))
+        fh.write("\n")
+
+
+def _write(path: Path, mode: str, lines: Iterable[str], what: str) -> None:
+    """Write *lines* to *path* opened once in *mode*; each line ends in
+    ``\\n``."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise StoreError(f"cannot {what} {path}: {exc}") from exc
 
 
 class JsonlLog:
@@ -78,6 +152,12 @@ class JsonlLog:
 
     def append(self, line: str) -> None:
         """Write *line* and its newline; the caller serializes calls."""
+        self.append_many([line])
+
+    def append_many(self, lines: Iterable[str]) -> None:
+        """Write each of *lines* and its newline, with one open and one
+        write; the caller serializes calls."""
+        text = "".join(line + "\n" for line in lines)
         try:
             if self._keep is not None or self._newline:
                 if self.path.stat().st_size != self._size:
@@ -87,18 +167,18 @@ class JsonlLog:
                     os.truncate(self.path, self._keep)
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(("\n" if self._newline else "") + line + "\n")
+                fh.write(("\n" if self._newline else "") + text)
         except OSError as exc:
             raise StoreError(f"cannot append to {self.path}: {exc}") from exc
         self._keep, self._newline = None, False
 
 
 class RunStore:
-    """Append-only store of RunRecords, one JSON object per line.
+    """Store of RunRecords, one JSON object per line.
 
-    Run ids number the lines. The file is counted once, on the first
-    append, and a counter takes over, so an instance must be the file's
-    only writer while it appends.
+    Run ids number the lines. :meth:`write` replaces the file; the first
+    :meth:`append` counts the file's lines and a counter takes over, so an
+    instance must be the file's only writer.
     """
 
     def __init__(self, path: str | Path):
@@ -112,20 +192,24 @@ class RunStore:
         with open(self.path, "r", encoding="utf-8") as fh:
             return sum(1 for line in fh if line.strip())
 
+    @staticmethod
+    def _line(number: int, record: RunRecord) -> str:
+        return _dump({"v": SCHEMA_VERSION, "run_id": f"run-{number:06d}",
+                      **record.to_dict()}) + "\n"
+
+    def write(self, records: Iterable[RunRecord]) -> None:
+        """Replace the file with *records*, numbered from ``run-000000``."""
+        lines = [self._line(i, rec) for i, rec in enumerate(records)]
+        with self._lock:
+            _write(self.path, "w", lines, "write run records to")
+            self._next = len(lines)
+
     def append(self, record: RunRecord) -> str:
         with self._lock:
-            if self._next is None:
-                self._next = self._count()
-            run_id = f"run-{self._next:06d}"
-            line = _dump({"v": SCHEMA_VERSION, "run_id": run_id, **record.to_dict()})
-            try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
-            except OSError as exc:
-                raise StoreError(f"cannot append run record to {self.path}: {exc}") from exc
-            self._next += 1
-            return run_id
+            number = self._count() if self._next is None else self._next
+            _write(self.path, "a", [self._line(number, record)], "append run record to")
+            self._next = number + 1
+            return f"run-{number:06d}"
 
     def read(self) -> list[tuple[str, RunRecord]]:
         if not self.path.exists():
@@ -158,17 +242,22 @@ class DiagnosticsStore:
         self.path = Path(path)
         self._lock = threading.Lock()
 
-    def append(self, kind: str, payload: dict[str, Any]) -> None:
+    @staticmethod
+    def _line(kind: str, payload: dict[str, Any]) -> str:
         if kind not in ("lexical", "geometry"):
             raise StoreError(f"unknown diagnostics kind {kind!r}")
-        line = _dump({"v": SCHEMA_VERSION, "kind": kind, **payload})
+        return _dump({"v": SCHEMA_VERSION, "kind": kind, **payload}) + "\n"
+
+    def write(self, reports: Iterable[tuple[str, dict[str, Any]]]) -> None:
+        """Replace the file with *reports*, (kind, payload) pairs in order."""
+        lines = [self._line(kind, payload) for kind, payload in reports]
         with self._lock:
-            try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
-            except OSError as exc:
-                raise StoreError(f"cannot append diagnostics to {self.path}: {exc}") from exc
+            _write(self.path, "w", lines, "write diagnostics to")
+
+    def append(self, kind: str, payload: dict[str, Any]) -> None:
+        line = self._line(kind, payload)
+        with self._lock:
+            _write(self.path, "a", [line], "append diagnostics to")
 
     def read(self) -> Iterator[dict[str, Any]]:
         if not self.path.exists():

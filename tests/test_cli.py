@@ -121,6 +121,17 @@ class TestSubcommands:
         assert len(bundle) == 4
         assert all(item["source_text"] == item["output_text"] for item in bundle)
 
+    def test_report_after_rerun_and_rejects_a_duplicate_cell(self, tmp_path, capsys):
+        path = write_matrix_config(tmp_path)
+        assert run_cli(path, "run-matrix") == 0
+        assert run_cli(path, "run-matrix") == 0
+        assert run_cli(path, "report") == 0
+        # eval appends: a second row for a cell the matrix already wrote
+        assert run_cli(path, "eval", "--task", "toy", "--encoder", "bow") == 0
+        capsys.readouterr()
+        assert run_cli(path, "report") == 1
+        assert "duplicate cell key ('bow', 'toy', '', 'Baseline')" in capsys.readouterr().err
+
     def test_audit_without_records_fails(self, tmp_path):
         path = write_matrix_config(tmp_path)
         assert run_cli(path, "audit", "--task", "toy", "--sample-size", "1") == 1

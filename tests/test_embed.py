@@ -173,6 +173,54 @@ class TestTornManifest:
             EmbeddingCache(tmp_path)
 
 
+class TestPutMany:
+    def _rows(self, n: int, dim: int = 6) -> list[tuple[str, str, np.ndarray]]:
+        rng = np.random.default_rng(5)
+        return [(content_key("mock-enc", f"t{i}"), "mock-enc", rng.standard_normal(dim))
+                for i in range(n)]
+
+    def test_equals_repeated_put_byte_for_byte(self, tmp_path):
+        rows = self._rows(9)
+        one, many = EmbeddingCache(tmp_path / "one"), EmbeddingCache(tmp_path / "many")
+        for row in rows:
+            one.put(*row)
+        many.put_many(rows[:4])
+        many.put_many([])
+        many.put_many(rows[4:])
+        for name in ("vectors.bin", "manifest.jsonl"):
+            assert (tmp_path / "many" / name).read_bytes() == \
+                (tmp_path / "one" / name).read_bytes()
+        reopened = EmbeddingCache(tmp_path / "many")
+        got = reopened.gather([key for key, _, _ in rows])
+        assert np.array_equal(got, np.stack([vec for _, _, vec in rows]))
+
+    def test_manifest_failure_leaves_the_batch_missing(self, tmp_path):
+        rows = self._rows(5)
+        cache = EmbeddingCache(tmp_path)
+        cache.put_many(rows[:2])
+        cache.manifest_path.unlink()
+        cache.manifest_path.mkdir()  # opening it to append is an OSError
+        with pytest.raises(StoreError, match="cannot append"):
+            cache.put_many(rows[2:])
+        keys = [key for key, _, _ in rows]
+        assert [key in cache for key in keys] == [True, True, False, False, False]
+        got = cache.get_many(keys)
+        assert got[2:] == [None, None, None]
+        assert np.array_equal(got[1], rows[1][2])
+        # the batch's vectors went first: orphan bytes past the indexed rows
+        assert cache.vectors_path.stat().st_size == 5 * 6 * 8
+
+    def test_fetch_missing_appends_once_per_batch(self, tmp_path, monkeypatch):
+        cache = EmbeddingCache(tmp_path)
+        batches = []
+        put_many = cache.put_many
+        monkeypatch.setattr(cache, "put_many",
+                            lambda rows: batches.append(list(rows)) or put_many(batches[-1]))
+        fetch_missing([f"t{i}" for i in range(10)], mock_client(batch_size=4), cache)
+        assert [len(b) for b in batches] == [4, 4, 2]
+        assert all(content_key("mock-enc", f"t{i}") in cache for i in range(10))
+
+
 def test_call_count_is_exact_under_threads():
     assert_calls_counted_under_threads(
         mock_client(), lambda c, i: c.embed_batch([f"text {i}"]))

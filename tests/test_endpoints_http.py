@@ -3,11 +3,13 @@ header pass-through, retry-then-recover, and retry exhaustion."""
 
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
+from rewritebench import sessions
 from rewritebench.embed import EncoderClient, EncoderEndpoint
 from rewritebench.errors import EndpointError
 from rewritebench.rewrite import RewriterClient, RewriterEndpoint
@@ -179,3 +181,28 @@ class TestChatWire:
         client = _rewrite_client(server, retries=0)
         with pytest.raises(EndpointError, match="after 1 attempts"):
             client.complete("", "u", 8)
+
+
+def test_one_session_per_client_thread(server, monkeypatch):
+    made, closed = [], []
+
+    class CountedSession(sessions.requests.Session):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    monkeypatch.setattr(sessions.requests, "Session", CountedSession)
+    embed, rewrite = _embed_client(server), _rewrite_client(server)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        list(pool.map(lambda i: embed.embed_batch([f"t{i}"]), range(12)))
+        assert 1 <= len(made) <= 2
+        list(pool.map(lambda i: rewrite.complete("", f"u{i}", 8), range(12)))
+        assert 2 <= len(made) <= 4
+    assert len(server.requests) == 24
+    embed.close()
+    rewrite.close()
+    assert sorted(map(id, closed)) == sorted(map(id, made))

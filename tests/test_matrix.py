@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import TOY_DOCS, TOY_QUERIES, write_matrix_config
-from rewritebench import matrix
+from rewritebench import matrix, rewrite
 from rewritebench.config import load_config
 from rewritebench.matrix import CellKey, plan_cells, run_matrix
 from rewritebench.models import Regime, Strategy
@@ -100,6 +100,33 @@ class TestRunMatrix:
         assert all(v == 0 for v in second.endpoint_calls.values())
         a, b = tree_bytes(tmp_path / "out1"), tree_bytes(tmp_path / "out2")
         assert a == b
+
+    def test_rerun_into_one_out_dir_rewrites_the_stores(self, tmp_path):
+        cfg = load_config(write_matrix_config(tmp_path, regimes=("QC", "C")))
+        run_matrix(cfg)
+        first = tree_bytes(cfg.out_dir)
+        run_matrix(cfg)
+        assert tree_bytes(cfg.out_dir) == first
+        rows = RunStore(cfg.out_dir / "runs.jsonl").read()
+        assert [run_id for run_id, _ in rows] == ["run-000000", "run-000001",
+                                                  "run-000002"]
+
+    def test_group_encodes_each_shared_record_once(self, tmp_path, monkeypatch):
+        cfg = load_config(write_matrix_config(tmp_path, regimes=("QC", "C")))
+        run_matrix(cfg)  # fills the rewrite cache, whose puts encode too
+        encoded = []
+        record_body = rewrite.record_body
+        monkeypatch.setattr(rewrite, "record_body",
+                            lambda rec: encoded.append(rec) or record_body(rec))
+        run_matrix(cfg)
+        # QC writes the corpus and query records, C the same corpus records
+        assert len(encoded) == len(TOY_DOCS) + len(TOY_QUERIES)
+        assert len({id(rec) for rec in encoded}) == len(encoded)
+        qc = cfg.out_dir / "cells" / "bow__toy__ident__NL__QC" / "rewrites.jsonl"
+        c = cfg.out_dir / "cells" / "bow__toy__ident__NL__C" / "rewrites.jsonl"
+        corpus = qc.read_text().splitlines()[:len(TOY_DOCS)]
+        assert [line.replace('"NL-QC"', '"NL-C"', 1) for line in corpus] == \
+            c.read_text().splitlines()
 
     def test_parallel_run_matches_serial(self, tmp_path, monkeypatch):
         # each pass starts from its own empty cache; a fixed clock makes the

@@ -238,6 +238,23 @@ class TestWriteReports:
                   for p in (tmp_path / "report").iterdir()}
         assert first == second
 
+    def test_duplicate_run_key_rejected(self, tmp_path):
+        build_synthetic_store(tmp_path)
+        RunStore(tmp_path / "runs.jsonl").append(
+            _run("e0", "t1", Strategy.NL, Regime.C, 0.5, delta=0.4))
+        with pytest.raises(DomainError, match=r"duplicate cell key "
+                           r"\('e0', 't1', 'rw', 'NL-C'\) in .*runs\.jsonl"):
+            write_reports(tmp_path)
+
+    def test_duplicate_diagnostics_key_rejected(self, tmp_path):
+        build_synthetic_store(tmp_path)
+        DiagnosticsStore(tmp_path / "diagnostics.jsonl").append(
+            "geometry", _geometry("e1", "t0", "Baseline", rewriter="").to_dict())
+        with pytest.raises(DomainError, match=r"duplicate cell key "
+                           r"\('geometry', 'e1', 't0', '', 'Baseline'\) in "
+                           r".*diagnostics\.jsonl"):
+            write_reports(tmp_path)
+
     def test_empty_store_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             write_reports(tmp_path)

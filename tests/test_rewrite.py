@@ -1,4 +1,6 @@
+import io
 import json
+import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -9,9 +11,9 @@ from rewritebench.models import (Document, Query, Regime, RewritePlan,
                                  Strategy, TaskFamily)
 from rewritebench.rewrite import (RewriteCache, RewriteRecord, RewriterClient,
                                   RewriterEndpoint, Rewritten, audit_sample,
-                                  documents_job, queries_job, rewrite_corpus,
-                                  rewrite_jobs, rewrite_queries, source_hash,
-                                  strip_code_fences)
+                                  documents_job, queries_job, record_json,
+                                  rewrite_corpus, rewrite_jobs, rewrite_queries,
+                                  source_hash, strip_code_fences, write_records)
 from rewritebench.templates import identity_catalog
 
 
@@ -213,6 +215,51 @@ class TestRewriteRecord:
                             output_text="out", rewriter_id="rw", template_id="t",
                             timestamp="2026-01-01T00:00:00+00:00", truncated=True)
         assert RewriteRecord.from_dict(rec.to_dict()) == rec
+
+
+_CHARS = ['[', ']', ',', ':', '"', '\\', '\n', '\t', '\x00', '\x7f', ' ', 'a', '7',
+          '\u00e9', '\u65e5', '\u2028', '\U0001f600']
+
+
+def _random_record(rng: random.Random) -> RewriteRecord:
+    def text(n: int) -> str:
+        return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(n)))
+    failed = rng.random() < 0.3
+    return RewriteRecord(
+        source_id=text(8), arm=text(6), source_hash=text(8),
+        output_text="" if failed and rng.random() < 0.5 else text(20) + "x",
+        rewriter_id=text(6), template_id=text(6), timestamp=text(12),
+        truncated=rng.random() < 0.3, failed=failed)
+
+
+class TestRecordSerialiser:
+    def test_record_json_equals_json_dumps(self):
+        rng = random.Random(7)
+        for _ in range(3000):
+            rec = _random_record(rng)
+            arm = rng.choice(["NL-QC", "NL-C", rec.arm, "\u00e9[,]\""])
+            assert record_json(rec, arm) == json.dumps(
+                {**rec.to_dict(), "arm": arm}, sort_keys=True, ensure_ascii=False)
+
+    def test_write_records_equals_one_dumps_per_record(self):
+        rng = random.Random(11)
+        records = [_random_record(rng) for _ in range(500)]
+        files = {arm: io.StringIO() for arm in ("NL-QC", "NL-C")}
+        write_records([(fh, arm) for arm, fh in files.items()], iter(records))
+        for arm, fh in files.items():
+            assert fh.getvalue() == "".join(
+                json.dumps({**r.to_dict(), "arm": arm}, sort_keys=True,
+                           ensure_ascii=False) + "\n" for r in records)
+
+    def test_cache_line_is_the_record_under_its_own_arm(self, tmp_path):
+        rng = random.Random(3)
+        records = [r for r in (_random_record(rng) for _ in range(50)) if not r.failed]
+        cache = RewriteCache(tmp_path / "rw.jsonl")
+        for rec in records:
+            cache.put(rec)
+        assert (tmp_path / "rw.jsonl").read_text(encoding="utf-8") == "".join(
+            json.dumps(r.to_dict(), sort_keys=True, ensure_ascii=False) + "\n"
+            for r in records)
 
 
 class TestAuditSample:

@@ -1,10 +1,14 @@
+import json
+import math
+import random
 import threading
 
 import pytest
 
 from rewritebench.errors import StoreError
 from rewritebench.models import Regime, RewritePlan, RunRecord, Strategy
-from rewritebench.stores import DiagnosticsStore, JsonlLog, RunStore, persist_run
+from rewritebench.stores import (DiagnosticsStore, JsonlLog, RunStore, json_chunks,
+                                 persist_run, write_json)
 
 
 def _record(i: int = 0) -> RunRecord:
@@ -150,3 +154,121 @@ class TestJsonlLog:
         with pytest.raises(StoreError, match="line 2"):
             _load(path)
         assert path.read_text(encoding="utf-8") == '{"a": 1}\n{"b"\n\n{"c": 3}\n'
+
+
+# characters that a re-indenting writer could mistake for structure
+_CHARS = ['[', ']', ',', ':', '"', '\\', '\n', ' ', '\t', '\x00', 'a', 'Z', '0',
+          '\u00e9', '\u65e5', '\u2028', '\U0001f600']
+_NUMBERS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 0.1, 1e300, 5e-324,
+            2 ** 70, -(2 ** 64), 0, 7]
+_PIECE = 256  # rows per piece of a curve in json_chunks
+
+
+def _text(rng: random.Random) -> str:
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _number(rng: random.Random, bools: bool = True):
+    if bools and rng.random() < 0.05:
+        return rng.choice([True, False])  # a bool row takes the generic path
+    return rng.choice(_NUMBERS) if rng.random() < 0.5 else rng.uniform(-1e3, 1e3)
+
+
+def _rows(rng: random.Random, depth: int) -> list:
+    if depth == 1 and rng.random() < 0.03:  # longer than one piece of a curve
+        n = rng.choice([_PIECE - 1, _PIECE, _PIECE + 1, 2 * _PIECE + 3])
+        return [[_number(rng, bools=False) for _ in range(rng.randrange(1, 3))]
+                for _ in range(n)]
+    return [[_number(rng) for _ in range(rng.randrange(1, 4))]
+            for _ in range(rng.randrange(1, 5))]
+
+
+def _value(rng: random.Random, depth: int):
+    kind = rng.randrange(9 if depth < 3 else 3)
+    if kind == 0:
+        return _number(rng)
+    if kind == 1:
+        return _text(rng)
+    if kind == 2:
+        return rng.choice([None, [], {}, [[]], [[], [1]]])
+    if kind in (3, 4):
+        return _rows(rng, depth)  # numeric rows below the top level, too
+    if kind in (5, 6):
+        return [_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {_text(rng): _value(rng, depth + 1) for _ in range(rng.randrange(4))}
+
+
+def _document(rng: random.Random):
+    kind = rng.randrange(10)
+    if kind == 0:
+        return _value(rng, 0)
+    if kind == 1:
+        return {rng.randrange(9): _value(rng, 1) for _ in range(rng.randrange(4))}
+    return {_text(rng): _value(rng, 1) for _ in range(rng.randrange(6))}
+
+
+def test_json_chunks_equal_json_dumps_on_random_documents():
+    rng = random.Random(20261018)
+    curves = long_curves = 0
+    for _ in range(12000):
+        obj = _document(rng)
+        if isinstance(obj, dict):
+            rows = [v for v in obj.values() if isinstance(v, list) and v
+                    and all(isinstance(r, list) and r for r in v)]
+            curves += bool(rows)
+            long_curves += any(len(v) > _PIECE for v in rows)
+        want = json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1)
+        assert "".join(json_chunks(obj)) == want, obj
+    assert curves > 2000 and long_curves > 50
+
+
+def test_write_json_writes_the_text_and_a_newline(tmp_path):
+    obj = {"coverage_cdf": [[1, 0.5], [2, 1.0]], "k80": 2, "arm": "NL-C"}
+    write_json(tmp_path / "sub" / "lexical.json", obj)
+    assert (tmp_path / "sub" / "lexical.json").read_text(encoding="utf-8") == \
+        json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1) + "\n"
+
+
+class TestWholeStoreWrites:
+    def test_write_replaces_the_file_and_numbers_from_zero(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        for i in range(3):
+            persist_run(_record(i), path)
+        store = RunStore(path)
+        store.write([_record(7), _record(8)])
+        assert [rid for rid, _ in store.read()] == ["run-000000", "run-000001"]
+        assert store.records() == [_record(7), _record(8)]
+        assert store.append(_record(9)) == "run-000002"
+
+    def test_write_matches_appends_byte_for_byte(self, tmp_path):
+        appended, written = RunStore(tmp_path / "a.jsonl"), RunStore(tmp_path / "w.jsonl")
+        for i in range(3):
+            appended.append(_record(i))
+        written.write(_record(i) for i in range(3))
+        assert written.path.read_bytes() == appended.path.read_bytes()
+        da, dw = DiagnosticsStore(tmp_path / "da.jsonl"), DiagnosticsStore(tmp_path / "dw.jsonl")
+        reports = [("lexical", {"h_bits": 1.0}), ("geometry", {"s_bar": 0.5})]
+        for kind, payload in reports:
+            da.append(kind, payload)
+        dw.write(reports)
+        assert dw.path.read_bytes() == da.path.read_bytes()
+
+    def test_write_rejects_an_unknown_kind_before_touching_the_file(self, tmp_path):
+        store = DiagnosticsStore(tmp_path / "diag.jsonl")
+        store.append("lexical", {"h_bits": 1.0})
+        before = store.path.read_bytes()
+        with pytest.raises(StoreError, match="unknown diagnostics kind"):
+            store.write([("lexical", {}), ("other", {})])
+        assert store.path.read_bytes() == before
+
+
+def test_append_many_equals_appends_and_repairs_a_torn_tail(tmp_path):
+    one, many = tmp_path / "one.jsonl", tmp_path / "many.jsonl"
+    for path in (one, many):
+        path.write_text('{"a": 1}\n{"a": ', encoding="utf-8")
+    rows, log = _load(one)
+    for i in range(3):
+        log.append(json.dumps({"b": i}))
+    rows, log = _load(many)
+    log.append_many(json.dumps({"b": i}) for i in range(3))
+    assert many.read_bytes() == one.read_bytes() == b'{"a": 1}\n{"b": 0}\n{"b": 1}\n{"b": 2}\n'
