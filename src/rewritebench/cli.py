@@ -2,8 +2,9 @@
 
 Subcommands map one-to-one onto pipeline stages (ingest, rewrite, embed,
 retrieve, eval, diagnose), analyses (correlate, advise), and the drivers
-(run-matrix, report, audit). Exit codes: 0 success, 1 when any cell or
-data operation failed, 2 for configuration errors.
+(run-matrix, report, audit); the stage commands run the matrix's stages
+for one cell. Exit codes: 0 success, 1 when any cell or data operation
+failed, 2 for configuration errors.
 """
 
 from __future__ import annotations
@@ -11,22 +12,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .config import ExperimentConfig, load_config
-from .embed import EmbeddingCache, EncoderClient
 from .errors import ConfigError, WorkbenchError
 from .ingest import ingest_collection
-from .matrix import run_matrix
-from .models import Regime, RewritePlan, Strategy
-from .pipeline import arm_texts, embed_corpus, embed_queries, run_arm
+from .matrix import CellKey, Stages, run_matrix
+from .models import Regime, Strategy
+from .pipeline import ArmResult
 from .report import (advise_from_reports, correlation_report, join_rows,
                      load_stores, write_csv, write_reports)
 from .retrieval import retrieve_topk
-from .rewrite import (RewriteCache, RewriteRecord, RewriterClient, audit_sample,
-                      write_records)
+from .rewrite import RewriteRecord, audit_sample, write_records
 from .stores import DiagnosticsStore, RunStore, write_json
-from .templates import resolve_catalog
-from .tokenizers import build_tokenizer
 
 
 def _task_spec(config: ExperimentConfig, task_id: str):
@@ -36,46 +34,23 @@ def _task_spec(config: ExperimentConfig, task_id: str):
     raise ConfigError(f"task {task_id!r} not in config")
 
 
-def _encoder_spec(config: ExperimentConfig, encoder_id: str):
-    for e in config.encoders:
-        if e.encoder_id == encoder_id:
-            return e
-    raise ConfigError(f"encoder {encoder_id!r} not in config")
-
-
-def _rewriter_spec(config: ExperimentConfig, rewriter_id: str):
-    for r in config.rewriters:
-        if r.rewriter_id == rewriter_id:
-            return r
-    raise ConfigError(f"rewriter {rewriter_id!r} not in config")
-
-
-def _plan_from_args(config: ExperimentConfig, args) -> RewritePlan:
-    family = _task_spec(config, args.task).family
-    if not getattr(args, "strategy", None):
-        return RewritePlan.baseline(task_family=family)
-    if not getattr(args, "regime", None) or not getattr(args, "rewriter", None):
+def _cells(config: ExperimentConfig, args) -> list[CellKey]:
+    """The cells a stage command's flags name: the (encoder, task) Baseline,
+    then the arm cell when ``--strategy`` is given."""
+    _task_spec(config, args.task)
+    encoder = getattr(args, "encoder", "")
+    if encoder and encoder not in {e.encoder_id for e in config.encoders}:
+        raise ConfigError(f"encoder {encoder!r} not in config")
+    baseline = CellKey(encoder_id=encoder, task_id=args.task)
+    if not args.strategy:
+        return [baseline]
+    if not args.regime or not args.rewriter:
         raise ConfigError("--strategy requires --regime and --rewriter")
-    return RewritePlan(strategy=Strategy(args.strategy), regime=Regime(args.regime),
-                       rewriter_id=args.rewriter, task_family=family)
-
-
-def _arm_context(config: ExperimentConfig, args):
-    """(collection, plan, encoder client, tokenizer, caches, catalog, rewriter)."""
-    task = _task_spec(config, args.task)
-    collection = ingest_collection(task.corpus, task.queries, task.qrels,
-                                   task_id=task.task_id)
-    plan = _plan_from_args(config, args)
-    enc = _encoder_spec(config, args.encoder)
-    encoder = EncoderClient(enc.endpoint)
-    tokenizer = build_tokenizer(enc.tokenizer)
-    embedding_cache = EmbeddingCache(config.cache_dir / "embeddings")
-    rewrite_cache = RewriteCache(config.cache_dir / "rewrites.jsonl")
-    catalog = resolve_catalog(config.template_catalog)
-    rewriter = None
-    if not plan.is_baseline:
-        rewriter = RewriterClient(_rewriter_spec(config, plan.rewriter_id).endpoint)
-    return collection, plan, encoder, tokenizer, embedding_cache, rewrite_cache, catalog, rewriter
+    if args.rewriter not in {r.rewriter_id for r in config.rewriters}:
+        raise ConfigError(f"rewriter {args.rewriter!r} not in config")
+    return [baseline, replace(baseline, rewriter_id=args.rewriter,
+                              strategy=Strategy(args.strategy),
+                              regime=Regime(args.regime))]
 
 
 def cmd_ingest(config: ExperimentConfig, args) -> int:
@@ -92,25 +67,21 @@ def cmd_ingest(config: ExperimentConfig, args) -> int:
 
 
 def cmd_rewrite(config: ExperimentConfig, args) -> int:
-    task = _task_spec(config, args.task)
-    collection = ingest_collection(task.corpus, task.queries, task.qrels,
-                                   task_id=task.task_id)
-    plan = _plan_from_args(config, args)
-    if plan.is_baseline:
-        raise ConfigError("rewrite requires --strategy/--regime/--rewriter")
-    rewriter = RewriterClient(_rewriter_spec(config, plan.rewriter_id).endpoint)
-    docs, queries, records = arm_texts(
-        collection, plan, rewriter, resolve_catalog(config.template_catalog),
-        RewriteCache(config.cache_dir / "rewrites.jsonl"))
+    cell = _cells(config, args)[-1]
+    with Stages(config, [cell]) as stages:
+        stages.rewrite()
+        docs, queries = stages.side(cell, "documents"), stages.side(cell, "queries")
+    collection, plan = stages.collections[cell.task_id], stages.plans[cell]
     out = config.out_dir / "rewritten" / f"{args.task}__{plan.rewriter_id}__{plan.arm_label}"
     out.mkdir(parents=True, exist_ok=True)
-    sides = [("corpus", collection.documents, docs)]
+    sides = [("corpus", collection.documents, docs.texts)]
     if plan.regime is Regime.QC:
-        sides.append(("queries", collection.queries, queries))
+        sides.append(("queries", collection.queries, queries.texts))
     for name, items, texts in sides:
         with open(out / f"{name}.jsonl", "w", encoding="utf-8") as fh:
             for item, text in zip(items, texts):
                 fh.write(json.dumps({"_id": item.id, "text": text}, ensure_ascii=False) + "\n")
+    records = docs.records + queries.records
     with open(out / "records.jsonl", "w", encoding="utf-8") as fh:
         write_records([(fh, plan.arm_label)], records)
     failed = sum(1 for r in records if r.failed)
@@ -118,25 +89,25 @@ def cmd_rewrite(config: ExperimentConfig, args) -> int:
     return 0
 
 
-def _arm_matrices(config: ExperimentConfig, args):
-    (collection, plan, encoder, _, embedding_cache, rewrite_cache,
-     catalog, rewriter) = _arm_context(config, args)
-    docs, queries, _ = arm_texts(collection, plan, rewriter, catalog, rewrite_cache)
-    return (plan, embed_corpus(collection, docs, encoder, embedding_cache),
-            embed_queries(collection, queries, encoder, embedding_cache))
+def _matrices(config: ExperimentConfig, args):
+    """(arm label, corpus matrix, query matrix) of the cell the flags name."""
+    cell = _cells(config, args)[-1]
+    with Stages(config, [cell]) as stages:
+        stages.rewrite()
+        return stages.plans[cell].arm_label, stages.corpus(cell).matrix, stages.queries(cell)
 
 
 def cmd_embed(config: ExperimentConfig, args) -> int:
-    plan, corpus, qmat = _arm_matrices(config, args)
-    print(f"{plan.arm_label}: corpus {corpus.n_rows}x{corpus.dim}, "
+    arm_label, corpus, qmat = _matrices(config, args)
+    print(f"{arm_label}: corpus {corpus.n_rows}x{corpus.dim}, "
           f"queries {qmat.n_rows}x{qmat.dim} (cache warm)")
     return 0
 
 
 def cmd_retrieve(config: ExperimentConfig, args) -> int:
-    plan, corpus, qmat = _arm_matrices(config, args)
+    arm_label, corpus, qmat = _matrices(config, args)
     ranked = retrieve_topk(qmat, corpus, k=args.k or config.k)
-    out = config.out_dir / f"rankings_{args.task}__{args.encoder}__{plan.arm_label}.jsonl"
+    out = config.out_dir / f"rankings_{args.task}__{args.encoder}__{arm_label}.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         for r in ranked:
@@ -147,24 +118,18 @@ def cmd_retrieve(config: ExperimentConfig, args) -> int:
     return 0
 
 
-def _run_single_arm(config: ExperimentConfig, args):
-    (collection, plan, encoder, tokenizer, embedding_cache, rewrite_cache,
-     catalog, rewriter) = _arm_context(config, args)
-    baseline = None
-    if not plan.is_baseline:
-        baseline = run_arm(collection, RewritePlan.baseline(plan.task_family),
-                           encoder=encoder, tokenizer=tokenizer,
-                           embedding_cache=embedding_cache, k=config.k,
-                           gain=config.gain)
-    arm = run_arm(collection, plan, encoder=encoder, tokenizer=tokenizer,
-                  embedding_cache=embedding_cache, rewriter=rewriter,
-                  rewrite_cache=rewrite_cache, catalog=catalog,
-                  baseline=baseline, k=config.k, gain=config.gain)
+def _score(config: ExperimentConfig, args) -> ArmResult:
+    """The result of the cell the flags name, scored after its Baseline."""
+    cells = _cells(config, args)
+    with Stages(config, cells) as stages:
+        stages.rewrite()
+        for cell in cells:
+            arm = stages.score(cell, stages.corpus(cell))
     return arm
 
 
 def cmd_eval(config: ExperimentConfig, args) -> int:
-    arm = _run_single_arm(config, args)
+    arm = _score(config, args)
     RunStore(config.out_dir / "runs.jsonl").append(arm.run_record)
     delta = "" if arm.run_record.delta_ndcg is None else \
         f" (delta {arm.run_record.delta_ndcg:+.5f})"
@@ -175,7 +140,7 @@ def cmd_eval(config: ExperimentConfig, args) -> int:
 
 
 def cmd_diagnose(config: ExperimentConfig, args) -> int:
-    arm = _run_single_arm(config, args)
+    arm = _score(config, args)
     store = DiagnosticsStore(config.out_dir / "diagnostics.jsonl")
     store.append("lexical", arm.lexical.to_dict())
     store.append("geometry", arm.geometry.to_dict())
@@ -267,13 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def arm_flags(p):
+    def arm_flags(p, rewrite=False):
+        """The flags naming one cell; ``rewrite`` names an arm, and no encoder."""
         p.add_argument("--task", required=True)
-        p.add_argument("--encoder", required=True)
-        p.add_argument("--rewriter", default=None)
-        p.add_argument("--strategy", default=None,
+        if not rewrite:
+            p.add_argument("--encoder", required=True)
+        p.add_argument("--rewriter", required=rewrite)
+        p.add_argument("--strategy", required=rewrite,
                        choices=[s.value for s in Strategy if s is not Strategy.BASELINE])
-        p.add_argument("--regime", default=None,
+        p.add_argument("--regime", required=rewrite,
                        choices=[Regime.QC.value, Regime.C.value])
 
     p = sub.add_parser("ingest", help="validate a collection and emit its report")
@@ -281,12 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("rewrite", help="rewrite one arm's corpus (and queries under QC)")
-    p.add_argument("--task", required=True)
-    p.add_argument("--rewriter", required=True)
-    p.add_argument("--strategy", required=True,
-                   choices=[s.value for s in Strategy if s is not Strategy.BASELINE])
-    p.add_argument("--regime", required=True,
-                   choices=[Regime.QC.value, Regime.C.value])
+    arm_flags(p, rewrite=True)
     p.set_defaults(func=cmd_rewrite)
 
     p = sub.add_parser("embed", help="embed one arm's texts (warms the cache)")

@@ -64,13 +64,6 @@ class Collection:
     qrels: dict[str, dict[str, int]]
     report: IngestReport
 
-    @property
-    def evaluable_query_ids(self) -> list[str]:
-        """Queries that have at least one positive grade, in query order."""
-        positive = {qid for qid, grades in self.qrels.items()
-                    if any(g > 0 for g in grades.values())}
-        return [q.id for q in self.queries if q.id in positive]
-
 
 def _iter_lines_with_offsets(path: Path):
     """Yield (line_number, byte_offset, text) for every line of *path*."""

@@ -403,37 +403,6 @@ def queries_job(queries: Sequence[Query], plan: RewritePlan,
                       client=client, arm=plan.arm_label)
 
 
-def rewrite_job(job: RewriteJob, cache: RewriteCache | None = None) -> Rewritten:
-    """:func:`rewrite_jobs` for a single job, inline; its error is raised."""
-    (result,) = rewrite_jobs([job], cache)
-    if isinstance(result, WorkbenchError):
-        raise result
-    return result
-
-
-def rewrite_corpus(documents: Sequence[Document], plan: RewritePlan,
-                   client: RewriterClient, catalog: TemplateCatalog,
-                   cache: RewriteCache | None = None,
-                   ) -> tuple[list[Document], list[RewriteRecord]]:
-    """Map every document to exactly one output under the plan's template.
-
-    Ids are preserved; failures fall back to the source text and are
-    flagged in the returned records.
-    """
-    done = rewrite_job(documents_job(documents, plan, client, catalog), cache)
-    return [Document(id=d.id, text=t, title=d.title, lang_tag=d.lang_tag)
-            for d, t in zip(documents, done.texts)], done.records
-
-
-def rewrite_queries(queries: Sequence[Query], plan: RewritePlan,
-                    client: RewriterClient, catalog: TemplateCatalog,
-                    cache: RewriteCache | None = None,
-                    ) -> tuple[list[Query], list[RewriteRecord]]:
-    """Rewrite the query side; only legal under the QC regime."""
-    done = rewrite_job(queries_job(queries, plan, client, catalog), cache)
-    return [Query(id=q.id, text=t) for q, t in zip(queries, done.texts)], done.records
-
-
 _encode_str = json.encoder.encode_basestring  # the C escaper of ensure_ascii=False
 
 

@@ -2,7 +2,8 @@
 ``indent=1`` JSON writer every artifact file goes through.
 
 Each store line carries a schema version field ``v``. ``run-matrix``
-rewrites a store whole, once per run; single-cell commands append to it.
+rewrites a store whole, once per run, through a temporary file that
+replaces it; single-cell commands append to it.
 Writes are serialized through an in-process lock (single-writer
 discipline); reads take a snapshot of the file.
 """
@@ -88,11 +89,22 @@ def write_json(path: Path, obj) -> None:
 
 def _write(path: Path, mode: str, lines: Iterable[str], what: str) -> None:
     """Write *lines* to *path* opened once in *mode*; each line ends in
-    ``\\n``."""
+    ``\\n``. A whole-file write (``"w"``) goes to a temporary file next to
+    *path* that then replaces it, so one cut off midway never leaves a
+    truncated store, and one that fails removes its temporary file."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, mode, encoding="utf-8") as fh:
-            fh.writelines(lines)
+        if mode == "a":
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.writelines(lines)
+            return
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with open(tmp, mode, encoding="utf-8") as fh:
+                fh.writelines(lines)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
     except OSError as exc:
         raise StoreError(f"cannot {what} {path}: {exc}") from exc
 
@@ -228,11 +240,6 @@ class RunStore:
 
     def records(self) -> list[RunRecord]:
         return [rec for _, rec in self.read()]
-
-
-def persist_run(record: RunRecord, store_path: str | Path) -> str:
-    """Append one record to the store at *store_path*; returns its run id."""
-    return RunStore(store_path).append(record)
 
 
 class DiagnosticsStore:

@@ -146,6 +146,30 @@ class TestSubcommands:
                        "--strategy", "NL") == 2
 
 
+@pytest.mark.parametrize("regime", ["QC", "C"])
+def test_eval_and_diagnose_equal_the_matrix_cell(tmp_path, regime):
+    path = write_matrix_config(tmp_path, regimes=("QC", "C"))
+    assert run_cli(path, "run-matrix") == 0
+    fresh = tmp_path / "fresh"
+    flags = ["--task", "toy", "--encoder", "bow", "--rewriter", "ident",
+             "--strategy", "NL", "--regime", regime]
+    assert run_cli(path, "--out-dir", str(fresh), "eval", *flags) == 0
+    assert run_cli(path, "--out-dir", str(fresh), "diagnose", *flags) == 0
+
+    cell_dir = tmp_path / "out" / "cells" / f"bow__toy__ident__NL__{regime}"
+    (run,) = [json.loads(line) for line in (fresh / "runs.jsonl").read_text().splitlines()]
+    del run["v"], run["run_id"]
+    assert run == json.loads((cell_dir / "record.json").read_text())
+    reports = {}
+    for line in (fresh / "diagnostics.jsonl").read_text().splitlines():
+        row = json.loads(line)
+        del row["v"]
+        reports[row.pop("kind")] = row
+    assert sorted(reports) == ["geometry", "lexical"]
+    for kind, report in reports.items():
+        assert report == json.loads((cell_dir / f"{kind}.json").read_text())
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy takes about a second to import; only the t-approximation needs it
     src = Path(__file__).resolve().parent.parent / "src"

@@ -5,6 +5,14 @@ import pytest
 from conftest import make_collection, write_jsonl, write_qrels
 from rewritebench.errors import IngestError
 from rewritebench.ingest import ingest_collection
+from rewritebench.retrieval import RankedList, score_ranked_lists
+
+
+def scored_query_ids(col) -> list[str]:
+    """The queries that NDCG scores against the collection's qrels."""
+    ranked = [RankedList(query_id=q.id, entries=((col.documents[0].id, 1.0),))
+              for q in col.queries]
+    return list(score_ranked_lists(ranked, col.qrels))
 
 
 class TestHappyPath:
@@ -16,7 +24,7 @@ class TestHappyPath:
             qrels=[("q1", "d1", 1)])
         assert (len(col.documents), len(col.queries), len(col.qrels)) == (2, 1, 1)
         assert col.report.warning_count == 0
-        assert col.evaluable_query_ids == ["q1"]
+        assert scored_query_ids(col) == ["q1"]
 
     def test_title_folded_once_with_newline(self, tmp_path):
         col = make_collection(
@@ -89,7 +97,7 @@ class TestWarnings:
         assert col.report.dangling_qrels == [("qX", "d1")]
         assert col.report.warning_count == 1
         assert "qX" not in col.qrels
-        assert col.evaluable_query_ids == ["q1"]
+        assert scored_query_ids(col) == ["q1"]
 
     def test_empty_text_doc_dropped_with_warning(self, tmp_path):
         col = make_collection(
@@ -106,7 +114,7 @@ class TestWarnings:
             docs=[{"_id": "d1", "text": "a"}],
             queries=[{"_id": "q1", "text": "t"}, {"_id": "q2", "text": "u"}],
             qrels=[("q1", "d1", 1), ("q2", "d1", 0)])
-        assert col.evaluable_query_ids == ["q1"]
+        assert scored_query_ids(col) == ["q1"]
         assert col.report.queries_without_positives == ["q2"]
 
     def test_unknown_doc_ref_counted_but_kept(self, tmp_path):

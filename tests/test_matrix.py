@@ -8,7 +8,9 @@ import pytest
 
 from conftest import TOY_DOCS, TOY_QUERIES, write_matrix_config
 from rewritebench import matrix, rewrite
+from rewritebench.cli import main
 from rewritebench.config import load_config
+from rewritebench.errors import WorkbenchError
 from rewritebench.matrix import CellKey, plan_cells, run_matrix
 from rewritebench.models import Regime, Strategy
 from rewritebench.stores import RunStore
@@ -193,6 +195,27 @@ class TestFaultIsolation:
         assert all(p.startswith(target.cell_id) for p in missing)
         for p, data in faulty_cells.items():
             assert clean_cells[p] == data
+
+    def test_failed_rerun_removes_the_cells_earlier_files(self, tmp_path):
+        path = write_matrix_config(tmp_path, regimes=("QC", "C"))
+        cfg = load_config(path)
+        assert run_matrix(cfg).exit_status == 0
+        c_cell = CellKey(encoder_id="bow", task_id="toy", rewriter_id="ident",
+                         strategy=Strategy.NL, regime=Regime.C)
+        assert (cfg.out_dir / "cells" / c_cell.cell_id / "rewrites.jsonl").exists()
+
+        def hook(cell):
+            if cell == c_cell:
+                raise WorkbenchError("injected fault")
+
+        assert list(run_matrix(cfg, fault_hook=hook).failures) == [c_cell]
+        assert not (cfg.out_dir / "cells" / c_cell.cell_id).exists()
+        # audit samples every record it finds: the QC cell's alone
+        assert main(["--config", str(path), "audit", "--task", "toy",
+                     "--sample-size", "100"]) == 0
+        bundle = json.loads((cfg.out_dir / "audit.json").read_text())
+        assert len(bundle) == len(TOY_DOCS) + len(TOY_QUERIES)
+        assert {item["arm"] for item in bundle} == {"NL-QC"}
 
     def test_baseline_failure_leaves_arm_without_delta(self, tmp_path):
         path = write_matrix_config(tmp_path)

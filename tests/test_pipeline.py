@@ -1,40 +1,41 @@
 import pytest
 
-from conftest import TOY_DOCS, TOY_QRELS, TOY_QUERIES, make_collection
-from rewritebench.embed import EmbeddingCache, EncoderClient, EncoderEndpoint
-from rewritebench.models import Regime, RewritePlan, Strategy
-from rewritebench.pipeline import evaluate_arm, run_arm
-from rewritebench.rewrite import RewriteCache, RewriterClient, RewriterEndpoint
-from rewritebench.templates import identity_catalog
-from rewritebench.tokenizers import WordTokenizer
+from conftest import (TOY_DOCS, TOY_QRELS, TOY_QUERIES, write_jsonl,
+                      write_matrix_config, write_qrels)
+from rewritebench.config import load_config
+from rewritebench.matrix import CellKey, Stages
+from rewritebench.models import Regime, Strategy, TaskFamily
+
+BASELINE = CellKey(encoder_id="bow", task_id="toy")
 
 
-def toy_collection(tmp_path):
-    return make_collection(tmp_path, TOY_DOCS, TOY_QUERIES, TOY_QRELS)
+def arm_cell(strategy: Strategy = Strategy.NL, regime: Regime = Regime.QC) -> CellKey:
+    return CellKey(encoder_id="bow", task_id="toy", rewriter_id="ident",
+                   strategy=strategy, regime=regime)
 
 
-def bow_client() -> EncoderClient:
-    return EncoderClient(EncoderEndpoint(encoder_id="bow", url="mock://bow?dim=128",
-                                         batch_size=8, retries=1, backoff_s=0.0))
-
-
-def identity_rewriter() -> RewriterClient:
-    return RewriterClient(RewriterEndpoint(rewriter_id="ident", url="mock://identity",
-                                           retries=0, backoff_s=0.0))
+def score_cells(tmp_path, cells, docs=TOY_DOCS, queries=TOY_QUERIES, qrels=TOY_QRELS):
+    """Each cell's result, scored in order by one Stages over a toy config
+    (mock bow encoder, k=3, identity rewriter and templates)."""
+    write_jsonl(tmp_path / "corpus.jsonl", docs)
+    write_jsonl(tmp_path / "queries.jsonl", queries)
+    write_qrels(tmp_path / "qrels.tsv", qrels)
+    cfg = load_config(write_matrix_config(tmp_path, tasks=[
+        {"task_id": "toy", "family": "CodeToCode", "corpus": "corpus.jsonl",
+         "queries": "queries.jsonl", "qrels": "qrels.tsv"}]))
+    with Stages(cfg, cells) as stages:
+        stages.rewrite()
+        return [stages.score(cell, stages.corpus(cell)) for cell in cells]
 
 
 class TestBaselineArm:
     def test_query_matching_doc_scores_one(self, tmp_path):
         # queries are exact copies of their relevant docs: ideal retrieval
-        col = make_collection(
-            tmp_path,
-            docs=TOY_DOCS,
+        (arm,) = score_cells(
+            tmp_path, [BASELINE],
             queries=[{"_id": f"q{i}", "text": d["text"]}
                      for i, d in enumerate(TOY_DOCS, 1)],
             qrels=[(f"q{i}", d["_id"], 1) for i, d in enumerate(TOY_DOCS, 1)])
-        arm = run_arm(col, RewritePlan.baseline(), encoder=bow_client(),
-                      tokenizer=WordTokenizer(), k=3,
-                      embedding_cache=EmbeddingCache(tmp_path / "cache"))
         assert arm.run_record.mean_ndcg == 1.0
         assert arm.run_record.delta_ndcg is None
         assert arm.lexical.delta_h_bits is None
@@ -42,11 +43,9 @@ class TestBaselineArm:
         assert arm.rewrite_records == []
 
     def test_diagnostics_attached(self, tmp_path):
-        col = toy_collection(tmp_path)
-        arm = run_arm(col, RewritePlan.baseline(), encoder=bow_client(),
-                      tokenizer=WordTokenizer(), k=3)
+        (arm,) = score_cells(tmp_path, [BASELINE])
         assert arm.lexical.arm == "Baseline"
-        assert arm.geometry.batch_size_used == len(col.documents)
+        assert arm.geometry.batch_size_used == len(TOY_DOCS)
         assert arm.lexical.task_id == "toy"
 
 
@@ -54,54 +53,30 @@ class TestIdentityNoOp:
     @pytest.mark.parametrize("strategy", [Strategy.REPHRASE, Strategy.PSEUDO,
                                           Strategy.NL])
     def test_identity_qc_equals_baseline(self, tmp_path, strategy):
-        col = toy_collection(tmp_path)
-        cache = EmbeddingCache(tmp_path / "cache")
-        rw_cache = RewriteCache(tmp_path / "rw.jsonl")
-        base = run_arm(col, RewritePlan.baseline(), encoder=bow_client(),
-                       tokenizer=WordTokenizer(), embedding_cache=cache, k=3)
-        plan = RewritePlan(strategy=strategy, regime=Regime.QC,
-                           rewriter_id="ident")
-        arm = run_arm(col, plan, encoder=bow_client(), tokenizer=WordTokenizer(),
-                      embedding_cache=cache, rewriter=identity_rewriter(),
-                      rewrite_cache=rw_cache, catalog=identity_catalog(),
-                      baseline=base, k=3)
+        base, arm = score_cells(tmp_path, [BASELINE, arm_cell(strategy)])
         assert arm.run_record.ndcg_per_query == base.run_record.ndcg_per_query
         assert arm.run_record.mean_ndcg == base.run_record.mean_ndcg
         assert arm.run_record.delta_ndcg == 0.0
         assert arm.lexical.delta_h_bits == pytest.approx(0.0, abs=1e-12)
         assert arm.geometry.delta_s_bar == pytest.approx(0.0, abs=1e-12)
-        assert len(arm.rewrite_records) == len(col.documents) + len(col.queries)
+        assert len(arm.rewrite_records) == len(TOY_DOCS) + len(TOY_QUERIES)
 
     def test_identity_c_regime_rewrites_corpus_only(self, tmp_path):
-        col = toy_collection(tmp_path)
-        plan = RewritePlan(strategy=Strategy.NL, regime=Regime.C,
-                           rewriter_id="ident")
-        arm = run_arm(col, plan, encoder=bow_client(), tokenizer=WordTokenizer(),
-                      rewriter=identity_rewriter(), catalog=identity_catalog(),
-                      k=3)
-        assert len(arm.rewrite_records) == len(col.documents)
+        (arm,) = score_cells(tmp_path, [arm_cell(regime=Regime.C)])
+        assert len(arm.rewrite_records) == len(TOY_DOCS)
+        assert arm.run_record.delta_ndcg is None  # no Baseline was scored
 
 
 class TestEvaluateArm:
     def test_returns_run_record_with_delta(self, tmp_path):
-        col = toy_collection(tmp_path)
-        base = run_arm(col, RewritePlan.baseline(), encoder=bow_client(),
-                       tokenizer=WordTokenizer(), k=3)
-        plan = RewritePlan(strategy=Strategy.NL, regime=Regime.QC,
-                           rewriter_id="ident")
-        record = evaluate_arm(col, plan, encoder=bow_client(),
-                              tokenizer=WordTokenizer(),
-                              rewriter=identity_rewriter(),
-                              catalog=identity_catalog(), baseline=base, k=3)
-        assert record.delta_ndcg == 0.0
-        assert record.plan == plan
+        cell = arm_cell()
+        _, arm = score_cells(tmp_path, [BASELINE, cell])
+        assert arm.run_record.delta_ndcg == 0.0
+        assert arm.run_record.plan == cell.plan(TaskFamily.CODE_TO_CODE)
 
     def test_excluded_queries_counted(self, tmp_path):
-        col = make_collection(
-            tmp_path, TOY_DOCS,
-            TOY_QUERIES + [{"_id": "q_nopos", "text": "unjudged query text"}],
-            TOY_QRELS)
-        arm = run_arm(col, RewritePlan.baseline(), encoder=bow_client(),
-                      tokenizer=WordTokenizer(), k=3)
+        (arm,) = score_cells(
+            tmp_path, [BASELINE],
+            queries=TOY_QUERIES + [{"_id": "q_nopos", "text": "unjudged query text"}])
         assert arm.excluded_queries == 1
         assert "q_nopos" not in arm.run_record.ndcg_per_query

@@ -12,8 +12,8 @@ from rewritebench.models import (Document, Query, Regime, RewritePlan,
 from rewritebench.rewrite import (RewriteCache, RewriteRecord, RewriterClient,
                                   RewriterEndpoint, Rewritten, audit_sample,
                                   documents_job, queries_job, record_json,
-                                  rewrite_corpus, rewrite_jobs, rewrite_queries,
-                                  source_hash, strip_code_fences, write_records)
+                                  rewrite_jobs, source_hash, strip_code_fences,
+                                  write_records)
 from rewritebench.templates import identity_catalog
 
 
@@ -31,6 +31,15 @@ DOCS = [Document(id=f"d{i}", text=f"def fn_{i}(): return {i}") for i in range(4)
 QUERIES = [Query(id=f"q{i}", text=f"find function {i}") for i in range(2)]
 
 
+def rewrite_side(make_job, items, rw, cache=None, plan=None) -> Rewritten:
+    """One job of *items* through :func:`rewrite_jobs`, its error raised."""
+    (done,) = rewrite_jobs([make_job(items, plan or nl_qc_plan(), rw, identity_catalog())],
+                           cache)
+    if isinstance(done, Exception):
+        raise done
+    return done
+
+
 class TestStripCodeFences:
     def test_removes_one_fence_pair(self):
         assert strip_code_fences("```python\nx = 1\n```") == "x = 1"
@@ -45,10 +54,10 @@ class TestStripCodeFences:
 
 class TestRewriteCorpus:
     def test_identity_mock_reproduces_corpus(self):
-        docs, records = rewrite_corpus(DOCS, nl_qc_plan(), client(),
-                                       identity_catalog())
-        assert [d.text for d in docs] == [d.text for d in DOCS]
-        assert [d.id for d in docs] == [d.id for d in DOCS]
+        done = rewrite_side(documents_job, DOCS, client())
+        records = done.records
+        assert done.texts == [d.text for d in DOCS]
+        assert [r.source_id for r in records] == [d.id for d in DOCS]
         assert len(records) == len(DOCS)
         assert all(not r.failed for r in records)
         assert all(r.source_hash == source_hash(d.text)
@@ -56,38 +65,37 @@ class TestRewriteCorpus:
 
     def test_baseline_plan_rejected(self):
         with pytest.raises(ContractError):
-            rewrite_corpus(DOCS, RewritePlan.baseline(), client(), identity_catalog())
+            documents_job(DOCS, RewritePlan.baseline(), client(), identity_catalog())
 
     def test_cache_hit_skips_endpoint(self, tmp_path):
         cache = RewriteCache(tmp_path / "rw.jsonl")
         warm = client()
-        rewrite_corpus(DOCS, nl_qc_plan(), warm, identity_catalog(), cache)
+        rewrite_side(documents_job, DOCS, warm, cache)
         assert warm.call_count == len(DOCS)
         cold = client()
-        docs, records = rewrite_corpus(DOCS, nl_qc_plan(), cold,
-                                       identity_catalog(), cache)
+        done = rewrite_side(documents_job, DOCS, cold, cache)
         assert cold.call_count == 0
-        assert [d.text for d in docs] == [d.text for d in DOCS]
-        assert len(records) == len(DOCS)
+        assert done.texts == [d.text for d in DOCS]
+        assert len(done.records) == len(DOCS)
 
     def test_failure_falls_back_and_flags(self):
         # one document trips the flaky endpoint; the rest rewrite normally
         flaky = client("mock://flaky?needle=fn_2")
-        docs, records = rewrite_corpus(DOCS, nl_qc_plan(), flaky, identity_catalog())
-        assert len(docs) == len(DOCS)
-        flagged = [r for r in records if r.failed]
+        done = rewrite_side(documents_job, DOCS, flaky)
+        assert len(done.texts) == len(DOCS)
+        flagged = [r for r in done.records if r.failed]
         assert len(flagged) == 1
         assert flagged[0].source_id == "d2"
-        assert docs[2].text == DOCS[2].text  # fallback keeps the original
+        assert done.texts[2] == DOCS[2].text  # fallback keeps the original
 
     def test_table_mock_maps_texts(self, tmp_path):
         table = {DOCS[0].text: "mapped output zero"}
         table_path = tmp_path / "table.json"
         table_path.write_text(json.dumps(table), encoding="utf-8")
         mapped = client(f"mock://table?file={table_path}")
-        docs, _ = rewrite_corpus(DOCS, nl_qc_plan(), mapped, identity_catalog())
-        assert docs[0].text == "mapped output zero"
-        assert docs[1].text == DOCS[1].text  # unmapped -> identity
+        texts = rewrite_side(documents_job, DOCS, mapped).texts
+        assert texts[0] == "mapped output zero"
+        assert texts[1] == DOCS[1].text  # unmapped -> identity
 
     def test_table_is_read_on_the_first_request(self, tmp_path):
         table_path = tmp_path / "table.json"
@@ -118,18 +126,16 @@ class TestRewriteCorpus:
         assert isinstance(done[1], Rewritten)
 
     def test_id_multiset_preserved(self):
-        docs, _ = rewrite_corpus(DOCS, nl_qc_plan(), client(), identity_catalog())
-        assert sorted(d.id for d in docs) == sorted(d.id for d in DOCS)
+        records = rewrite_side(documents_job, DOCS, client()).records
+        assert sorted(r.source_id for r in records) == sorted(d.id for d in DOCS)
 
     def test_frozen_cache_makes_rewrite_pure(self, tmp_path):
         cache = RewriteCache(tmp_path / "rw.jsonl")
-        rewrite_corpus(DOCS, nl_qc_plan(), client(), identity_catalog(), cache)
-        a, rec_a = rewrite_corpus(DOCS, nl_qc_plan(), client(),
-                                  identity_catalog(), RewriteCache(tmp_path / "rw.jsonl"))
-        b, rec_b = rewrite_corpus(DOCS, nl_qc_plan(), client(),
-                                  identity_catalog(), RewriteCache(tmp_path / "rw.jsonl"))
-        assert [d.text for d in a] == [d.text for d in b]
-        assert [r.to_dict() for r in rec_a] == [r.to_dict() for r in rec_b]
+        rewrite_side(documents_job, DOCS, client(), cache)
+        a = rewrite_side(documents_job, DOCS, client(), RewriteCache(tmp_path / "rw.jsonl"))
+        b = rewrite_side(documents_job, DOCS, client(), RewriteCache(tmp_path / "rw.jsonl"))
+        assert a.texts == b.texts
+        assert [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records]
 
 
 class TestRewriteJobs:
@@ -162,13 +168,11 @@ class TestRewriteJobs:
 
     def test_failures_are_not_cached(self, tmp_path):
         cache = RewriteCache(tmp_path / "rw.jsonl")
-        rewrite_corpus(DOCS, nl_qc_plan(), client("mock://flaky?needle=fn_2"),
-                       identity_catalog(), cache)
+        rewrite_side(documents_job, DOCS, client("mock://flaky?needle=fn_2"), cache)
         retry = client()
-        docs, records = rewrite_corpus(DOCS, nl_qc_plan(), retry, identity_catalog(),
-                                       RewriteCache(tmp_path / "rw.jsonl"))
+        done = rewrite_side(documents_job, DOCS, retry, RewriteCache(tmp_path / "rw.jsonl"))
         assert retry.call_count == 1
-        assert not any(r.failed for r in records)
+        assert not any(r.failed for r in done.records)
 
     def test_failed_row_in_an_old_cache_reads_as_a_miss(self, tmp_path):
         path = tmp_path / "rw.jsonl"
@@ -184,23 +188,21 @@ class TestRewriteQueries:
     def test_regime_c_rejected(self):
         plan = RewritePlan(strategy=Strategy.NL, regime=Regime.C, rewriter_id="rw")
         with pytest.raises(ContractError, match="never rewrites queries"):
-            rewrite_queries(QUERIES, plan, client(), identity_catalog())
+            queries_job(QUERIES, plan, client(), identity_catalog())
 
     def test_identity_qc_keeps_queries(self):
-        out, records = rewrite_queries(QUERIES, nl_qc_plan(), client(),
-                                       identity_catalog())
-        assert [q.text for q in out] == [q.text for q in QUERIES]
-        assert len(records) == len(QUERIES)
+        done = rewrite_side(queries_job, QUERIES, client())
+        assert done.texts == [q.text for q in QUERIES]
+        assert len(done.records) == len(QUERIES)
 
     def test_text_to_code_query_uses_table_mapping(self, tmp_path):
         table = {QUERIES[0].text: "def generated(): pass"}
         path = tmp_path / "t.json"
         path.write_text(json.dumps(table), encoding="utf-8")
-        out, records = rewrite_queries(
-            QUERIES, nl_qc_plan(TaskFamily.TEXT_TO_CODE),
-            client(f"mock://table?file={path}"), identity_catalog())
-        assert out[0].text == "def generated(): pass"
-        assert records[0].arm == "NL-QC"
+        done = rewrite_side(queries_job, QUERIES, client(f"mock://table?file={path}"),
+                            plan=nl_qc_plan(TaskFamily.TEXT_TO_CODE))
+        assert done.texts[0] == "def generated(): pass"
+        assert done.records[0].arm == "NL-QC"
 
 
 class TestRewriteRecord:
@@ -303,8 +305,7 @@ class TestAuditSample:
 
 class TestTornRewriteCache:
     def _warm(self, path):
-        rewrite_corpus(DOCS, nl_qc_plan(), client(), identity_catalog(),
-                       RewriteCache(path))
+        rewrite_side(documents_job, DOCS, client(), RewriteCache(path))
 
     def test_torn_last_line_is_skipped_and_counted(self, tmp_path):
         path = tmp_path / "rewrites.jsonl"
@@ -314,7 +315,7 @@ class TestTornRewriteCache:
         cache = RewriteCache(path)
         assert cache.torn_lines == 1
         cold = client()
-        rewrite_corpus(DOCS, nl_qc_plan(), cold, identity_catalog(), cache)
+        rewrite_side(documents_job, DOCS, cold, cache)
         assert cold.call_count == 0
 
     def test_append_after_torn_tail_keeps_file_readable(self, tmp_path):
@@ -323,12 +324,11 @@ class TestTornRewriteCache:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"arm": "NL')
         extra = [Document(id="d9", text="def fn_9(): return 9")]
-        rewrite_corpus(extra, nl_qc_plan(), client(), identity_catalog(),
-                       RewriteCache(path))
+        rewrite_side(documents_job, extra, client(), RewriteCache(path))
         reopened = RewriteCache(path)
         assert reopened.torn_lines == 0
         cold = client()
-        rewrite_corpus(DOCS + extra, nl_qc_plan(), cold, identity_catalog(), reopened)
+        rewrite_side(documents_job, DOCS + extra, cold, reopened)
         assert cold.call_count == 0
 
     def test_malformed_inner_line_still_raises(self, tmp_path):

@@ -5,10 +5,10 @@ import threading
 
 import pytest
 
+from rewritebench import stores
 from rewritebench.errors import StoreError
 from rewritebench.models import Regime, RewritePlan, RunRecord, Strategy
-from rewritebench.stores import (DiagnosticsStore, JsonlLog, RunStore, json_chunks,
-                                 persist_run, write_json)
+from rewritebench.stores import DiagnosticsStore, JsonlLog, RunStore, json_chunks, write_json
 
 
 def _record(i: int = 0) -> RunRecord:
@@ -58,16 +58,16 @@ class TestRunStore:
         assert len(rows) == 100
         assert len({rid for rid, _ in rows}) == 100
 
-    def test_persist_run_helper(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        run_id = persist_run(_record(), path)
+    def test_append_to_a_new_path_starts_at_run_000000(self, tmp_path):
+        path = tmp_path / "sub" / "runs.jsonl"
+        run_id = RunStore(path).append(_record())
         assert run_id == "run-000000"
         assert len(RunStore(path).read()) == 1
 
     def test_schema_version_on_every_line(self, tmp_path):
         import json
         path = tmp_path / "runs.jsonl"
-        persist_run(_record(), path)
+        RunStore(path).append(_record())
         line = json.loads(path.read_text().splitlines()[0])
         assert line["v"] == 1
 
@@ -86,7 +86,7 @@ def test_run_ids_continue_across_reopen(tmp_path):
     path = tmp_path / "runs.jsonl"
     first = RunStore(path)
     ids = [first.append(_record(i)) for i in range(3)]
-    ids.append(persist_run(_record(3), path))
+    ids.append(RunStore(path).append(_record(3)))
     reopened = RunStore(path)
     ids += [reopened.append(_record(i)) for i in range(4, 6)]
     assert ids == [f"run-{i:06d}" for i in range(6)]
@@ -233,7 +233,7 @@ class TestWholeStoreWrites:
     def test_write_replaces_the_file_and_numbers_from_zero(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         for i in range(3):
-            persist_run(_record(i), path)
+            RunStore(path).append(_record(i))
         store = RunStore(path)
         store.write([_record(7), _record(8)])
         assert [rid for rid, _ in store.read()] == ["run-000000", "run-000001"]
@@ -252,6 +252,35 @@ class TestWholeStoreWrites:
             da.append(kind, payload)
         dw.write(reports)
         assert dw.path.read_bytes() == da.path.read_bytes()
+
+    def test_failed_write_leaves_the_old_store_and_no_temporary_file(self, tmp_path,
+                                                                     monkeypatch):
+        store = RunStore(tmp_path / "runs.jsonl")
+        store.write([_record(1), _record(2)])
+        before = store.path.read_bytes()
+
+        class FailingWrites:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def writelines(self, lines):
+                self.fh.write(next(iter(lines)))
+                raise OSError("disk full")
+
+        real_open = open
+        monkeypatch.setattr(stores, "open", lambda *args, **kwargs:
+                            FailingWrites(real_open(*args, **kwargs)), raising=False)
+        with pytest.raises(StoreError, match="disk full"):
+            store.write([_record(3), _record(4)])
+        monkeypatch.undo()
+        assert store.path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["runs.jsonl"]
 
     def test_write_rejects_an_unknown_kind_before_touching_the_file(self, tmp_path):
         store = DiagnosticsStore(tmp_path / "diag.jsonl")
