@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import time
 from concurrent.futures import Executor
@@ -27,11 +26,10 @@ from typing import Iterable, Sequence
 from urllib.parse import parse_qs, urlparse
 
 import numpy as np
-import requests
 
 from .errors import ConfigError, ContractError, EndpointError, WorkbenchError
 from .geometry import EmbeddingMatrix, l2_normalize
-from .sessions import ThreadSessions
+from .sessions import JsonTransport
 from .stores import JsonlLog
 from .tokenizers import word_tokens
 
@@ -76,14 +74,15 @@ class EncoderClient:
         self.call_count = 0
         self._count_lock = threading.Lock()  # matrix cells share the client
         parsed = urlparse(endpoint.url)
-        self._scheme = parsed.scheme
         self._mock_kind = parsed.netloc if parsed.scheme == "mock" else None
         self._mock_params = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
-        self._sessions = ThreadSessions()
+        self._transport = (None if parsed.scheme == "mock" else
+                           JsonTransport(endpoint.url, endpoint.timeout_s, endpoint.auth_env))
 
     def close(self) -> None:
-        """Close the client's HTTP sessions."""
-        self._sessions.close()
+        """Close the client's HTTP connections."""
+        if self._transport is not None:
+            self._transport.close()
 
     @property
     def encoder_id(self) -> str:
@@ -92,7 +91,7 @@ class EncoderClient:
     def _embed_once(self, texts: Sequence[str]) -> list[list[float]]:
         with self._count_lock:
             self.call_count += 1
-        if self._scheme == "mock":
+        if self._transport is None:
             return self._embed_mock(texts)
         return self._embed_http(texts)
 
@@ -108,21 +107,7 @@ class EncoderClient:
         raise ConfigError(f"unknown mock encoder kind {kind!r}")
 
     def _embed_http(self, texts: Sequence[str]) -> list[list[float]]:
-        headers = {"Content-Type": "application/json"}
-        if self.endpoint.auth_env:
-            token = os.environ.get(self.endpoint.auth_env)
-            if token:
-                headers["Authorization"] = f"Bearer {token}"
-        resp = self._sessions.get().post(
-            self.endpoint.url,
-            json={"model": self.encoder_id, "input": list(texts)},
-            headers=headers,
-            timeout=self.endpoint.timeout_s,
-        )
-        if resp.status_code != 200:
-            raise EndpointError(
-                f"encoder {self.encoder_id!r} returned HTTP {resp.status_code}")
-        payload = resp.json()
+        payload = self._transport.post({"model": self.encoder_id, "input": list(texts)})
         data = payload.get("data")
         if not isinstance(data, list) or len(data) != len(texts):
             raise EndpointError(
@@ -137,7 +122,7 @@ class EncoderClient:
         for attempt in range(attempts):
             try:
                 return self._embed_once(texts)
-            except (EndpointError, requests.RequestException) as exc:
+            except EndpointError as exc:
                 last = exc
                 if attempt + 1 < attempts and self.endpoint.backoff_s > 0:
                     time.sleep(self.endpoint.backoff_s * (2 ** attempt))

@@ -36,7 +36,8 @@ class EmbeddingMatrix:
             raise ContractError(
                 f"{len(self.ids)} ids but {self.vectors.shape[0]} vector rows")
         if self.normalized:
-            norms = np.linalg.norm(self.vectors, axis=1)
+            # row-wise: np.linalg.norm would square the whole matrix into a temporary
+            norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
             bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
             if bad.size:
                 raise ContractError(

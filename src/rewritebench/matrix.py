@@ -275,7 +275,7 @@ def run_matrix(config: ExperimentConfig,
     for cell in cells:
         groups.setdefault((cell.encoder_id, cell.side_key("documents")), []).append(cell)
 
-    # the pool's threads are done before the clients' sessions close
+    # the pool's threads are done before the clients' connections close
     with Stages(config, cells) as stages, \
             ThreadPoolExecutor(max_workers=config.parallelism) as pool:
 

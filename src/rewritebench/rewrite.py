@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import threading
 import time
@@ -31,12 +30,10 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 from urllib.parse import parse_qs, urlparse
 
-import requests
-
 from .errors import (ConfigError, ContractError, DomainError, EndpointError,
                      WorkbenchError)
 from .models import Document, Query, Regime, RewritePlan, Strategy
-from .sessions import ThreadSessions
+from .sessions import JsonTransport
 from .stores import JsonlLog
 from .templates import PromptTemplate, TemplateCatalog
 
@@ -124,7 +121,6 @@ class RewriterClient:
         self.call_count = 0
         self._count_lock = threading.Lock()  # matrix cells share the client
         parsed = urlparse(endpoint.url)
-        self._scheme = parsed.scheme
         self._mock_kind = parsed.netloc if parsed.scheme == "mock" else None
         self._mock_params = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
         # mock://table: checked here, read on the first request
@@ -138,11 +134,13 @@ class RewriterClient:
             self._table_path = Path(table_path)
             if not self._table_path.is_file():
                 raise ConfigError(f"mock://table file {table_path} does not exist")
-        self._sessions = ThreadSessions()
+        self._transport = (None if parsed.scheme == "mock" else
+                           JsonTransport(endpoint.url, endpoint.timeout_s, endpoint.auth_env))
 
     def close(self) -> None:
-        """Close the client's HTTP sessions."""
-        self._sessions.close()
+        """Close the client's HTTP connections."""
+        if self._transport is not None:
+            self._transport.close()
 
     @property
     def rewriter_id(self) -> str:
@@ -151,7 +149,7 @@ class RewriterClient:
     def _complete_once(self, system: str, user: str, max_tokens: int) -> tuple[str, bool]:
         with self._count_lock:
             self.call_count += 1
-        if self._scheme == "mock":
+        if self._transport is None:
             return self._complete_mock(user)
         return self._complete_http(system, user, max_tokens)
 
@@ -189,26 +187,13 @@ class RewriterClient:
             return self._table.get(user, user)
 
     def _complete_http(self, system: str, user: str, max_tokens: int) -> tuple[str, bool]:
-        headers = {"Content-Type": "application/json"}
-        if self.endpoint.auth_env:
-            token = os.environ.get(self.endpoint.auth_env)
-            if token:
-                headers["Authorization"] = f"Bearer {token}"
         messages = []
         if system:
             messages.append({"role": "system", "content": system})
         messages.append({"role": "user", "content": user})
-        resp = self._sessions.get().post(
-            self.endpoint.url,
-            json={"model": self.rewriter_id, "messages": messages,
-                  "temperature": self.endpoint.temperature, "max_tokens": max_tokens},
-            headers=headers,
-            timeout=self.endpoint.timeout_s,
-        )
-        if resp.status_code != 200:
-            raise EndpointError(
-                f"rewriter {self.rewriter_id!r} returned HTTP {resp.status_code}")
-        payload = resp.json()
+        payload = self._transport.post({
+            "model": self.rewriter_id, "messages": messages,
+            "temperature": self.endpoint.temperature, "max_tokens": max_tokens})
         try:
             choice = payload["choices"][0]
             text = choice["message"]["content"]
@@ -224,7 +209,7 @@ class RewriterClient:
         for attempt in range(attempts):
             try:
                 return self._complete_once(system, user, max_tokens)
-            except (EndpointError, requests.RequestException) as exc:
+            except EndpointError as exc:
                 last = exc
                 if attempt + 1 < attempts and self.endpoint.backoff_s > 0:
                     time.sleep(self.endpoint.backoff_s * (2 ** attempt))

@@ -1,33 +1,122 @@
-"""One ``requests.Session`` per thread for an endpoint client, so the calls a
-thread makes reuse its connections instead of opening one per call."""
+"""A small stdlib HTTP transport for the endpoint clients: POST a JSON
+payload and decode the JSON object that comes back.
+
+Each thread that calls a transport gets its own ``http.client`` connection
+to the endpoint's origin, made on its first call and kept alive for reuse.
+Proxies come from the environment (``HTTP_PROXY``, ``HTTPS_PROXY``,
+``NO_PROXY``) and are looked up once, when the transport is built: an
+https origin is reached through a ``CONNECT`` tunnel, an http one by sending
+the proxy the absolute URL. HTTPS verifies against the system trust store.
+Redirects are not followed and ``.netrc`` is not read.
+"""
 
 from __future__ import annotations
 
+import http.client
+import json
+import os
+import ssl
 import threading
+from urllib.parse import urlsplit
+from urllib.request import getproxies, proxy_bypass
 
-import requests
+from .errors import ConfigError, EndpointError
+
+# What a kept-alive connection the server has dropped raises before a status
+# line comes back: the request is sent again once, on a new connection.
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
 
-class ThreadSessions:
-    """The calling thread's session, made on its first call. :meth:`close`
-    closes every session made so far; a later call makes a new one."""
+class JsonTransport:
+    """POSTs JSON to one ``http``/``https`` URL. ``timeout_s`` bounds the
+    connect and each read; *auth_env* names the environment variable whose
+    value, when set, is sent as a bearer token. :meth:`close` closes every
+    connection made so far; a later call makes a new one."""
 
-    def __init__(self):
+    def __init__(self, url: str, timeout_s: float, auth_env: str | None = None):
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https"):
+            raise ConfigError(f"endpoint URL {url!r} has scheme {parts.scheme!r}; "
+                              "use http://, https:// or mock://")
+        if not parts.hostname:
+            raise ConfigError(f"endpoint URL {url!r} has no host")
+        self.url, self.timeout_s, self.auth_env = url, timeout_s, auth_env
+        self._host = parts.hostname
+        self._port = parts.port or (443 if parts.scheme == "https" else 80)
+        self._context = ssl.create_default_context() if parts.scheme == "https" else None
+        self._target = parts.path or "/"
+        if parts.query:
+            self._target += "?" + parts.query
+        if not self._target.isascii():  # http.client would fail on every call
+            raise ConfigError(f"endpoint URL {url!r} has non-ASCII characters in its "
+                              "path or query; percent-encode them")
+        self._proxy: tuple[str, int] | None = None
+        proxy = getproxies().get(parts.scheme)
+        if proxy and not proxy_bypass(f"{self._host}:{self._port}"):
+            spec = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if spec.scheme != "http" or not spec.hostname:
+                raise ConfigError(f"proxy {proxy!r} for {url!r}: only an http:// proxy "
+                                  "with a host is supported")
+            self._proxy = (spec.hostname, spec.port or 80)
+            if parts.scheme == "http":  # the proxy is sent the absolute URL
+                self._target = parts._replace(fragment="").geturl()
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._made: list[requests.Session] = []
+        self._made: list[http.client.HTTPConnection] = []
 
-    def get(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            host, port = self._proxy or (self._host, self._port)
+            if self._context is not None:
+                conn = http.client.HTTPSConnection(host, port, timeout=self.timeout_s,
+                                                   context=self._context)
+                if self._proxy:
+                    conn.set_tunnel(self._host, self._port)
+            else:
+                conn = http.client.HTTPConnection(host, port, timeout=self.timeout_s)
+            self._local.conn = conn
             with self._lock:
-                self._made.append(session)
-        return session
+                self._made.append(conn)
+        return conn
+
+    def post(self, payload: dict) -> dict:
+        """POST *payload* and return the decoded JSON object of a 200
+        answer. Any other outcome raises :class:`EndpointError`."""
+        body = json.dumps(payload).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        token = os.environ.get(self.auth_env) if self.auth_env else None
+        if token:
+            headers["Authorization"] = f"Bearer {token}"
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            try:
+                conn.request("POST", self._target, body=body, headers=headers)
+                resp = conn.getresponse()
+            except _STALE:
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("POST", self._target, body=body, headers=headers)
+                resp = conn.getresponse()
+            data = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()  # a half-done exchange leaves the connection unusable
+            raise EndpointError(f"POST {self.url} failed: {exc!r}") from exc
+        if resp.status != 200:
+            raise EndpointError(f"POST {self.url} returned HTTP {resp.status}")
+        try:
+            decoded = json.loads(data)
+        except ValueError as exc:
+            raise EndpointError(f"POST {self.url} returned a body that is not JSON") from exc
+        if not isinstance(decoded, dict):
+            raise EndpointError(f"POST {self.url} returned JSON that is not an object")
+        return decoded
 
     def close(self) -> None:
         with self._lock:
             made, self._made = self._made, []
             self._local = threading.local()
-        for session in made:
-            session.close()
+        for conn in made:
+            conn.close()

@@ -41,6 +41,14 @@ class TestExitCodes:
                                   "url": "mock://table?file=none.json"}])
         assert run_cli(path, "run-matrix") == 2
 
+    def test_unknown_url_scheme_is_two(self, tmp_path):
+        # rejected when the clients are built, before any call is retried
+        for key, item in (("encoders", {"encoder_id": "enc", "url": "htp://127.0.0.1:9/v1",
+                                        "tokenizer": {"kind": "word"}}),
+                          ("rewriters", {"rewriter_id": "rw", "url": "htp://127.0.0.1:9/v1"})):
+            path = write_matrix_config(tmp_path / key, **{key: [item]})
+            assert run_cli(path, "run-matrix") == 2
+
     def test_success_is_zero(self, offline_config):
         assert run_cli(offline_config, "run-matrix") == 0
 
@@ -179,3 +187,15 @@ def test_cli_import_leaves_scipy_out():
          "import sys, rewritebench.cli; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_requests_out():
+    # the endpoint clients speak HTTP through the standard library
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rewritebench.cli; "
+         "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

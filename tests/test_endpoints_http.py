@@ -1,17 +1,20 @@
 """Wire-protocol tests against a local HTTP server: request shapes, auth
-header pass-through, retry-then-recover, and retry exhaustion."""
+header pass-through, retry-then-recover, retry exhaustion, and the
+transport's connections, timeouts and proxies."""
 
 import json
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
 
-from rewritebench import sessions
 from rewritebench.embed import EncoderClient, EncoderEndpoint
-from rewritebench.errors import EndpointError
+from rewritebench.errors import ConfigError, EndpointError
 from rewritebench.rewrite import RewriterClient, RewriterEndpoint
 
 
@@ -28,41 +31,87 @@ class _Handler(BaseHTTPRequestHandler):
             "body": body,
             "auth": self.headers.get("Authorization"),
         })
+        if server.delay_s:
+            time.sleep(server.delay_s)
         if server.fail_remaining > 0:
             server.fail_remaining -= 1
-            self.send_response(500)
-            self.end_headers()
+            self._send(500, b"")
             return
-        if self.path == "/v1/embeddings":
+        if server.raw_body is not None:
+            self._send(200, server.raw_body)
+            return
+        route = urlsplit(self.path).path  # a proxy is sent the absolute URL
+        if route == "/v1/embeddings":
             dim = 4
             payload = {"data": [
                 {"embedding": [float(len(t)), 1.0, 0.0, 0.0][:dim]}
                 for t in body["input"]]}
-        elif self.path == "/v1/chat/completions":
+        elif route == "/v1/chat/completions":
             user = body["messages"][-1]["content"]
             payload = {"choices": [{
                 "message": {"content": f"REWRITTEN::{user}"},
                 "finish_reason": server.finish_reason,
             }]}
         else:
-            self.send_response(404)
-            self.end_headers()
+            self._send(404, b"")
             return
-        data = json.dumps(payload).encode()
-        self.send_response(200)
+        self._send(200, json.dumps(payload).encode())
+
+    def do_CONNECT(self):
+        self.server.requests.append({"path": self.path, "method": "CONNECT"})
+        self._send(502, b"")
+
+    def _send(self, status: int, data: bytes) -> None:
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
 
 
-@pytest.fixture
-def server():
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    httpd.requests = []
-    httpd.fail_remaining = 0
-    httpd.finish_reason = "stop"
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+class _KeepAliveHandler(_Handler):
+    protocol_version = "HTTP/1.1"
+
+
+class _DroppingHandler(_KeepAliveHandler):
+    """Closes every connection after its response, without saying so."""
+
+    def do_POST(self):
+        super().do_POST()
+        self.close_connection = True
+
+
+class _Server(ThreadingHTTPServer):
+    """Counts the TCP connections it accepts and the ones it has closed."""
+
+    def __init__(self, handler):
+        super().__init__(("127.0.0.1", 0), handler)
+        self.requests = []
+        self.fail_remaining = 0
+        self.finish_reason = "stop"
+        self.delay_s = 0.0
+        self.raw_body = None
+        self.opened = self.closed = 0
+        self._closed_lock = threading.Lock()  # handler threads close connections
+
+    def process_request(self, request, client_address):
+        self.opened += 1  # the serving thread alone accepts
+        super().process_request(request, client_address)
+
+    def handle_error(self, request, client_address):
+        if not isinstance(sys.exc_info()[1], ConnectionError):  # a client that gave up
+            super().handle_error(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self._closed_lock:
+            self.closed += 1
+
+
+def _serve(handler):
+    httpd = _Server(handler)
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     try:
         yield httpd
@@ -72,11 +121,35 @@ def server():
         httpd.server_close()
 
 
-def _embed_client(server, retries=2, auth_env=None) -> EncoderClient:
-    url = f"http://127.0.0.1:{server.server_address[1]}/v1/embeddings"
+@pytest.fixture
+def server():
+    yield from _serve(_Handler)
+
+
+@pytest.fixture
+def keepalive_server():
+    yield from _serve(_KeepAliveHandler)
+
+
+@pytest.fixture
+def dropping_server():
+    yield from _serve(_DroppingHandler)
+
+
+@pytest.fixture
+def proxy_server():
+    yield from _serve(_Handler)
+
+
+def _embed_client_at(url, retries=2, auth_env=None, timeout_s=60.0) -> EncoderClient:
     return EncoderClient(EncoderEndpoint(encoder_id="remote-enc", url=url,
                                          retries=retries, backoff_s=0.0,
-                                         auth_env=auth_env))
+                                         auth_env=auth_env, timeout_s=timeout_s))
+
+
+def _embed_client(server, retries=2, auth_env=None) -> EncoderClient:
+    return _embed_client_at(f"http://127.0.0.1:{server.server_address[1]}/v1/embeddings",
+                            retries=retries, auth_env=auth_env)
 
 
 def _rewrite_client(server, retries=2, auth_env=None) -> RewriterClient:
@@ -183,26 +256,109 @@ class TestChatWire:
             client.complete("", "u", 8)
 
 
-def test_one_session_per_client_thread(server, monkeypatch):
-    made, closed = [], []
+def _wait_for(condition, timeout_s=5.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
-    class CountedSession(sessions.requests.Session):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
 
-        def close(self):
-            closed.append(self)
-            super().close()
-
-    monkeypatch.setattr(sessions.requests, "Session", CountedSession)
+def test_one_connection_per_client_thread(keepalive_server):
+    server = keepalive_server
     embed, rewrite = _embed_client(server), _rewrite_client(server)
     with ThreadPoolExecutor(max_workers=2) as pool:
         list(pool.map(lambda i: embed.embed_batch([f"t{i}"]), range(12)))
-        assert 1 <= len(made) <= 2
+        assert 1 <= server.opened <= 2
         list(pool.map(lambda i: rewrite.complete("", f"u{i}", 8), range(12)))
-        assert 2 <= len(made) <= 4
+        assert 2 <= server.opened <= 4
     assert len(server.requests) == 24
+    assert embed.call_count == rewrite.call_count == 12
     embed.close()
     rewrite.close()
-    assert sorted(map(id, closed)) == sorted(map(id, made))
+    assert _wait_for(lambda: server.closed == server.opened), (server.opened, server.closed)
+
+
+class TestTransport:
+    def test_non_json_body_is_retried_then_fails(self, server):
+        server.raw_body = b"<html>busy</html>"
+        client = _rewrite_client(server, retries=1)
+        with pytest.raises(EndpointError, match="after 2 attempts"):
+            client.complete("", "u", 8)
+        assert len(server.requests) == 2
+
+    def test_read_past_timeout_fails(self, server):
+        server.delay_s = 0.5
+        client = _embed_client_at(
+            f"http://127.0.0.1:{server.server_address[1]}/v1/embeddings",
+            retries=0, timeout_s=0.05)
+        with pytest.raises(EndpointError, match="after 1 attempts"):
+            client.embed_batch(["x"])
+        client.close()
+
+    def test_dropped_keepalive_connection_is_resent_once(self, dropping_server,
+                                                         monkeypatch):
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        url = f"http://127.0.0.1:{dropping_server.server_address[1]}/v1/chat/completions"
+        client = RewriterClient(RewriterEndpoint(rewriter_id="rw", url=url,
+                                                 retries=2, backoff_s=30.0))
+        for i in range(10):
+            assert client.complete("", f"u{i}", 8) == (f"REWRITTEN::u{i}", False)
+        assert client.call_count == 10
+        assert dropping_server.opened == 10  # calls 2-10 found theirs dropped
+        assert slept == []
+        client.close()
+
+    def test_http_proxy_gets_the_absolute_url(self, proxy_server, monkeypatch):
+        _clear_proxy_env(monkeypatch)
+        monkeypatch.setenv("HTTP_PROXY",
+                           f"http://127.0.0.1:{proxy_server.server_address[1]}")
+        url = "http://endpoint.test:8080/v1/chat/completions?api-version=1"
+        client = RewriterClient(RewriterEndpoint(rewriter_id="rw", url=url,
+                                                 retries=0, backoff_s=0.0))
+        client.complete("", "u", 8)
+        client.close()
+        assert [r["path"] for r in proxy_server.requests] == [url]
+
+    def test_https_goes_through_a_connect_tunnel(self, proxy_server, monkeypatch):
+        _clear_proxy_env(monkeypatch)
+        monkeypatch.setenv("HTTPS_PROXY",
+                           f"http://127.0.0.1:{proxy_server.server_address[1]}")
+        client = RewriterClient(RewriterEndpoint(
+            rewriter_id="rw", url="https://endpoint.test/v1/chat/completions",
+            retries=0, backoff_s=0.0))
+        with pytest.raises(EndpointError, match="Tunnel connection failed: 502"):
+            client.complete("", "u", 8)
+        client.close()
+        assert proxy_server.requests == [{"path": "endpoint.test:443", "method": "CONNECT"}]
+
+    @pytest.mark.parametrize("url", ["htp://endpoint.test/v1", "http:///v1",
+                                     "http://endpoint.test/v1/émbed"])
+    def test_unusable_url_is_a_config_error(self, url):
+        with pytest.raises(ConfigError):
+            _embed_client_at(url)
+
+    def test_non_http_proxy_is_a_config_error(self, monkeypatch):
+        _clear_proxy_env(monkeypatch)
+        monkeypatch.setenv("HTTP_PROXY", "socks5://127.0.0.1:1080")
+        with pytest.raises(ConfigError, match="socks5"):
+            _embed_client_at("http://endpoint.test/v1/embeddings")
+
+    def test_no_proxy_bypasses_the_proxy(self, server, proxy_server, monkeypatch):
+        _clear_proxy_env(monkeypatch)
+        monkeypatch.setenv("HTTP_PROXY",
+                           f"http://127.0.0.1:{proxy_server.server_address[1]}")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        client = _embed_client(server, retries=0)
+        client.embed_batch(["x"])
+        client.close()
+        assert proxy_server.requests == []
+        assert [r["path"] for r in server.requests] == ["/v1/embeddings"]
+
+
+def _clear_proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)

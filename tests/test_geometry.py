@@ -3,7 +3,7 @@ import pytest
 
 from rewritebench.errors import ConfigError, ContractError, DomainError
 from rewritebench.geometry import (EmbeddingMatrix, GeometryReport,
-                                   build_geometry_report, delta_s,
+                                   NORM_TOL, build_geometry_report, delta_s,
                                    l2_normalize, mean_offdiag_cosine,
                                    with_delta_s)
 
@@ -35,6 +35,24 @@ class TestEmbeddingMatrix:
             EmbeddingMatrix(encoder_id="e", ids=("a", "b"),
                             vectors=np.array([[1.0, 0.0], [2.0, 0.0]]),
                             normalized=True)
+
+    def test_normalized_check_agrees_with_linalg_norm(self):
+        # rows scaled off unit length by 0.5 or 3 tolerances, far from the
+        # boundary compared with the rounding of either way to sum the squares
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal((200, 64))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        v *= 1.0 + rng.choice([-3.0, -0.5, 0.5, 3.0], size=200)[:, None] * NORM_TOL
+        for i, row in enumerate(v):
+            expected = abs(np.linalg.norm(row) - 1.0) <= NORM_TOL
+            try:
+                EmbeddingMatrix(encoder_id="e", ids=(f"r{i}",), vectors=row[None],
+                                normalized=True)
+                accepted = True
+            except ContractError as exc:
+                assert f"r{i}" in str(exc)
+                accepted = False
+            assert accepted == expected
 
 
 class TestL2Normalize:
