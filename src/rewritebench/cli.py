@@ -94,6 +94,7 @@ def _matrices(config: ExperimentConfig, args):
     cell = _cells(config, args)[-1]
     with Stages(config, [cell]) as stages:
         stages.rewrite()
+        stages.fetch()
         return stages.plans[cell].arm_label, stages.corpus(cell).matrix, stages.queries(cell)
 
 
@@ -123,6 +124,7 @@ def _score(config: ExperimentConfig, args) -> ArmResult:
     cells = _cells(config, args)
     with Stages(config, cells) as stages:
         stages.rewrite()
+        stages.fetch()
         for cell in cells:
             arm = stages.score(cell, stages.corpus(cell))
     return arm

@@ -1,5 +1,7 @@
-"""Embedding acquisition: endpoint clients, the on-disk vector cache, and
-the batching wrapper that turns texts into a normalized EmbeddingMatrix.
+"""Embedding acquisition: endpoint clients, the on-disk vector cache, the
+fetch that fills it and the gather that turns cached texts into a
+normalized EmbeddingMatrix. :func:`fetch_missing` is the only code that
+asks an encoder for vectors; :func:`embed_texts` only reads the cache.
 
 The wire protocol is the OpenAI-embeddings-compatible shape. ``mock://``
 URLs dispatch to deterministic in-process encoders so the whole pipeline
@@ -27,7 +29,7 @@ from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, EndpointError, WorkbenchError
+from .errors import CacheMissError, ConfigError, ContractError, EndpointError, WorkbenchError
 from .geometry import EmbeddingMatrix, l2_normalize
 from .sessions import JsonTransport
 from .stores import JsonlLog
@@ -88,7 +90,7 @@ class EncoderClient:
     def encoder_id(self) -> str:
         return self.endpoint.encoder_id
 
-    def _embed_once(self, texts: Sequence[str]) -> list[list[float]]:
+    def _embed_once(self, texts: Sequence[str]) -> Sequence[Sequence[float]]:
         with self._count_lock:
             self.call_count += 1
         if self._transport is None:
@@ -106,16 +108,27 @@ class EncoderClient:
             return [_mock_bow_vector(t, dim).tolist() for t in texts]
         raise ConfigError(f"unknown mock encoder kind {kind!r}")
 
-    def _embed_http(self, texts: Sequence[str]) -> list[list[float]]:
+    def _embed_http(self, texts: Sequence[str]) -> np.ndarray:
+        """The reply's rows, which must each carry an ``"embedding"`` list of
+        finite numbers, all of one length: anything else is retried, and
+        nothing non-finite reaches the cache."""
         payload = self._transport.post({"model": self.encoder_id, "input": list(texts)})
         data = payload.get("data")
         if not isinstance(data, list) or len(data) != len(texts):
             raise EndpointError(
                 f"encoder {self.encoder_id!r} returned {0 if not data else len(data)} "
                 f"embeddings for {len(texts)} inputs")
-        return [row["embedding"] for row in data]
+        try:
+            vectors = np.array([row["embedding"] for row in data])  # ragged: ValueError
+        except (KeyError, TypeError, ValueError):
+            vectors = None
+        if (vectors is None or vectors.ndim != 2 or not vectors.shape[1]
+                or vectors.dtype.kind not in "iuf" or not np.isfinite(vectors).all()):
+            raise EndpointError(f"encoder {self.encoder_id!r} returned embeddings that are "
+                                "not lists of finite numbers of one length")
+        return vectors.astype(np.float64, copy=False)
 
-    def embed_batch(self, texts: Sequence[str]) -> list[list[float]]:
+    def embed_batch(self, texts: Sequence[str]) -> Sequence[Sequence[float]]:
         """Embed one batch, retrying with exponential backoff."""
         attempts = self.endpoint.retries + 1
         last: Exception | None = None
@@ -139,9 +152,11 @@ class EmbeddingCache:
     duplicate keys are benign (values are deterministic, last writer wins).
     One process at a time may write a cache dir. A torn last manifest line
     (a crash mid-write) is skipped and counted in ``torn_lines``; the first
-    ``put`` cuts it off. Rows are appended a batch at a time, vectors before
-    their manifest lines: a crash in between leaves bytes no manifest row
-    points to, never a row that points past the end of ``vectors.bin``.
+    ``put_many`` cuts it off. Rows are appended a batch at a time, vectors
+    before their manifest lines: a crash in between leaves bytes no manifest
+    row points to. A manifest row that points past the end of ``vectors.bin``
+    (a file cut short) is left out of the index when the cache opens, so
+    the next fetch asks for that row again.
     """
 
     def __init__(self, root: str | Path):
@@ -151,46 +166,20 @@ class EmbeddingCache:
         self.manifest_path = self.root / "manifest.jsonl"
         self._lock = threading.Lock()
         self._index: dict[str, tuple[int, int]] = {}
-        self._manifest = JsonlLog(self.manifest_path, self._add_entry)
-        self.torn_lines = self._manifest.torn_lines
-
-    def _add_entry(self, entry: dict) -> None:
-        self._index[entry["key"]] = (entry["offset"], entry["dim"])
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._index
-
-    def get(self, key: str) -> np.ndarray | None:
-        return self.get_many([key])[0]
-
-    def get_many(self, keys: Sequence[str]) -> list[np.ndarray | None]:
-        """Raw vectors for *keys* in order, ``None`` for each miss.
-
-        One read-only mapping of ``vectors.bin`` serves the whole call; the
-        rows are copied out, so no mapping outlives it. A row that runs past
-        the end of the file (a torn vector write) reads as a miss.
-        """
-        with self._lock:
-            hits = [self._index.get(key) for key in keys]
-        out: list[np.ndarray | None] = [None] * len(keys)
-        if not any(hits):
-            return out
         try:
             size = self.vectors_path.stat().st_size
         except FileNotFoundError:
-            return out
-        if size == 0:
-            return out
-        # a plain ndarray over the mapping: slicing a memmap costs far more
-        data = np.asarray(np.memmap(self.vectors_path, dtype=np.uint8, mode="r"))
-        for i, hit in enumerate(hits):
-            if hit is None:
-                continue
-            offset, dim = hit
-            end = offset + dim * 8
-            if end <= size:
-                out[i] = data[offset:end].view(np.float64).copy()
-        return out
+            size = 0
+
+        def add(entry: dict) -> None:
+            if entry["offset"] + entry["dim"] * 8 <= size:
+                self._index[entry["key"]] = (entry["offset"], entry["dim"])
+
+        self._manifest = JsonlLog(self.manifest_path, add)
+        self.torn_lines = self._manifest.torn_lines
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._index
 
     def gather(self, keys: Sequence[str]) -> np.ndarray | None:
         """The raw vectors of *keys* as the rows of one new float64 array,
@@ -223,9 +212,6 @@ class EmbeddingCache:
             return None
         return out
 
-    def put(self, key: str, encoder_id: str, vector: np.ndarray) -> None:
-        self.put_many([(key, encoder_id, vector)])
-
     def put_many(self, rows: Iterable[tuple[str, str, np.ndarray]]) -> None:
         """Append (key, encoder_id, vector) *rows* in order: one write to
         ``vectors.bin``, then one append of their manifest lines. Until
@@ -256,9 +242,8 @@ def fetch_missing(texts: Iterable[str], client: EncoderClient, cache: EmbeddingC
     The misses go to the endpoint in batches of its batch size, one request
     per batch, run on *pool* (or inline without one); their vectors are
     cached in batch order, so the cache files do not depend on the pool's
-    size. After the first failed batch no further batch is sent. Failed
-    batches are left out: :func:`embed_texts` asks for them again and fails
-    on its own.
+    size. After the first failed batch or cache write no further batch is
+    sent; once every batch that came back is cached, that failure is raised.
     """
     encoder_id = client.encoder_id
     misses: dict[str, str] = {}
@@ -269,15 +254,15 @@ def fetch_missing(texts: Iterable[str], client: EncoderClient, cache: EmbeddingC
     keys = list(misses)
     bs = client.endpoint.batch_size
     batches = [keys[i:i + bs] for i in range(0, len(keys), bs)]
-    down = threading.Event()
+    failures: list[WorkbenchError] = []  # appended to by the pool's threads
 
-    def fetch(batch: list[str]) -> list[list[float]] | None:
-        if down.is_set():
+    def fetch(batch: list[str]) -> Sequence[Sequence[float]] | None:
+        if failures:
             return None
         try:
             return client.embed_batch([misses[k] for k in batch])
-        except WorkbenchError:
-            down.set()
+        except WorkbenchError as exc:
+            failures.append(exc)
             return None
 
     for batch, vectors in zip(batches, (pool.map if pool is not None else map)(fetch, batches)):
@@ -285,19 +270,19 @@ def fetch_missing(texts: Iterable[str], client: EncoderClient, cache: EmbeddingC
             continue
         try:
             cache.put_many((key, encoder_id, vec) for key, vec in zip(batch, vectors))
-        except WorkbenchError:
-            pass  # a batch not written is left to embed_texts, like a failed one
+        except WorkbenchError as exc:
+            failures.append(exc)
+    if failures:
+        raise failures[0]
 
 
 def embed_texts(ids: Sequence[str], texts: Sequence[str], client: EncoderClient,
-                cache: EmbeddingCache | None = None) -> EmbeddingMatrix:
-    """One normalized vector per text, in input order.
-
-    Cached texts cost zero endpoint calls; misses are batched by the
-    endpoint's batch size. A dimension mismatch across rows is fatal. When
-    every text is cached the rows are gathered into the matrix itself and
-    normalized in place, so no other copy of it is made.
-    """
+                cache: EmbeddingCache) -> EmbeddingMatrix:
+    """One normalized vector per text, in input order, from *cache* alone:
+    the rows are gathered into the matrix itself and normalized in place, so
+    no other copy of it is made. A text without a cached vector is a
+    :class:`CacheMissError`, and rows of more than one dim an
+    :class:`EndpointError`; the encoder is never called."""
     if len(ids) != len(texts):
         raise ContractError(f"{len(ids)} ids for {len(texts)} texts")
     if len(texts) == 0:
@@ -305,52 +290,13 @@ def embed_texts(ids: Sequence[str], texts: Sequence[str], client: EncoderClient,
 
     encoder_id = client.encoder_id
     keys = [content_key(encoder_id, t) for t in texts]
-    vectors = cache.gather(keys) if cache is not None else None
+    vectors = cache.gather(keys)
     if vectors is None:
-        vectors = _fetch_rows(keys, texts, client, cache)
+        missing = sum(key not in cache for key in keys)
+        if not missing:  # all indexed: rows of more than one dim
+            raise EndpointError(f"encoder {encoder_id!r} returned inconsistent dimensions")
+        raise CacheMissError(
+            f"{missing} of {len(keys)} texts have no cached vector from encoder {encoder_id!r}")
     matrix = EmbeddingMatrix(encoder_id=encoder_id, ids=tuple(ids),
                              vectors=vectors, normalized=False)
     return l2_normalize(matrix, out=vectors)  # nothing else holds the rows
-
-
-def _fetch_rows(keys: Sequence[str], texts: Sequence[str], client: EncoderClient,
-                cache: EmbeddingCache | None) -> np.ndarray:
-    """The raw rows of *texts*, from *cache* where it has them and from the
-    endpoint otherwise (misses are cached)."""
-    encoder_id = client.encoder_id
-    rows: list[np.ndarray | None] = [None] * len(texts)
-
-    cached = cache.get_many(keys) if cache is not None else [None] * len(keys)
-    miss_idx: list[int] = []
-    seen_pending: dict[str, int] = {}
-    for i, (key, vec) in enumerate(zip(keys, cached)):
-        if vec is not None:
-            rows[i] = vec
-        elif key in seen_pending:
-            pass  # duplicate text in the same request: fill after fetch
-        else:
-            seen_pending[key] = i
-            miss_idx.append(i)
-
-    bs = client.endpoint.batch_size
-    for start in range(0, len(miss_idx), bs):
-        chunk = miss_idx[start:start + bs]
-        fetched = client.embed_batch([texts[i] for i in chunk])
-        for i, vec in zip(chunk, fetched):
-            rows[i] = np.asarray(vec, dtype=np.float64)
-        if cache is not None:
-            cache.put_many((keys[i], encoder_id, rows[i]) for i in chunk)
-
-    by_key: dict[str, np.ndarray] = {}
-    for i, row in enumerate(rows):
-        if row is not None:
-            by_key[keys[i]] = row
-    for i, row in enumerate(rows):
-        if row is None:
-            rows[i] = by_key[keys[i]]
-
-    dims = {r.size for r in rows}  # type: ignore[union-attr]
-    if len(dims) != 1:
-        raise EndpointError(
-            f"encoder {encoder_id!r} returned inconsistent dimensions {sorted(dims)}")
-    return np.vstack(rows)

@@ -43,3 +43,7 @@ class EndpointError(WorkbenchError):
 
 class StoreError(WorkbenchError):
     """A persistence operation failed."""
+
+
+class CacheMissError(WorkbenchError):
+    """A stage read a vector that the embedding cache does not hold."""

@@ -14,16 +14,17 @@ successful cell are rewritten to the global stores in cell order.
 
 from __future__ import annotations
 
+import copy
 import shutil
 from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import AbstractContextManager, ExitStack, suppress
+from contextlib import AbstractContextManager, ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .config import ExperimentConfig
 from .embed import EmbeddingCache, EncoderClient, fetch_missing
-from .errors import WorkbenchError
+from .errors import CacheMissError, WorkbenchError
 from .geometry import EmbeddingMatrix
 from .ingest import Collection, ingest_collection
 from .models import Regime, RewritePlan, Strategy, TaskFamily
@@ -191,6 +192,7 @@ class Stages(AbstractContextManager):
         # Baselines' only, each written by one pool item before the arms read it
         self._query_matrices: dict[tuple, EmbeddingMatrix] = {}
         self._baselines: dict[tuple[str, str], ArmResult] = {}
+        self._fetch_failures: dict[str, WorkbenchError] = {}  # by encoder id
 
     def __exit__(self, *exc_info) -> None:
         for client in (*self.encoders.values(), *self.rewriters.values()):
@@ -202,13 +204,30 @@ class Stages(AbstractContextManager):
                                                         self.rewrite_cache, pool)))
 
     def fetch(self, pool: Executor | None = None) -> None:
-        """Stage 2: fetch the vectors the cells lack, each distinct text once."""
+        """Stage 2: fetch the vectors the cells lack, each distinct text once.
+        An encoder's failure is kept for the cells it leaves without vectors."""
         for encoder_id, client in self.encoders.items():
             keys = dict.fromkeys(cell.side_key(side) for cell in self.cells
                                  if cell.encoder_id == encoder_id for side in SIDES)
             wanted = [text for key in keys if isinstance(self._sides[key], Rewritten)
                       for text in self._sides[key].texts]
-            fetch_missing(wanted, client, self.embedding_cache, pool)
+            try:
+                fetch_missing(wanted, client, self.embedding_cache, pool)
+            except WorkbenchError as exc:
+                self._fetch_failures[encoder_id] = exc.with_traceback(None)
+
+    @contextmanager
+    def _fetched(self, cell: CellKey):
+        """Report a vector the cache lacks as the failure of the fetch that
+        left it out. Each cell raises a copy: raising the kept error again
+        would chain each cell's frames, and the corpora they hold, onto it."""
+        try:
+            yield
+        except CacheMissError:
+            failure = self._fetch_failures.get(cell.encoder_id)
+            if failure is None:
+                raise
+            raise copy.copy(failure) from None
 
     def side(self, cell: CellKey, side: str) -> Rewritten:
         """The texts and rewrite records *cell* ranks on one side."""
@@ -220,10 +239,11 @@ class Stages(AbstractContextManager):
     def corpus(self, cell: CellKey) -> Corpus:
         """The corpus *cell* ranks, built anew: the caller sets its lifetime."""
         texts = self.side(cell, "documents").texts  # raises a failed ingest
-        return build_corpus(self.collections[cell.task_id], texts, self.plans[cell],
-                            encoder=self.encoders[cell.encoder_id],
-                            tokenizer=self.tokenizers[cell.encoder_id],
-                            embedding_cache=self.embedding_cache)
+        with self._fetched(cell):
+            return build_corpus(self.collections[cell.task_id], texts, self.plans[cell],
+                                encoder=self.encoders[cell.encoder_id],
+                                tokenizer=self.tokenizers[cell.encoder_id],
+                                embedding_cache=self.embedding_cache)
 
     def queries(self, cell: CellKey) -> EmbeddingMatrix:
         """The query matrix *cell* ranks with; a Baseline's is kept, since
@@ -232,8 +252,9 @@ class Stages(AbstractContextManager):
         matrix = self._query_matrices.get(key)
         if matrix is None:
             texts = self.side(cell, "queries").texts
-            matrix = embed_items(self.collections[cell.task_id].queries, texts,
-                                 self.encoders[cell.encoder_id], self.embedding_cache)
+            with self._fetched(cell):
+                matrix = embed_items(self.collections[cell.task_id].queries, texts,
+                                     self.encoders[cell.encoder_id], self.embedding_cache)
             if cell.is_baseline:
                 self._query_matrices[key] = matrix
         return matrix

@@ -46,16 +46,15 @@ class Corpus:
 
 
 def embed_items(items: Sequence[Document | Query], texts: Sequence[str],
-                encoder: EncoderClient,
-                embedding_cache: EmbeddingCache | None = None) -> EmbeddingMatrix:
+                encoder: EncoderClient, embedding_cache: EmbeddingCache) -> EmbeddingMatrix:
     """The matrix of *texts*, one per item of a collection side, with the
-    items' ids as row ids."""
+    items' ids as row ids, gathered from the cache the fetch stage filled."""
     return embed_texts([x.id for x in items], texts, encoder, embedding_cache)
 
 
 def build_corpus(collection: Collection, texts: Sequence[str], plan: RewritePlan, *,
                  encoder: EncoderClient, tokenizer: Tokenizer,
-                 embedding_cache: EmbeddingCache | None = None) -> Corpus:
+                 embedding_cache: EmbeddingCache) -> Corpus:
     """Lexical report, embedding matrix and geometry of one (rewritten)
     corpus, labelled with *plan*'s arm."""
     lexical = build_lexical_report(

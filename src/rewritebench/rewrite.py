@@ -197,6 +197,8 @@ class RewriterClient:
         try:
             choice = payload["choices"][0]
             text = choice["message"]["content"]
+            if not isinstance(text, str):  # "content": null
+                raise TypeError(f"content is {type(text).__name__}")
         except (KeyError, IndexError, TypeError) as exc:
             raise EndpointError(
                 f"rewriter {self.rewriter_id!r} returned an unexpected payload") from exc

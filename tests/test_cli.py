@@ -8,6 +8,7 @@ import pytest
 
 from conftest import write_matrix_config
 from rewritebench.cli import main
+from rewritebench.embed import EncoderClient
 
 
 def run_cli(config_path, *argv) -> int:
@@ -176,6 +177,32 @@ def test_eval_and_diagnose_equal_the_matrix_cell(tmp_path, regime):
     assert sorted(reports) == ["geometry", "lexical"]
     for kind, report in reports.items():
         assert report == json.loads((cell_dir / f"{kind}.json").read_text())
+
+
+def test_eval_on_a_cold_cache_equals_the_matrix_cell(tmp_path, monkeypatch):
+    path = write_matrix_config(tmp_path)
+    assert run_cli(path, "run-matrix") == 0
+    calls = []
+    embed_batch = EncoderClient.embed_batch
+    monkeypatch.setattr(EncoderClient, "embed_batch",
+                        lambda self, texts: calls.append(texts) or embed_batch(self, texts))
+    cold = ["--cache-dir", str(tmp_path / "cold"), "--out-dir", str(tmp_path / "fresh")]
+    assert run_cli(path, *cold, "eval", "--task", "toy", "--encoder", "bow",
+                   "--rewriter", "ident", "--strategy", "NL", "--regime", "QC") == 0
+    # the fetch stage asks once for the distinct texts of the Baseline and the arm
+    assert len(calls) == 1
+    (run,) = [json.loads(line)
+              for line in (tmp_path / "fresh" / "runs.jsonl").read_text().splitlines()]
+    del run["v"], run["run_id"]
+    cell_dir = tmp_path / "out" / "cells" / "bow__toy__ident__NL__QC"
+    assert run == json.loads((cell_dir / "record.json").read_text())
+
+
+def test_eval_with_a_dead_encoder_reports_its_fetch(tmp_path, capsys):
+    path = write_matrix_config(tmp_path, encoders=[
+        {"encoder_id": "dead", "url": "mock://fail", "tokenizer": {"kind": "word"}}])
+    assert run_cli(path, "eval", "--task", "toy", "--encoder", "dead") == 1
+    assert "failed after 2 attempts" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_out():

@@ -7,7 +7,7 @@ import pytest
 from conftest import assert_calls_counted_under_threads
 from rewritebench.embed import (EmbeddingCache, EncoderClient, EncoderEndpoint,
                                 content_key, embed_texts, fetch_missing)
-from rewritebench.errors import ContractError, EndpointError, StoreError
+from rewritebench.errors import CacheMissError, ContractError, EndpointError, StoreError
 from rewritebench.geometry import EmbeddingMatrix, l2_normalize
 
 
@@ -16,6 +16,13 @@ def mock_client(url: str = "mock://hash?dim=16", batch_size: int = 32,
     return EncoderClient(EncoderEndpoint(encoder_id="mock-enc", url=url,
                                          batch_size=batch_size, retries=retries,
                                          backoff_s=backoff))
+
+
+def fetch_and_gather(ids, texts, client, cache) -> EmbeddingMatrix:
+    """The matrix of *texts* as a stage reads it: the fetch stage fills the
+    cache, then the gather reads it."""
+    fetch_missing(texts, client, cache)
+    return embed_texts(ids, texts, client, cache)
 
 
 class TestMockEncoders:
@@ -51,7 +58,7 @@ class TestEmbedTexts:
     def test_rows_in_input_order(self, tmp_path):
         client = mock_client(batch_size=2)
         cache = EmbeddingCache(tmp_path)
-        out = embed_texts(["a", "b", "c"], ["ta", "tb", "tc"], client, cache)
+        out = fetch_and_gather(["a", "b", "c"], ["ta", "tb", "tc"], client, cache)
         assert out.ids == ("a", "b", "c")
         assert out.n_rows == 3 and out.dim == 16
         assert client.call_count == 2  # 3 misses in batches of 2
@@ -59,7 +66,7 @@ class TestEmbedTexts:
     def test_fully_cached_costs_zero_calls(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
         warm = mock_client()
-        embed_texts(["a", "b"], ["ta", "tb"], warm, cache)
+        fetch_and_gather(["a", "b"], ["ta", "tb"], warm, cache)
         cold = mock_client()
         out = embed_texts(["a", "b"], ["ta", "tb"], cold, cache)
         assert cold.call_count == 0
@@ -67,42 +74,51 @@ class TestEmbedTexts:
 
     def test_same_text_identical_rows(self, tmp_path):
         client = mock_client()
-        out = embed_texts(["a", "b"], ["same text", "same text"], client,
-                          EmbeddingCache(tmp_path))
+        out = fetch_and_gather(["a", "b"], ["same text", "same text"], client,
+                               EmbeddingCache(tmp_path))
         np.testing.assert_array_equal(out.vectors[0], out.vectors[1])
+        assert client.call_count == 1
 
     def test_cache_stores_raw_vectors(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
         client = mock_client("mock://bow?dim=8")
-        embed_texts(["a"], ["word word word"], client, cache)
-        raw = cache.get(content_key("mock-enc", "word word word"))
+        fetch_missing(["word word word"], client, cache)
+        (raw,) = cache.gather([content_key("mock-enc", "word word word")])
         # bow counts are unnormalized in the cache; normalization is at load
         assert np.abs(raw).max() == 3.0
 
     def test_cache_survives_reopen(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
         client = mock_client()
-        first = embed_texts(["a"], ["text"], client, cache)
+        first = fetch_and_gather(["a"], ["text"], client, cache)
         reopened = EmbeddingCache(tmp_path)
         second = embed_texts(["a"], ["text"], mock_client(), reopened)
         np.testing.assert_array_equal(first.vectors, second.vectors)
 
-    def test_no_cache_still_works(self):
-        out = embed_texts(["a"], ["text"], mock_client(), cache=None)
-        assert out.n_rows == 1
+    def test_a_miss_raises_and_calls_no_encoder(self, tmp_path):
+        cache = EmbeddingCache(tmp_path)
+        fetch_missing(["ta"], mock_client(), cache)
+        dead = mock_client("mock://fail")
+        with pytest.raises(CacheMissError, match="1 of 2 texts"):
+            embed_texts(["a", "b"], ["ta", "tb"], dead, cache)
+        assert dead.call_count == 0
 
-    def test_id_text_length_mismatch(self):
+    def test_id_text_length_mismatch(self, tmp_path):
         with pytest.raises(ContractError):
-            embed_texts(["a"], ["x", "y"], mock_client())
+            embed_texts(["a"], ["x", "y"], mock_client(), EmbeddingCache(tmp_path))
 
     def test_endpoint_exhaustion_aborts(self, tmp_path):
         client = mock_client("mock://fail", retries=0)
-        with pytest.raises(EndpointError):
-            embed_texts(["a"], ["x"], client, EmbeddingCache(tmp_path))
+        cache = EmbeddingCache(tmp_path)
+        with pytest.raises(EndpointError, match="after 1 attempts"):
+            fetch_missing(["x"], client, cache)
+        with pytest.raises(CacheMissError):
+            embed_texts(["a"], ["x"], client, cache)
+        assert client.call_count == 1
 
     def test_normalization_contract(self, tmp_path):
-        out = embed_texts(["a", "b"], ["one two", "three four"],
-                          mock_client("mock://bow?dim=32"), EmbeddingCache(tmp_path))
+        out = fetch_and_gather(["a", "b"], ["one two", "three four"],
+                               mock_client("mock://bow?dim=32"), EmbeddingCache(tmp_path))
         np.testing.assert_allclose(np.linalg.norm(out.vectors, axis=1), 1.0,
                                    atol=1e-9)
 
@@ -110,7 +126,7 @@ class TestEmbedTexts:
 class TestFetchMissing:
     def test_distinct_misses_fetched_once_in_batches(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
-        embed_texts(["a"], ["ta"], mock_client(), cache)
+        fetch_missing(["ta"], mock_client(), cache)
         client = mock_client(batch_size=2)
         texts = ["ta", "tb", "tc", "tb", "td", "te", "tc"]
         with ThreadPoolExecutor(max_workers=3) as pool:
@@ -123,20 +139,37 @@ class TestFetchMissing:
         embed_texts(list("abcde"), ["ta", "tb", "tc", "td", "te"], cold, cache)
         assert cold.call_count == 0
 
-    def test_failed_batch_stops_fetching_and_leaves_it_to_embed_texts(self, tmp_path):
+    def test_failed_batch_stops_fetching_and_is_raised(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
         client = mock_client("mock://fail", batch_size=1, retries=0)
-        fetch_missing(["ta", "tb", "tc"], client, cache)
+        with pytest.raises(EndpointError, match="failed after 1 attempts"):
+            fetch_missing(["ta", "tb", "tc"], client, cache)
         assert client.call_count == 1
         assert not any(content_key("mock-enc", t) in cache for t in ["ta", "tb", "tc"])
-        with pytest.raises(EndpointError):
-            embed_texts(["a"], ["ta"], client, cache)
+
+    def test_failed_cache_write_stops_fetching_and_is_raised(self, tmp_path, monkeypatch):
+        cache = EmbeddingCache(tmp_path)
+        put_many, writes = cache.put_many, []
+
+        def second_write_fails(rows):
+            writes.append(rows)
+            if len(writes) == 2:
+                raise StoreError("disk full")
+            put_many(rows)
+
+        monkeypatch.setattr(cache, "put_many", second_write_fails)
+        client = mock_client(batch_size=1)
+        with pytest.raises(StoreError, match="disk full"):
+            fetch_missing(["ta", "tb", "tc"], client, cache)
+        assert client.call_count == 2  # the batch after the failed write is not sent
+        assert [content_key("mock-enc", t) in cache for t in ["ta", "tb", "tc"]] == \
+            [True, False, False]
 
 
 class TestTornManifest:
     def _warm(self, root):
         cache = EmbeddingCache(root)
-        embed_texts(["a", "b"], ["ta", "tb"], mock_client(), cache)
+        fetch_missing(["ta", "tb"], mock_client(), cache)
         return cache
 
     def test_torn_last_line_is_skipped_and_counted(self, tmp_path):
@@ -146,18 +179,18 @@ class TestTornManifest:
         cache = EmbeddingCache(tmp_path)
         assert cache.torn_lines == 1
         client = mock_client()
-        embed_texts(["a", "b"], ["ta", "tb"], client, cache)
+        fetch_and_gather(["a", "b"], ["ta", "tb"], client, cache)
         assert client.call_count == 0
 
     def test_append_after_torn_tail_keeps_manifest_readable(self, tmp_path):
         self._warm(tmp_path)
         with open(tmp_path / "manifest.jsonl", "a", encoding="utf-8") as fh:
             fh.write('{"dim": 16, "enc')
-        embed_texts(["c"], ["tc"], mock_client(), EmbeddingCache(tmp_path))
+        fetch_missing(["tc"], mock_client(), EmbeddingCache(tmp_path))
         reopened = EmbeddingCache(tmp_path)
         assert reopened.torn_lines == 0
         client = mock_client()
-        embed_texts(["a", "b", "c"], ["ta", "tb", "tc"], client, reopened)
+        fetch_and_gather(["a", "b", "c"], ["ta", "tb", "tc"], client, reopened)
         assert client.call_count == 0
 
     def test_intact_manifest_has_no_torn_lines(self, tmp_path):
@@ -183,7 +216,7 @@ class TestPutMany:
         rows = self._rows(9)
         one, many = EmbeddingCache(tmp_path / "one"), EmbeddingCache(tmp_path / "many")
         for row in rows:
-            one.put(*row)
+            one.put_many([row])
         many.put_many(rows[:4])
         many.put_many([])
         many.put_many(rows[4:])
@@ -204,9 +237,8 @@ class TestPutMany:
             cache.put_many(rows[2:])
         keys = [key for key, _, _ in rows]
         assert [key in cache for key in keys] == [True, True, False, False, False]
-        got = cache.get_many(keys)
-        assert got[2:] == [None, None, None]
-        assert np.array_equal(got[1], rows[1][2])
+        assert np.array_equal(cache.gather(keys[:2]), np.stack([rows[0][2], rows[1][2]]))
+        assert cache.gather(keys) is None
         # the batch's vectors went first: orphan bytes past the indexed rows
         assert cache.vectors_path.stat().st_size == 5 * 6 * 8
 
@@ -226,67 +258,60 @@ def test_call_count_is_exact_under_threads():
         mock_client(), lambda c, i: c.embed_batch([f"text {i}"]))
 
 
-class TestGetMany:
-    def test_equals_per_key_get_on_hits_and_misses(self, tmp_path):
-        cache = EmbeddingCache(tmp_path)
-        embed_texts(["a", "b", "c"], ["ta", "tb", "tc"],
-                    mock_client("mock://bow?dim=8"), cache)
-        keys = [content_key("mock-enc", t) for t in ("tb", "nope", "ta", "tb", "tc")]
-        many = cache.get_many(keys)
-        one_by_one = [cache.get(k) for k in keys]
-        assert [v is None for v in many] == [False, True, False, False, False]
-        for got, want in zip(many, one_by_one):
-            if want is None:
-                assert got is None
-            else:
-                np.testing.assert_array_equal(got, want)
-                assert got.flags.writeable and got.flags.owndata
+def _per_row(ids, root, keys) -> EmbeddingMatrix:
+    """The reference: each key's row read on its own from the cache's files,
+    stacked, then normalized."""
+    entries = {}
+    for line in (root / "manifest.jsonl").read_text(encoding="utf-8").splitlines():
+        entry = json.loads(line)
+        entries[entry["key"]] = entry
+    data = (root / "vectors.bin").read_bytes()
+    rows = [np.frombuffer(data, np.float64, entries[k]["dim"], entries[k]["offset"])
+            for k in keys]
+    return l2_normalize(EmbeddingMatrix(encoder_id="mock-enc", ids=tuple(ids),
+                                        vectors=np.vstack(rows)))
 
-    def test_reopened_cache_reads_same_rows(self, tmp_path):
+
+class TestGetMany:
+    """Per-key hits and misses of a damaged cache: one row at a time through
+    ``gather``, and through ``in`` once the cache is opened again."""
+
+    def _warm(self, tmp_path) -> tuple[EmbeddingCache, list[str]]:
         cache = EmbeddingCache(tmp_path)
-        embed_texts(["a", "b"], ["ta", "tb"], mock_client(), cache)
-        keys = [content_key("mock-enc", t) for t in ("ta", "tb")]
-        for got, want in zip(EmbeddingCache(tmp_path).get_many(keys), cache.get_many(keys)):
-            np.testing.assert_array_equal(got, want)
+        fetch_missing(["ta", "tb"], mock_client(), cache)
+        return cache, [content_key("mock-enc", t) for t in ("ta", "tb")]
 
     @pytest.mark.parametrize("damage", ["missing", "empty"])
     def test_missing_or_empty_vectors_file_is_all_misses(self, tmp_path, damage):
-        cache = EmbeddingCache(tmp_path)
-        embed_texts(["a", "b"], ["ta", "tb"], mock_client(), cache)
+        cache, keys = self._warm(tmp_path)
         if damage == "missing":
             (tmp_path / "vectors.bin").unlink()
         else:
             (tmp_path / "vectors.bin").write_bytes(b"")
-        keys = [content_key("mock-enc", t) for t in ("ta", "tb")]
-        assert cache.get_many(keys) == [None, None]
-        assert [cache.get(k) for k in keys] == [None, None]
+        assert [cache.gather([k]) for k in keys] == [None, None]
+        assert [k in EmbeddingCache(tmp_path) for k in keys] == [False, False]
 
     def test_row_past_end_of_file_is_a_miss(self, tmp_path):
-        cache = EmbeddingCache(tmp_path)
-        embed_texts(["a", "b"], ["ta", "tb"], mock_client(), cache)
+        cache, keys = self._warm(tmp_path)
         path = tmp_path / "vectors.bin"
         path.write_bytes(path.read_bytes()[:-8])
-        first, second = cache.get_many([content_key("mock-enc", t) for t in ("ta", "tb")])
+        first, second = (cache.gather([k]) for k in keys)
         assert first is not None and second is None
-
-    def test_no_keys(self, tmp_path):
-        assert EmbeddingCache(tmp_path).get_many([]) == []
-
-
-def _per_row(ids, cache, keys) -> EmbeddingMatrix:
-    """The reference: one copy per cached row, stacked, then normalized."""
-    return l2_normalize(EmbeddingMatrix(encoder_id="mock-enc", ids=tuple(ids),
-                                        vectors=np.vstack(cache.get_many(keys))))
+        assert [k in EmbeddingCache(tmp_path) for k in keys] == [True, False]
 
 
 class TestGather:
     TEXTS = [f"text number {i} with words" for i in range(7)]
+    URL = "mock://bow?dim=16"
 
-    def _warm(self, tmp_path, url="mock://bow?dim=16", batch_size=3):
+    def _warm(self, tmp_path, batch_size=3):
         cache = EmbeddingCache(tmp_path)
-        embed_texts([f"i{i}" for i in range(len(self.TEXTS))], self.TEXTS,
-                    mock_client(url, batch_size=batch_size), cache)
+        fetch_missing(self.TEXTS, mock_client(self.URL, batch_size=batch_size), cache)
         return cache
+
+    def _fresh(self, tmp_path, texts) -> EmbeddingMatrix:
+        return fetch_and_gather(["x"] * len(texts), texts, mock_client(self.URL),
+                                EmbeddingCache(tmp_path / "fresh"))
 
     def test_all_hits_equal_the_per_row_path_bit_for_bit(self, tmp_path):
         cache = self._warm(tmp_path)
@@ -295,24 +320,38 @@ class TestGather:
         ids = [f"x{i}" for i in range(len(texts))]
         keys = [content_key("mock-enc", t) for t in texts]
         gathered = cache.gather(keys)
-        np.testing.assert_array_equal(gathered, np.vstack(cache.get_many(keys)))
         assert gathered.flags.c_contiguous and gathered.flags.owndata
-        client = mock_client("mock://bow?dim=16")
+        client = mock_client(self.URL)
         out = embed_texts(ids, texts, client, cache)
         assert client.call_count == 0
-        want = _per_row(ids, cache, keys)
+        want = _per_row(ids, tmp_path, keys)
         assert out.vectors.tobytes() == want.vectors.tobytes()
         assert out.normalized and out.ids == tuple(ids)
+
+    def test_reopened_cache_reads_same_rows(self, tmp_path):
+        cache = self._warm(tmp_path)
+        keys = [content_key("mock-enc", t) for t in self.TEXTS]
+        assert EmbeddingCache(tmp_path).gather(keys).tobytes() == cache.gather(keys).tobytes()
 
     def test_partial_hit_falls_back(self, tmp_path):
         cache = self._warm(tmp_path)
         texts = [self.TEXTS[0], "a text never embedded", self.TEXTS[2]]
         assert cache.gather([content_key("mock-enc", t) for t in texts]) is None
-        client = mock_client("mock://bow?dim=16")
-        out = embed_texts(["a", "b", "c"], texts, client, cache)
+        client = mock_client(self.URL)
+        out = fetch_and_gather(["x"] * 3, texts, client, cache)
         assert client.call_count == 1
-        fresh = embed_texts(["a", "b", "c"], texts, mock_client("mock://bow?dim=16"))
-        assert out.vectors.tobytes() == fresh.vectors.tobytes()
+        assert out.vectors.tobytes() == self._fresh(tmp_path, texts).vectors.tobytes()
+
+    def _fetch_again(self, tmp_path) -> list[str]:
+        """Reopen a damaged cache and fetch every text again: the texts the
+        encoder is asked for, once the gather equals a fresh embed."""
+        reopened = EmbeddingCache(tmp_path)
+        client = mock_client(self.URL)
+        asked, embed_batch = [], client.embed_batch
+        client.embed_batch = lambda texts: asked.extend(texts) or embed_batch(texts)
+        out = fetch_and_gather(["x"] * len(self.TEXTS), self.TEXTS, client, reopened)
+        assert out.vectors.tobytes() == self._fresh(tmp_path, self.TEXTS).vectors.tobytes()
+        return asked
 
     def test_torn_last_row_falls_back(self, tmp_path):
         cache = self._warm(tmp_path)
@@ -321,23 +360,26 @@ class TestGather:
         keys = [content_key("mock-enc", t) for t in self.TEXTS]
         assert cache.gather(keys) is None
         assert cache.gather(keys[:-1]) is not None
-        client = mock_client("mock://bow?dim=16")
-        out = embed_texts(["x"] * len(self.TEXTS), self.TEXTS, client, cache)
-        assert client.call_count == 1  # only the torn row is asked for again
-        fresh = embed_texts(["x"] * len(self.TEXTS), self.TEXTS,
-                            mock_client("mock://bow?dim=16"))
-        assert out.vectors.tobytes() == fresh.vectors.tobytes()
+        # only the torn row is asked for again
+        assert self._fetch_again(tmp_path) == self.TEXTS[-1:]
 
     def test_missing_vectors_file_falls_back(self, tmp_path):
         cache = self._warm(tmp_path)
         (tmp_path / "vectors.bin").unlink()
         assert cache.gather([content_key("mock-enc", self.TEXTS[0])]) is None
+        assert self._fetch_again(tmp_path) == self.TEXTS
+
+    def test_empty_vectors_file_falls_back(self, tmp_path):
+        cache = self._warm(tmp_path)
+        (tmp_path / "vectors.bin").write_bytes(b"")
+        assert cache.gather([content_key("mock-enc", self.TEXTS[0])]) is None
+        assert self._fetch_again(tmp_path) == self.TEXTS
 
     def test_mixed_dimensions_fall_back(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
         keys = [content_key("mock-enc", t) for t in ("ta", "tb")]
-        cache.put(keys[0], "mock-enc", np.ones(4))
-        cache.put(keys[1], "mock-enc", np.ones(6))
+        cache.put_many([(keys[0], "mock-enc", np.ones(4))])
+        cache.put_many([(keys[1], "mock-enc", np.ones(6))])
         assert cache.gather(keys) is None
         assert cache.gather(keys[1:]) is not None
         client = mock_client("mock://bow?dim=4")

@@ -1,6 +1,6 @@
 """Wire-protocol tests against a local HTTP server: request shapes, auth
-header pass-through, retry-then-recover, retry exhaustion, and the
-transport's connections, timeouts and proxies."""
+header pass-through, retry-then-recover, retry exhaustion, malformed
+replies, and the transport's connections, timeouts and proxies."""
 
 import json
 import sys
@@ -13,8 +13,12 @@ from urllib.parse import urlsplit
 import numpy as np
 import pytest
 
-from rewritebench.embed import EncoderClient, EncoderEndpoint
+from conftest import TOY_DOCS, write_matrix_config
+from rewritebench.embed import (EmbeddingCache, EncoderClient, EncoderEndpoint,
+                                embed_texts, fetch_missing)
+from rewritebench.config import load_config
 from rewritebench.errors import ConfigError, EndpointError
+from rewritebench.matrix import run_matrix
 from rewritebench.rewrite import RewriterClient, RewriterEndpoint
 
 
@@ -42,14 +46,11 @@ class _Handler(BaseHTTPRequestHandler):
             return
         route = urlsplit(self.path).path  # a proxy is sent the absolute URL
         if route == "/v1/embeddings":
-            dim = 4
-            payload = {"data": [
-                {"embedding": [float(len(t)), 1.0, 0.0, 0.0][:dim]}
-                for t in body["input"]]}
+            payload = {"data": [server.embed_row(t) for t in body["input"]]}
         elif route == "/v1/chat/completions":
             user = body["messages"][-1]["content"]
             payload = {"choices": [{
-                "message": {"content": f"REWRITTEN::{user}"},
+                "message": {"content": server.content(user)},
                 "finish_reason": server.finish_reason,
             }]}
         else:
@@ -91,6 +92,8 @@ class _Server(ThreadingHTTPServer):
         self.finish_reason = "stop"
         self.delay_s = 0.0
         self.raw_body = None
+        self.embed_row = lambda text: {"embedding": [float(len(text)), 1.0, 0.0, 0.0]}
+        self.content = lambda user: f"REWRITTEN::{user}"
         self.opened = self.closed = 0
         self._closed_lock = threading.Lock()  # handler threads close connections
 
@@ -197,10 +200,10 @@ class TestEmbeddingsWire:
         assert len(good) == 2
 
     def test_retried_batch_never_duplicates_rows(self, server, tmp_path):
-        from rewritebench.embed import EmbeddingCache, embed_texts
         server.fail_remaining = 1
         client = _embed_client(server, retries=2)
         cache = EmbeddingCache(tmp_path)
+        fetch_missing(["first", "second"], client, cache)
         out = embed_texts(["a", "b"], ["first", "second"], client, cache)
         assert out.n_rows == 2
         assert out.ids == ("a", "b")
@@ -254,6 +257,85 @@ class TestChatWire:
         client = _rewrite_client(server, retries=0)
         with pytest.raises(EndpointError, match="after 1 attempts"):
             client.complete("", "u", 8)
+
+
+_MALFORMED_ROWS = {
+    "no_embedding": lambda text: {"vector": [1.0, 0.0, 0.0, 0.0]},
+    "not_a_list": lambda text: {"embedding": "abc"},
+    "nan": lambda text: {"embedding": [float("nan"), 1.0, 0.0, 0.0]},
+}
+
+
+def _url(server, route: str) -> str:
+    return f"http://127.0.0.1:{server.server_address[1]}{route}"
+
+
+def _cache_files(cfg) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted((cfg.cache_dir / "embeddings").iterdir())}
+
+
+def _cell_results(cfg) -> dict[str, bytes]:
+    """Each cell's record and reports (``meta.json`` holds the config hash)."""
+    return {str(p.relative_to(cfg.out_dir)): p.read_bytes()
+            for name in ("record", "lexical", "geometry")
+            for p in sorted((cfg.out_dir / "cells").glob(f"*/{name}.json"))}
+
+
+class TestMalformedReplies:
+    """A reply that does not keep the wire contract is an EndpointError: it
+    is retried, then fails only the cells that need it, and nothing of it
+    is cached."""
+
+    @pytest.mark.parametrize("reply", sorted(_MALFORMED_ROWS))
+    def test_malformed_embedding_is_retried_then_fails(self, server, reply):
+        server.embed_row = _MALFORMED_ROWS[reply]
+        client = _embed_client(server, retries=1)
+        with pytest.raises(EndpointError, match="after 2 attempts.*finite numbers"):
+            client.embed_batch(["x", "yz"])
+        assert len(server.requests) == 2
+
+    @pytest.mark.parametrize("reply", sorted(_MALFORMED_ROWS))
+    def test_malformed_embedding_fails_only_its_cells(self, server, tmp_path, reply):
+        healthy = {"encoder_id": "bow", "url": "mock://bow?dim=16",
+                   "tokenizer": {"kind": "word"}}
+        remote = {"encoder_id": "remote-enc", "url": _url(server, "/v1/embeddings"),
+                  "tokenizer": {"kind": "word"}}
+        cfg = load_config(write_matrix_config(tmp_path, encoders=[healthy]))
+        assert run_matrix(cfg).exit_status == 0
+        cache = _cache_files(cfg)
+        cells = _cell_results(cfg)
+
+        server.embed_row = _MALFORMED_ROWS[reply]
+        cfg = load_config(write_matrix_config(tmp_path, encoders=[healthy, remote]))
+        result = run_matrix(cfg)
+        assert result.exit_status == 1
+        assert {c.encoder_id for c in result.failures} == {"remote-enc"}
+        assert {c.encoder_id for c in result.results} == {"bow"}
+        assert all("failed after 2 attempts" in msg for msg in result.failures.values())
+        assert result.endpoint_calls["encoder:remote-enc"] == len(server.requests) == 2
+        assert _cache_files(cfg) == cache
+        assert _cell_results(cfg) == cells
+
+    def test_null_content_is_retried_then_fails(self, server):
+        server.content = lambda user: None
+        client = _rewrite_client(server, retries=1)
+        with pytest.raises(EndpointError, match="after 2 attempts"):
+            client.complete("", "u", 8)
+        assert len(server.requests) == 2
+
+    def test_null_content_falls_back_to_the_source_text(self, server, tmp_path):
+        server.content = lambda user: None
+        remote = {"rewriter_id": "remote-rw", "url": _url(server, "/v1/chat/completions")}
+        cfg = load_config(write_matrix_config(tmp_path, rewriters=[remote]))
+        result = run_matrix(cfg)
+        assert result.exit_status == 0
+        cell_dir = cfg.out_dir / "cells" / "bow__toy__remote-rw__NL__QC"
+        rows = [json.loads(line)
+                for line in (cell_dir / "rewrites.jsonl").read_text().splitlines()]
+        assert len(rows) == len(TOY_DOCS) + 3
+        assert all(row["failed"] and row["output_text"] == "" for row in rows)
+        record = json.loads((cell_dir / "record.json").read_text())
+        assert record["delta_ndcg"] == 0.0  # it ranked the source texts
 
 
 def _wait_for(condition, timeout_s=5.0) -> bool:

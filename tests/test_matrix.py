@@ -196,6 +196,22 @@ class TestFaultIsolation:
         for p, data in faulty_cells.items():
             assert clean_cells[p] == data
 
+    def test_dead_encoder_is_asked_once_per_run(self, tmp_path):
+        # one batch's retries, not one more round per corpus group
+        encoders = [{"encoder_id": "bow", "url": "mock://bow?dim=16",
+                     "tokenizer": {"kind": "word"}},
+                    {"encoder_id": "dead", "url": "mock://fail", "retries": 2,
+                     "tokenizer": {"kind": "word"}}]
+        cfg = load_config(write_matrix_config(
+            tmp_path, encoders=encoders, strategies=("Rephrase", "Pseudo", "NL"),
+            regimes=("QC", "C")))
+        result = run_matrix(cfg)
+        assert result.endpoint_calls["encoder:dead"] == 3
+        dead = {cell for cell in plan_cells(cfg) if cell.encoder_id == "dead"}
+        assert len(dead) == 7 and set(result.failures) == dead
+        assert all("failed after 3 attempts" in msg for msg in result.failures.values())
+        assert set(result.results) == set(plan_cells(cfg)) - dead
+
     def test_failed_rerun_removes_the_cells_earlier_files(self, tmp_path):
         path = write_matrix_config(tmp_path, regimes=("QC", "C"))
         cfg = load_config(path)

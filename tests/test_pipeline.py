@@ -25,6 +25,7 @@ def score_cells(tmp_path, cells, docs=TOY_DOCS, queries=TOY_QUERIES, qrels=TOY_Q
          "queries": "queries.jsonl", "qrels": "qrels.tsv"}]))
     with Stages(cfg, cells) as stages:
         stages.rewrite()
+        stages.fetch()
         return [stages.score(cell, stages.corpus(cell)) for cell in cells]
 
 
