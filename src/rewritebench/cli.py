@@ -57,6 +57,7 @@ def cmd_ingest(config: ExperimentConfig, args) -> int:
     tasks = [t for t in config.tasks if args.task in (None, t.task_id)]
     if not tasks:
         raise ConfigError(f"task {args.task!r} not in config")
+    config.out_dir.mkdir(parents=True, exist_ok=True)
     for t in tasks:
         collection = ingest_collection(t.corpus, t.queries, t.qrels, task_id=t.task_id)
         report = collection.report.to_dict()
@@ -132,6 +133,7 @@ def _score(config: ExperimentConfig, args) -> ArmResult:
 
 def cmd_eval(config: ExperimentConfig, args) -> int:
     arm = _score(config, args)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
     RunStore(config.out_dir / "runs.jsonl").append(arm.run_record)
     delta = "" if arm.run_record.delta_ndcg is None else \
         f" (delta {arm.run_record.delta_ndcg:+.5f})"
@@ -143,6 +145,7 @@ def cmd_eval(config: ExperimentConfig, args) -> int:
 
 def cmd_diagnose(config: ExperimentConfig, args) -> int:
     arm = _score(config, args)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
     store = DiagnosticsStore(config.out_dir / "diagnostics.jsonl")
     store.append("lexical", arm.lexical.to_dict())
     store.append("geometry", arm.geometry.to_dict())
@@ -160,6 +163,7 @@ def cmd_correlate(config: ExperimentConfig, args) -> int:
     rows = join_rows(runs, lexical, geometry)
     header, table = correlation_report(rows)
     out = config.out_dir / "report" / "correlations.csv"
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, header, table)
     for row in table:
         print(", ".join("" if v is None else str(v) for v in row[:2] + row[4:7]))
@@ -175,6 +179,7 @@ def cmd_advise(config: ExperimentConfig, args) -> int:
     if not advices:
         print("no rewrite-arm diagnostics in the store yet")
         return 1
+    (config.out_dir / "report").mkdir(parents=True, exist_ok=True)
     write_json(config.out_dir / "report" / "advice.json", [a.to_dict() for a in advices])
     for a in advices:
         print(f"{a.task_id} [{a.rewriter_id}]: {a.recommended} -- {a.rationale}")

@@ -19,6 +19,7 @@ from .embed import EncoderEndpoint
 from .errors import ConfigError
 from .models import Regime, Strategy, TaskFamily
 from .rewrite import RewriterEndpoint
+from .templates import load_yaml
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ def load_config(path: str | Path, *, seed: int | None = None,
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = load_yaml(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -21,10 +21,9 @@ import hashlib
 import json
 import threading
 import time
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 from urllib.parse import parse_qs, urlparse
 
 import numpy as np
@@ -32,8 +31,10 @@ import numpy as np
 from .errors import CacheMissError, ConfigError, ContractError, EndpointError, WorkbenchError
 from .geometry import EmbeddingMatrix, l2_normalize
 from .sessions import JsonTransport
-from .stores import JsonlLog
+from .stores import AppendFile, JsonlLog
 from .tokenizers import word_tokens
+
+_encode_ascii = json.encoder.encode_basestring_ascii  # the C escaper of json.dumps
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,8 @@ class EmbeddingCache:
     before their manifest lines: a crash in between leaves bytes no manifest
     row points to. A manifest row that points past the end of ``vectors.bin``
     (a file cut short) is left out of the index when the cache opens, so
-    the next fetch asks for that row again.
+    the next fetch asks for that row again. The first ``put_many`` opens
+    both files' append handles, which :meth:`close` closes.
     """
 
     def __init__(self, root: str | Path):
@@ -166,6 +168,7 @@ class EmbeddingCache:
         self.manifest_path = self.root / "manifest.jsonl"
         self._lock = threading.Lock()
         self._index: dict[str, tuple[int, int]] = {}
+        self._vectors = AppendFile(self.vectors_path)
         try:
             size = self.vectors_path.stat().st_size
         except FileNotFoundError:
@@ -214,36 +217,42 @@ class EmbeddingCache:
 
     def put_many(self, rows: Iterable[tuple[str, str, np.ndarray]]) -> None:
         """Append (key, encoder_id, vector) *rows* in order: one write to
-        ``vectors.bin``, then one append of their manifest lines. Until
-        both have succeeded none of the rows is indexed."""
+        ``vectors.bin``, flushed so that :meth:`gather` reads it, then one
+        append of their manifest lines. Until both have succeeded none of
+        the rows is indexed."""
         rows = [(key, encoder_id, np.asarray(vector, dtype=np.float64).ravel())
                 for key, encoder_id, vector in rows]
         if not rows:
             return
         with self._lock:
-            with open(self.vectors_path, "ab") as fh:
-                offset = fh.tell()
-                fh.write(b"".join(vector.tobytes() for _, _, vector in rows))
+            offset = self._vectors.append(b"".join(vector.tobytes() for _, _, vector in rows))
             lines, index = [], {}
             for key, encoder_id, vector in rows:
-                entry = {"key": key, "encoder_id": encoder_id,
-                         "dim": int(vector.size), "offset": offset}
-                lines.append(json.dumps(entry, sort_keys=True))
-                index[key] = (offset, int(vector.size))
+                # json.dumps(entry, sort_keys=True), byte for byte
+                lines.append(f'{{"dim": {vector.size}, "encoder_id": {_encode_ascii(encoder_id)}, '
+                             f'"key": {_encode_ascii(key)}, "offset": {offset}}}')
+                index[key] = (offset, vector.size)
                 offset += vector.nbytes
             self._manifest.append_many(lines)
             self._index.update(index)
 
+    def close(self) -> None:
+        """Close the append handles, if a put opened them."""
+        with self._lock:
+            self._vectors.close()
+            self._manifest.close()
+
 
 def fetch_missing(texts: Iterable[str], client: EncoderClient, cache: EmbeddingCache,
-                  pool: Executor | None = None) -> None:
+                  map_fn: Callable = map) -> None:
     """Put every distinct text of *texts* that *cache* lacks into it.
 
     The misses go to the endpoint in batches of its batch size, one request
-    per batch, run on *pool* (or inline without one); their vectors are
-    cached in batch order, so the cache files do not depend on the pool's
-    size. After the first failed batch or cache write no further batch is
-    sent; once every batch that came back is cached, that failure is raised.
+    per batch, run through *map_fn*: a pool's ``map``, or the builtin
+    ``map`` to run them inline. Their vectors are cached in batch order, so
+    the cache files do not depend on the pool's size. After the first
+    failed batch or cache write no further batch is sent; once every batch
+    that came back is cached, that failure is raised.
     """
     encoder_id = client.encoder_id
     misses: dict[str, str] = {}
@@ -265,7 +274,7 @@ def fetch_missing(texts: Iterable[str], client: EncoderClient, cache: EmbeddingC
             failures.append(exc)
             return None
 
-    for batch, vectors in zip(batches, (pool.map if pool is not None else map)(fetch, batches)):
+    for batch, vectors in zip(batches, map_fn(fetch, batches)):
         if vectors is None:
             continue
         try:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 import shutil
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import AbstractContextManager, ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -116,6 +116,7 @@ def _persist_group(config: ExperimentConfig, done: list[tuple[CellKey, ArmResult
         targets = []
         for cell, arm in done:
             cell_dir = Path(config.out_dir) / "cells" / cell.cell_id
+            cell_dir.mkdir(parents=True, exist_ok=True)
             write_json(cell_dir / "record.json", arm.run_record.to_dict())
             write_json(cell_dir / "lexical.json", arm.lexical.to_dict())
             write_json(cell_dir / "geometry.json", arm.geometry.to_dict())
@@ -138,7 +139,7 @@ def _persist_group(config: ExperimentConfig, done: list[tuple[CellKey, ArmResult
 class Stages(AbstractContextManager):
     """The stages of a set of cells, from the clients, collections and
     rewrite jobs they name. A failed input is raised by whatever reads it;
-    leaving the ``with`` block closes the clients."""
+    leaving the ``with`` block closes the clients, then the caches."""
 
     def __init__(self, config: ExperimentConfig, cells: Sequence[CellKey]):
         self.config, self.cells = config, list(cells)
@@ -197,22 +198,26 @@ class Stages(AbstractContextManager):
     def __exit__(self, *exc_info) -> None:
         for client in (*self.encoders.values(), *self.rewriters.values()):
             client.close()
+        self.rewrite_cache.close()
+        self.embedding_cache.close()
 
-    def rewrite(self, pool: Executor | None = None) -> None:
-        """Stage 1: rewrite the cells' sides, once per distinct prompt."""
+    def rewrite(self, map_fn: Callable = map) -> None:
+        """Stage 1: rewrite the cells' sides, once per distinct prompt, each
+        request run through *map_fn* (a pool's ``map``, or inline)."""
         self._sides.update(zip(self._jobs, rewrite_jobs(list(self._jobs.values()),
-                                                        self.rewrite_cache, pool)))
+                                                        self.rewrite_cache, map_fn)))
 
-    def fetch(self, pool: Executor | None = None) -> None:
-        """Stage 2: fetch the vectors the cells lack, each distinct text once.
-        An encoder's failure is kept for the cells it leaves without vectors."""
+    def fetch(self, map_fn: Callable = map) -> None:
+        """Stage 2: fetch the vectors the cells lack, each distinct text once,
+        each batch run through *map_fn*. An encoder's failure is kept for the
+        cells it leaves without vectors."""
         for encoder_id, client in self.encoders.items():
             keys = dict.fromkeys(cell.side_key(side) for cell in self.cells
                                  if cell.encoder_id == encoder_id for side in SIDES)
             wanted = [text for key in keys if isinstance(self._sides[key], Rewritten)
                       for text in self._sides[key].texts]
             try:
-                fetch_missing(wanted, client, self.embedding_cache, pool)
+                fetch_missing(wanted, client, self.embedding_cache, map_fn)
             except WorkbenchError as exc:
                 self._fetch_failures[encoder_id] = exc.with_traceback(None)
 
@@ -230,10 +235,11 @@ class Stages(AbstractContextManager):
             raise copy.copy(failure) from None
 
     def side(self, cell: CellKey, side: str) -> Rewritten:
-        """The texts and rewrite records *cell* ranks on one side."""
+        """The texts and rewrite records *cell* ranks on one side. A failed
+        side raises a copy of its error, as :meth:`_fetched` does."""
         outcome = self._sides[cell.side_key(side)]
         if isinstance(outcome, WorkbenchError):
-            raise outcome
+            raise copy.copy(outcome) from None
         return outcome
 
     def corpus(self, cell: CellKey) -> Corpus:
@@ -277,10 +283,11 @@ def run_matrix(config: ExperimentConfig,
                fault_hook: Callable[[CellKey], None] | None = None) -> MatrixResult:
     """Execute the full matrix described by *config*: the stages of
     :class:`Stages`, each mapped over one pool of ``config.parallelism``
-    threads. The last goes per corpus group, the cells that rank one
-    (encoder, task, rewriter, strategy) corpus: it builds the corpus,
-    scores the group's cells and frees it, Baselines first so the arms get
-    their deltas. At most ``config.parallelism`` corpora are held at once.
+    threads, or inline on the calling thread at ``parallelism: 1``. The
+    last goes per corpus group, the cells that rank one (encoder, task,
+    rewriter, strategy) corpus: it builds the corpus, scores the group's
+    cells and frees it, Baselines first so the arms get their deltas. At
+    most ``config.parallelism`` corpora are held at once.
 
     ``fault_hook`` is test instrumentation: it is invoked with each cell
     key before the cell is scored and may raise to simulate a cell failure.
@@ -296,9 +303,11 @@ def run_matrix(config: ExperimentConfig,
     for cell in cells:
         groups.setdefault((cell.encoder_id, cell.side_key("documents")), []).append(cell)
 
-    # the pool's threads are done before the clients' connections close
-    with Stages(config, cells) as stages, \
-            ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+    # the pool's threads are done before the clients and caches close
+    with Stages(config, cells) as stages, ExitStack() as threads:
+        map_fn: Callable = map
+        if config.parallelism > 1:
+            map_fn = threads.enter_context(ThreadPoolExecutor(config.parallelism)).map
 
         def score_group(group: list[CellKey]) -> list[ArmResult | str]:
             """Each cell's result, or its failure message: an error's traceback
@@ -319,11 +328,11 @@ def run_matrix(config: ExperimentConfig,
                     outcomes.append(str(exc))
             return outcomes
 
-        stages.rewrite(pool)
-        stages.fetch(pool)
+        stages.rewrite(map_fn)
+        stages.fetch(map_fn)
         for wave in ([g for g in groups.values() if g[0].is_baseline],
                      [g for g in groups.values() if not g[0].is_baseline]):
-            for group, outcomes in zip(wave, pool.map(score_group, wave)):
+            for group, outcomes in zip(wave, map_fn(score_group, wave)):
                 done = []
                 for cell, arm in zip(group, outcomes):
                     if isinstance(arm, str):

@@ -37,7 +37,7 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write *header* and *rows* to *path*; the caller makes the directory."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

@@ -23,11 +23,10 @@ import json
 import random
 import threading
 import time
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 from urllib.parse import parse_qs, urlparse
 
 from .errors import (ConfigError, ContractError, DomainError, EndpointError,
@@ -226,11 +225,12 @@ class RewriteCache:
     by an older version) reads as a miss, so the next run asks again. One
     process at a time may write the file. A torn last line (a crash
     mid-write) is skipped and counted in ``torn_lines``; the first ``put``
-    cuts it off.
+    cuts it off and opens the append handle that :meth:`close` closes.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._index: dict[tuple[str, str, str], RewriteRecord] = {}
         self._log = JsonlLog(self.path, self._add_row)
@@ -253,6 +253,11 @@ class RewriteCache:
             self._log.append(record_json(record, record.arm))
             self._index[(record.rewriter_id, record.template_id,
                          record.source_hash)] = record
+
+    def close(self) -> None:
+        """Close the append handle, if a put opened it."""
+        with self._lock:
+            self._log.close()
 
 
 def _utc_now() -> str:
@@ -296,13 +301,14 @@ def _request(miss: tuple[RewriteJob, str, str]) -> tuple[str, bool, bool] | Work
 
 
 def rewrite_jobs(jobs: Sequence[RewriteJob], cache: RewriteCache | None = None,
-                 pool: Executor | None = None) -> list[Rewritten | WorkbenchError]:
+                 map_fn: Callable = map) -> list[Rewritten | WorkbenchError]:
     """Rewrite every job, asking the endpoint once per distinct
     (rewriter, template, source) across all of them.
 
-    Cache hits resolve inline. Each miss is one request, run on *pool* (or
-    inline without one); successful rewrites are cached in request order,
-    so the cache file does not depend on the pool's size. A job whose
+    Cache hits resolve inline. Each miss is one request, run through
+    *map_fn*: a pool's ``map``, or the builtin ``map`` to run them inline.
+    Successful rewrites are cached in request order, so the cache file
+    does not depend on the pool's size. A job whose
     request or cache write raised gets that error in place of its result;
     the other jobs are unaffected.
     """
@@ -322,7 +328,7 @@ def rewrite_jobs(jobs: Sequence[RewriteJob], cache: RewriteCache | None = None,
                 misses[key] = (job, item_id, text)
         job_keys.append(keys)
 
-    answers = (pool.map if pool is not None else map)(_request, misses.values())
+    answers = map_fn(_request, misses.values())
     for (key, (job, item_id, _)), answer in zip(misses.items(), answers):
         if isinstance(answer, WorkbenchError):
             records[key] = answer

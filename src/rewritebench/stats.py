@@ -70,11 +70,12 @@ def _pearson_r(x: np.ndarray, y: np.ndarray) -> float:
 def _t_pvalue(r: float, n: int) -> float:
     if abs(r) >= 1.0:
         return _P_FLOOR
-    # imported here: it takes about a second, and only n >= T_APPROX_MIN_N gets here
-    from scipy import stats as scipy_stats
+    # imported here, and scipy.special rather than scipy.stats (whose t.sf
+    # is this same stdtr call): only n >= T_APPROX_MIN_N gets here
+    from scipy.special import stdtr
 
     t = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(scipy_stats.t.sf(t, df=n - 2))
+    p = 2.0 * float(stdtr(n - 2, -t))
     return min(1.0, max(_P_FLOOR, p))
 
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 import os
 import threading
+from contextlib import suppress
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 from .errors import StoreError
 from .models import RunRecord
@@ -80,8 +81,8 @@ def json_chunks(obj) -> Iterator[str]:
 
 
 def write_json(path: Path, obj) -> None:
-    """Write *obj* to *path* as :func:`json_chunks` text and a newline."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write *obj* to *path* as :func:`json_chunks` text and a newline; the
+    caller makes the directory."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(json_chunks(obj))
         fh.write("\n")
@@ -89,11 +90,11 @@ def write_json(path: Path, obj) -> None:
 
 def _write(path: Path, mode: str, lines: Iterable[str], what: str) -> None:
     """Write *lines* to *path* opened once in *mode*; each line ends in
-    ``\\n``. A whole-file write (``"w"``) goes to a temporary file next to
-    *path* that then replaces it, so one cut off midway never leaves a
-    truncated store, and one that fails removes its temporary file."""
+    ``\\n``, and the caller makes the directory. A whole-file write
+    (``"w"``) goes to a temporary file next to *path* that then replaces it,
+    so one cut off midway never leaves a truncated store, and one that fails
+    removes its temporary file."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         if mode == "a":
             with open(path, "a", encoding="utf-8") as fh:
                 fh.writelines(lines)
@@ -109,6 +110,45 @@ def _write(path: Path, mode: str, lines: Iterable[str], what: str) -> None:
         raise StoreError(f"cannot {what} {path}: {exc}") from exc
 
 
+class AppendFile:
+    """A file appended to through one handle, opened by the first append
+    and kept until :meth:`close`.
+
+    Each append is one write and a flush, so a crash loses none that
+    returned. An append that fails drops the handle, and the next one
+    opens it again. The caller makes the directory.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._fh: BinaryIO | None = None
+
+    @property
+    def is_open(self) -> bool:
+        return self._fh is not None
+
+    def append(self, data: bytes) -> int:
+        """Write *data* at the end of the file and flush it; return the
+        offset it starts at."""
+        try:
+            if self._fh is None:
+                self._fh = open(self.path, "ab")
+            offset = self._fh.tell()
+            self._fh.write(data)
+            self._fh.flush()
+        except OSError as exc:
+            self.close()
+            raise StoreError(f"cannot append to {self.path}: {exc}") from exc
+        return offset
+
+    def close(self) -> None:
+        """Close the handle, if an append opened it."""
+        fh, self._fh = self._fh, None
+        if fh is not None:
+            with suppress(OSError):  # only a failed append leaves bytes to flush
+                fh.close()
+
+
 class JsonlLog:
     """An append-only JSON-Lines file, read once on open and appended to after.
 
@@ -120,6 +160,9 @@ class JsonlLog:
     process at a time may write the file; an append that finds the file
     changed since it was read, with a repair pending, raises StoreError
     rather than cut another writer's line.
+
+    Appends go through one :class:`AppendFile` handle, which :meth:`close`
+    closes.
     """
 
     def __init__(self, path: Path, add: Callable[[Any], None]):
@@ -128,6 +171,7 @@ class JsonlLog:
         self._size = 0          # file size when read
         self._keep: int | None = None  # size to cut to before the first append
         self._newline = False   # the last line lacks its "\n"
+        self._file = AppendFile(path)
         if path.exists():
             self._read(add)
 
@@ -167,22 +211,25 @@ class JsonlLog:
         self.append_many([line])
 
     def append_many(self, lines: Iterable[str]) -> None:
-        """Write each of *lines* and its newline, with one open and one
-        write; the caller serializes calls."""
-        text = "".join(line + "\n" for line in lines)
-        try:
-            if self._keep is not None or self._newline:
+        """Write each of *lines* and its newline with one write and one
+        flush; the caller serializes calls."""
+        data = "".join(line + "\n" for line in lines).encode("utf-8")
+        if not self._file.is_open and (self._keep is not None or self._newline):
+            try:
                 if self.path.stat().st_size != self._size:
                     raise StoreError(f"{self.path} changed since it was read; "
                                      "one process at a time may write it")
                 if self._keep is not None:
                     os.truncate(self.path, self._keep)
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(("\n" if self._newline else "") + text)
-        except OSError as exc:
-            raise StoreError(f"cannot append to {self.path}: {exc}") from exc
-        self._keep, self._newline = None, False
+                    self._size, self._keep = self._keep, None
+            except OSError as exc:
+                raise StoreError(f"cannot append to {self.path}: {exc}") from exc
+        self._file.append(b"\n" + data if self._newline else data)
+        self._newline = False
+
+    def close(self) -> None:
+        """Close the append handle, if an append opened it."""
+        self._file.close()
 
 
 class RunStore:

@@ -20,6 +20,15 @@ from .models import Strategy, TaskFamily
 SIDES = ("documents", "queries")
 _DATA_DIR = Path(__file__).parent / "templates_data"
 
+# libyaml's loader when PyYAML was built with it, several times faster than
+# the pure-Python one; a test checks that both read every config shape alike
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(text: str):
+    """``yaml.safe_load(text)``, through libyaml when it is there."""
+    return yaml.load(text, Loader=_YAML_LOADER)
+
 
 @dataclass(frozen=True)
 class PromptTemplate:
@@ -56,7 +65,10 @@ def parse_template_file(path: str | Path) -> PromptTemplate:
         _, fm, body = text.split("---", 2)
     except ValueError:
         raise ConfigError(f"template file {path} has unterminated front-matter") from None
-    meta = yaml.safe_load(fm) or {}
+    try:
+        meta = load_yaml(fm) or {}
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"template file {path} has malformed front-matter: {exc}") from exc
     for key in ("template_id", "strategy", "task_family"):
         if key not in meta:
             raise ConfigError(f"template file {path} missing field {key!r}")

@@ -19,6 +19,22 @@ def pytest_runtest_logreport(report):
         print(f"\n[{status}] {name}")
 
 
+@pytest.fixture
+def closing():
+    """``closing(cache)`` hands *cache* back and closes it when the test
+    ends: a cache that has been written to keeps its append handles open
+    until it is closed."""
+    caches = []
+
+    def keep(cache):
+        caches.append(cache)
+        return cache
+
+    yield keep
+    for cache in caches:
+        cache.close()
+
+
 def assert_calls_counted_under_threads(client, call, n_calls: int = 200) -> None:
     """Make *n_calls* ``call(client, i)`` calls from each of many threads at
     once, with a 1 us switch interval, and check ``client.call_count``.
@@ -46,6 +62,38 @@ def assert_calls_counted_under_threads(client, call, n_calls: int = 200) -> None
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert client.call_count == n_threads * n_calls
+
+
+class FailingWrites:
+    """A file whose writes raise ``OSError`` while ``failing`` is set; every
+    other attribute is the wrapped file's."""
+
+    def __init__(self, fh):
+        self._fh, self.failing = fh, False
+
+    def write(self, data):
+        if self.failing:
+            raise OSError(28, "No space left on device")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def open_failing_writes(monkeypatch) -> list[FailingWrites]:
+    """Make ``open`` wrap every file it opens to append in
+    :class:`FailingWrites`; the returned list collects them in opening order."""
+    opened, real_open = [], open
+
+    def wrapping_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "a" not in mode:
+            return fh
+        opened.append(FailingWrites(fh))
+        return opened[-1]
+
+    monkeypatch.setattr("builtins.open", wrapping_open)
+    return opened
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> Path:

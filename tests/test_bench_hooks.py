@@ -46,11 +46,11 @@ def test_the_embed_layer_keeps_its_span(monkeypatch):
     assert rewritebench.pipeline.embed_texts is embed_texts
 
 
-def test_the_oracle_reads_a_warm_cache_without_endpoint_calls(tmp_path):
+def test_the_oracle_reads_a_warm_cache_without_endpoint_calls(closing, tmp_path):
     # perfbench/worker.py check_ndcg: embed_texts(ids, texts, client, cache)
     endpoint = EncoderEndpoint(encoder_id="enc", url="mock://bow?dim=8")
     texts = ["def f(): pass", "return x", "def f(): pass"]
-    cache = EmbeddingCache(tmp_path)
+    cache = closing(EmbeddingCache(tmp_path))
     fetch_missing(texts, EncoderClient(endpoint), cache)
     client = EncoderClient(endpoint)
     matrix = embed_texts(["a", "b", "c"], texts, client, EmbeddingCache(tmp_path))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import write_matrix_config
+from conftest import TOY_DOCS, write_matrix_config
 from rewritebench.cli import main
 from rewritebench.embed import EncoderClient
 
@@ -214,6 +214,30 @@ def test_cli_import_leaves_scipy_out():
          "import sys, rewritebench.cli; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_report_leaves_scipy_stats_out(tmp_path):
+    # ten rewriters that each add a different number of tokens to the corpus:
+    # ten C rows, so the report's correlations take the t approximation
+    rewriters = []
+    for i in range(10):
+        table = tmp_path / f"table{i}.json"
+        table.write_text(json.dumps({d["text"]: d["text"] + " pad" * (i + 1) + f" x{i}"
+                                     for d in TOY_DOCS[:2]}), encoding="utf-8")
+        rewriters.append({"rewriter_id": f"rw{i}", "url": f"mock://table?file={table}"})
+    path = write_matrix_config(tmp_path, rewriters=rewriters, regimes=("C",))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from rewritebench.cli import main; "
+         f"assert main(['--config', {str(path)!r}, 'run-matrix']) == 0; "
+         f"assert main(['--config', {str(path)!r}, 'report']) == 0; "
+         "print(sorted({'scipy.special', 'scipy.stats'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "['scipy.special']"
+    correlations = (tmp_path / "out" / "report" / "correlations.csv").read_text()
+    assert ",C,10,t_approx," in correlations
 
 
 def test_cli_import_leaves_requests_out():

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import assert_calls_counted_under_threads
+from conftest import assert_calls_counted_under_threads, open_failing_writes
 from rewritebench.embed import (EmbeddingCache, EncoderClient, EncoderEndpoint,
                                 content_key, embed_texts, fetch_missing)
 from rewritebench.errors import CacheMissError, ContractError, EndpointError, StoreError
@@ -55,16 +55,16 @@ class TestMockEncoders:
 
 
 class TestEmbedTexts:
-    def test_rows_in_input_order(self, tmp_path):
+    def test_rows_in_input_order(self, closing, tmp_path):
         client = mock_client(batch_size=2)
-        cache = EmbeddingCache(tmp_path)
+        cache = closing(EmbeddingCache(tmp_path))
         out = fetch_and_gather(["a", "b", "c"], ["ta", "tb", "tc"], client, cache)
         assert out.ids == ("a", "b", "c")
         assert out.n_rows == 3 and out.dim == 16
         assert client.call_count == 2  # 3 misses in batches of 2
 
-    def test_fully_cached_costs_zero_calls(self, tmp_path):
-        cache = EmbeddingCache(tmp_path)
+    def test_fully_cached_costs_zero_calls(self, closing, tmp_path):
+        cache = closing(EmbeddingCache(tmp_path))
         warm = mock_client()
         fetch_and_gather(["a", "b"], ["ta", "tb"], warm, cache)
         cold = mock_client()
@@ -72,31 +72,31 @@ class TestEmbedTexts:
         assert cold.call_count == 0
         assert out.normalized
 
-    def test_same_text_identical_rows(self, tmp_path):
+    def test_same_text_identical_rows(self, closing, tmp_path):
         client = mock_client()
         out = fetch_and_gather(["a", "b"], ["same text", "same text"], client,
-                               EmbeddingCache(tmp_path))
+                               closing(EmbeddingCache(tmp_path)))
         np.testing.assert_array_equal(out.vectors[0], out.vectors[1])
         assert client.call_count == 1
 
-    def test_cache_stores_raw_vectors(self, tmp_path):
-        cache = EmbeddingCache(tmp_path)
+    def test_cache_stores_raw_vectors(self, closing, tmp_path):
+        cache = closing(EmbeddingCache(tmp_path))
         client = mock_client("mock://bow?dim=8")
         fetch_missing(["word word word"], client, cache)
         (raw,) = cache.gather([content_key("mock-enc", "word word word")])
         # bow counts are unnormalized in the cache; normalization is at load
         assert np.abs(raw).max() == 3.0
 
-    def test_cache_survives_reopen(self, tmp_path):
-        cache = EmbeddingCache(tmp_path)
+    def test_cache_survives_reopen(self, closing, tmp_path):
+        cache = closing(EmbeddingCache(tmp_path))
         client = mock_client()
         first = fetch_and_gather(["a"], ["text"], client, cache)
         reopened = EmbeddingCache(tmp_path)
         second = embed_texts(["a"], ["text"], mock_client(), reopened)
         np.testing.assert_array_equal(first.vectors, second.vectors)
 
-    def test_a_miss_raises_and_calls_no_encoder(self, tmp_path):
-        cache = EmbeddingCache(tmp_path)
+    def test_a_miss_raises_and_calls_no_encoder(self, closing, tmp_path):
+        cache = closing(EmbeddingCache(tmp_path))
         fetch_missing(["ta"], mock_client(), cache)
         dead = mock_client("mock://fail")
         with pytest.raises(CacheMissError, match="1 of 2 texts"):
@@ -116,21 +116,22 @@ class TestEmbedTexts:
             embed_texts(["a"], ["x"], client, cache)
         assert client.call_count == 1
 
-    def test_normalization_contract(self, tmp_path):
+    def test_normalization_contract(self, closing, tmp_path):
+        cache = closing(EmbeddingCache(tmp_path))
         out = fetch_and_gather(["a", "b"], ["one two", "three four"],
-                               mock_client("mock://bow?dim=32"), EmbeddingCache(tmp_path))
+                               mock_client("mock://bow?dim=32"), cache)
         np.testing.assert_allclose(np.linalg.norm(out.vectors, axis=1), 1.0,
                                    atol=1e-9)
 
 
 class TestFetchMissing:
-    def test_distinct_misses_fetched_once_in_batches(self, tmp_path):
-        cache = EmbeddingCache(tmp_path)
+    def test_distinct_misses_fetched_once_in_batches(self, closing, tmp_path):
+        cache = closing(EmbeddingCache(tmp_path))
         fetch_missing(["ta"], mock_client(), cache)
         client = mock_client(batch_size=2)
         texts = ["ta", "tb", "tc", "tb", "td", "te", "tc"]
         with ThreadPoolExecutor(max_workers=3) as pool:
-            fetch_missing(texts, client, cache, pool)
+            fetch_missing(texts, client, cache, pool.map)
         assert client.call_count == 2  # tb tc | td te
         keys = [content_key("mock-enc", t) for t in ["ta", "tb", "tc", "td", "te"]]
         manifest = (tmp_path / "manifest.jsonl").read_text().splitlines()
@@ -147,8 +148,9 @@ class TestFetchMissing:
         assert client.call_count == 1
         assert not any(content_key("mock-enc", t) in cache for t in ["ta", "tb", "tc"])
 
-    def test_failed_cache_write_stops_fetching_and_is_raised(self, tmp_path, monkeypatch):
-        cache = EmbeddingCache(tmp_path)
+    def test_failed_cache_write_stops_fetching_and_is_raised(self, closing, tmp_path,
+                                                              monkeypatch):
+        cache = closing(EmbeddingCache(tmp_path))
         put_many, writes = cache.put_many, []
 
         def second_write_fails(rows):
@@ -170,7 +172,7 @@ class TestTornManifest:
     def _warm(self, root):
         cache = EmbeddingCache(root)
         fetch_missing(["ta", "tb"], mock_client(), cache)
-        return cache
+        cache.close()
 
     def test_torn_last_line_is_skipped_and_counted(self, tmp_path):
         self._warm(tmp_path)
@@ -182,11 +184,11 @@ class TestTornManifest:
         fetch_and_gather(["a", "b"], ["ta", "tb"], client, cache)
         assert client.call_count == 0
 
-    def test_append_after_torn_tail_keeps_manifest_readable(self, tmp_path):
+    def test_append_after_torn_tail_keeps_manifest_readable(self, closing, tmp_path):
         self._warm(tmp_path)
         with open(tmp_path / "manifest.jsonl", "a", encoding="utf-8") as fh:
             fh.write('{"dim": 16, "enc')
-        fetch_missing(["tc"], mock_client(), EmbeddingCache(tmp_path))
+        fetch_missing(["tc"], mock_client(), closing(EmbeddingCache(tmp_path)))
         reopened = EmbeddingCache(tmp_path)
         assert reopened.torn_lines == 0
         client = mock_client()
@@ -212,25 +214,66 @@ class TestPutMany:
         return [(content_key("mock-enc", f"t{i}"), "mock-enc", rng.standard_normal(dim))
                 for i in range(n)]
 
-    def test_equals_repeated_put_byte_for_byte(self, tmp_path):
-        rows = self._rows(9)
+    @staticmethod
+    def _assert_equals_one_put_per_row(tmp_path, rows, batches):
         one, many = EmbeddingCache(tmp_path / "one"), EmbeddingCache(tmp_path / "many")
         for row in rows:
             one.put_many([row])
-        many.put_many(rows[:4])
-        many.put_many([])
-        many.put_many(rows[4:])
+        for batch in batches:
+            many.put_many(batch)
         for name in ("vectors.bin", "manifest.jsonl"):
             assert (tmp_path / "many" / name).read_bytes() == \
                 (tmp_path / "one" / name).read_bytes()
+        one.close()
+        many.close()
+        for line in (tmp_path / "many" / "manifest.jsonl").read_text().splitlines():
+            assert line == json.dumps(json.loads(line), sort_keys=True)
+        reopened = EmbeddingCache(tmp_path / "many")
+        for key, _, vec in rows:
+            assert np.array_equal(reopened.gather([key])[0], vec)
+
+    def test_equals_repeated_put_byte_for_byte(self, tmp_path):
+        rows = self._rows(9)
+        self._assert_equals_one_put_per_row(tmp_path, rows, [rows[:4], [], rows[4:]])
         reopened = EmbeddingCache(tmp_path / "many")
         got = reopened.gather([key for key, _, _ in rows])
         assert np.array_equal(got, np.stack([vec for _, _, vec in rows]))
 
-    def test_manifest_failure_leaves_the_batch_missing(self, tmp_path):
-        rows = self._rows(5)
+    def test_a_batch_of_several_dims_equals_one_put_per_row(self, tmp_path):
+        rows = self._rows(5)  # rows of other dims, one as a list, and a non-ASCII id
+        rows[1] = (rows[1][0], "enc-é✓", rows[1][2][:4].tolist())
+        rows[3] = (rows[3][0], "mock-enc", np.ones(3))
+        self._assert_equals_one_put_per_row(tmp_path, rows, [rows])
+
+    def test_a_put_is_read_by_a_fresh_cache_before_close(self, tmp_path):
+        rows = self._rows(3)
         cache = EmbeddingCache(tmp_path)
-        cache.put_many(rows[:2])
+        cache.put_many(rows[:1])
+        cache.put_many(rows[1:])
+        got = EmbeddingCache(tmp_path).gather([key for key, _, _ in rows])
+        assert np.array_equal(got, np.stack([vec for _, _, vec in rows]))
+        cache.close()
+
+    def test_a_failed_vectors_write_drops_the_handle(self, tmp_path, monkeypatch):
+        rows = self._rows(3)
+        cache = EmbeddingCache(tmp_path)
+        opened = open_failing_writes(monkeypatch)
+        cache.put_many(rows[:1])
+        (vectors,) = [fh for fh in opened if fh.name == str(cache.vectors_path)]
+        vectors.failing = True
+        with pytest.raises(StoreError, match="cannot append"):
+            cache.put_many(rows[1:2])
+        assert vectors.closed and rows[1][0] not in cache
+        cache.put_many(rows[1:])  # opens vectors.bin again
+        keys = [key for key, _, _ in rows]
+        assert np.array_equal(EmbeddingCache(tmp_path).gather(keys),
+                              np.stack([vec for _, _, vec in rows]))
+        cache.close()
+
+    def test_manifest_failure_leaves_the_batch_missing(self, closing, tmp_path):
+        rows = self._rows(5)
+        closing(EmbeddingCache(tmp_path)).put_many(rows[:2])
+        cache = closing(EmbeddingCache(tmp_path))  # no append handle open yet
         cache.manifest_path.unlink()
         cache.manifest_path.mkdir()  # opening it to append is an OSError
         with pytest.raises(StoreError, match="cannot append"):
@@ -242,8 +285,8 @@ class TestPutMany:
         # the batch's vectors went first: orphan bytes past the indexed rows
         assert cache.vectors_path.stat().st_size == 5 * 6 * 8
 
-    def test_fetch_missing_appends_once_per_batch(self, tmp_path, monkeypatch):
-        cache = EmbeddingCache(tmp_path)
+    def test_fetch_missing_appends_once_per_batch(self, closing, tmp_path, monkeypatch):
+        cache = closing(EmbeddingCache(tmp_path))
         batches = []
         put_many = cache.put_many
         monkeypatch.setattr(cache, "put_many",
@@ -279,6 +322,7 @@ class TestGetMany:
     def _warm(self, tmp_path) -> tuple[EmbeddingCache, list[str]]:
         cache = EmbeddingCache(tmp_path)
         fetch_missing(["ta", "tb"], mock_client(), cache)
+        cache.close()
         return cache, [content_key("mock-enc", t) for t in ("ta", "tb")]
 
     @pytest.mark.parametrize("damage", ["missing", "empty"])
@@ -307,11 +351,14 @@ class TestGather:
     def _warm(self, tmp_path, batch_size=3):
         cache = EmbeddingCache(tmp_path)
         fetch_missing(self.TEXTS, mock_client(self.URL, batch_size=batch_size), cache)
+        cache.close()
         return cache
 
     def _fresh(self, tmp_path, texts) -> EmbeddingMatrix:
-        return fetch_and_gather(["x"] * len(texts), texts, mock_client(self.URL),
-                                EmbeddingCache(tmp_path / "fresh"))
+        cache = EmbeddingCache(tmp_path / "fresh")
+        out = fetch_and_gather(["x"] * len(texts), texts, mock_client(self.URL), cache)
+        cache.close()
+        return out
 
     def test_all_hits_equal_the_per_row_path_bit_for_bit(self, tmp_path):
         cache = self._warm(tmp_path)
@@ -333,8 +380,8 @@ class TestGather:
         keys = [content_key("mock-enc", t) for t in self.TEXTS]
         assert EmbeddingCache(tmp_path).gather(keys).tobytes() == cache.gather(keys).tobytes()
 
-    def test_partial_hit_falls_back(self, tmp_path):
-        cache = self._warm(tmp_path)
+    def test_partial_hit_falls_back(self, closing, tmp_path):
+        cache = closing(self._warm(tmp_path))
         texts = [self.TEXTS[0], "a text never embedded", self.TEXTS[2]]
         assert cache.gather([content_key("mock-enc", t) for t in texts]) is None
         client = mock_client(self.URL)
@@ -350,6 +397,7 @@ class TestGather:
         asked, embed_batch = [], client.embed_batch
         client.embed_batch = lambda texts: asked.extend(texts) or embed_batch(texts)
         out = fetch_and_gather(["x"] * len(self.TEXTS), self.TEXTS, client, reopened)
+        reopened.close()
         assert out.vectors.tobytes() == self._fresh(tmp_path, self.TEXTS).vectors.tobytes()
         return asked
 
@@ -375,8 +423,8 @@ class TestGather:
         assert cache.gather([content_key("mock-enc", self.TEXTS[0])]) is None
         assert self._fetch_again(tmp_path) == self.TEXTS
 
-    def test_mixed_dimensions_fall_back(self, tmp_path):
-        cache = EmbeddingCache(tmp_path)
+    def test_mixed_dimensions_fall_back(self, closing, tmp_path):
+        cache = closing(EmbeddingCache(tmp_path))
         keys = [content_key("mock-enc", t) for t in ("ta", "tb")]
         cache.put_many([(keys[0], "mock-enc", np.ones(4))])
         cache.put_many([(keys[1], "mock-enc", np.ones(6))])

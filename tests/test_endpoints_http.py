@@ -199,10 +199,10 @@ class TestEmbeddingsWire:
         good = client.embed_batch(["a", "b"])
         assert len(good) == 2
 
-    def test_retried_batch_never_duplicates_rows(self, server, tmp_path):
+    def test_retried_batch_never_duplicates_rows(self, closing, server, tmp_path):
         server.fail_remaining = 1
         client = _embed_client(server, retries=2)
-        cache = EmbeddingCache(tmp_path)
+        cache = closing(EmbeddingCache(tmp_path))
         fetch_missing(["first", "second"], client, cache)
         out = embed_texts(["a", "b"], ["first", "second"], client, cache)
         assert out.n_rows == 2

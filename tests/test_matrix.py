@@ -1,7 +1,11 @@
+import builtins
+import gc
 import json
 import sys
 import threading
+import traceback
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -280,6 +284,121 @@ class TestFaultIsolation:
         assert set(result.results) == set(plan_cells(cfg)) - {nl_qc}
         assert sorted(seen, key=lambda c: c.cell_id) == sorted(
             plan_cells(cfg), key=lambda c: c.cell_id)
+
+
+    def test_a_failed_side_keeps_no_cells_frames(self, tmp_path, monkeypatch):
+        # each encoder's NL-QC cell reads the failed NL query side after its
+        # corpus is built; the side's stored error must not collect those
+        # frames, which hold the corpus
+        catalog = tmp_path / "templates"
+        catalog.mkdir()
+        (catalog / "nl_docs.md").write_text(
+            "---\ntemplate_id: nl-docs\nstrategy: NL\ntask_family: CodeToCode\n"
+            "applies_to: documents\n---\n{input}", encoding="utf-8")
+        encoders = [{"encoder_id": f"bow{dim}", "url": f"mock://bow?dim={dim}",
+                     "tokenizer": {"kind": "word"}} for dim in (16, 24, 32, 40)]
+        path = write_matrix_config(tmp_path, encoders=encoders, regimes=("QC", "C"),
+                                   template_catalog=str(catalog))
+        kept, refs = [], []
+
+        class KeptStages(matrix.Stages):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                kept.append(self)
+
+        build_corpus = matrix.build_corpus
+
+        def recording_build(*args, **kwargs):
+            corpus = build_corpus(*args, **kwargs)
+            refs.append(weakref.ref(corpus))
+            return corpus
+
+        monkeypatch.setattr(matrix, "Stages", KeptStages)
+        monkeypatch.setattr(matrix, "build_corpus", recording_build)
+        gc.disable()  # what stays alive must be freed without the collector
+        try:
+            result = run_matrix(load_config(path))
+            assert len(result.failures) == len(encoders)
+            (error,) = [o for o in kept[0]._sides.values() if isinstance(o, WorkbenchError)]
+            frames = [f.f_code.co_name for f, _ in traceback.walk_tb(error.__traceback__)]
+            assert "score" not in frames
+            assert len(refs) == 2 * len(encoders)
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+
+class TestColdPath:
+    """What a cold run at ``parallelism: 1`` pays per item."""
+
+    def _config(self, tmp_path):
+        path = write_matrix_config(tmp_path, strategies=("Rephrase", "NL"),
+                                   regimes=("QC", "C"),
+                                   extra={"endpoint": {"embed_batch_size": 1, "retries": 0}})
+        return load_config(path)
+
+    def test_parallelism_one_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(matrix, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = self._config(tmp_path)
+        assert cfg.parallelism == 1
+        assert run_matrix(cfg).exit_status == 0
+
+    def test_each_cache_file_is_opened_for_writing_once(self, tmp_path, monkeypatch):
+        opened, real_open = Counter(), builtins.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+"):
+                opened[str(file)] += 1
+            return real_open(file, mode, *args, **kwargs)
+
+        cfg = self._config(tmp_path)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        result = run_matrix(cfg)
+        assert result.exit_status == 0
+        assert result.endpoint_calls["rewriter:ident"] > 1  # one append each
+        assert result.endpoint_calls["encoder:bow"] > 1  # one batch each
+        cache = cfg.cache_dir
+        assert [opened[str(path)] for path in (
+            cache / "rewrites.jsonl", cache / "embeddings" / "manifest.jsonl",
+            cache / "embeddings" / "vectors.bin")] == [1, 1, 1]
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_leaving_stages_closes_every_handle(self, tmp_path, monkeypatch):
+        handles, real_open = [], builtins.open
+
+        def recording_open(*args, **kwargs):
+            handles.append(real_open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        cfg = self._config(tmp_path)
+        with matrix.Stages(cfg, plan_cells(cfg)) as stages:
+            stages.rewrite()
+            stages.fetch()
+            assert not all(fh.closed for fh in handles)  # the appends' handles
+        assert all(fh.closed for fh in handles)
+        gc.collect()
+
+    def test_one_mkdir_per_cell_directory(self, tmp_path, monkeypatch):
+        made, real_mkdir = [], Path.mkdir
+
+        def counting_mkdir(self, *args, **kwargs):
+            made.append(self)
+            return real_mkdir(self, *args, **kwargs)
+
+        cfg = self._config(tmp_path)
+        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+        result = run_matrix(cfg)
+        assert result.exit_status == 0
+        # out/, the caches' two directories and out/cells/, each made once;
+        # a path whose parent is missing is tried again after the parent
+        assert len(made) <= len(plan_cells(cfg)) + 7
+        assert max(Counter(made).values()) <= 2
 
 
 class TestRewriteFailuresNotCached:

@@ -67,8 +67,8 @@ class TestRewriteCorpus:
         with pytest.raises(ContractError):
             documents_job(DOCS, RewritePlan.baseline(), client(), identity_catalog())
 
-    def test_cache_hit_skips_endpoint(self, tmp_path):
-        cache = RewriteCache(tmp_path / "rw.jsonl")
+    def test_cache_hit_skips_endpoint(self, closing, tmp_path):
+        cache = closing(RewriteCache(tmp_path / "rw.jsonl"))
         warm = client()
         rewrite_side(documents_job, DOCS, warm, cache)
         assert warm.call_count == len(DOCS)
@@ -129,8 +129,8 @@ class TestRewriteCorpus:
         records = rewrite_side(documents_job, DOCS, client()).records
         assert sorted(r.source_id for r in records) == sorted(d.id for d in DOCS)
 
-    def test_frozen_cache_makes_rewrite_pure(self, tmp_path):
-        cache = RewriteCache(tmp_path / "rw.jsonl")
+    def test_frozen_cache_makes_rewrite_pure(self, closing, tmp_path):
+        cache = closing(RewriteCache(tmp_path / "rw.jsonl"))
         rewrite_side(documents_job, DOCS, client(), cache)
         a = rewrite_side(documents_job, DOCS, client(), RewriteCache(tmp_path / "rw.jsonl"))
         b = rewrite_side(documents_job, DOCS, client(), RewriteCache(tmp_path / "rw.jsonl"))
@@ -139,17 +139,17 @@ class TestRewriteCorpus:
 
 
 class TestRewriteJobs:
-    def test_each_distinct_prompt_requested_once(self, tmp_path):
+    def test_each_distinct_prompt_requested_once(self, closing, tmp_path):
         # identity templates serve both sides, so a query equal to a document
         # is the same prompt; duplicates inside a job count once too
         docs = DOCS + [Document(id="dup", text=DOCS[0].text)]
         queries = [Query(id="qd", text=DOCS[1].text)] + QUERIES
         rw = client()
-        cache = RewriteCache(tmp_path / "rw.jsonl")
+        cache = closing(RewriteCache(tmp_path / "rw.jsonl"))
         with ThreadPoolExecutor(max_workers=4) as pool:
             done = rewrite_jobs([documents_job(docs, nl_qc_plan(), rw, identity_catalog()),
                                  queries_job(queries, nl_qc_plan(), rw, identity_catalog())],
-                                cache, pool)
+                                cache, pool.map)
         assert rw.call_count == len(DOCS) + len(QUERIES)
         assert [d.texts for d in done] == [[d.text for d in docs],
                                            [q.text for q in queries]]
@@ -166,13 +166,22 @@ class TestRewriteJobs:
         assert isinstance(done[0], ConfigError)
         assert isinstance(done[1], Rewritten)
 
-    def test_failures_are_not_cached(self, tmp_path):
-        cache = RewriteCache(tmp_path / "rw.jsonl")
+    def test_failures_are_not_cached(self, closing, tmp_path):
+        cache = closing(RewriteCache(tmp_path / "rw.jsonl"))
         rewrite_side(documents_job, DOCS, client("mock://flaky?needle=fn_2"), cache)
         retry = client()
-        done = rewrite_side(documents_job, DOCS, retry, RewriteCache(tmp_path / "rw.jsonl"))
+        reopened = closing(RewriteCache(tmp_path / "rw.jsonl"))
+        done = rewrite_side(documents_job, DOCS, retry, reopened)
         assert retry.call_count == 1
         assert not any(r.failed for r in done.records)
+
+    def test_a_put_is_read_by_a_fresh_cache_before_close(self, tmp_path):
+        cache = RewriteCache(tmp_path / "cache" / "rw.jsonl")  # makes its directory
+        done = rewrite_side(documents_job, DOCS[:2], client(), cache)
+        fresh = RewriteCache(tmp_path / "cache" / "rw.jsonl")
+        assert [fresh.get(r.rewriter_id, r.template_id, r.source_hash) for r in done.records] \
+            == done.records
+        cache.close()
 
     def test_failed_row_in_an_old_cache_reads_as_a_miss(self, tmp_path):
         path = tmp_path / "rw.jsonl"
@@ -253,10 +262,10 @@ class TestRecordSerialiser:
                 json.dumps({**r.to_dict(), "arm": arm}, sort_keys=True,
                            ensure_ascii=False) + "\n" for r in records)
 
-    def test_cache_line_is_the_record_under_its_own_arm(self, tmp_path):
+    def test_cache_line_is_the_record_under_its_own_arm(self, closing, tmp_path):
         rng = random.Random(3)
         records = [r for r in (_random_record(rng) for _ in range(50)) if not r.failed]
-        cache = RewriteCache(tmp_path / "rw.jsonl")
+        cache = closing(RewriteCache(tmp_path / "rw.jsonl"))
         for rec in records:
             cache.put(rec)
         assert (tmp_path / "rw.jsonl").read_text(encoding="utf-8") == "".join(
@@ -305,7 +314,9 @@ class TestAuditSample:
 
 class TestTornRewriteCache:
     def _warm(self, path):
-        rewrite_side(documents_job, DOCS, client(), RewriteCache(path))
+        cache = RewriteCache(path)
+        rewrite_side(documents_job, DOCS, client(), cache)
+        cache.close()
 
     def test_torn_last_line_is_skipped_and_counted(self, tmp_path):
         path = tmp_path / "rewrites.jsonl"
@@ -318,13 +329,13 @@ class TestTornRewriteCache:
         rewrite_side(documents_job, DOCS, cold, cache)
         assert cold.call_count == 0
 
-    def test_append_after_torn_tail_keeps_file_readable(self, tmp_path):
+    def test_append_after_torn_tail_keeps_file_readable(self, closing, tmp_path):
         path = tmp_path / "rewrites.jsonl"
         self._warm(path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"arm": "NL')
         extra = [Document(id="d9", text="def fn_9(): return 9")]
-        rewrite_side(documents_job, extra, client(), RewriteCache(path))
+        rewrite_side(documents_job, extra, client(), closing(RewriteCache(path)))
         reopened = RewriteCache(path)
         assert reopened.torn_lines == 0
         cold = client()

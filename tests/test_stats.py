@@ -9,7 +9,7 @@ from scipy import stats as scipy_stats
 
 from rewritebench.errors import ConfigError, DomainError
 from rewritebench.models import Regime
-from rewritebench.stats import (CorrelationResult, JoinedRow, average_ranks,
+from rewritebench.stats import (CorrelationResult, JoinedRow, _t_pvalue, average_ranks,
                                 correlate_pair, correlation_table, pearson,
                                 spearman, stars)
 
@@ -248,6 +248,22 @@ class TestCorrelateAndStars:
         assert small.method == "permutation"
         big = correlate_pair(list(range(12)), [v + 0.1 * (v % 3) for v in range(12)])
         assert big.method == "t_approx"
+
+    def test_t_tail_equals_scipy_stats_bit_for_bit(self):
+        # _t_pvalue's stdtr(df, -t) against scipy.stats.t.sf(t, df), on
+        # every df from 1 to 399, 1000 and 5000, with t from 0 to 1e300
+        from scipy.special import stdtr
+
+        df, t = np.meshgrid(np.r_[1:400, 1000, 5000].astype(np.float64),
+                            np.r_[0.0, np.logspace(-6, 300, 2400)])
+        assert np.array_equal(stdtr(df, -t).view(np.int64),
+                              scipy_stats.t.sf(t, df).view(np.int64))
+        rng = np.random.default_rng(3)
+        for n in (10, 11, 25, 400, 5002):
+            for r in np.r_[rng.uniform(-1, 1, 20), 0.0, 1e-300, -0.999999]:
+                t_stat = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
+                want = min(1.0, max(5e-324, 2.0 * float(scipy_stats.t.sf(t_stat, n - 2))))
+                assert _t_pvalue(float(r), n) == want
 
     def test_star_thresholds(self):
         assert stars(0.04) == "*"

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from conftest import open_failing_writes
 from rewritebench import stores
 from rewritebench.errors import StoreError
 from rewritebench.models import Regime, RewritePlan, RunRecord, Strategy
@@ -60,6 +61,7 @@ class TestRunStore:
 
     def test_append_to_a_new_path_starts_at_run_000000(self, tmp_path):
         path = tmp_path / "sub" / "runs.jsonl"
+        path.parent.mkdir()  # a store's caller makes its directory
         run_id = RunStore(path).append(_record())
         assert run_id == "run-000000"
         assert len(RunStore(path).read()) == 1
@@ -105,6 +107,7 @@ class TestJsonlLog:
         assert (rows, log.torn_lines) == ([], 0)
         assert not (tmp_path / "none.jsonl").exists()
         log.append('{"a": 1}')
+        log.close()
         assert (tmp_path / "none.jsonl").read_text(encoding="utf-8") == '{"a": 1}\n'
 
     def test_torn_tail_is_skipped_then_cut_on_first_append(self, tmp_path):
@@ -116,6 +119,7 @@ class TestJsonlLog:
         assert path.read_bytes() == torn  # opening only reads
         log.append('{"d": 4}')
         log.append('{"e": 5}')
+        log.close()
         assert path.read_bytes() == '{"a": "é"}\n\n{"b": 2}\r\n{"d": 4}\n{"e": 5}\n'.encode()
         rows, log = _load(path)
         assert (len(rows), log.torn_lines) == (4, 0)
@@ -127,6 +131,7 @@ class TestJsonlLog:
         assert (rows, log.torn_lines) == ([{"a": 1}, {"b": 2}], 0)
         assert path.read_text(encoding="utf-8") == '{"a": 1}\n{"b": 2}'
         log.append('{"c": 3}')
+        log.close()
         assert _load(path)[0] == [{"a": 1}, {"b": 2}, {"c": 3}]
 
     def test_repair_refuses_a_file_changed_since_read(self, tmp_path):
@@ -147,6 +152,24 @@ class TestJsonlLog:
         path.mkdir()  # the path now names a directory
         with pytest.raises(StoreError, match="cannot append"):
             log.append('{"b": 2}')
+
+    def test_a_failed_append_drops_the_handle_and_the_next_reopens_it(self, tmp_path,
+                                                                       monkeypatch):
+        path = tmp_path / "x.jsonl"
+        _, log = _load(path)
+        opened = open_failing_writes(monkeypatch)
+        log.append('{"a": 1}')
+        log.append('{"b": 2}')
+        assert len(opened) == 1  # one handle for both appends
+        opened[0].failing = True
+        with pytest.raises(StoreError, match="cannot append"):
+            log.append('{"c": 3}')
+        assert opened[0].closed
+        log.append('{"d": 4}')
+        assert len(opened) == 2 and not opened[1].closed
+        assert path.read_text(encoding="utf-8") == '{"a": 1}\n{"b": 2}\n{"d": 4}\n'
+        log.close()
+        assert opened[1].closed
 
     def test_malformed_inner_line_raises(self, tmp_path):
         path = tmp_path / "x.jsonl"
@@ -224,6 +247,7 @@ def test_json_chunks_equal_json_dumps_on_random_documents():
 
 def test_write_json_writes_the_text_and_a_newline(tmp_path):
     obj = {"coverage_cdf": [[1, 0.5], [2, 1.0]], "k80": 2, "arm": "NL-C"}
+    (tmp_path / "sub").mkdir()  # the caller makes the directory
     write_json(tmp_path / "sub" / "lexical.json", obj)
     assert (tmp_path / "sub" / "lexical.json").read_text(encoding="utf-8") == \
         json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1) + "\n"
@@ -298,6 +322,8 @@ def test_append_many_equals_appends_and_repairs_a_torn_tail(tmp_path):
     rows, log = _load(one)
     for i in range(3):
         log.append(json.dumps({"b": i}))
+    log.close()
     rows, log = _load(many)
     log.append_many(json.dumps({"b": i}) for i in range(3))
+    log.close()
     assert many.read_bytes() == one.read_bytes() == b'{"a": 1}\n{"b": 0}\n{"b": 1}\n{"b": 2}\n'

@@ -57,6 +57,13 @@ class TestParseTemplateFile:
         with pytest.raises(ConfigError, match="template_id"):
             parse_template_file(path)
 
+    def test_malformed_front_matter_is_a_config_error(self, tmp_path):
+        path = tmp_path / "bad.md"
+        path.write_text("---\ntemplate_id: [x\nstrategy: NL\n---\n{input}\n",
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="malformed front-matter"):
+            parse_template_file(path)
+
 
 class TestCatalogResolution:
     def test_builtin_covers_every_combination(self):
