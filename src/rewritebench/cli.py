@@ -109,7 +109,8 @@ def cmd_embed(config: ExperimentConfig, args) -> int:
 def cmd_retrieve(config: ExperimentConfig, args) -> int:
     arm_label, corpus, qmat = _matrices(config, args)
     ranked = retrieve_topk(qmat, corpus, k=args.k or config.k)
-    out = config.out_dir / f"rankings_{args.task}__{args.encoder}__{arm_label}.jsonl"
+    rewriter = f"{args.rewriter}__" if args.strategy else ""  # the Baseline has none
+    out = config.out_dir / f"rankings_{args.task}__{args.encoder}__{rewriter}{arm_label}.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         for r in ranked:
@@ -146,9 +147,8 @@ def cmd_eval(config: ExperimentConfig, args) -> int:
 def cmd_diagnose(config: ExperimentConfig, args) -> int:
     arm = _score(config, args)
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    store = DiagnosticsStore(config.out_dir / "diagnostics.jsonl")
-    store.append("lexical", arm.lexical.to_dict())
-    store.append("geometry", arm.geometry.to_dict())
+    DiagnosticsStore(config.out_dir / "diagnostics.jsonl").append_many(
+        [("lexical", arm.lexical.to_dict()), ("geometry", arm.geometry.to_dict())])
     dh = arm.lexical.delta_h_bits
     ds = arm.geometry.delta_s_bar
     print(f"{arm.plan.arm_label}: H {arm.lexical.h_bits:.4f} bits"

@@ -20,17 +20,15 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
-from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 
 from .errors import CacheMissError, ConfigError, ContractError, EndpointError, WorkbenchError
 from .geometry import EmbeddingMatrix, l2_normalize
-from .sessions import JsonTransport
+from .sessions import EndpointClient
 from .stores import AppendFile, JsonlLog
 from .tokenizers import word_tokens
 
@@ -69,36 +67,14 @@ def _mock_bow_vector(text: str, dim: int) -> np.ndarray:
     return vec
 
 
-class EncoderClient:
+class EncoderClient(EndpointClient):
     """One embedding endpoint; counts every upstream call it makes."""
-
-    def __init__(self, endpoint: EncoderEndpoint):
-        self.endpoint = endpoint
-        self.call_count = 0
-        self._count_lock = threading.Lock()  # matrix cells share the client
-        parsed = urlparse(endpoint.url)
-        self._mock_kind = parsed.netloc if parsed.scheme == "mock" else None
-        self._mock_params = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
-        self._transport = (None if parsed.scheme == "mock" else
-                           JsonTransport(endpoint.url, endpoint.timeout_s, endpoint.auth_env))
-
-    def close(self) -> None:
-        """Close the client's HTTP connections."""
-        if self._transport is not None:
-            self._transport.close()
 
     @property
     def encoder_id(self) -> str:
         return self.endpoint.encoder_id
 
-    def _embed_once(self, texts: Sequence[str]) -> Sequence[Sequence[float]]:
-        with self._count_lock:
-            self.call_count += 1
-        if self._transport is None:
-            return self._embed_mock(texts)
-        return self._embed_http(texts)
-
-    def _embed_mock(self, texts: Sequence[str]) -> list[list[float]]:
+    def _mock(self, texts: Sequence[str]) -> list[list[float]]:
         kind = self._mock_kind
         if kind == "fail":
             raise EndpointError(f"mock encoder {self.encoder_id!r} configured to fail")
@@ -109,7 +85,7 @@ class EncoderClient:
             return [_mock_bow_vector(t, dim).tolist() for t in texts]
         raise ConfigError(f"unknown mock encoder kind {kind!r}")
 
-    def _embed_http(self, texts: Sequence[str]) -> np.ndarray:
+    def _http(self, texts: Sequence[str]) -> np.ndarray:
         """The reply's rows, which must each carry an ``"embedding"`` list of
         finite numbers, all of one length: anything else is retried, and
         nothing non-finite reaches the cache."""
@@ -131,18 +107,8 @@ class EncoderClient:
 
     def embed_batch(self, texts: Sequence[str]) -> Sequence[Sequence[float]]:
         """Embed one batch, retrying with exponential backoff."""
-        attempts = self.endpoint.retries + 1
-        last: Exception | None = None
-        for attempt in range(attempts):
-            try:
-                return self._embed_once(texts)
-            except EndpointError as exc:
-                last = exc
-                if attempt + 1 < attempts and self.endpoint.backoff_s > 0:
-                    time.sleep(self.endpoint.backoff_s * (2 ** attempt))
-        raise EndpointError(
-            f"encoder {self.encoder_id!r} failed after {attempts} attempts "
-            f"on a batch of {len(texts)}: {last}")
+        return self._call((texts,), f"encoder {self.encoder_id!r}",
+                          f" on a batch of {len(texts)}")
 
 
 class EmbeddingCache:

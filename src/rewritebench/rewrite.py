@@ -22,17 +22,15 @@ import hashlib
 import json
 import random
 import threading
-import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
-from urllib.parse import parse_qs, urlparse
 
 from .errors import (ConfigError, ContractError, DomainError, EndpointError,
                      WorkbenchError)
 from .models import Document, Query, Regime, RewritePlan, Strategy
-from .sessions import JsonTransport
+from .sessions import EndpointClient
 from .stores import JsonlLog
 from .templates import PromptTemplate, TemplateCatalog
 
@@ -109,19 +107,13 @@ class RewriterEndpoint:
     backoff_s: float = 0.5
     timeout_s: float = 120.0
     auth_env: str | None = None
-    temperature: float = 0.0
 
 
-class RewriterClient:
+class RewriterClient(EndpointClient):
     """One chat-completions-compatible rewriter endpoint."""
 
     def __init__(self, endpoint: RewriterEndpoint):
-        self.endpoint = endpoint
-        self.call_count = 0
-        self._count_lock = threading.Lock()  # matrix cells share the client
-        parsed = urlparse(endpoint.url)
-        self._mock_kind = parsed.netloc if parsed.scheme == "mock" else None
-        self._mock_params = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
+        super().__init__(endpoint)
         # mock://table: checked here, read on the first request
         self._table: dict[str, str] | None = None
         self._table_error: str | None = None
@@ -133,26 +125,12 @@ class RewriterClient:
             self._table_path = Path(table_path)
             if not self._table_path.is_file():
                 raise ConfigError(f"mock://table file {table_path} does not exist")
-        self._transport = (None if parsed.scheme == "mock" else
-                           JsonTransport(endpoint.url, endpoint.timeout_s, endpoint.auth_env))
-
-    def close(self) -> None:
-        """Close the client's HTTP connections."""
-        if self._transport is not None:
-            self._transport.close()
 
     @property
     def rewriter_id(self) -> str:
         return self.endpoint.rewriter_id
 
-    def _complete_once(self, system: str, user: str, max_tokens: int) -> tuple[str, bool]:
-        with self._count_lock:
-            self.call_count += 1
-        if self._transport is None:
-            return self._complete_mock(user)
-        return self._complete_http(system, user, max_tokens)
-
-    def _complete_mock(self, user: str) -> tuple[str, bool]:
+    def _mock(self, system: str, user: str, max_tokens: int) -> tuple[str, bool]:
         kind = self._mock_kind
         if kind == "identity":
             return user, False
@@ -185,14 +163,14 @@ class RewriterClient:
                                   f"parse: {self._table_error}")
             return self._table.get(user, user)
 
-    def _complete_http(self, system: str, user: str, max_tokens: int) -> tuple[str, bool]:
+    def _http(self, system: str, user: str, max_tokens: int) -> tuple[str, bool]:
         messages = []
         if system:
             messages.append({"role": "system", "content": system})
         messages.append({"role": "user", "content": user})
         payload = self._transport.post({
             "model": self.rewriter_id, "messages": messages,
-            "temperature": self.endpoint.temperature, "max_tokens": max_tokens})
+            "temperature": 0.0, "max_tokens": max_tokens})
         try:
             choice = payload["choices"][0]
             text = choice["message"]["content"]
@@ -205,17 +183,8 @@ class RewriterClient:
         return text, truncated
 
     def complete(self, system: str, user: str, max_tokens: int) -> tuple[str, bool]:
-        attempts = self.endpoint.retries + 1
-        last: Exception | None = None
-        for attempt in range(attempts):
-            try:
-                return self._complete_once(system, user, max_tokens)
-            except EndpointError as exc:
-                last = exc
-                if attempt + 1 < attempts and self.endpoint.backoff_s > 0:
-                    time.sleep(self.endpoint.backoff_s * (2 ** attempt))
-        raise EndpointError(
-            f"rewriter {self.rewriter_id!r} failed after {attempts} attempts: {last}")
+        """Rewrite one prompt, retrying with exponential backoff."""
+        return self._call((system, user, max_tokens), f"rewriter {self.rewriter_id!r}")
 
 
 class RewriteCache:

@@ -1,13 +1,18 @@
-"""A small stdlib HTTP transport for the endpoint clients: POST a JSON
-payload and decode the JSON object that comes back.
+"""What both endpoint clients share: the call path through
+:class:`EndpointClient`, and a small stdlib HTTP transport that POSTs a
+JSON payload and decodes the JSON object that comes back.
 
-Each thread that calls a transport gets its own ``http.client`` connection
-to the endpoint's origin, made on its first call and kept alive for reuse.
-Proxies come from the environment (``HTTP_PROXY``, ``HTTPS_PROXY``,
-``NO_PROXY``) and are looked up once, when the transport is built: an
-https origin is reached through a ``CONNECT`` tunnel, an http one by sending
-the proxy the absolute URL. HTTPS verifies against the system trust store.
-Redirects are not followed and ``.netrc`` is not read.
+:class:`EndpointClient` parses a ``mock://KIND?key=value`` URL for the
+client's in-process answers, builds the transport for any other URL,
+counts every call, retries a failed one with exponential backoff and
+closes the transport. Each thread that calls a transport gets its own
+``http.client`` connection to the endpoint's origin, made on its first
+call and kept alive for reuse. Proxies come from the environment
+(``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``) and are looked up once, when
+the transport is built: an https origin is reached through a ``CONNECT``
+tunnel, an http one by sending the proxy the absolute URL. HTTPS verifies
+against the system trust store. Redirects are not followed and ``.netrc``
+is not read.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ import json
 import os
 import ssl
 import threading
-from urllib.parse import urlsplit
+import time
+from typing import Any
+from urllib.parse import parse_qs, urlsplit
 from urllib.request import getproxies, proxy_bypass
 
 from .errors import ConfigError, EndpointError
@@ -120,3 +127,48 @@ class JsonTransport:
             self._local = threading.local()
         for conn in made:
             conn.close()
+
+
+class EndpointClient:
+    """One endpoint, called by the client built on it: *endpoint* gives its
+    ``url``, ``retries``, ``backoff_s``, ``timeout_s`` and ``auth_env``.
+
+    A ``mock://KIND?key=value`` URL sets ``_mock_kind`` and ``_mock_params``
+    and makes no transport; :meth:`_call` then answers with the client's
+    ``_mock``, else with its ``_http`` through ``_transport``.
+    ``call_count`` counts every call, retries included; matrix cells share
+    a client, so it is counted under a lock.
+    """
+
+    def __init__(self, endpoint):
+        self.endpoint = endpoint
+        self.call_count = 0
+        self._count_lock = threading.Lock()
+        parts = urlsplit(endpoint.url)
+        self._mock_kind = parts.netloc if parts.scheme == "mock" else None
+        self._mock_params = {k: v[-1] for k, v in parse_qs(parts.query).items()}
+        self._transport = (None if self._mock_kind is not None else
+                           JsonTransport(endpoint.url, endpoint.timeout_s, endpoint.auth_env))
+
+    def close(self) -> None:
+        """Close the client's HTTP connections."""
+        if self._transport is not None:
+            self._transport.close()
+
+    def _call(self, args: tuple, who: str, where: str = "") -> Any:
+        """The answer to *args*; an EndpointError is retried ``retries``
+        times with exponential backoff, then raised as "*who* failed after N
+        attempts*where*: the last error"."""
+        answer = self._mock if self._transport is None else self._http
+        attempts = self.endpoint.retries + 1
+        last: Exception | None = None
+        for attempt in range(attempts):
+            with self._count_lock:
+                self.call_count += 1
+            try:
+                return answer(*args)
+            except EndpointError as exc:
+                last = exc
+                if attempt + 1 < attempts and self.endpoint.backoff_s > 0:
+                    time.sleep(self.endpoint.backoff_s * (2 ** attempt))
+        raise EndpointError(f"{who} failed after {attempts} attempts{where}: {last}")

@@ -1,11 +1,15 @@
-"""JSON-Lines stores for run records and diagnostics reports, and the
-``indent=1`` JSON writer every artifact file goes through.
+"""JSON-Lines files and stores: :class:`JsonlLog`, the one path by which
+the caches and the run and diagnostics stores read and append JSON-Lines,
+and the ``indent=1`` JSON writer every artifact file goes through.
 
 Each store line carries a schema version field ``v``. ``run-matrix``
 rewrites a store whole, once per run, through a temporary file that
-replaces it; single-cell commands append to it.
-Writes are serialized through an in-process lock (single-writer
-discipline); reads take a snapshot of the file.
+replaces it; single-cell commands append to it through one
+:class:`JsonlLog` per store instance. So a store follows the caches' rule:
+a torn last line (a crash mid-append) is skipped on read and cut off by the
+next append, and a malformed line anywhere else is a StoreError. Writes are
+serialized through an in-process lock (single-writer discipline); reads
+take a snapshot of the file.
 """
 
 from __future__ import annotations
@@ -86,28 +90,6 @@ def write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(json_chunks(obj))
         fh.write("\n")
-
-
-def _write(path: Path, mode: str, lines: Iterable[str], what: str) -> None:
-    """Write *lines* to *path* opened once in *mode*; each line ends in
-    ``\\n``, and the caller makes the directory. A whole-file write
-    (``"w"``) goes to a temporary file next to *path* that then replaces it,
-    so one cut off midway never leaves a truncated store, and one that fails
-    removes its temporary file."""
-    try:
-        if mode == "a":
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.writelines(lines)
-            return
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with open(tmp, mode, encoding="utf-8") as fh:
-                fh.writelines(lines)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-    except OSError as exc:
-        raise StoreError(f"cannot {what} {path}: {exc}") from exc
 
 
 class AppendFile:
@@ -232,96 +214,108 @@ class JsonlLog:
         self._file.close()
 
 
-class RunStore:
-    """Store of RunRecords, one JSON object per line.
-
-    Run ids number the lines. :meth:`write` replaces the file; the first
-    :meth:`append` counts the file's lines and a counter takes over, so an
-    instance must be the file's only writer.
-    """
+class _Store:
+    """A JSON-Lines store: :meth:`_write` replaces it whole, and appends go
+    through one :class:`JsonlLog`, which the first append opens (reading
+    the file) and the next :meth:`_write` drops. A command appends to a
+    store once, so each append closes its handle again rather than keep it
+    open. An instance must be the file's only writer."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._next: int | None = None  # next run number; counted on first append
+        self._log: JsonlLog | None = None
+        self._rows = 0  # the file's rows, counted when the log opens
 
-    def _count(self) -> int:
-        if not self.path.exists():
-            return 0
-        with open(self.path, "r", encoding="utf-8") as fh:
-            return sum(1 for line in fh if line.strip())
+    def _read(self) -> list[Any]:
+        """The file's rows (none when it is missing), read by a JsonlLog."""
+        rows: list[Any] = []
+        JsonlLog(self.path, rows.append)
+        return rows
+
+    def _write(self, lines: list[str], what: str) -> None:
+        """Replace the file with *lines*; the caller makes the directory.
+        The lines go to a temporary file next to it that then replaces it,
+        so a write cut off midway never leaves a truncated store, and one
+        that fails removes its temporary file."""
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        with self._lock:
+            self._log = None
+            try:
+                try:
+                    with open(tmp, "w", encoding="utf-8") as fh:
+                        fh.writelines(line + "\n" for line in lines)
+                    os.replace(tmp, self.path)
+                finally:
+                    tmp.unlink(missing_ok=True)
+            except OSError as exc:
+                raise StoreError(f"cannot {what} {self.path}: {exc}") from exc
+
+    def _append(self, make_lines: Callable[[int], list[str]]) -> int:
+        """Append ``make_lines(n)``, where *n* counts the rows already in
+        the file, and return *n*."""
+        with self._lock:
+            if self._log is None:
+                rows: list[Any] = []
+                self._log = JsonlLog(self.path, rows.append)
+                self._rows = len(rows)
+            number, lines = self._rows, make_lines(self._rows)
+            self._log.append_many(lines)
+            self._log.close()
+            self._rows += len(lines)
+            return number
+
+
+class RunStore(_Store):
+    """Store of RunRecords, one JSON object per line; run ids number the
+    lines."""
 
     @staticmethod
     def _line(number: int, record: RunRecord) -> str:
         return _dump({"v": SCHEMA_VERSION, "run_id": f"run-{number:06d}",
-                      **record.to_dict()}) + "\n"
+                      **record.to_dict()})
 
     def write(self, records: Iterable[RunRecord]) -> None:
         """Replace the file with *records*, numbered from ``run-000000``."""
-        lines = [self._line(i, rec) for i, rec in enumerate(records)]
-        with self._lock:
-            _write(self.path, "w", lines, "write run records to")
-            self._next = len(lines)
+        self._write([self._line(i, rec) for i, rec in enumerate(records)],
+                    "write run records to")
 
     def append(self, record: RunRecord) -> str:
-        with self._lock:
-            number = self._count() if self._next is None else self._next
-            _write(self.path, "a", [self._line(number, record)], "append run record to")
-            self._next = number + 1
-            return f"run-{number:06d}"
+        """Append *record*, numbered after the file's rows; return its run id."""
+        number = self._append(lambda n: [self._line(n, record)])
+        return f"run-{number:06d}"
 
     def read(self) -> list[tuple[str, RunRecord]]:
-        if not self.path.exists():
-            return []
-        out = []
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    obj = json.loads(line)
-                    out.append((obj["run_id"], RunRecord.from_dict(obj)))
-        except OSError as exc:
-            raise StoreError(f"cannot read run store {self.path}: {exc}") from exc
-        return out
+        return [(row["run_id"], RunRecord.from_dict(row)) for row in self._read()]
 
     def records(self) -> list[RunRecord]:
         return [rec for _, rec in self.read()]
 
 
-class DiagnosticsStore:
+class DiagnosticsStore(_Store):
     """Mixed store of lexical and geometry reports, tagged by ``kind``."""
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
 
     @staticmethod
     def _line(kind: str, payload: dict[str, Any]) -> str:
         if kind not in ("lexical", "geometry"):
             raise StoreError(f"unknown diagnostics kind {kind!r}")
-        return _dump({"v": SCHEMA_VERSION, "kind": kind, **payload}) + "\n"
+        return _dump({"v": SCHEMA_VERSION, "kind": kind, **payload})
 
     def write(self, reports: Iterable[tuple[str, dict[str, Any]]]) -> None:
         """Replace the file with *reports*, (kind, payload) pairs in order."""
+        self._write([self._line(kind, payload) for kind, payload in reports],
+                    "write diagnostics to")
+
+    def append_many(self, reports: Iterable[tuple[str, dict[str, Any]]]) -> None:
+        """Append *reports*, (kind, payload) pairs, with one write."""
         lines = [self._line(kind, payload) for kind, payload in reports]
-        with self._lock:
-            _write(self.path, "w", lines, "write diagnostics to")
+        self._append(lambda n: lines)
 
     def append(self, kind: str, payload: dict[str, Any]) -> None:
-        line = self._line(kind, payload)
-        with self._lock:
-            _write(self.path, "a", [line], "append diagnostics to")
+        self.append_many([(kind, payload)])
 
     def read(self) -> Iterator[dict[str, Any]]:
-        if not self.path.exists():
-            return iter(())
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = [json.loads(line) for line in fh if line.strip()]
-        except OSError as exc:
-            raise StoreError(f"cannot read diagnostics store {self.path}: {exc}") from exc
-        return iter(lines)
+        return iter(self._read())
 
     def by_kind(self, kind: str) -> list[dict[str, Any]]:
         return [obj for obj in self.read() if obj.get("kind") == kind]

@@ -250,3 +250,104 @@ def test_cli_import_leaves_requests_out():
          "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_retrieve_names_the_rewriter_of_an_arm(tmp_path):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({d["text"]: "mirror_flip" for d in TOY_DOCS}),
+                     encoding="utf-8")
+    path = write_matrix_config(tmp_path, rewriters=[
+        {"rewriter_id": "ident", "url": "mock://identity"},
+        {"rewriter_id": "other", "url": f"mock://table?file={table}"}])
+    rankings = {}
+    for rewriter in ("ident", "other"):
+        assert run_cli(path, "retrieve", "--task", "toy", "--encoder", "bow",
+                       "--rewriter", rewriter, "--strategy", "NL", "--regime", "QC") == 0
+        out = tmp_path / "out" / f"rankings_toy__bow__{rewriter}__NL-QC.jsonl"
+        rankings[rewriter] = out.read_text(encoding="utf-8")
+    assert rankings["ident"] != rankings["other"]  # neither overwrote the other
+
+
+def _report_files(out_dir):
+    return {p.name: p.read_bytes() for p in sorted((out_dir / "report").iterdir())}
+
+
+@pytest.mark.parametrize("store", ["runs.jsonl", "diagnostics.jsonl"])
+def test_report_reads_the_intact_rows_of_a_torn_store(tmp_path, capsys, store):
+    path = write_matrix_config(tmp_path)
+    assert run_cli(path, "run-matrix") == 0
+    assert run_cli(path, "report") == 0
+    before = _report_files(tmp_path / "out")
+    with open(tmp_path / "out" / store, "a", encoding="utf-8") as fh:
+        fh.write('{"v": 1, "kind": "lexi')  # a crash mid-append
+    assert run_cli(path, "report") == 0
+    assert run_cli(path, "correlate") == 0
+    assert _report_files(tmp_path / "out") == before
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_eval_after_a_torn_line_cuts_it_off(tmp_path):
+    path = write_matrix_config(tmp_path)
+    assert run_cli(path, "run-matrix") == 0
+    runs = tmp_path / "out" / "runs.jsonl"
+    intact = runs.read_bytes()
+    with open(runs, "a", encoding="utf-8") as fh:
+        fh.write('{"v": 1, "run_id": "run-0000')
+    assert run_cli(path, "eval", "--task", "toy", "--encoder", "bow") == 0
+    assert runs.read_bytes().startswith(intact)
+    rows = [json.loads(line) for line in runs.read_text(encoding="utf-8").splitlines()]
+    assert [row["run_id"] for row in rows] == ["run-000000", "run-000001", "run-000002"]
+
+
+@pytest.mark.parametrize("store", ["runs.jsonl", "diagnostics.jsonl"])
+def test_a_malformed_inner_line_of_a_store_is_an_error(tmp_path, capsys, store):
+    path = write_matrix_config(tmp_path)
+    assert run_cli(path, "run-matrix") == 0
+    file = tmp_path / "out" / store
+    lines = file.read_text(encoding="utf-8").splitlines(keepends=True)
+    file.write_text(lines[0][:20] + "\n" + "".join(lines[1:]), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(path, "report") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 1 is malformed" in err
+
+
+def test_diagnose_writes_its_two_lines_at_once(tmp_path, monkeypatch):
+    # a crash between two writes would leave a lone lexical row, and a rerun
+    # would then store that cell key twice
+    path = write_matrix_config(tmp_path)
+    writes, real_open = [], open
+
+    class Recording:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self._fh.close()
+
+        def write(self, data):
+            writes.append(data)
+            return self._fh.write(data)
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return Recording(fh) if str(file).endswith("diagnostics.jsonl") else fh
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    assert run_cli(path, "diagnose", "--task", "toy", "--encoder", "bow",
+                   "--rewriter", "ident", "--strategy", "NL", "--regime", "QC") == 0
+    monkeypatch.undo()
+    diagnostics = (tmp_path / "out" / "diagnostics.jsonl").read_bytes()
+    assert [row["kind"] for row in map(json.loads, diagnostics.splitlines())] == \
+        ["lexical", "geometry"]
+    assert len(writes) == 1

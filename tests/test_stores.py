@@ -327,3 +327,40 @@ def test_append_many_equals_appends_and_repairs_a_torn_tail(tmp_path):
     log.append_many(json.dumps({"b": i}) for i in range(3))
     log.close()
     assert many.read_bytes() == one.read_bytes() == b'{"a": 1}\n{"b": 0}\n{"b": 1}\n{"b": 2}\n'
+
+
+class TestTornStores:
+    """The stores read and append through JsonlLog, as the caches do."""
+
+    def test_run_store_skips_a_torn_last_line(self, tmp_path):
+        store = RunStore(tmp_path / "runs.jsonl")
+        store.write([_record(0), _record(1)])
+        with open(store.path, "a", encoding="utf-8") as fh:
+            fh.write('{"v": 1, "run_id": "run-0000')  # a crash mid-append
+        assert store.records() == [_record(0), _record(1)]
+
+    def test_diagnostics_store_skips_a_torn_last_line(self, tmp_path):
+        store = DiagnosticsStore(tmp_path / "diag.jsonl")
+        store.write([("lexical", {"h_bits": 1.0}), ("geometry", {"s_bar": 0.5})])
+        with open(store.path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind": "lexi')
+        assert [row["kind"] for row in store.read()] == ["lexical", "geometry"]
+
+    def test_append_cuts_the_torn_line_and_numbers_after_the_intact_rows(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        RunStore(path).write([_record(i) for i in range(3)])
+        intact = path.read_bytes()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"v": 1, "run_id": "run-0000')
+        store = RunStore(path)
+        assert store.append(_record(3)) == "run-000003"
+        assert path.read_bytes().startswith(intact)
+        assert [rid for rid, _ in RunStore(path).read()] == \
+            [f"run-{i:06d}" for i in range(4)]
+
+    @pytest.mark.parametrize("store_class", [RunStore, DiagnosticsStore])
+    def test_a_malformed_inner_line_is_a_store_error(self, tmp_path, store_class):
+        store = store_class(tmp_path / "store.jsonl")
+        store.path.write_text('{"v": 1}\n{"v": 1,\n{"v": 1}\n', encoding="utf-8")
+        with pytest.raises(StoreError, match="line 2 is malformed"):
+            list(store.read())
