@@ -24,7 +24,7 @@ from .report import (advise_from_reports, correlation_report, join_rows,
                      load_stores, write_csv, write_reports)
 from .retrieval import retrieve_topk
 from .rewrite import RewriteRecord, audit_sample, write_records
-from .stores import DiagnosticsStore, RunStore, write_json
+from .stores import DiagnosticsStore, JsonlLog, RunStore, write_json
 
 
 def _task_spec(config: ExperimentConfig, task_id: str):
@@ -208,16 +208,12 @@ def cmd_audit(config: ExperimentConfig, args) -> int:
                                    task_id=task.task_id)
     sources = {d.id: d.text for d in collection.documents}
     sources.update({q.id: q.text for q in collection.queries})
-    records: list[RewriteRecord] = []
+    rows: list[RewriteRecord] = []
     cells_dir = config.out_dir / "cells"
     for path in sorted(cells_dir.glob("*/rewrites.jsonl")):
-        for line in path.read_text(encoding="utf-8").splitlines():
-            rec = RewriteRecord.from_dict(json.loads(line))
-            if rec.source_id not in sources:
-                continue  # record belongs to another task
-            if args.rewriter and rec.rewriter_id != args.rewriter:
-                continue
-            records.append(rec)
+        JsonlLog(path, lambda row: rows.append(RewriteRecord.from_dict(row)))
+    records = [rec for rec in rows if rec.source_id in sources  # not another task's
+               and (not args.rewriter or rec.rewriter_id == args.rewriter)]
     if not records:
         print("no rewrite records found under", cells_dir, file=sys.stderr)
         return 1

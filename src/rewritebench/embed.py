@@ -182,9 +182,9 @@ class EmbeddingCache:
         return out
 
     def put_many(self, rows: Iterable[tuple[str, str, np.ndarray]]) -> None:
-        """Append (key, encoder_id, vector) *rows* in order: one write to
-        ``vectors.bin``, flushed so that :meth:`gather` reads it, then one
-        append of their manifest lines. Until both have succeeded none of
+        """Append (key, encoder_id, vector) *rows* in order: one append to
+        ``vectors.bin``, which :meth:`gather` can read once it returns, then
+        one append of their manifest lines. Until both have succeeded none of
         the rows is indexed."""
         rows = [(key, encoder_id, np.asarray(vector, dtype=np.float64).ravel())
                 for key, encoder_id, vector in rows]

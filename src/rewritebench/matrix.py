@@ -4,8 +4,10 @@ cell plus one Baseline cell per (encoder, task).
 Cells share their inputs: QC and C of one strategy rank the same rewritten
 corpus, and C ranks the Baseline's queries. :class:`Stages` computes each
 shared input of its cells once, for the whole matrix or for one cell of the
-CLI. A failure is recorded against the cells that depend on it while the
-rest proceed. With warm caches a rerun issues zero endpoint calls and
+CLI, and sends its endpoint requests through one pool of
+``config.parallelism`` threads; everything else runs on the calling thread.
+A failure is recorded against the cells that depend on it while the rest
+proceed. With warm caches a rerun issues zero endpoint calls and
 rewrites byte-identical outputs, so the runner is a fixed point under
 repetition. Per-cell artifacts live under ``out_dir/cells/<cell_id>/``,
 removed when the cell fails; the run records and diagnostics of every
@@ -138,8 +140,11 @@ def _persist_group(config: ExperimentConfig, done: list[tuple[CellKey, ArmResult
 
 class Stages(AbstractContextManager):
     """The stages of a set of cells, from the clients, collections and
-    rewrite jobs they name. A failed input is raised by whatever reads it;
-    leaving the ``with`` block closes the clients, then the caches."""
+    rewrite jobs they name. Above ``parallelism: 1`` it owns a pool of
+    ``config.parallelism`` threads that sends the endpoint requests of
+    :meth:`rewrite` and :meth:`fetch`. A failed input is raised by whatever
+    reads it; leaving the ``with`` block shuts the pool down, then closes
+    the clients, then the caches."""
 
     def __init__(self, config: ExperimentConfig, cells: Sequence[CellKey]):
         self.config, self.cells = config, list(cells)
@@ -190,34 +195,37 @@ class Stages(AbstractContextManager):
                     except WorkbenchError as exc:
                         self._sides[key] = exc
 
-        # Baselines' only, each written by one pool item before the arms read it
-        self._query_matrices: dict[tuple, EmbeddingMatrix] = {}
         self._baselines: dict[tuple[str, str], ArmResult] = {}
         self._fetch_failures: dict[str, WorkbenchError] = {}  # by encoder id
+        self._pool = (ThreadPoolExecutor(config.parallelism)
+                      if config.parallelism > 1 else None)
+        self._map: Callable = map if self._pool is None else self._pool.map
 
     def __exit__(self, *exc_info) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
         for client in (*self.encoders.values(), *self.rewriters.values()):
             client.close()
         self.rewrite_cache.close()
         self.embedding_cache.close()
 
-    def rewrite(self, map_fn: Callable = map) -> None:
+    def rewrite(self) -> None:
         """Stage 1: rewrite the cells' sides, once per distinct prompt, each
-        request run through *map_fn* (a pool's ``map``, or inline)."""
+        request sent through the pool."""
         self._sides.update(zip(self._jobs, rewrite_jobs(list(self._jobs.values()),
-                                                        self.rewrite_cache, map_fn)))
+                                                        self.rewrite_cache, self._map)))
 
-    def fetch(self, map_fn: Callable = map) -> None:
+    def fetch(self) -> None:
         """Stage 2: fetch the vectors the cells lack, each distinct text once,
-        each batch run through *map_fn*. An encoder's failure is kept for the
-        cells it leaves without vectors."""
+        each batch sent through the pool. An encoder's failure is kept for
+        the cells it leaves without vectors."""
         for encoder_id, client in self.encoders.items():
             keys = dict.fromkeys(cell.side_key(side) for cell in self.cells
                                  if cell.encoder_id == encoder_id for side in SIDES)
             wanted = [text for key in keys if isinstance(self._sides[key], Rewritten)
                       for text in self._sides[key].texts]
             try:
-                fetch_missing(wanted, client, self.embedding_cache, map_fn)
+                fetch_missing(wanted, client, self.embedding_cache, self._map)
             except WorkbenchError as exc:
                 self._fetch_failures[encoder_id] = exc.with_traceback(None)
 
@@ -252,18 +260,11 @@ class Stages(AbstractContextManager):
                                 embedding_cache=self.embedding_cache)
 
     def queries(self, cell: CellKey) -> EmbeddingMatrix:
-        """The query matrix *cell* ranks with; a Baseline's is kept, since
-        its C cells rank the same queries."""
-        key = (cell.encoder_id, cell.side_key("queries"))
-        matrix = self._query_matrices.get(key)
-        if matrix is None:
-            texts = self.side(cell, "queries").texts
-            with self._fetched(cell):
-                matrix = embed_items(self.collections[cell.task_id].queries, texts,
-                                     self.encoders[cell.encoder_id], self.embedding_cache)
-            if cell.is_baseline:
-                self._query_matrices[key] = matrix
-        return matrix
+        """The query matrix *cell* ranks with, gathered anew from the cache."""
+        texts = self.side(cell, "queries").texts
+        with self._fetched(cell):
+            return embed_items(self.collections[cell.task_id].queries, texts,
+                               self.encoders[cell.encoder_id], self.embedding_cache)
 
     def score(self, cell: CellKey, corpus: Corpus) -> ArmResult:
         """Score *cell* against *corpus*, with deltas once its Baseline is scored."""
@@ -281,13 +282,12 @@ class Stages(AbstractContextManager):
 
 def run_matrix(config: ExperimentConfig,
                fault_hook: Callable[[CellKey], None] | None = None) -> MatrixResult:
-    """Execute the full matrix described by *config*: the stages of
-    :class:`Stages`, each mapped over one pool of ``config.parallelism``
-    threads, or inline on the calling thread at ``parallelism: 1``. The
-    last goes per corpus group, the cells that rank one (encoder, task,
-    rewriter, strategy) corpus: it builds the corpus, scores the group's
-    cells and frees it, Baselines first so the arms get their deltas. At
-    most ``config.parallelism`` corpora are held at once.
+    """Execute the full matrix described by *config*: the rewrite and fetch
+    stages of :class:`Stages`, then, on the calling thread, each corpus
+    group in plan order, Baselines first so the arms get their deltas. A
+    group is the cells that rank one (encoder, task, rewriter, strategy)
+    corpus: it builds the corpus, scores the group's cells against it, drops
+    it and writes the cells, so one corpus is held at a time.
 
     ``fault_hook`` is test instrumentation: it is invoked with each cell
     key before the cell is scored and may raise to simulate a cell failure.
@@ -303,47 +303,32 @@ def run_matrix(config: ExperimentConfig,
     for cell in cells:
         groups.setdefault((cell.encoder_id, cell.side_key("documents")), []).append(cell)
 
-    # the pool's threads are done before the clients and caches close
-    with Stages(config, cells) as stages, ExitStack() as threads:
-        map_fn: Callable = map
-        if config.parallelism > 1:
-            map_fn = threads.enter_context(ThreadPoolExecutor(config.parallelism)).map
-
-        def score_group(group: list[CellKey]) -> list[ArmResult | str]:
-            """Each cell's result, or its failure message: an error's traceback
-            would keep the corpus, which dies with this call, alive."""
+    with Stages(config, cells) as stages:
+        stages.rewrite()
+        stages.fetch()
+        for group in groups.values():
             try:
-                corpus: Corpus | WorkbenchError = stages.corpus(group[0])
+                corpus: Corpus | str = stages.corpus(group[0])
             except WorkbenchError as exc:
-                corpus = exc
-            outcomes: list[ArmResult | str] = []
+                corpus = str(exc)
+            done = []
             for cell in group:
                 try:
                     if fault_hook is not None:
                         fault_hook(cell)
-                    if isinstance(corpus, WorkbenchError):
-                        raise corpus
-                    outcomes.append(stages.score(cell, corpus))
+                    if isinstance(corpus, str):
+                        raise WorkbenchError(corpus)
+                    arm = stages.score(cell, corpus)
                 except WorkbenchError as exc:
-                    outcomes.append(str(exc))
-            return outcomes
-
-        stages.rewrite(map_fn)
-        stages.fetch(map_fn)
-        for wave in ([g for g in groups.values() if g[0].is_baseline],
-                     [g for g in groups.values() if not g[0].is_baseline]):
-            for group, outcomes in zip(wave, map_fn(score_group, wave)):
-                done = []
-                for cell, arm in zip(group, outcomes):
-                    if isinstance(arm, str):
-                        result.failures[cell] = arm
-                        with suppress(FileNotFoundError):  # an earlier run's
-                            shutil.rmtree(out_dir / "cells" / cell.cell_id)
-                    else:
-                        result.results[cell] = arm
-                        done.append((cell, arm))
-                if done:
-                    _persist_group(config, done, stages.side(group[0], "documents").records)
+                    result.failures[cell] = str(exc)
+                    with suppress(FileNotFoundError):  # an earlier run's
+                        shutil.rmtree(out_dir / "cells" / cell.cell_id)
+                else:
+                    result.results[cell] = arm
+                    done.append((cell, arm))
+            del corpus  # before the next group builds its own
+            if done:
+                _persist_group(config, done, stages.side(group[0], "documents").records)
 
     arms = [result.results[cell] for cell in cells if cell in result.results]
     RunStore(out_dir / "runs.jsonl").write(arm.run_record for arm in arms)

@@ -57,21 +57,25 @@ def _reject_duplicates(path: Path, keys) -> None:
         seen.add(key)
 
 
+_REPORTS = {"lexical": LexicalReport.from_dict, "geometry": GeometryReport.from_dict}
+
+
 def load_stores(out_dir: str | Path) -> tuple[list[RunRecord], list[LexicalReport],
                                               list[GeometryReport]]:
     """The stores' records; a cell key stored twice (say, by an ``eval``
-    after ``run-matrix``) is a DomainError."""
+    after ``run-matrix``) is a DomainError, and a row that lacks a field a
+    StoreError."""
     out_dir = Path(out_dir)
     run_store = RunStore(out_dir / "runs.jsonl")
     runs = run_store.records()
     _reject_duplicates(run_store.path, ((r.encoder_id, r.task_id, r.plan.rewriter_id,
                                          r.plan.arm_label) for r in runs))
     diag = DiagnosticsStore(out_dir / "diagnostics.jsonl")
-    reports = list(diag.read())
-    _reject_duplicates(diag.path, ((d.get("kind"), d.get("encoder_id"), d.get("task_id"),
-                                    d.get("rewriter_id"), d.get("arm")) for d in reports))
-    lexical = [LexicalReport.from_dict(d) for d in reports if d.get("kind") == "lexical"]
-    geometry = [GeometryReport.from_dict(d) for d in reports if d.get("kind") == "geometry"]
+    reports = diag.read(lambda d: (d["kind"], _REPORTS[d["kind"]](d)))
+    _reject_duplicates(diag.path, ((kind, r.encoder_id, r.task_id, r.rewriter_id, r.arm)
+                                   for kind, r in reports))
+    lexical = [r for kind, r in reports if kind == "lexical"]
+    geometry = [r for kind, r in reports if kind == "geometry"]
     return runs, lexical, geometry
 
 

@@ -7,9 +7,9 @@ rewrites a store whole, once per run, through a temporary file that
 replaces it; single-cell commands append to it through one
 :class:`JsonlLog` per store instance. So a store follows the caches' rule:
 a torn last line (a crash mid-append) is skipped on read and cut off by the
-next append, and a malformed line anywhere else is a StoreError. Writes are
-serialized through an in-process lock (single-writer discipline); reads
-take a snapshot of the file.
+next append, and a malformed line anywhere else, or a row that lacks a
+field, is a StoreError. Writes are serialized through an in-process lock
+(single-writer discipline); reads take a snapshot of the file.
 """
 
 from __future__ import annotations
@@ -93,12 +93,13 @@ def write_json(path: Path, obj) -> None:
 
 
 class AppendFile:
-    """A file appended to through one handle, opened by the first append
-    and kept until :meth:`close`.
+    """A file appended to through one unbuffered handle, opened by the
+    first append and kept until :meth:`close`.
 
-    Each append is one write and a flush, so a crash loses none that
-    returned. An append that fails drops the handle, and the next one
-    opens it again. The caller makes the directory.
+    Each append writes straight to the file, so a crash loses none that
+    returned. An append that fails cuts the file back to where it started,
+    so the next one does not follow a partial line, and drops the handle;
+    the next append opens it again. The caller makes the directory.
     """
 
     def __init__(self, path: Path):
@@ -110,15 +111,19 @@ class AppendFile:
         return self._fh is not None
 
     def append(self, data: bytes) -> int:
-        """Write *data* at the end of the file and flush it; return the
-        offset it starts at."""
+        """Write *data* at the end of the file; return the offset it starts at."""
+        offset = None
         try:
             if self._fh is None:
-                self._fh = open(self.path, "ab")
+                self._fh = open(self.path, "ab", buffering=0)
             offset = self._fh.tell()
-            self._fh.write(data)
-            self._fh.flush()
+            view = memoryview(data)
+            while view:  # an unbuffered write may put only part of its bytes
+                view = view[self._fh.write(view):]
         except OSError as exc:
+            if offset is not None:
+                with suppress(OSError):  # a reopen still skips a torn last line
+                    os.ftruncate(self._fh.fileno(), offset)
             self.close()
             raise StoreError(f"cannot append to {self.path}: {exc}") from exc
         return offset
@@ -127,8 +132,7 @@ class AppendFile:
         """Close the handle, if an append opened it."""
         fh, self._fh = self._fh, None
         if fh is not None:
-            with suppress(OSError):  # only a failed append leaves bytes to flush
-                fh.close()
+            fh.close()
 
 
 class JsonlLog:
@@ -137,11 +141,12 @@ class JsonlLog:
     Opening only reads. A crash mid-append leaves a last line that does not
     parse: it is skipped and counted in ``torn_lines``. The first
     :meth:`append` cuts it off, or adds a missing final newline, so the new
-    line starts a line of its own. A malformed line anywhere else is
-    corruption: StoreError. The file is streamed, never held whole. One
-    process at a time may write the file; an append that finds the file
-    changed since it was read, with a repair pending, raises StoreError
-    rather than cut another writer's line.
+    line starts a line of its own. A malformed line anywhere else, or a row
+    that *add* cannot take (a missing field, a value of the wrong type), is
+    corruption: StoreError, naming the file and line. The file is streamed,
+    never held whole. One process at a time may write the file; an append
+    that finds the file changed since it was read, with a repair pending,
+    raises StoreError rather than cut another writer's line.
 
     Appends go through one :class:`AppendFile` handle, which :meth:`close`
     closes.
@@ -178,7 +183,11 @@ class JsonlLog:
                         except ValueError as exc:
                             bad, tail = (lineno, exc), [line]
                             continue
-                        add(row)
+                        try:
+                            add(row)
+                        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                            raise StoreError(f"{self.path}: line {lineno} is malformed: "
+                                             f"{type(exc).__name__}: {exc}") from exc
         except OSError as exc:
             raise StoreError(f"cannot read {self.path}: {exc}") from exc
         if bad is not None:
@@ -193,8 +202,8 @@ class JsonlLog:
         self.append_many([line])
 
     def append_many(self, lines: Iterable[str]) -> None:
-        """Write each of *lines* and its newline with one write and one
-        flush; the caller serializes calls."""
+        """Write each of *lines* and its newline with one append; the
+        caller serializes calls."""
         data = "".join(line + "\n" for line in lines).encode("utf-8")
         if not self._file.is_open and (self._keep is not None or self._newline):
             try:
@@ -227,10 +236,12 @@ class _Store:
         self._log: JsonlLog | None = None
         self._rows = 0  # the file's rows, counted when the log opens
 
-    def _read(self) -> list[Any]:
-        """The file's rows (none when it is missing), read by a JsonlLog."""
+    def _read(self, convert: Callable[[dict[str, Any]], Any]) -> list[Any]:
+        """The file's rows (none when it is missing), each passed through
+        *convert* as a JsonlLog reads it: a row *convert* cannot take is a
+        StoreError naming the file and line."""
         rows: list[Any] = []
-        JsonlLog(self.path, rows.append)
+        JsonlLog(self.path, lambda row: rows.append(convert(row)))
         return rows
 
     def _write(self, lines: list[str], what: str) -> None:
@@ -286,7 +297,7 @@ class RunStore(_Store):
         return f"run-{number:06d}"
 
     def read(self) -> list[tuple[str, RunRecord]]:
-        return [(row["run_id"], RunRecord.from_dict(row)) for row in self._read()]
+        return self._read(lambda row: (row["run_id"], RunRecord.from_dict(row)))
 
     def records(self) -> list[RunRecord]:
         return [rec for _, rec in self.read()]
@@ -314,8 +325,9 @@ class DiagnosticsStore(_Store):
     def append(self, kind: str, payload: dict[str, Any]) -> None:
         self.append_many([(kind, payload)])
 
-    def read(self) -> Iterator[dict[str, Any]]:
-        return iter(self._read())
+    def read(self, convert: Callable[[dict[str, Any]], Any] = lambda row: row) -> list[Any]:
+        """The file's rows, each passed through *convert*, as by :meth:`_read`."""
+        return self._read(convert)
 
     def by_kind(self, kind: str) -> list[dict[str, Any]]:
         return [obj for obj in self.read() if obj.get("kind") == kind]

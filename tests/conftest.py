@@ -65,14 +65,16 @@ def assert_calls_counted_under_threads(client, call, n_calls: int = 200) -> None
 
 
 class FailingWrites:
-    """A file whose writes raise ``OSError`` while ``failing`` is set; every
-    other attribute is the wrapped file's."""
+    """A file whose writes raise ``OSError`` while ``failing`` is set, after
+    writing their first ``prefix`` bytes, as a write cut short by a full
+    disk does; every other attribute is the wrapped file's."""
 
     def __init__(self, fh):
-        self._fh, self.failing = fh, False
+        self._fh, self.failing, self.prefix = fh, False, 0
 
     def write(self, data):
         if self.failing:
+            self._fh.write(data[:self.prefix])
             raise OSError(28, "No space left on device")
         return self._fh.write(data)
 

@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from conftest import TOY_DOCS, write_matrix_config
+from conftest import TOY_DOCS, TOY_QUERIES, write_matrix_config
 from rewritebench.cli import main
 from rewritebench.embed import EncoderClient
+from rewritebench.rewrite import RewriterClient
 
 
 def run_cli(config_path, *argv) -> int:
@@ -198,6 +200,36 @@ def test_eval_on_a_cold_cache_equals_the_matrix_cell(tmp_path, monkeypatch):
     assert run == json.loads((cell_dir / "record.json").read_text())
 
 
+def test_eval_at_parallelism_two_on_a_cold_cache_equals_the_matrix_cell(tmp_path,
+                                                                        monkeypatch):
+    flags = ["eval", "--task", "toy", "--encoder", "bow", "--rewriter", "ident",
+             "--strategy", "NL", "--regime", "C"]
+    calls, threads = [], {}  # the thread id of each endpoint call
+    for owner, name in ((EncoderClient, "embed_batch"), (RewriterClient, "complete")):
+        def recording(self, *args, _call=getattr(owner, name)):
+            calls.append(threading.get_ident())
+            return _call(self, *args)
+        monkeypatch.setattr(owner, name, recording)
+    for parallelism in (1, 2):
+        calls.clear()
+        path = write_matrix_config(tmp_path, regimes=("QC", "C"), extra={
+            "parallelism": parallelism, "endpoint": {"embed_batch_size": 1, "retries": 0}})
+        before = set(threading.enumerate())
+        cold = [f"--cache-dir={tmp_path / f'cold{parallelism}'}",
+                f"--out-dir={tmp_path / f'fresh{parallelism}'}"]
+        assert run_cli(path, *cold, *flags) == 0
+        assert set(threading.enumerate()) == before  # the pool is shut down
+        threads[parallelism] = list(calls)
+    assert len(threads[1]) == len(threads[2]) > 1
+    assert set(threads[1]) == {threading.get_ident()} != set(threads[2])
+    assert run_cli(path, "run-matrix") == 0
+    cell_dir = tmp_path / "out" / "cells" / "bow__toy__ident__NL__C"
+    (run,) = [json.loads(line)
+              for line in (tmp_path / "fresh2" / "runs.jsonl").read_text().splitlines()]
+    del run["v"], run["run_id"]
+    assert run == json.loads((cell_dir / "record.json").read_text())
+
+
 def test_eval_with_a_dead_encoder_reports_its_fetch(tmp_path, capsys):
     path = write_matrix_config(tmp_path, encoders=[
         {"encoder_id": "dead", "url": "mock://fail", "tokenizer": {"kind": "word"}}])
@@ -299,17 +331,54 @@ def test_eval_after_a_torn_line_cuts_it_off(tmp_path):
     assert [row["run_id"] for row in rows] == ["run-000000", "run-000001", "run-000002"]
 
 
-@pytest.mark.parametrize("store", ["runs.jsonl", "diagnostics.jsonl"])
-def test_a_malformed_inner_line_of_a_store_is_an_error(tmp_path, capsys, store):
+@pytest.mark.parametrize("store, bad_line", [
+    pytest.param("runs.jsonl", None, id="runs.jsonl"),
+    pytest.param("diagnostics.jsonl", None, id="diagnostics.jsonl"),
+    # rows that parse but lack a field
+    pytest.param("runs.jsonl", '{"v": 1}', id="runs.jsonl-no-run-id"),
+    pytest.param("diagnostics.jsonl", '{"v": 1, "kind": "lexical"}',
+                 id="diagnostics.jsonl-no-coverage"),
+])
+def test_a_malformed_inner_line_of_a_store_is_an_error(tmp_path, capsys, store, bad_line):
     path = write_matrix_config(tmp_path)
     assert run_cli(path, "run-matrix") == 0
     file = tmp_path / "out" / store
     lines = file.read_text(encoding="utf-8").splitlines(keepends=True)
-    file.write_text(lines[0][:20] + "\n" + "".join(lines[1:]), encoding="utf-8")
+    bad_line = lines[0][:20] if bad_line is None else bad_line
+    file.write_text(bad_line + "\n" + "".join(lines[1:]), encoding="utf-8")
+    for command in ("report", "correlate", "advise"):
+        capsys.readouterr()
+        assert run_cli(path, command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{store}: line 1 is malformed" in err, command
+
+
+def _audit_after(tmp_path, capsys, edit) -> tuple[int, str]:
+    """``audit``'s exit status and stderr after *edit* rewrote the lines
+    of the NL-QC cell's ``rewrites.jsonl``."""
+    path = write_matrix_config(tmp_path)
+    assert run_cli(path, "run-matrix") == 0
+    file = tmp_path / "out" / "cells" / "bow__toy__ident__NL__QC" / "rewrites.jsonl"
+    lines = file.read_text(encoding="utf-8").splitlines(keepends=True)
+    file.write_text("".join(edit(lines)), encoding="utf-8")
     capsys.readouterr()
-    assert run_cli(path, "report") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "line 1 is malformed" in err
+    return (run_cli(path, "audit", "--task", "toy", "--sample-size", "10"),
+            capsys.readouterr().err)
+
+
+def test_audit_skips_a_torn_last_rewrite_record(tmp_path, capsys):
+    status, err = _audit_after(tmp_path, capsys, lambda lines: lines + ['{"source_id": "d'])
+    assert status == 0 and err == ""
+    bundle = json.loads((tmp_path / "out" / "audit.json").read_text(encoding="utf-8"))
+    assert len(bundle) == len(TOY_DOCS) + len(TOY_QUERIES)  # the NL-QC cell's records
+
+
+@pytest.mark.parametrize("bad_line", ['{"source_id": "d', '{"source_id": "d1"}'],
+                         ids=["malformed", "no-arm"])
+def test_audit_rejects_a_bad_inner_rewrite_record(tmp_path, capsys, bad_line):
+    status, err = _audit_after(tmp_path, capsys, lambda lines: [bad_line + "\n"] + lines)
+    assert status == 1
+    assert err.startswith("error: ") and "rewrites.jsonl: line 1 is malformed" in err
 
 
 def test_diagnose_writes_its_two_lines_at_once(tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from conftest import TOY_DOCS, TOY_QUERIES, write_matrix_config
 from rewritebench import matrix, rewrite
 from rewritebench.cli import main
 from rewritebench.config import load_config
+from rewritebench.embed import EncoderClient
 from rewritebench.errors import WorkbenchError
 from rewritebench.matrix import CellKey, plan_cells, run_matrix
 from rewritebench.models import Regime, Strategy
@@ -429,6 +430,8 @@ class TestCorpusLifetime:
     @pytest.mark.parametrize("parallelism", [1, 2, 4])
     def test_at_most_parallelism_corpora_alive(self, tmp_path, monkeypatch,
                                                parallelism):
+        """No corpus is alive while one is built, and one while a cell is
+        scored, at any parallelism."""
         encoders = [{"encoder_id": name, "url": f"mock://{name}?dim=32",
                      "tokenizer": {"kind": "word"}} for name in ("bow", "hash")]
         path = write_matrix_config(tmp_path, encoders=encoders,
@@ -436,11 +439,17 @@ class TestCorpusLifetime:
                                    regimes=("QC", "C"))
         cfg = load_config(path)
         cfg.parallelism = parallelism
-        refs, built, peaks = [], [], []  # Corpus is unhashable: no WeakSet
+        refs, built = [], []  # Corpus is unhashable: no WeakSet
+        alive_at_build, alive_at_score = [], []
         lock = threading.Lock()
         build_corpus, score_arm = matrix.build_corpus, matrix.score_arm
 
+        def alive() -> int:
+            return sum(ref() is not None for ref in refs)
+
         def recording_build(*args, **kwargs):
+            with lock:
+                alive_at_build.append(alive())
             corpus = build_corpus(*args, **kwargs)
             with lock:
                 refs.append(weakref.ref(corpus))
@@ -449,7 +458,7 @@ class TestCorpusLifetime:
 
         def checking_score(*args, **kwargs):
             with lock:
-                peaks.append(sum(ref() is not None for ref in refs))
+                alive_at_score.append(alive())
             return score_arm(*args, **kwargs)
 
         monkeypatch.setattr(matrix, "build_corpus", recording_build)
@@ -463,9 +472,42 @@ class TestCorpusLifetime:
         assert result.exit_status == 0
         # one corpus per (encoder, strategy) plus each encoder's Baseline's
         assert sorted(built) == ["bow"] * 4 + ["hash"] * 4
-        assert len(peaks) == len(plan_cells(cfg)) == 2 * (1 + 3 * 2)
-        assert 1 <= max(peaks) <= parallelism
+        assert alive_at_build == [0] * len(built)
+        assert len(plan_cells(cfg)) == 2 * (1 + 3 * 2)
+        assert alive_at_score == [1] * len(plan_cells(cfg))
         assert all(ref() is None for ref in refs)
+
+
+class TestPool:
+    """Above ``parallelism: 1`` a pool sends the endpoint requests, and
+    everything else runs on the calling thread."""
+
+    def test_scoring_and_persistence_run_on_the_calling_thread(self, tmp_path,
+                                                                monkeypatch):
+        path = write_matrix_config(tmp_path, strategies=("Rephrase", "NL"),
+                                   regimes=("QC", "C"),
+                                   extra={"endpoint": {"embed_batch_size": 1, "retries": 0},
+                                          "parallelism": 2})
+        threads: dict[str, set[int]] = {}
+
+        def on_thread(name, fn):
+            def recording(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return recording
+
+        for name in ("build_corpus", "score_arm", "_persist_group"):
+            monkeypatch.setattr(matrix, name, on_thread(name, getattr(matrix, name)))
+        for owner, name in ((EncoderClient, "embed_batch"), (rewrite.RewriterClient, "complete")):
+            monkeypatch.setattr(owner, name, on_thread("endpoint", getattr(owner, name)))
+        before = set(threading.enumerate())
+        result = run_matrix(load_config(path))
+        assert result.exit_status == 0
+        caller = threading.get_ident()
+        assert threads.pop("endpoint") - {caller}  # the pool's threads
+        assert threads == {name: {caller} for name in
+                           ("build_corpus", "score_arm", "_persist_group")}
+        assert set(threading.enumerate()) == before  # no thread outlives the run
 
 
 class TestTableRewriter:

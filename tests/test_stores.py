@@ -171,6 +171,20 @@ class TestJsonlLog:
         log.close()
         assert opened[1].closed
 
+    def test_a_failed_append_leaves_the_file_as_it_was(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.jsonl"
+        _, log = _load(path)
+        opened = open_failing_writes(monkeypatch)
+        log.append('{"a": 1}')
+        opened[0].failing, opened[0].prefix = True, 5  # the disk fills mid-line
+        with pytest.raises(StoreError, match="No space left"):
+            log.append('{"b": 2}')
+        assert path.read_bytes() == b'{"a": 1}\n'
+        log.append('{"c": 3}')
+        log.close()
+        assert path.read_bytes() == b'{"a": 1}\n{"c": 3}\n'
+        assert _load(path)[0] == [{"a": 1}, {"c": 3}]
+
     def test_malformed_inner_line_raises(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text('{"a": 1}\n{"b"\n\n{"c": 3}\n', encoding="utf-8")
@@ -361,6 +375,8 @@ class TestTornStores:
     @pytest.mark.parametrize("store_class", [RunStore, DiagnosticsStore])
     def test_a_malformed_inner_line_is_a_store_error(self, tmp_path, store_class):
         store = store_class(tmp_path / "store.jsonl")
-        store.path.write_text('{"v": 1}\n{"v": 1,\n{"v": 1}\n', encoding="utf-8")
+        row = (RunStore._line(0, _record()) if store_class is RunStore
+               else DiagnosticsStore._line("lexical", {}))  # rows each store reads
+        store.path.write_text(f'{row}\n{{"v": 1,\n{row}\n', encoding="utf-8")
         with pytest.raises(StoreError, match="line 2 is malformed"):
             list(store.read())
