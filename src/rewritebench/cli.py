@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, WorkbenchError
 from .ingest import ingest_collection
-from .matrix import CellKey, Stages, run_matrix
+from .matrix import CellKey, Stages, plan_cells, run_matrix
 from .models import Regime, Strategy
 from .pipeline import ArmResult
 from .report import (advise_from_reports, correlation_report, join_rows,
@@ -108,7 +109,7 @@ def cmd_embed(config: ExperimentConfig, args) -> int:
 
 def cmd_retrieve(config: ExperimentConfig, args) -> int:
     arm_label, corpus, qmat = _matrices(config, args)
-    ranked = retrieve_topk(qmat, corpus, k=args.k or config.k)
+    ranked = retrieve_topk(qmat, corpus, k=config.k if args.k is None else args.k)
     rewriter = f"{args.rewriter}__" if args.strategy else ""  # the Baseline has none
     out = config.out_dir / f"rankings_{args.task}__{args.encoder}__{rewriter}{arm_label}.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -208,12 +209,12 @@ def cmd_audit(config: ExperimentConfig, args) -> int:
                                    task_id=task.task_id)
     sources = {d.id: d.text for d in collection.documents}
     sources.update({q.id: q.text for q in collection.queries})
-    rows: list[RewriteRecord] = []
+    records: list[RewriteRecord] = []
     cells_dir = config.out_dir / "cells"
-    for path in sorted(cells_dir.glob("*/rewrites.jsonl")):
-        JsonlLog(path, lambda row: rows.append(RewriteRecord.from_dict(row)))
-    records = [rec for rec in rows if rec.source_id in sources  # not another task's
-               and (not args.rewriter or rec.rewriter_id == args.rewriter)]
+    for cell in sorted(plan_cells(config), key=lambda c: c.cell_id):  # by directory name
+        if cell.task_id == task.task_id and args.rewriter in (None, cell.rewriter_id):
+            JsonlLog(cells_dir / cell.cell_id / "rewrites.jsonl",
+                     lambda row: records.append(RewriteRecord.from_dict(row)))
     if not records:
         print("no rewrite records found under", cells_dir, file=sys.stderr)
         return 1
@@ -223,6 +224,20 @@ def cmd_audit(config: ExperimentConfig, args) -> int:
     write_json(out, [item.to_dict() for item in bundle])
     print(f"{len(bundle)} rewrites sampled -> {out}")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retrieve", help="rank the corpus for every query")
     arm_flags(p)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_positive_int, default=None)
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("eval", help="score one arm and append its run record")
@@ -275,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("advise", help="recommend a strategy (or Skip) per task")
-    p.add_argument("--skip-threshold", type=float, default=None)
+    p.add_argument("--skip-threshold", type=_finite_float, default=None)
     p.set_defaults(func=cmd_advise)
 
     p = sub.add_parser("run-matrix", help="run every configured cell plus baselines")
@@ -287,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="sample rewrites for human review")
     p.add_argument("--task", required=True)
     p.add_argument("--rewriter", default=None)
-    p.add_argument("--sample-size", type=int, required=True)
+    p.add_argument("--sample-size", type=_positive_int, required=True)
     p.set_defaults(func=cmd_audit)
 
     return parser

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,20 +42,11 @@ class EncoderSpec:
         return self.endpoint.encoder_id
 
 
-@dataclass(frozen=True)
-class RewriterSpec:
-    endpoint: RewriterEndpoint
-
-    @property
-    def rewriter_id(self) -> str:
-        return self.endpoint.rewriter_id
-
-
 @dataclass
 class ExperimentConfig:
     tasks: list[TaskSpec]
     encoders: list[EncoderSpec]
-    rewriters: list[RewriterSpec]
+    rewriters: list[RewriterEndpoint]
     strategies: list[Strategy]
     regimes: list[Regime]
     k: int = 10
@@ -84,6 +76,8 @@ class ExperimentConfig:
             raise ConfigError(f"eval k must be >= 1, got {self.k}")
         if self.gain not in ("linear", "exp"):
             raise ConfigError(f"gain must be 'linear' or 'exp', got {self.gain!r}")
+        if not math.isfinite(self.skip_threshold):
+            raise ConfigError(f"skip_threshold must be finite, got {self.skip_threshold}")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
         ids = [t.task_id for t in self.tasks]
@@ -174,13 +168,13 @@ def load_config(path: str | Path, *, seed: int | None = None,
             q = parse_qs(urlparse(url).query)
             if "file" in q:
                 url = f"mock://table?file={_resolve(q['file'][-1])}"
-        rewriters.append(RewriterSpec(endpoint=RewriterEndpoint(
+        rewriters.append(RewriterEndpoint(
             rewriter_id=_require(r, "rewriter_id", "rewriter"),
             url=url,
             retries=int(r.get("retries", retries)),
             backoff_s=float(r.get("backoff_s", backoff)),
             auth_env=r.get("auth_env"),
-        )))
+        ))
 
     try:
         strategies = [Strategy(s) for s in raw.get("strategies", [])]

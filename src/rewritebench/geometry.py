@@ -8,7 +8,7 @@ recorded for provenance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -146,7 +146,3 @@ def delta_s(baseline: GeometryReport, rewritten: GeometryReport) -> float:
             f"({baseline.encoder_id}, {baseline.task_id}) vs "
             f"({rewritten.encoder_id}, {rewritten.task_id})")
     return rewritten.s_bar - baseline.s_bar
-
-
-def with_delta_s(baseline: GeometryReport, rewritten: GeometryReport) -> GeometryReport:
-    return replace(rewritten, delta_s_bar=delta_s(baseline, rewritten))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ConfigError, DomainError
@@ -59,8 +59,8 @@ class LexicalStats:
     hapax_token_rate: float
 
 
-def lexical_stats(tokens: Sequence[int], vocab_size: int) -> LexicalStats:
-    """Frequency-distribution statistics of one token sequence.
+def _stats(ranked: Sequence[tuple[int, int]], total: int) -> LexicalStats:
+    """Frequency-distribution statistics of *total* tokens of *ranked* types.
 
     Top-20% mass is the token fraction carried by the ceil(0.2 * types)
     most frequent types (count-descending, id-ascending tiebreak). Hapax
@@ -68,13 +68,6 @@ def lexical_stats(tokens: Sequence[int], vocab_size: int) -> LexicalStats:
     the fraction of *tokens* belonging to such types; the values coincide
     in numerator, not denominator.
     """
-    if len(tokens) == 0:
-        raise DomainError("lexical statistics undefined on empty corpus")
-    counts = Counter(tokens)
-    return _stats(ranked_types(counts), len(tokens))
-
-
-def _stats(ranked: Sequence[tuple[int, int]], total: int) -> LexicalStats:
     unique = len(ranked)
     top_mass = sum(c for _, c in ranked[:math.ceil(0.2 * unique)])
     hapax_types = sum(1 for _, c in ranked if c == 1)
@@ -263,7 +256,3 @@ def delta_h(baseline: LexicalReport, rewritten: LexicalReport) -> float:
             f"({baseline.encoder_id}, {baseline.task_id}) vs "
             f"({rewritten.encoder_id}, {rewritten.task_id})")
     return rewritten.h_bits - baseline.h_bits
-
-
-def with_delta_h(baseline: LexicalReport, rewritten: LexicalReport) -> LexicalReport:
-    return replace(rewritten, delta_h_bits=delta_h(baseline, rewritten))

@@ -9,9 +9,9 @@ CLI, and sends its endpoint requests through one pool of
 A failure is recorded against the cells that depend on it while the rest
 proceed. With warm caches a rerun issues zero endpoint calls and
 rewrites byte-identical outputs, so the runner is a fixed point under
-repetition. Per-cell artifacts live under ``out_dir/cells/<cell_id>/``,
-removed when the cell fails; the run records and diagnostics of every
-successful cell are rewritten to the global stores in cell order.
+repetition. ``out_dir/cells/`` holds one directory per cell that succeeded
+and no other; the run records and diagnostics of those cells are
+rewritten to the global stores in cell order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 import shutil
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import AbstractContextManager, ExitStack, contextmanager, suppress
+from contextlib import AbstractContextManager, ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -31,9 +31,8 @@ from .geometry import EmbeddingMatrix
 from .ingest import Collection, ingest_collection
 from .models import Regime, RewritePlan, Strategy, TaskFamily
 from .pipeline import ArmResult, Corpus, build_corpus, embed_items, score_arm
-from .rewrite import (RewriteCache, RewriteJob, RewriteRecord, RewriterClient,
-                      Rewritten, documents_job, queries_job, rewrite_jobs,
-                      write_records)
+from .rewrite import (RewriteCache, RewriteJob, RewriterClient, Rewritten,
+                      rewrite_jobs, side_job, write_records)
 from .stores import DiagnosticsStore, RunStore, write_json
 from .templates import SIDES, resolve_catalog
 from .tokenizers import build_tokenizer
@@ -108,12 +107,12 @@ def plan_cells(config: ExperimentConfig) -> list[CellKey]:
     return baselines + arms
 
 
-def _persist_group(config: ExperimentConfig, done: list[tuple[CellKey, ArmResult]],
-                   corpus_records: Sequence[RewriteRecord]) -> None:
-    """Write the artifacts of the scored cells of one corpus group. Each
-    cell's rewrite records start with *corpus_records*, the records of the
-    corpus they all rank, and each of those is encoded once for every
-    cell's ``rewrites.jsonl``."""
+def _persist_group(stages: Stages, done: list[tuple[CellKey, ArmResult]]) -> None:
+    """Write the artifacts of the scored cells of one corpus group. A cell's
+    ``rewrites.jsonl`` holds the records of the corpus the group ranks, read
+    once from *stages* and each encoded once for every cell's file, then
+    those of the cell's own queries, which C cells and Baselines lack."""
+    config, corpus_records = stages.config, stages.side(done[0][0], "documents").records
     with ExitStack() as files:
         targets = []
         for cell, arm in done:
@@ -128,14 +127,14 @@ def _persist_group(config: ExperimentConfig, done: list[tuple[CellKey, ArmResult
                 "config_hash": config.config_hash,
                 "seed": config.seed,
             })
-            if arm.rewrite_records:
+            query_records = stages.side(cell, "queries").records
+            if corpus_records or query_records:
                 fh = files.enter_context(
                     open(cell_dir / "rewrites.jsonl", "w", encoding="utf-8"))
-                targets.append((fh, arm))
-        write_records([(fh, arm.plan.arm_label) for fh, arm in targets], corpus_records)
-        for fh, arm in targets:
-            write_records([(fh, arm.plan.arm_label)],
-                          arm.rewrite_records[len(corpus_records):])
+                targets.append(((fh, arm.plan.arm_label), query_records))
+        write_records([target for target, _ in targets], corpus_records)
+        for target, query_records in targets:
+            write_records([target], query_records)
 
 
 class Stages(AbstractContextManager):
@@ -157,7 +156,7 @@ class Stages(AbstractContextManager):
                     if e.encoder_id in {c.encoder_id for c in self.cells}]
         self.encoders = {e.encoder_id: EncoderClient(e.endpoint) for e in encoders}
         self.tokenizers = {e.encoder_id: build_tokenizer(e.tokenizer) for e in encoders}
-        self.rewriters = {r.rewriter_id: RewriterClient(r.endpoint) for r in config.rewriters
+        self.rewriters = {r.rewriter_id: RewriterClient(r) for r in config.rewriters
                           if r.rewriter_id in {c.rewriter_id for c in self.cells}}
         families = {t.task_id: t.family for t in config.tasks}
         self.plans = {cell: cell.plan(families[cell.task_id]) for cell in self.cells}
@@ -179,7 +178,7 @@ class Stages(AbstractContextManager):
         self._jobs: dict[tuple, RewriteJob] = {}
         for cell in self.cells:
             collection = self.collections.get(cell.task_id)
-            for side, make_job in zip(SIDES, (documents_job, queries_job)):
+            for side in SIDES:
                 key, original = cell.side_key(side), _originals(cell.task_id, side)
                 if key in self._sides or key in self._jobs:
                     continue
@@ -190,8 +189,8 @@ class Stages(AbstractContextManager):
                         texts=[x.text for x in getattr(collection, side)], records=[])
                 else:
                     try:
-                        self._jobs[key] = make_job(getattr(collection, side), self.plans[cell],
-                                                   self.rewriters[cell.rewriter_id], catalog)
+                        self._jobs[key] = side_job(getattr(collection, side), self.plans[cell],
+                                                   self.rewriters[cell.rewriter_id], catalog, side)
                     except WorkbenchError as exc:
                         self._sides[key] = exc
 
@@ -268,12 +267,9 @@ class Stages(AbstractContextManager):
 
     def score(self, cell: CellKey, corpus: Corpus) -> ArmResult:
         """Score *cell* against *corpus*, with deltas once its Baseline is scored."""
-        docs, queries = self.side(cell, "documents"), self.side(cell, "queries")
         baseline_key = (cell.encoder_id, cell.task_id)
         arm = score_arm(self.collections[cell.task_id], self.plans[cell], corpus,
-                        self.queries(cell),
-                        rewrite_records=docs.records + queries.records,
-                        baseline=self._baselines.get(baseline_key),
+                        self.queries(cell), baseline=self._baselines.get(baseline_key),
                         k=self.config.k, gain=self.config.gain)
         if cell.is_baseline:
             self._baselines[baseline_key] = arm
@@ -321,14 +317,17 @@ def run_matrix(config: ExperimentConfig,
                     arm = stages.score(cell, corpus)
                 except WorkbenchError as exc:
                     result.failures[cell] = str(exc)
-                    with suppress(FileNotFoundError):  # an earlier run's
-                        shutil.rmtree(out_dir / "cells" / cell.cell_id)
                 else:
                     result.results[cell] = arm
                     done.append((cell, arm))
             del corpus  # before the next group builds its own
             if done:
-                _persist_group(config, done, stages.side(group[0], "documents").records)
+                _persist_group(stages, done)
+
+    written = {cell.cell_id for cell in result.results}
+    for cell_dir in (out_dir / "cells").glob("*"):  # a failed cell's, or an earlier config's
+        if cell_dir.is_dir() and cell_dir.name not in written:
+            shutil.rmtree(cell_dir)
 
     arms = [result.results[cell] for cell in cells if cell in result.results]
     RunStore(out_dir / "runs.jsonl").write(arm.run_record for arm in arms)

@@ -3,34 +3,32 @@ the corpus it ranks (lexical report, embedding matrix, geometry), then
 score its queries against that corpus.
 
 The corpus depends on the (encoder, task, rewriter, strategy) only, so it
-is built once for QC and C; ``matrix.Stages`` composes these stages for
-the matrix and for the per-arm commands alike.
+is built once for QC and C. ``matrix.Stages`` composes these stages, for
+the matrix and the per-arm commands alike, and keeps the rewrite records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .embed import EmbeddingCache, EncoderClient, embed_texts
-from .geometry import EmbeddingMatrix, GeometryReport, build_geometry_report, with_delta_s
+from .geometry import EmbeddingMatrix, GeometryReport, build_geometry_report, delta_s
 from .ingest import Collection
-from .lexical import LexicalReport, build_lexical_report, with_delta_h
+from .lexical import LexicalReport, build_lexical_report, delta_h
 from .models import Document, Query, RewritePlan, RunRecord
 from .retrieval import retrieve_topk, score_ranked_lists
-from .rewrite import RewriteRecord
 from .tokenizers import Tokenizer
 
 
 @dataclass
 class ArmResult:
-    """Everything one (encoder, task, arm) cell produces."""
+    """A cell's scores and reports; its rewrite records stay in ``matrix.Stages``."""
 
     plan: RewritePlan
     run_record: RunRecord
     lexical: LexicalReport
     geometry: GeometryReport
-    rewrite_records: list[RewriteRecord] = field(default_factory=list)
     excluded_queries: int = 0
 
 
@@ -68,9 +66,7 @@ def build_corpus(collection: Collection, texts: Sequence[str], plan: RewritePlan
 
 
 def score_arm(collection: Collection, plan: RewritePlan, corpus: Corpus,
-              query_matrix: EmbeddingMatrix, *,
-              rewrite_records: Sequence[RewriteRecord] = (),
-              baseline: ArmResult | None = None,
+              query_matrix: EmbeddingMatrix, *, baseline: ArmResult | None = None,
               k: int = 10, gain: str = "linear") -> ArmResult:
     """Rank the corpus for every query, score NDCG@k and label the corpus
     reports with this cell's arm. Deltas (NDCG, entropy, cosine) are
@@ -79,20 +75,18 @@ def score_arm(collection: Collection, plan: RewritePlan, corpus: Corpus,
     per_query = score_ranked_lists(ranked, collection.qrels, k=k, gain=gain)
     mean = sum(per_query.values()) / len(per_query)
 
-    lexical, geometry = corpus.lexical, corpus.geometry
-    if lexical.arm != plan.arm_label:
-        lexical = replace(lexical, arm=plan.arm_label)
-        geometry = replace(geometry, arm=plan.arm_label)
-    delta = None
+    delta = delta_h_bits = delta_s_bar = None
     if baseline is not None and not plan.is_baseline:
         delta = mean - baseline.run_record.mean_ndcg
-        lexical = with_delta_h(baseline.lexical, lexical)
-        geometry = with_delta_s(baseline.geometry, geometry)
+        delta_h_bits = delta_h(baseline.lexical, corpus.lexical)
+        delta_s_bar = delta_s(baseline.geometry, corpus.geometry)
+    # one replace per report: each one checks the whole coverage curve again
+    lexical = replace(corpus.lexical, arm=plan.arm_label, delta_h_bits=delta_h_bits)
+    geometry = replace(corpus.geometry, arm=plan.arm_label, delta_s_bar=delta_s_bar)
 
     record = RunRecord(
         encoder_id=query_matrix.encoder_id, task_id=collection.task_id, plan=plan,
         ndcg_per_query=per_query, mean_ndcg=mean, delta_ndcg=delta,
         gain=gain, k=k)
-    return ArmResult(plan=plan, run_record=record, lexical=lexical,
-                     geometry=geometry, rewrite_records=list(rewrite_records),
+    return ArmResult(plan=plan, run_record=record, lexical=lexical, geometry=geometry,
                      excluded_queries=query_matrix.n_rows - len(per_query))

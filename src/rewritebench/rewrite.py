@@ -336,32 +336,21 @@ def rewrite_jobs(jobs: Sequence[RewriteJob], cache: RewriteCache | None = None,
     return results
 
 
-def _check_plan(plan: RewritePlan, client: RewriterClient) -> None:
+def side_job(items: Sequence[Document | Query], plan: RewritePlan,
+             client: RewriterClient, catalog: TemplateCatalog, side: str) -> RewriteJob:
+    """The job that rewrites *items*, one side ("documents" or "queries") of
+    a collection, under *plan*; queries are rewritten under QC only."""
     if plan.strategy is Strategy.BASELINE:
         raise ContractError("the Baseline arm never rewrites anything")
     if plan.rewriter_id and plan.rewriter_id != client.rewriter_id:
         raise ConfigError(
             f"plan expects rewriter {plan.rewriter_id!r} but client is "
             f"{client.rewriter_id!r}")
-
-
-def documents_job(documents: Sequence[Document], plan: RewritePlan,
-                  client: RewriterClient, catalog: TemplateCatalog) -> RewriteJob:
-    _check_plan(plan, client)
-    return RewriteJob(ids=[d.id for d in documents], texts=[d.text for d in documents],
-                      template=catalog.for_documents(plan.strategy, plan.task_family),
-                      client=client, arm=plan.arm_label)
-
-
-def queries_job(queries: Sequence[Query], plan: RewritePlan,
-                client: RewriterClient, catalog: TemplateCatalog) -> RewriteJob:
-    """The query side; only legal under the QC regime."""
-    _check_plan(plan, client)
-    if plan.regime is not Regime.QC:
+    if side == "queries" and plan.regime is not Regime.QC:
         raise ContractError(
             f"regime {plan.regime.value} never rewrites queries (QC only)")
-    return RewriteJob(ids=[q.id for q in queries], texts=[q.text for q in queries],
-                      template=catalog.for_queries(plan.strategy, plan.task_family),
+    return RewriteJob(ids=[x.id for x in items], texts=[x.text for x in items],
+                      template=catalog.resolve(plan.strategy, plan.task_family, side),
                       client=client, arm=plan.arm_label)
 
 

@@ -166,14 +166,6 @@ class CorrelationResult:
             if not (0.0 < p <= 1.0):
                 raise DomainError(f"p-value {p} outside (0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "spearman_rho": self.spearman_rho, "spearman_p": self.spearman_p,
-            "pearson_r": self.pearson_r, "pearson_p": self.pearson_p,
-            "method": self.method,
-        }
-
 
 def correlate_pair(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     xa, ya = _as_pair(x, y)

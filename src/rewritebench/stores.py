@@ -4,8 +4,8 @@ and the ``indent=1`` JSON writer every artifact file goes through.
 
 Each store line carries a schema version field ``v``. ``run-matrix``
 rewrites a store whole, once per run, through a temporary file that
-replaces it; single-cell commands append to it through one
-:class:`JsonlLog` per store instance. So a store follows the caches' rule:
+replaces it; single-cell commands append to it through a
+:class:`JsonlLog` per append. So a store follows the caches' rule:
 a torn last line (a crash mid-append) is skipped on read and cut off by the
 next append, and a malformed line anywhere else, or a row that lacks a
 field, is a StoreError. Writes are serialized through an in-process lock
@@ -224,17 +224,14 @@ class JsonlLog:
 
 
 class _Store:
-    """A JSON-Lines store: :meth:`_write` replaces it whole, and appends go
-    through one :class:`JsonlLog`, which the first append opens (reading
-    the file) and the next :meth:`_write` drops. A command appends to a
-    store once, so each append closes its handle again rather than keep it
-    open. An instance must be the file's only writer."""
+    """A JSON-Lines store: :meth:`_write` replaces it whole, and each append
+    reads the file through a :class:`JsonlLog` of its own, appends and
+    closes it; a command appends to a store once. An instance must be the
+    file's only writer."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._log: JsonlLog | None = None
-        self._rows = 0  # the file's rows, counted when the log opens
 
     def _read(self, convert: Callable[[dict[str, Any]], Any]) -> list[Any]:
         """The file's rows (none when it is missing), each passed through
@@ -251,7 +248,6 @@ class _Store:
         that fails removes its temporary file."""
         tmp = self.path.with_name(self.path.name + ".tmp")
         with self._lock:
-            self._log = None
             try:
                 try:
                     with open(tmp, "w", encoding="utf-8") as fh:
@@ -266,15 +262,11 @@ class _Store:
         """Append ``make_lines(n)``, where *n* counts the rows already in
         the file, and return *n*."""
         with self._lock:
-            if self._log is None:
-                rows: list[Any] = []
-                self._log = JsonlLog(self.path, rows.append)
-                self._rows = len(rows)
-            number, lines = self._rows, make_lines(self._rows)
-            self._log.append_many(lines)
-            self._log.close()
-            self._rows += len(lines)
-            return number
+            rows: list[Any] = []
+            log = JsonlLog(self.path, rows.append)
+            log.append_many(make_lines(len(rows)))
+            log.close()
+            return len(rows)
 
 
 class RunStore(_Store):

@@ -115,12 +115,6 @@ class TemplateCatalog:
                 f"{sorted(t.template_id for t in pool)}")
         return pool[0]
 
-    def for_documents(self, strategy: Strategy, family: TaskFamily) -> PromptTemplate:
-        return self.resolve(strategy, family, "documents")
-
-    def for_queries(self, strategy: Strategy, family: TaskFamily) -> PromptTemplate:
-        return self.resolve(strategy, family, "queries")
-
 
 def load_catalog(directory: str | Path) -> TemplateCatalog:
     directory = Path(directory)

@@ -31,7 +31,6 @@ def stable_token_id(token: str, vocab_size: int) -> int:
 class Tokenizer:
     """Deterministic text -> token-id sequence mapping."""
 
-    id: str
     vocab_size: int
 
     def tokenize(self, text: str) -> list[int]:
@@ -57,10 +56,9 @@ class WordTokenizer(Tokenizer):
     cost of a corpus pass is one dict lookup per token occurrence.
     """
 
-    def __init__(self, vocab_size: int = 2 ** 20, id: str = "word"):
+    def __init__(self, vocab_size: int = 2 ** 20):
         if vocab_size < 1:
             raise ConfigError("vocab_size must be positive")
-        self.id = id
         self.vocab_size = vocab_size
         self._ids = _TypeIds(vocab_size)
 
@@ -78,7 +76,7 @@ class VocabTokenizer(Tokenizer):
     otherwise.
     """
 
-    def __init__(self, vocab_path: str | Path, id: str | None = None):
+    def __init__(self, vocab_path: str | Path):
         vocab_path = Path(vocab_path)
         if not vocab_path.is_file():
             raise ConfigError(f"vocabulary file not found: {vocab_path}")
@@ -89,7 +87,6 @@ class VocabTokenizer(Tokenizer):
                 self._ids[tok] = rank
         if not self._ids:
             raise ConfigError(f"vocabulary file is empty: {vocab_path}")
-        self.id = id or f"vocab:{vocab_path.name}"
         self.vocab_size = len(entries)
         self._unk = self._ids.get("<unk>")
         self._max_len = max(len(t) for t in self._ids)

@@ -135,6 +135,42 @@ def tiny_collection(tmp_path):
     )
 
 
+def score_after_baseline(baseline_report, report):
+    """``score_arm``'s result for an NL-QC cell whose corpus carries
+    *report*, scored after a Baseline whose corpus carries
+    *baseline_report*: two lexical or two geometry reports of encoder "enc"
+    and task "t", each paired with one fixed report of the other kind."""
+    import numpy as np
+
+    from rewritebench.geometry import EmbeddingMatrix, GeometryReport, l2_normalize
+    from rewritebench.ingest import Collection, IngestReport
+    from rewritebench.lexical import CoverageCurve, LexicalReport
+    from rewritebench.models import Query, Regime, RewritePlan, Strategy
+    from rewritebench.pipeline import Corpus, score_arm
+
+    collection = Collection(task_id="t", documents=[], queries=[Query(id="q1", text="q")],
+                            qrels={"q1": {"d1": 1}}, report=IngestReport())
+    docs = l2_normalize(EmbeddingMatrix("enc", ("d1", "d2"), np.eye(2)))
+    queries = l2_normalize(EmbeddingMatrix("enc", ("q1",), [[1.0, 0.0]]))
+    if isinstance(report, LexicalReport):
+        other = GeometryReport(encoder_id="enc", task_id="t", arm="corpus",
+                               rewriter_id="rw", s_bar=0.5, batch_size_used=2)
+    else:
+        other = LexicalReport(
+            encoder_id="enc", task_id="t", arm="corpus", rewriter_id="rw", vocab_size=10,
+            h_bits=1.0, unique_types=2, total_tokens=4, ttr=0.5, top20_mass=0.5,
+            hapax_type_rate=0.0, hapax_token_rate=0.0,
+            coverage=CoverageCurve(points=((1, 0.5), (2, 1.0)), k80=2))
+
+    def corpus(r) -> Corpus:
+        return Corpus(docs, *((r, other) if isinstance(r, LexicalReport) else (other, r)))
+
+    baseline = score_arm(collection, RewritePlan.baseline(), corpus(baseline_report),
+                         queries, k=2)
+    plan = RewritePlan(strategy=Strategy.NL, regime=Regime.QC, rewriter_id="rw")
+    return score_arm(collection, plan, corpus(report), queries, baseline=baseline, k=2)
+
+
 TOY_DOCS = [
     {"_id": "d1", "text": "def alpha_one(): return rotate_left(grid_state)"},
     {"_id": "d2", "text": "def beta_two(): return rotate_right(grid_state)"},

@@ -46,6 +46,24 @@ def test_the_embed_layer_keeps_its_span(monkeypatch):
     assert rewritebench.pipeline.embed_texts is embed_texts
 
 
+def test_only_the_known_stage_hooks_are_missing(monkeypatch):
+    # these five name code that is gone; a sixth would zero another
+    # per-layer metric without failing the benchmark
+    spans = _spans(monkeypatch)
+    tracer = spans.Tracer()
+    tracer.install(spans.STAGES)
+    try:
+        assert sorted(tracer.missing) == [
+            "rewritebench.embed.EmbeddingCache.get",
+            "rewritebench.embed.EmbeddingCache.put",
+            "rewritebench.matrix.run_arm",
+            "rewritebench.pipeline.rewrite_corpus",
+            "rewritebench.pipeline.rewrite_queries"]
+    finally:
+        tracer.uninstall(spans.STAGES)
+    assert not hasattr(rewritebench.pipeline.embed_texts, "__wrapped__")
+
+
 def test_the_oracle_reads_a_warm_cache_without_endpoint_calls(closing, tmp_path):
     # perfbench/worker.py check_ndcg: embed_texts(ids, texts, client, cache)
     endpoint = EncoderEndpoint(encoder_id="enc", url="mock://bow?dim=8")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -155,6 +156,55 @@ class TestSubcommands:
         path = write_matrix_config(tmp_path)
         assert run_cli(path, "eval", "--task", "toy", "--encoder", "bow",
                        "--strategy", "NL") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--task", "toy", "--sample-size", "-1"],
+    ["audit", "--task", "toy", "--sample-size", "0"],
+    ["retrieve", "--task", "toy", "--encoder", "bow", "--k", "0"],
+    ["retrieve", "--task", "toy", "--encoder", "bow", "--k", "-2"],
+    ["advise", "--skip-threshold", "nan"],
+    ["advise", "--skip-threshold", "inf"],
+])
+def test_a_number_out_of_range_is_a_usage_error(tmp_path, capsys, argv):
+    path = write_matrix_config(tmp_path)
+    assert run_cli(path, "run-matrix") == 0
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(path, *argv)
+    assert exit_info.value.code == 2
+    assert f"argument {argv[-2]}: must be" in capsys.readouterr().err
+
+
+def _masked_tree(root: Path) -> dict[str, bytes]:
+    """The files under *root*, with every rewrite record's timestamp blanked."""
+    return {str(p.relative_to(root)): re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""',
+                                             p.read_bytes())
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_a_renamed_rewriter_leaves_no_stale_cells(tmp_path):
+    assert run_cli(write_matrix_config(tmp_path, regimes=("QC", "C")), "run-matrix") == 0
+    path = write_matrix_config(tmp_path, regimes=("QC", "C"), rewriters=[
+        {"rewriter_id": "ident2", "url": "mock://identity"}])
+    fresh = ["--out-dir", str(tmp_path / "fresh"), "--cache-dir", str(tmp_path / "cold")]
+    for flags in ([], fresh):
+        assert run_cli(path, *flags, "run-matrix") == 0
+        assert run_cli(path, *flags, "audit", "--task", "toy", "--sample-size", "50") == 0
+    bundle = json.loads((tmp_path / "out" / "audit.json").read_text(encoding="utf-8"))
+    assert len(bundle) == 2 * len(TOY_DOCS) + len(TOY_QUERIES)  # the NL-QC and NL-C cells'
+    assert _masked_tree(tmp_path / "out") == _masked_tree(tmp_path / "fresh")
+
+
+def test_audit_samples_only_the_records_of_its_task(tmp_path):
+    # two tasks over one collection: the same ids, each task's records apart
+    tasks = [{"task_id": task_id, "family": "CodeToCode", "corpus": "corpus.jsonl",
+              "queries": "queries.jsonl", "qrels": "qrels.tsv"} for task_id in ("toy", "toy2")]
+    write_matrix_config(tmp_path)  # writes the collection
+    path = write_matrix_config(tmp_path, tasks=tasks)
+    assert run_cli(path, "run-matrix") == 0
+    assert run_cli(path, "audit", "--task", "toy", "--sample-size", "50") == 0
+    bundle = json.loads((tmp_path / "out" / "audit.json").read_text(encoding="utf-8"))
+    assert len(bundle) == len(TOY_DOCS) + len(TOY_QUERIES)  # the NL-QC cell's of "toy"
 
 
 @pytest.mark.parametrize("regime", ["QC", "C"])

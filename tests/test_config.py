@@ -153,3 +153,11 @@ def test_malformed_yaml_is_a_config_error(tmp_path, text):
     with pytest.raises(ConfigError, match="cannot parse config"):
         load_config(path)
     assert main(["--config", str(path), "run-matrix"]) == 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_non_finite_skip_threshold_is_a_config_error(tmp_path, value):
+    path = write_matrix_config(tmp_path, extra={"skip_threshold": value})
+    with pytest.raises(ConfigError, match="skip_threshold must be finite"):
+        load_config(path)
+    assert main(["--config", str(path), "advise"]) == 2

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import score_after_baseline
 from rewritebench.errors import ConfigError, ContractError, DomainError
 from rewritebench.geometry import (EmbeddingMatrix, GeometryReport,
                                    NORM_TOL, build_geometry_report, delta_s,
-                                   l2_normalize, mean_offdiag_cosine,
-                                   with_delta_s)
+                                   l2_normalize, mean_offdiag_cosine)
 
 
 def direct_offdiag_mean(vectors: np.ndarray) -> float:
@@ -172,8 +174,11 @@ class TestDeltaS:
             delta_s(_geo(0.3, task="t1", arm="Baseline"), _geo(0.2, task="t2"))
 
     def test_with_delta_s_attaches(self):
-        out = with_delta_s(_geo(0.4, arm="Baseline"), _geo(0.25))
+        # score_arm attaches it, with the arm label, in one replace
+        rewritten = _geo(0.25, arm="corpus")
+        out = score_after_baseline(_geo(0.4, arm="Baseline"), rewritten).geometry
         assert out.delta_s_bar == pytest.approx(-0.15, abs=1e-15)
+        assert out == replace(rewritten, arm="NL-QC", delta_s_bar=out.delta_s_bar)
 
     def test_report_roundtrip(self):
         rng = np.random.default_rng(3)

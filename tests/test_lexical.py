@@ -1,16 +1,17 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from conftest import score_after_baseline
 from rewritebench.errors import ConfigError, DomainError
 from rewritebench.lexical import (CoverageCurve, LexicalReport,
                                   batched_entropy, build_lexical_report,
-                                  coverage_cdf, delta_h, lexical_stats,
-                                  token_entropy, with_delta_h)
-from rewritebench.tokenizers import WordTokenizer
+                                  coverage_cdf, delta_h, token_entropy)
+from rewritebench.tokenizers import Tokenizer, WordTokenizer
 
 
 def entropy_oracle(counts: dict) -> float:
@@ -82,16 +83,31 @@ class TestTokenEntropy:
         assert token_entropy({i: 3 for i in range(8)}) == pytest.approx(3.0, abs=1e-12)
 
 
+class IdTokenizer(Tokenizer):
+    """Reads a text of space-separated token ids as those ids."""
+
+    vocab_size = 100
+
+    def tokenize(self, text: str) -> list[int]:
+        return [int(t) for t in text.split()]
+
+
+def lexical_stats(tokens: list[int]) -> LexicalReport:
+    """The lexical report of one text whose token ids are *tokens*."""
+    return build_lexical_report([" ".join(map(str, tokens))], IdTokenizer(),
+                                encoder_id="e", task_id="t", arm="Baseline")
+
+
 class TestLexicalStats:
     def test_all_distinct(self):
-        s = lexical_stats([1, 2, 3, 4], vocab_size=100)
+        s = lexical_stats([1, 2, 3, 4])
         assert s.ttr == 1.0
         assert s.hapax_type_rate == 1.0
         assert s.hapax_token_rate == 1.0
 
     def test_hand_counted_skewed_case(self):
         # [a,a,a,a,b]: 2 types, top set = {a} (ceil(0.4)=1), mass 4/5
-        s = lexical_stats([1, 1, 1, 1, 2], vocab_size=100)
+        s = lexical_stats([1, 1, 1, 1, 2])
         assert s.unique_types == 2
         assert s.top20_mass == pytest.approx(0.8, abs=1e-15)
         assert s.hapax_type_rate == 0.5
@@ -100,20 +116,20 @@ class TestLexicalStats:
 
     def test_top20_tie_broken_by_ascending_id(self):
         # ids 5 and 2 both have count 3; the top-1 set must take id 2
-        s = lexical_stats([5, 5, 5, 2, 2, 2, 9], vocab_size=100)
+        s = lexical_stats([5, 5, 5, 2, 2, 2, 9])
         # top20 takes ceil(0.2*3)=1 type -> id 2 (tie on count, lower id wins)
         assert s.top20_mass == pytest.approx(3 / 7, abs=1e-15)
 
     def test_empty_is_domain_error(self):
         with pytest.raises(DomainError):
-            lexical_stats([], vocab_size=10)
+            lexical_stats([])
 
     def test_hapax_all_unique_implies_max_entropy(self):
         rng = random.Random(13)
         for _ in range(50):
             n = rng.randint(1, 40)
             tokens = list(range(n))
-            s = lexical_stats(tokens, vocab_size=1000)
+            s = lexical_stats(tokens)
             if s.hapax_type_rate == 1.0:
                 h = token_entropy(Counter(tokens))
                 assert h == pytest.approx(math.log2(s.unique_types), abs=1e-9)
@@ -232,9 +248,12 @@ class TestDeltaH:
             delta_h(a, b)
 
     def test_with_delta_h_attaches_value(self):
+        # score_arm attaches it, with the arm label, in one replace
         a = _report(7.0, 2000, 50000, arm="Baseline")
-        b = _report(7.5, 2000, 50000)
-        assert with_delta_h(a, b).delta_h_bits == pytest.approx(0.5, abs=1e-12)
+        b = _report(7.5, 2000, 50000, arm="corpus")
+        arm = score_after_baseline(a, b)
+        assert arm.lexical.delta_h_bits == pytest.approx(0.5, abs=1e-12)
+        assert arm.lexical == replace(b, arm="NL-QC", delta_h_bits=arm.lexical.delta_h_bits)
 
 
 class TestBuildLexicalReport:
@@ -273,10 +292,11 @@ def test_report_agrees_with_public_helpers_on_a_larger_corpus():
     tok = WordTokenizer(vocab_size=251)  # collisions merge some types
     tokens = [t for text in texts for t in tok.tokenize(text)]
     report = build_lexical_report(texts, tok, encoder_id="e", task_id="t", arm="Baseline")
-    stats = lexical_stats(tokens, tok.vocab_size)
+    counts = sorted(Counter(tokens).values(), reverse=True)
+    unique, total, hapax = len(counts), len(tokens), counts.count(1)
     assert report.h_bits == token_entropy(Counter(tokens))
     assert report.coverage == coverage_cdf(Counter(tokens))
     assert (report.unique_types, report.total_tokens, report.ttr, report.top20_mass,
             report.hapax_type_rate, report.hapax_token_rate) == (
-        stats.unique_types, stats.total_tokens, stats.ttr, stats.top20_mass,
-        stats.hapax_type_rate, stats.hapax_token_rate)
+        unique, total, unique / total, sum(counts[:math.ceil(0.2 * unique)]) / total,
+        hapax / unique, hapax / total)

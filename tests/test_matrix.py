@@ -135,6 +135,23 @@ class TestRunMatrix:
         assert [line.replace('"NL-QC"', '"NL-C"', 1) for line in corpus] == \
             c.read_text().splitlines()
 
+    def test_each_cell_writes_the_records_of_its_own_sides(self, tmp_path):
+        cfg = load_config(write_matrix_config(tmp_path, strategies=("Rephrase", "NL"),
+                                              regimes=("QC", "C")))
+        assert run_matrix(cfg).exit_status == 0
+        for cell in plan_cells(cfg):
+            path = cfg.out_dir / "cells" / cell.cell_id / "rewrites.jsonl"
+            if cell.is_baseline:
+                assert not path.exists()
+                continue
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+            queries = TOY_QUERIES if cell.regime is Regime.QC else []
+            assert [row["source_id"] for row in rows] == \
+                [item["_id"] for item in TOY_DOCS + queries]
+            assert {(row["arm"], row["template_id"]) for row in rows} == {
+                (f"{cell.strategy.value}-{cell.regime.value}",
+                 f"identity-{cell.strategy.value.lower()}-codetocode")}
+
     def test_parallel_run_matches_serial(self, tmp_path, monkeypatch):
         # each pass starts from its own empty cache; a fixed clock makes the
         # rewrite records' timestamps equal across passes

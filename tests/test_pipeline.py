@@ -14,9 +14,9 @@ def arm_cell(strategy: Strategy = Strategy.NL, regime: Regime = Regime.QC) -> Ce
                    strategy=strategy, regime=regime)
 
 
-def score_cells(tmp_path, cells, docs=TOY_DOCS, queries=TOY_QUERIES, qrels=TOY_QRELS):
-    """Each cell's result, scored in order by one Stages over a toy config
-    (mock bow encoder, k=3, identity rewriter and templates)."""
+def scored(tmp_path, cells, docs=TOY_DOCS, queries=TOY_QUERIES, qrels=TOY_QRELS):
+    """One Stages over a toy config (mock bow encoder, k=3, identity
+    rewriter and templates) and each cell's result, scored in order by it."""
     write_jsonl(tmp_path / "corpus.jsonl", docs)
     write_jsonl(tmp_path / "queries.jsonl", queries)
     write_qrels(tmp_path / "qrels.tsv", qrels)
@@ -26,13 +26,23 @@ def score_cells(tmp_path, cells, docs=TOY_DOCS, queries=TOY_QUERIES, qrels=TOY_Q
     with Stages(cfg, cells) as stages:
         stages.rewrite()
         stages.fetch()
-        return [stages.score(cell, stages.corpus(cell)) for cell in cells]
+        return stages, [stages.score(cell, stages.corpus(cell)) for cell in cells]
+
+
+def score_cells(tmp_path, cells, **inputs):
+    """Each cell's result, as :func:`scored` scores it."""
+    return scored(tmp_path, cells, **inputs)[1]
+
+
+def n_records(stages: Stages, cell: CellKey) -> tuple[int, int]:
+    """The numbers of rewrite records of the documents and the queries *cell* ranks."""
+    return tuple(len(stages.side(cell, side).records) for side in ("documents", "queries"))
 
 
 class TestBaselineArm:
     def test_query_matching_doc_scores_one(self, tmp_path):
         # queries are exact copies of their relevant docs: ideal retrieval
-        (arm,) = score_cells(
+        stages, (arm,) = scored(
             tmp_path, [BASELINE],
             queries=[{"_id": f"q{i}", "text": d["text"]}
                      for i, d in enumerate(TOY_DOCS, 1)],
@@ -41,7 +51,7 @@ class TestBaselineArm:
         assert arm.run_record.delta_ndcg is None
         assert arm.lexical.delta_h_bits is None
         assert arm.geometry.delta_s_bar is None
-        assert arm.rewrite_records == []
+        assert n_records(stages, BASELINE) == (0, 0)
 
     def test_diagnostics_attached(self, tmp_path):
         (arm,) = score_cells(tmp_path, [BASELINE])
@@ -54,17 +64,17 @@ class TestIdentityNoOp:
     @pytest.mark.parametrize("strategy", [Strategy.REPHRASE, Strategy.PSEUDO,
                                           Strategy.NL])
     def test_identity_qc_equals_baseline(self, tmp_path, strategy):
-        base, arm = score_cells(tmp_path, [BASELINE, arm_cell(strategy)])
+        stages, (base, arm) = scored(tmp_path, [BASELINE, arm_cell(strategy)])
         assert arm.run_record.ndcg_per_query == base.run_record.ndcg_per_query
         assert arm.run_record.mean_ndcg == base.run_record.mean_ndcg
         assert arm.run_record.delta_ndcg == 0.0
         assert arm.lexical.delta_h_bits == pytest.approx(0.0, abs=1e-12)
         assert arm.geometry.delta_s_bar == pytest.approx(0.0, abs=1e-12)
-        assert len(arm.rewrite_records) == len(TOY_DOCS) + len(TOY_QUERIES)
+        assert n_records(stages, arm_cell(strategy)) == (len(TOY_DOCS), len(TOY_QUERIES))
 
     def test_identity_c_regime_rewrites_corpus_only(self, tmp_path):
-        (arm,) = score_cells(tmp_path, [arm_cell(regime=Regime.C)])
-        assert len(arm.rewrite_records) == len(TOY_DOCS)
+        stages, (arm,) = scored(tmp_path, [arm_cell(regime=Regime.C)])
+        assert n_records(stages, arm_cell(regime=Regime.C)) == (len(TOY_DOCS), 0)
         assert arm.run_record.delta_ndcg is None  # no Baseline was scored
 
 

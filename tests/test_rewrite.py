@@ -11,9 +11,8 @@ from rewritebench.models import (Document, Query, Regime, RewritePlan,
                                  Strategy, TaskFamily)
 from rewritebench.rewrite import (RewriteCache, RewriteRecord, RewriterClient,
                                   RewriterEndpoint, Rewritten, audit_sample,
-                                  documents_job, queries_job, record_json,
-                                  rewrite_jobs, source_hash, strip_code_fences,
-                                  write_records)
+                                  record_json, rewrite_jobs, side_job, source_hash,
+                                  strip_code_fences, write_records)
 from rewritebench.templates import identity_catalog
 
 
@@ -31,10 +30,11 @@ DOCS = [Document(id=f"d{i}", text=f"def fn_{i}(): return {i}") for i in range(4)
 QUERIES = [Query(id=f"q{i}", text=f"find function {i}") for i in range(2)]
 
 
-def rewrite_side(make_job, items, rw, cache=None, plan=None) -> Rewritten:
-    """One job of *items* through :func:`rewrite_jobs`, its error raised."""
-    (done,) = rewrite_jobs([make_job(items, plan or nl_qc_plan(), rw, identity_catalog())],
-                           cache)
+def rewrite_side(side, items, rw, cache=None, plan=None) -> Rewritten:
+    """One job of *items*, a collection's *side*, through :func:`rewrite_jobs`,
+    its error raised."""
+    job = side_job(items, plan or nl_qc_plan(), rw, identity_catalog(), side)
+    (done,) = rewrite_jobs([job], cache)
     if isinstance(done, Exception):
         raise done
     return done
@@ -54,7 +54,7 @@ class TestStripCodeFences:
 
 class TestRewriteCorpus:
     def test_identity_mock_reproduces_corpus(self):
-        done = rewrite_side(documents_job, DOCS, client())
+        done = rewrite_side("documents", DOCS, client())
         records = done.records
         assert done.texts == [d.text for d in DOCS]
         assert [r.source_id for r in records] == [d.id for d in DOCS]
@@ -64,16 +64,23 @@ class TestRewriteCorpus:
                    for r, d in zip(records, DOCS))
 
     def test_baseline_plan_rejected(self):
-        with pytest.raises(ContractError):
-            documents_job(DOCS, RewritePlan.baseline(), client(), identity_catalog())
+        for side, items in (("documents", DOCS), ("queries", QUERIES)):
+            with pytest.raises(ContractError, match="Baseline arm never rewrites"):
+                side_job(items, RewritePlan.baseline(), client(), identity_catalog(), side)
+
+    def test_mismatched_rewriter_rejected(self):
+        plan = RewritePlan(strategy=Strategy.NL, regime=Regime.QC, rewriter_id="other")
+        for side, items in (("documents", DOCS), ("queries", QUERIES)):
+            with pytest.raises(ConfigError, match="expects rewriter 'other' but client is 'rw'"):
+                side_job(items, plan, client(), identity_catalog(), side)
 
     def test_cache_hit_skips_endpoint(self, closing, tmp_path):
         cache = closing(RewriteCache(tmp_path / "rw.jsonl"))
         warm = client()
-        rewrite_side(documents_job, DOCS, warm, cache)
+        rewrite_side("documents", DOCS, warm, cache)
         assert warm.call_count == len(DOCS)
         cold = client()
-        done = rewrite_side(documents_job, DOCS, cold, cache)
+        done = rewrite_side("documents", DOCS, cold, cache)
         assert cold.call_count == 0
         assert done.texts == [d.text for d in DOCS]
         assert len(done.records) == len(DOCS)
@@ -81,7 +88,7 @@ class TestRewriteCorpus:
     def test_failure_falls_back_and_flags(self):
         # one document trips the flaky endpoint; the rest rewrite normally
         flaky = client("mock://flaky?needle=fn_2")
-        done = rewrite_side(documents_job, DOCS, flaky)
+        done = rewrite_side("documents", DOCS, flaky)
         assert len(done.texts) == len(DOCS)
         flagged = [r for r in done.records if r.failed]
         assert len(flagged) == 1
@@ -93,7 +100,7 @@ class TestRewriteCorpus:
         table_path = tmp_path / "table.json"
         table_path.write_text(json.dumps(table), encoding="utf-8")
         mapped = client(f"mock://table?file={table_path}")
-        texts = rewrite_side(documents_job, DOCS, mapped).texts
+        texts = rewrite_side("documents", DOCS, mapped).texts
         assert texts[0] == "mapped output zero"
         assert texts[1] == DOCS[1].text  # unmapped -> identity
 
@@ -120,20 +127,20 @@ class TestRewriteCorpus:
                 bad.complete("", "prompt", 16)
         ok = RewriterClient(RewriterEndpoint(rewriter_id="ok", url="mock://identity"))
         ok_plan = RewritePlan(strategy=Strategy.NL, regime=Regime.QC, rewriter_id="ok")
-        done = rewrite_jobs([documents_job(DOCS, nl_qc_plan(), bad, identity_catalog()),
-                             documents_job(DOCS, ok_plan, ok, identity_catalog())])
+        done = rewrite_jobs([side_job(DOCS, nl_qc_plan(), bad, identity_catalog(), "documents"),
+                             side_job(DOCS, ok_plan, ok, identity_catalog(), "documents")])
         assert isinstance(done[0], ConfigError)
         assert isinstance(done[1], Rewritten)
 
     def test_id_multiset_preserved(self):
-        records = rewrite_side(documents_job, DOCS, client()).records
+        records = rewrite_side("documents", DOCS, client()).records
         assert sorted(r.source_id for r in records) == sorted(d.id for d in DOCS)
 
     def test_frozen_cache_makes_rewrite_pure(self, closing, tmp_path):
         cache = closing(RewriteCache(tmp_path / "rw.jsonl"))
-        rewrite_side(documents_job, DOCS, client(), cache)
-        a = rewrite_side(documents_job, DOCS, client(), RewriteCache(tmp_path / "rw.jsonl"))
-        b = rewrite_side(documents_job, DOCS, client(), RewriteCache(tmp_path / "rw.jsonl"))
+        rewrite_side("documents", DOCS, client(), cache)
+        a = rewrite_side("documents", DOCS, client(), RewriteCache(tmp_path / "rw.jsonl"))
+        b = rewrite_side("documents", DOCS, client(), RewriteCache(tmp_path / "rw.jsonl"))
         assert a.texts == b.texts
         assert [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records]
 
@@ -147,9 +154,10 @@ class TestRewriteJobs:
         rw = client()
         cache = closing(RewriteCache(tmp_path / "rw.jsonl"))
         with ThreadPoolExecutor(max_workers=4) as pool:
-            done = rewrite_jobs([documents_job(docs, nl_qc_plan(), rw, identity_catalog()),
-                                 queries_job(queries, nl_qc_plan(), rw, identity_catalog())],
-                                cache, pool.map)
+            done = rewrite_jobs(
+                [side_job(docs, nl_qc_plan(), rw, identity_catalog(), "documents"),
+                 side_job(queries, nl_qc_plan(), rw, identity_catalog(), "queries")],
+                cache, pool.map)
         assert rw.call_count == len(DOCS) + len(QUERIES)
         assert [d.texts for d in done] == [[d.text for d in docs],
                                            [q.text for q in queries]]
@@ -158,26 +166,26 @@ class TestRewriteJobs:
         assert len(cache.path.read_text().splitlines()) == rw.call_count
 
     def test_error_fails_only_its_job(self):
-        good = documents_job(DOCS, nl_qc_plan(), client(), identity_catalog())
+        good = side_job(DOCS, nl_qc_plan(), client(), identity_catalog(), "documents")
         bogus = RewriterClient(RewriterEndpoint(rewriter_id="bogus", url="mock://bogus"))
-        bad = documents_job(DOCS[:1], RewritePlan(strategy=Strategy.NL, regime=Regime.QC),
-                            bogus, identity_catalog())
+        bad = side_job(DOCS[:1], RewritePlan(strategy=Strategy.NL, regime=Regime.QC),
+                       bogus, identity_catalog(), "documents")
         done = rewrite_jobs([bad, good])
         assert isinstance(done[0], ConfigError)
         assert isinstance(done[1], Rewritten)
 
     def test_failures_are_not_cached(self, closing, tmp_path):
         cache = closing(RewriteCache(tmp_path / "rw.jsonl"))
-        rewrite_side(documents_job, DOCS, client("mock://flaky?needle=fn_2"), cache)
+        rewrite_side("documents", DOCS, client("mock://flaky?needle=fn_2"), cache)
         retry = client()
         reopened = closing(RewriteCache(tmp_path / "rw.jsonl"))
-        done = rewrite_side(documents_job, DOCS, retry, reopened)
+        done = rewrite_side("documents", DOCS, retry, reopened)
         assert retry.call_count == 1
         assert not any(r.failed for r in done.records)
 
     def test_a_put_is_read_by_a_fresh_cache_before_close(self, tmp_path):
         cache = RewriteCache(tmp_path / "cache" / "rw.jsonl")  # makes its directory
-        done = rewrite_side(documents_job, DOCS[:2], client(), cache)
+        done = rewrite_side("documents", DOCS[:2], client(), cache)
         fresh = RewriteCache(tmp_path / "cache" / "rw.jsonl")
         assert [fresh.get(r.rewriter_id, r.template_id, r.source_hash) for r in done.records] \
             == done.records
@@ -197,10 +205,10 @@ class TestRewriteQueries:
     def test_regime_c_rejected(self):
         plan = RewritePlan(strategy=Strategy.NL, regime=Regime.C, rewriter_id="rw")
         with pytest.raises(ContractError, match="never rewrites queries"):
-            queries_job(QUERIES, plan, client(), identity_catalog())
+            side_job(QUERIES, plan, client(), identity_catalog(), "queries")
 
     def test_identity_qc_keeps_queries(self):
-        done = rewrite_side(queries_job, QUERIES, client())
+        done = rewrite_side("queries", QUERIES, client())
         assert done.texts == [q.text for q in QUERIES]
         assert len(done.records) == len(QUERIES)
 
@@ -208,7 +216,7 @@ class TestRewriteQueries:
         table = {QUERIES[0].text: "def generated(): pass"}
         path = tmp_path / "t.json"
         path.write_text(json.dumps(table), encoding="utf-8")
-        done = rewrite_side(queries_job, QUERIES, client(f"mock://table?file={path}"),
+        done = rewrite_side("queries", QUERIES, client(f"mock://table?file={path}"),
                             plan=nl_qc_plan(TaskFamily.TEXT_TO_CODE))
         assert done.texts[0] == "def generated(): pass"
         assert done.records[0].arm == "NL-QC"
@@ -315,7 +323,7 @@ class TestAuditSample:
 class TestTornRewriteCache:
     def _warm(self, path):
         cache = RewriteCache(path)
-        rewrite_side(documents_job, DOCS, client(), cache)
+        rewrite_side("documents", DOCS, client(), cache)
         cache.close()
 
     def test_torn_last_line_is_skipped_and_counted(self, tmp_path):
@@ -326,7 +334,7 @@ class TestTornRewriteCache:
         cache = RewriteCache(path)
         assert cache.torn_lines == 1
         cold = client()
-        rewrite_side(documents_job, DOCS, cold, cache)
+        rewrite_side("documents", DOCS, cold, cache)
         assert cold.call_count == 0
 
     def test_append_after_torn_tail_keeps_file_readable(self, closing, tmp_path):
@@ -335,11 +343,11 @@ class TestTornRewriteCache:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"arm": "NL')
         extra = [Document(id="d9", text="def fn_9(): return 9")]
-        rewrite_side(documents_job, extra, client(), closing(RewriteCache(path)))
+        rewrite_side("documents", extra, client(), closing(RewriteCache(path)))
         reopened = RewriteCache(path)
         assert reopened.torn_lines == 0
         cold = client()
-        rewrite_side(documents_job, DOCS + extra, cold, reopened)
+        rewrite_side("documents", DOCS + extra, cold, reopened)
         assert cold.call_count == 0
 
     def test_malformed_inner_line_still_raises(self, tmp_path):

@@ -70,27 +70,27 @@ class TestCatalogResolution:
         catalog = builtin_catalog()
         for strategy in (Strategy.REPHRASE, Strategy.PSEUDO, Strategy.NL):
             for family in TaskFamily:
-                doc = catalog.for_documents(strategy, family)
-                query = catalog.for_queries(strategy, family)
+                doc = catalog.resolve(strategy, family, "documents")
+                query = catalog.resolve(strategy, family, "queries")
                 assert doc.strategy is strategy
                 assert query.strategy is strategy
 
     def test_text_to_code_queries_get_generation_template(self):
         catalog = builtin_catalog()
-        doc = catalog.for_documents(Strategy.NL, TaskFamily.TEXT_TO_CODE)
-        query = catalog.for_queries(Strategy.NL, TaskFamily.TEXT_TO_CODE)
+        doc = catalog.resolve(Strategy.NL, TaskFamily.TEXT_TO_CODE, "documents")
+        query = catalog.resolve(Strategy.NL, TaskFamily.TEXT_TO_CODE, "queries")
         assert doc.template_id != query.template_id
         assert query.applies_to == ("queries",)
 
     def test_identity_catalog_is_passthrough(self):
         catalog = identity_catalog()
-        t = catalog.for_documents(Strategy.REPHRASE, TaskFamily.HYBRID)
+        t = catalog.resolve(Strategy.REPHRASE, TaskFamily.HYBRID, "documents")
         assert t.render("payload") == ("", "payload")
 
     def test_missing_template_is_config_error(self):
         catalog = TemplateCatalog([])
         with pytest.raises(ConfigError, match="no template"):
-            catalog.for_documents(Strategy.NL, TaskFamily.HYBRID)
+            catalog.resolve(Strategy.NL, TaskFamily.HYBRID, "documents")
 
     def test_duplicate_ids_rejected(self):
         t = identity_catalog().templates[0]
@@ -103,14 +103,15 @@ class TestCatalogResolution:
         clone = replace(base, template_id="other-id")
         catalog = TemplateCatalog([base, clone])
         with pytest.raises(ConfigError, match="ambiguous"):
-            catalog.for_documents(base.strategy, base.task_family)
+            catalog.resolve(base.strategy, base.task_family, "documents")
 
     def test_load_catalog_from_directory(self, tmp_path):
         (tmp_path / "one.md").write_text(
             "---\ntemplate_id: t1\nstrategy: NL\ntask_family: CodeToCode\n---\n"
             "{input}\n", encoding="utf-8")
         catalog = load_catalog(tmp_path)
-        assert catalog.for_documents(Strategy.NL, TaskFamily.CODE_TO_CODE).template_id == "t1"
+        template = catalog.resolve(Strategy.NL, TaskFamily.CODE_TO_CODE, "documents")
+        assert template.template_id == "t1"
 
     def test_resolve_catalog_names(self, tmp_path):
         assert resolve_catalog("identity").templates
