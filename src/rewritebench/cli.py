@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, WorkbenchError
@@ -205,6 +205,8 @@ def cmd_report(config: ExperimentConfig, args) -> int:
 
 def cmd_audit(config: ExperimentConfig, args) -> int:
     task = _task_spec(config, args.task)
+    if args.rewriter not in (None, *(r.rewriter_id for r in config.rewriters)):
+        raise ConfigError(f"rewriter {args.rewriter!r} not in config")
     collection = ingest_collection(task.corpus, task.queries, task.qrels,
                                    task_id=task.task_id)
     sources = {d.id: d.text for d in collection.documents}
@@ -214,14 +216,14 @@ def cmd_audit(config: ExperimentConfig, args) -> int:
     for cell in sorted(plan_cells(config), key=lambda c: c.cell_id):  # by directory name
         if cell.task_id == task.task_id and args.rewriter in (None, cell.rewriter_id):
             JsonlLog(cells_dir / cell.cell_id / "rewrites.jsonl",
-                     lambda row: records.append(RewriteRecord.from_dict(row)))
+                     lambda row: records.append(RewriteRecord(**row)))
     if not records:
         print("no rewrite records found under", cells_dir, file=sys.stderr)
         return 1
     bundle = audit_sample(records, sources, min(args.sample_size, len(records)),
                           args.seed if args.seed is not None else config.seed)
     out = config.out_dir / "audit.json"
-    write_json(out, [item.to_dict() for item in bundle])
+    write_json(out, [asdict(item) for item in bundle])
     print(f"{len(bundle)} rewrites sampled -> {out}")
     return 0
 

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from urllib.parse import parse_qs, urlsplit
 
 import yaml
 
@@ -80,15 +81,19 @@ class ExperimentConfig:
             raise ConfigError(f"skip_threshold must be finite, got {self.skip_threshold}")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
-        ids = [t.task_id for t in self.tasks]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("duplicate task ids in config")
-        ids = [e.encoder_id for e in self.encoders]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("duplicate encoder ids in config")
-        ids = [r.rewriter_id for r in self.rewriters]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("duplicate rewriter ids in config")
+        for kind, ids in (("task", [t.task_id for t in self.tasks]),
+                          ("encoder", [e.encoder_id for e in self.encoders]),
+                          ("rewriter", [r.rewriter_id for r in self.rewriters])):
+            if len(set(ids)) != len(ids):
+                raise ConfigError(f"duplicate {kind} ids in config")
+        from .matrix import plan_cells  # matrix builds on this module
+        cells: dict = {}
+        for cell in plan_cells(self):
+            other = cells.setdefault(cell.cell_id, cell)
+            if other is not cell:
+                ids = sorted({*vars(other).values()} ^ {*vars(cell).values()})
+                raise ConfigError(f"ids {ids} give two cells the directory name "
+                                  f"{cell.cell_id!r}")
 
     @property
     def config_hash(self) -> str:
@@ -101,6 +106,16 @@ def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ConfigError(f"{context} is missing required field {key!r}")
     return mapping[key]
+
+
+def _number(mapping: dict, key: str, default, context: str, kind: type = int):
+    """``kind(mapping[key])``, or *default* when *key* is absent; a value
+    that *kind* cannot parse is a ConfigError naming *key*."""
+    try:
+        return kind(mapping.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{context} field {key!r} must be a number, "
+                          f"got {mapping[key]!r}") from None
 
 
 def load_config(path: str | Path, *, seed: int | None = None,
@@ -138,9 +153,9 @@ def load_config(path: str | Path, *, seed: int | None = None,
         ))
 
     endpoint_defaults = raw.get("endpoint", {})
-    embed_batch = int(endpoint_defaults.get("embed_batch_size", 32))
-    retries = int(endpoint_defaults.get("retries", 3))
-    backoff = float(endpoint_defaults.get("backoff_s", 0.5))
+    embed_batch = _number(endpoint_defaults, "embed_batch_size", 32, "endpoint")
+    retries = _number(endpoint_defaults, "retries", 3, "endpoint")
+    backoff = _number(endpoint_defaults, "backoff_s", 0.5, "endpoint", float)
 
     encoders = []
     for e in raw.get("encoders", []):
@@ -151,9 +166,9 @@ def load_config(path: str | Path, *, seed: int | None = None,
             endpoint=EncoderEndpoint(
                 encoder_id=_require(e, "encoder_id", "encoder"),
                 url=_require(e, "url", "encoder"),
-                batch_size=int(e.get("batch_size", embed_batch)),
-                retries=int(e.get("retries", retries)),
-                backoff_s=float(e.get("backoff_s", backoff)),
+                batch_size=_number(e, "batch_size", embed_batch, "encoder"),
+                retries=_number(e, "retries", retries, "encoder"),
+                backoff_s=_number(e, "backoff_s", backoff, "encoder", float),
                 auth_env=e.get("auth_env"),
             ),
             tokenizer=tok,
@@ -162,17 +177,14 @@ def load_config(path: str | Path, *, seed: int | None = None,
     rewriters = []
     for r in raw.get("rewriters", []):
         url = _require(r, "url", "rewriter")
-        if url.startswith("mock://table"):
-            # resolve the table file relative to the config location
-            from urllib.parse import urlparse, parse_qs
-            q = parse_qs(urlparse(url).query)
-            if "file" in q:
-                url = f"mock://table?file={_resolve(q['file'][-1])}"
+        table = url.startswith("mock://table") and parse_qs(urlsplit(url).query).get("file")
+        if table:  # resolved relative to the config location
+            url = f"mock://table?file={_resolve(table[-1])}"
         rewriters.append(RewriterEndpoint(
             rewriter_id=_require(r, "rewriter_id", "rewriter"),
             url=url,
-            retries=int(r.get("retries", retries)),
-            backoff_s=float(r.get("backoff_s", backoff)),
+            retries=_number(r, "retries", retries, "rewriter"),
+            backoff_s=_number(r, "backoff_s", backoff, "rewriter", float),
             auth_env=r.get("auth_env"),
         ))
 
@@ -193,11 +205,11 @@ def load_config(path: str | Path, *, seed: int | None = None,
         rewriters=rewriters,
         strategies=strategies,
         regimes=regimes,
-        k=int(eval_cfg.get("k", 10)),
+        k=_number(eval_cfg, "k", 10, "eval"),
         gain=str(eval_cfg.get("gain", "linear")),
-        seed=int(raw.get("seed", 0)) if seed is None else seed,
-        skip_threshold=float(raw.get("skip_threshold", 0.0)),
-        parallelism=int(raw.get("parallelism", 1)),
+        seed=_number(raw, "seed", 0, "config") if seed is None else seed,
+        skip_threshold=_number(raw, "skip_threshold", 0.0, "config", float),
+        parallelism=_number(raw, "parallelism", 1, "config"),
         cache_dir=_resolve(cache_dir or raw.get("cache_dir", "cache")),
         out_dir=_resolve(out_dir or raw.get("out_dir", "out")),
         template_catalog=catalog,

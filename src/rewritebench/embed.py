@@ -11,8 +11,9 @@ runs offline:
     mock://bow?dim=D    hashed bag-of-words; token overlap -> high cosine
     mock://fail         always raises (for retry/abort paths)
 
-Raw (pre-normalization) vectors are cached keyed by (encoder, content
-hash); normalization is applied at load.
+Raw (pre-normalization) vectors are cached keyed by :func:`content_key`, a
+hash of the encoder's fingerprint and the text; normalization is applied
+at load.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ class EncoderEndpoint:
     auth_env: str | None = None
 
 
-def content_key(encoder_id: str, text: str) -> str:
-    digest = hashlib.sha256(f"{encoder_id}\0{text}".encode("utf-8")).hexdigest()
-    return digest
+def content_key(fingerprint: str, text: str) -> str:
+    """The cache key of *text*'s vector from the encoder with *fingerprint*."""
+    return hashlib.sha256(f"{fingerprint}\0{text}".encode("utf-8")).hexdigest()
 
 
 def _mock_hash_vector(encoder_id: str, text: str, dim: int) -> np.ndarray:
@@ -73,6 +74,8 @@ class EncoderClient(EndpointClient):
     @property
     def encoder_id(self) -> str:
         return self.endpoint.encoder_id
+
+    model_id = encoder_id
 
     def _mock(self, texts: Sequence[str]) -> list[list[float]]:
         kind = self._mock_kind
@@ -115,7 +118,7 @@ class EmbeddingCache:
     """Content-addressed raw-vector cache.
 
     Layout: ``vectors.bin`` holds float64 rows back to back; the JSON-Lines
-    manifest records (key, encoder_id, dim, offset). Writes are serialized;
+    manifest records (key, dim, offset). Writes are serialized;
     duplicate keys are benign (values are deterministic, last writer wins).
     One process at a time may write a cache dir. A torn last manifest line
     (a crash mid-write) is skipped and counted in ``torn_lines``; the first
@@ -181,22 +184,21 @@ class EmbeddingCache:
             return None
         return out
 
-    def put_many(self, rows: Iterable[tuple[str, str, np.ndarray]]) -> None:
-        """Append (key, encoder_id, vector) *rows* in order: one append to
+    def put_many(self, rows: Iterable[tuple[str, np.ndarray]]) -> None:
+        """Append (key, vector) *rows* in order: one append to
         ``vectors.bin``, which :meth:`gather` can read once it returns, then
         one append of their manifest lines. Until both have succeeded none of
         the rows is indexed."""
-        rows = [(key, encoder_id, np.asarray(vector, dtype=np.float64).ravel())
-                for key, encoder_id, vector in rows]
+        rows = [(key, np.asarray(vector, dtype=np.float64).ravel()) for key, vector in rows]
         if not rows:
             return
         with self._lock:
-            offset = self._vectors.append(b"".join(vector.tobytes() for _, _, vector in rows))
+            offset = self._vectors.append(b"".join(vector.tobytes() for _, vector in rows))
             lines, index = [], {}
-            for key, encoder_id, vector in rows:
+            for key, vector in rows:
                 # json.dumps(entry, sort_keys=True), byte for byte
-                lines.append(f'{{"dim": {vector.size}, "encoder_id": {_encode_ascii(encoder_id)}, '
-                             f'"key": {_encode_ascii(key)}, "offset": {offset}}}')
+                lines.append(f'{{"dim": {vector.size}, "key": {_encode_ascii(key)}, '
+                             f'"offset": {offset}}}')
                 index[key] = (offset, vector.size)
                 offset += vector.nbytes
             self._manifest.append_many(lines)
@@ -220,10 +222,10 @@ def fetch_missing(texts: Iterable[str], client: EncoderClient, cache: EmbeddingC
     failed batch or cache write no further batch is sent; once every batch
     that came back is cached, that failure is raised.
     """
-    encoder_id = client.encoder_id
+    fingerprint = client.fingerprint
     misses: dict[str, str] = {}
     for text in texts:
-        key = content_key(encoder_id, text)
+        key = content_key(fingerprint, text)
         if key not in cache and key not in misses:
             misses[key] = text
     keys = list(misses)
@@ -244,7 +246,7 @@ def fetch_missing(texts: Iterable[str], client: EncoderClient, cache: EmbeddingC
         if vectors is None:
             continue
         try:
-            cache.put_many((key, encoder_id, vec) for key, vec in zip(batch, vectors))
+            cache.put_many(zip(batch, vectors))
         except WorkbenchError as exc:
             failures.append(exc)
     if failures:
@@ -263,8 +265,8 @@ def embed_texts(ids: Sequence[str], texts: Sequence[str], client: EncoderClient,
     if len(texts) == 0:
         raise ContractError("cannot embed an empty text list")
 
-    encoder_id = client.encoder_id
-    keys = [content_key(encoder_id, t) for t in texts]
+    encoder_id, fingerprint = client.encoder_id, client.fingerprint
+    keys = [content_key(fingerprint, t) for t in texts]
     vectors = cache.gather(keys)
     if vectors is None:
         missing = sum(key not in cache for key in keys)

@@ -1,7 +1,6 @@
 """Rewrite orchestration: drive a rewriter endpoint over corpus and query
 sets (jobs), with caching, audit records, and fail-soft fallback. Each
-distinct (rewriter, template, source) prompt is requested once per call,
-however many jobs hold it.
+distinct prompt is requested once per call, however many jobs hold it.
 
 Endpoint failures after the configured retries fall back to the original
 text and flag the record, so corpus size (and hence score denominators)
@@ -22,7 +21,7 @@ import hashlib
 import json
 import random
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
@@ -75,29 +74,6 @@ class RewriteRecord:
             raise DomainError(
                 f"record for {self.source_id!r} has empty output but is not failed")
 
-    def to_dict(self) -> dict:
-        return {
-            "source_id": self.source_id,
-            "arm": self.arm,
-            "source_hash": self.source_hash,
-            "output_text": self.output_text,
-            "rewriter_id": self.rewriter_id,
-            "template_id": self.template_id,
-            "timestamp": self.timestamp,
-            "truncated": self.truncated,
-            "failed": self.failed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "RewriteRecord":
-        return cls(
-            source_id=d["source_id"], arm=d["arm"], source_hash=d["source_hash"],
-            output_text=d["output_text"], rewriter_id=d["rewriter_id"],
-            template_id=d["template_id"], timestamp=d["timestamp"],
-            truncated=bool(d.get("truncated", False)),
-            failed=bool(d.get("failed", False)),
-        )
-
 
 @dataclass(frozen=True)
 class RewriterEndpoint:
@@ -129,6 +105,8 @@ class RewriterClient(EndpointClient):
     @property
     def rewriter_id(self) -> str:
         return self.endpoint.rewriter_id
+
+    model_id = rewriter_id
 
     def _mock(self, system: str, user: str, max_tokens: int) -> tuple[str, bool]:
         kind = self._mock_kind
@@ -187,50 +165,55 @@ class RewriterClient(EndpointClient):
         return self._call((system, user, max_tokens), f"rewriter {self.rewriter_id!r}")
 
 
-class RewriteCache:
-    """JSON-Lines cache of RewriteRecords keyed by (rewriter, template, source).
+@dataclass(frozen=True)
+class Answer:
+    """A rewriter's answer to one prompt: its output, empty when the request
+    failed, when it came back, and whether the output hit the token limit."""
 
-    Only successful rewrites belong here: a row flagged ``failed`` (written
-    by an older version) reads as a miss, so the next run asks again. One
-    process at a time may write the file. A torn last line (a crash
-    mid-write) is skipped and counted in ``torn_lines``; the first ``put``
-    cuts it off and opens the append handle that :meth:`close` closes.
+    output_text: str
+    timestamp: str
+    truncated: bool
+
+
+class RewriteCache:
+    """JSON-Lines cache of the answers that have an output, one
+    ``{key, output_text, timestamp, truncated}`` row each, keyed as
+    :func:`rewrite_jobs` says. A row without a ``key`` (written by an older
+    version) is skipped, so it reads as a miss. One process at a time may
+    write the file. A torn last line (a crash mid-write) is skipped and
+    counted in ``torn_lines``; the first ``put`` cuts it off and opens the
+    append handle that :meth:`close` closes.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._index: dict[tuple[str, str, str], RewriteRecord] = {}
+        self._index: dict[str, Answer] = {}
         self._log = JsonlLog(self.path, self._add_row)
         self.torn_lines = self._log.torn_lines
 
     def _add_row(self, row: dict) -> None:
-        if row.get("failed"):
-            return
-        rec = RewriteRecord.from_dict(row)
-        self._index[(rec.rewriter_id, rec.template_id, rec.source_hash)] = rec
+        if "key" in row:
+            self._index[row["key"]] = Answer(row["output_text"], row["timestamp"],
+                                             bool(row["truncated"]))
 
-    def get(self, rewriter_id: str, template_id: str, src_hash: str) -> RewriteRecord | None:
+    def get(self, key: str) -> Answer | None:
         with self._lock:
-            return self._index.get((rewriter_id, template_id, src_hash))
+            return self._index.get(key)
 
-    def put(self, record: RewriteRecord) -> None:
-        """Append *record*: one append per answer, so a crash loses none
+    def put(self, key: str, answer: Answer) -> None:
+        """Append *answer*: one append per answer, so a crash loses none
         that finished before it."""
         with self._lock:
-            self._log.append(record_json(record, record.arm))
-            self._index[(record.rewriter_id, record.template_id,
-                         record.source_hash)] = record
+            self._log.append(json.dumps({"key": key, **asdict(answer)}, sort_keys=True,
+                                        ensure_ascii=False))
+            self._index[key] = answer
 
     def close(self) -> None:
         """Close the append handle, if a put opened it."""
         with self._lock:
             self._log.close()
-
-
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 @dataclass(frozen=True)
@@ -254,83 +237,77 @@ class Rewritten:
     records: list[RewriteRecord]
 
 
-def _request(miss: tuple[RewriteJob, str, str]) -> tuple[str, bool, bool] | WorkbenchError:
-    """(output, truncated, failed) for one (job, item id, source text), or
-    the error that was not an endpoint failure."""
-    job, _, text = miss
+def _request(miss: tuple[RewriteJob, str]) -> Answer | WorkbenchError:
+    """The answer to one (job, source text), or the error that was not an
+    endpoint failure."""
+    job, text = miss
     system, user = job.template.render(text)
     try:
         raw, truncated = job.client.complete(system, user, job.template.max_output_tokens)
     except EndpointError:
-        return "", False, True
+        raw, truncated = "", False
     except WorkbenchError as exc:
         return exc
-    out = strip_code_fences(raw)
-    return out, truncated, not out  # empty completions count as failures
+    # an empty completion counts as a failure
+    return Answer(strip_code_fences(raw), datetime.now(timezone.utc).isoformat(), truncated)
 
 
 def rewrite_jobs(jobs: Sequence[RewriteJob], cache: RewriteCache | None = None,
                  map_fn: Callable = map) -> list[Rewritten | WorkbenchError]:
-    """Rewrite every job, asking the endpoint once per distinct
-    (rewriter, template, source) across all of them.
+    """Rewrite every job, asking the endpoint once per distinct cache key
+    across all of them.
 
     Cache hits resolve inline. Each miss is one request, run through
     *map_fn*: a pool's ``map``, or the builtin ``map`` to run them inline.
-    Successful rewrites are cached in request order, so the cache file
-    does not depend on the pool's size. A job whose
-    request or cache write raised gets that error in place of its result;
-    the other jobs are unaffected.
+    Answers with an output are cached in request order, so the cache file
+    does not depend on the pool's size. Every record is built from its
+    (job, item, answer), hit or miss. A job whose request or cache write
+    raised gets that error in place of its result; the other jobs are
+    unaffected.
     """
-    records: dict[tuple[str, str, str], RewriteRecord | WorkbenchError] = {}
-    misses: dict[tuple[str, str, str], tuple[RewriteJob, str, str]] = {}
-    job_keys = []
+    answers: dict[str, Answer | WorkbenchError] = {}
+    misses: dict[str, tuple[RewriteJob, str]] = {}
+    job_items = []
     for job in jobs:
-        keys = [(job.client.rewriter_id, job.template.template_id, source_hash(text))
-                for text in job.texts]
-        for key, item_id, text in zip(keys, job.ids, job.texts):
-            if key in records or key in misses:
+        # the key hashes all an answer depends on: the rewriter's fingerprint,
+        # the template's system text, user text and token limit, and the source
+        t = job.template
+        head = "\0".join((job.client.fingerprint, t.system_text, t.user_text,
+                          str(t.max_output_tokens), ""))
+        hashes = [source_hash(text) for text in job.texts]
+        keys = [hashlib.sha256((head + h).encode("utf-8")).hexdigest() for h in hashes]
+        for key, text in zip(keys, job.texts):
+            if key in answers or key in misses:
                 continue
-            hit = cache.get(*key) if cache is not None else None
+            hit = cache.get(key) if cache is not None else None
             if hit is not None:
-                records[key] = hit
+                answers[key] = hit
             else:
-                misses[key] = (job, item_id, text)
-        job_keys.append(keys)
+                misses[key] = (job, text)
+        job_items.append(zip(keys, hashes, job.ids, job.texts))
 
-    answers = map_fn(_request, misses.values())
-    for (key, (job, item_id, _)), answer in zip(misses.items(), answers):
-        if isinstance(answer, WorkbenchError):
-            records[key] = answer
-            continue
-        out, truncated, failed = answer
-        record = RewriteRecord(
-            source_id=item_id, arm=job.arm, source_hash=key[2],
-            output_text="" if failed else out, rewriter_id=key[0],
-            template_id=key[1], timestamp=_utc_now(), truncated=truncated,
-            failed=failed)
-        try:
-            if cache is not None and not failed:
-                cache.put(record)
-            records[key] = record
-        except WorkbenchError as exc:
-            records[key] = exc
+    for key, answer in zip(misses, map_fn(_request, misses.values())):
+        if cache is not None and isinstance(answer, Answer) and answer.output_text:
+            try:
+                cache.put(key, answer)
+            except WorkbenchError as exc:
+                answer = exc
+        answers[key] = answer
 
     results: list[Rewritten | WorkbenchError] = []
-    for job, keys in zip(jobs, job_keys):
+    for job, items in zip(jobs, job_items):
         outs, recs = [], []
-        for key, item_id, text in zip(keys, job.ids, job.texts):
-            rec = records[key]
-            if isinstance(rec, WorkbenchError):
-                results.append(rec)
+        for key, src_hash, item_id, text in items:
+            answer = answers[key]
+            if isinstance(answer, WorkbenchError):
+                results.append(answer)
                 break
-            if rec.source_id != item_id or rec.arm != job.arm:
-                rec = RewriteRecord(
-                    source_id=item_id, arm=job.arm, source_hash=rec.source_hash,
-                    output_text=rec.output_text, rewriter_id=rec.rewriter_id,
-                    template_id=rec.template_id, timestamp=rec.timestamp,
-                    truncated=rec.truncated, failed=rec.failed)
-            outs.append(text if rec.failed else rec.output_text)
-            recs.append(rec)
+            outs.append(answer.output_text or text)
+            recs.append(RewriteRecord(
+                source_id=item_id, arm=job.arm, source_hash=src_hash,
+                output_text=answer.output_text, rewriter_id=job.client.rewriter_id,
+                template_id=job.template.template_id, timestamp=answer.timestamp,
+                truncated=answer.truncated, failed=not answer.output_text))
         else:
             results.append(Rewritten(texts=outs, records=recs))
     return results
@@ -371,12 +348,6 @@ def record_body(record: RewriteRecord) -> str:
             f', "truncated": {"true" if record.truncated else "false"}}}')
 
 
-def record_json(record: RewriteRecord, arm: str) -> str:
-    """``json.dumps({**record.to_dict(), "arm": arm}, sort_keys=True,
-    ensure_ascii=False)``, byte for byte."""
-    return '{"arm": ' + _encode_str(arm) + record_body(record)
-
-
 def write_records(targets: Sequence[tuple[TextIO, str]],
                   records: Iterable[RewriteRecord]) -> None:
     """Write *records* as JSON lines to each (file, arm) of *targets*, each
@@ -397,13 +368,6 @@ class AuditItem:
     source_text: str
     output_text: str
     failed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "source_id": self.source_id, "arm": self.arm,
-            "source_text": self.source_text, "output_text": self.output_text,
-            "failed": self.failed,
-        }
 
 
 def audit_sample(records: Sequence[RewriteRecord], sources: Mapping[str, str],

@@ -5,7 +5,8 @@ JSON payload and decodes the JSON object that comes back.
 :class:`EndpointClient` parses a ``mock://KIND?key=value`` URL for the
 client's in-process answers, builds the transport for any other URL,
 counts every call, retries a failed one with exponential backoff and
-closes the transport. Each thread that calls a transport gets its own
+closes the transport; its ``fingerprint`` keys the caches of its
+answers. Each thread that calls a transport gets its own
 ``http.client`` connection to the endpoint's origin, made on its first
 call and kept alive for reuse. Proxies come from the environment
 (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``) and are looked up once, when
@@ -17,12 +18,14 @@ is not read.
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import json
 import os
 import ssl
 import threading
 import time
+from functools import cached_property
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 from urllib.request import getproxies, proxy_bypass
@@ -135,7 +138,8 @@ class EndpointClient:
 
     A ``mock://KIND?key=value`` URL sets ``_mock_kind`` and ``_mock_params``
     and makes no transport; :meth:`_call` then answers with the client's
-    ``_mock``, else with its ``_http`` through ``_transport``.
+    ``_mock``, else with its ``_http`` through ``_transport``. Each client
+    names the ``model_id`` it sends.
     ``call_count`` counts every call, retries included; matrix cells share
     a client, so it is counted under a lock.
     """
@@ -149,6 +153,21 @@ class EndpointClient:
         self._mock_params = {k: v[-1] for k, v in parse_qs(parts.query).items()}
         self._transport = (None if self._mock_kind is not None else
                            JsonTransport(endpoint.url, endpoint.timeout_s, endpoint.auth_env))
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """A hash of what the endpoint's answers depend on: the ``model_id``
+        the client sends and the URL. A ``mock://table`` file's path is
+        replaced by the sha256 of its bytes, so a moved checkout keeps its
+        keys and an edited table does not."""
+        url, table = self.endpoint.url, self._mock_params.get("file")
+        if self._mock_kind == "table" and table:
+            try:
+                with open(table, "rb") as fh:
+                    url = "mock://table?sha256=" + hashlib.file_digest(fh, "sha256").hexdigest()
+            except OSError as exc:
+                raise ConfigError(f"mock://table file {table} cannot be read: {exc}") from None
+        return hashlib.sha256(f"{self.model_id}\0{url}".encode("utf-8")).hexdigest()
 
     def close(self) -> None:
         """Close the client's HTTP connections."""

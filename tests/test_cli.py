@@ -7,6 +7,7 @@ import threading
 from pathlib import Path
 
 import pytest
+import yaml
 
 from conftest import TOY_DOCS, TOY_QUERIES, write_matrix_config
 from rewritebench.cli import main
@@ -55,6 +56,42 @@ class TestExitCodes:
 
     def test_success_is_zero(self, offline_config):
         assert run_cli(offline_config, "run-matrix") == 0
+
+    def test_colliding_cell_directories_are_two(self, tmp_path, capsys):
+        # "a/b" and "a_b" would both write the cells under a_b__toy__...
+        encoders = [{"encoder_id": name, "url": "mock://bow?dim=16",
+                     "tokenizer": {"kind": "word"}} for name in ("a/b", "a_b")]
+        path = write_matrix_config(tmp_path, encoders=encoders)
+        assert run_cli(path, "run-matrix") == 2
+        err = capsys.readouterr().err
+        assert "configuration error: ids ['a/b', 'a_b']" in err and "a_b__toy__Baseline" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_audit_of_an_unknown_rewriter_is_two(self, offline_config, capsys):
+        assert run_cli(offline_config, "run-matrix") == 0
+        assert run_cli(offline_config, "audit", "--task", "toy", "--rewriter", "nope",
+                       "--sample-size", "1") == 2
+        assert "configuration error: rewriter 'nope' not in config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, key, value", [
+        ((), "seed", "abc"), (("eval",), "k", "six"), ((), "parallelism", "two"),
+        ((), "skip_threshold", "low"), (("endpoint",), "retries", "many"),
+        (("endpoint",), "backoff_s", "fast"), (("endpoint",), "embed_batch_size", [8]),
+        (("encoders", 0), "batch_size", "big"), (("encoders", 0), "retries", "x"),
+        (("rewriters", 0), "backoff_s", "slow")])
+    def test_non_numeric_value_is_two_naming_its_key(self, tmp_path, capsys, where, key,
+                                                     value):
+        path = write_matrix_config(tmp_path)
+        cfg = yaml.safe_load(path.read_text(encoding="utf-8"))
+        section = cfg
+        for step in where:
+            section = section[step]
+        section[key] = value
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert run_cli(path, "run-matrix") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert f"field {key!r} must be a number, got {value!r}" in err
 
 
 class TestSubcommands:

@@ -18,6 +18,11 @@ def mock_client(url: str = "mock://hash?dim=16", batch_size: int = 32,
                                          backoff_s=backoff))
 
 
+def key(text: str, url: str = "mock://hash?dim=16") -> str:
+    """The cache key of *text*'s vector from ``mock_client(url)``."""
+    return content_key(mock_client(url).fingerprint, text)
+
+
 def fetch_and_gather(ids, texts, client, cache) -> EmbeddingMatrix:
     """The matrix of *texts* as a stage reads it: the fetch stage fills the
     cache, then the gather reads it."""
@@ -83,7 +88,7 @@ class TestEmbedTexts:
         cache = closing(EmbeddingCache(tmp_path))
         client = mock_client("mock://bow?dim=8")
         fetch_missing(["word word word"], client, cache)
-        (raw,) = cache.gather([content_key("mock-enc", "word word word")])
+        (raw,) = cache.gather([content_key(client.fingerprint, "word word word")])
         # bow counts are unnormalized in the cache; normalization is at load
         assert np.abs(raw).max() == 3.0
 
@@ -98,10 +103,10 @@ class TestEmbedTexts:
     def test_a_miss_raises_and_calls_no_encoder(self, closing, tmp_path):
         cache = closing(EmbeddingCache(tmp_path))
         fetch_missing(["ta"], mock_client(), cache)
-        dead = mock_client("mock://fail")
+        reader = mock_client()
         with pytest.raises(CacheMissError, match="1 of 2 texts"):
-            embed_texts(["a", "b"], ["ta", "tb"], dead, cache)
-        assert dead.call_count == 0
+            embed_texts(["a", "b"], ["ta", "tb"], reader, cache)
+        assert reader.call_count == 0
 
     def test_id_text_length_mismatch(self, tmp_path):
         with pytest.raises(ContractError):
@@ -133,7 +138,7 @@ class TestFetchMissing:
         with ThreadPoolExecutor(max_workers=3) as pool:
             fetch_missing(texts, client, cache, pool.map)
         assert client.call_count == 2  # tb tc | td te
-        keys = [content_key("mock-enc", t) for t in ["ta", "tb", "tc", "td", "te"]]
+        keys = [key(t) for t in ["ta", "tb", "tc", "td", "te"]]
         manifest = (tmp_path / "manifest.jsonl").read_text().splitlines()
         assert [json.loads(line)["key"] for line in manifest] == keys
         cold = mock_client()
@@ -146,7 +151,7 @@ class TestFetchMissing:
         with pytest.raises(EndpointError, match="failed after 1 attempts"):
             fetch_missing(["ta", "tb", "tc"], client, cache)
         assert client.call_count == 1
-        assert not any(content_key("mock-enc", t) in cache for t in ["ta", "tb", "tc"])
+        assert not any(content_key(client.fingerprint, t) in cache for t in ["ta", "tb", "tc"])
 
     def test_failed_cache_write_stops_fetching_and_is_raised(self, closing, tmp_path,
                                                               monkeypatch):
@@ -164,7 +169,7 @@ class TestFetchMissing:
         with pytest.raises(StoreError, match="disk full"):
             fetch_missing(["ta", "tb", "tc"], client, cache)
         assert client.call_count == 2  # the batch after the failed write is not sent
-        assert [content_key("mock-enc", t) in cache for t in ["ta", "tb", "tc"]] == \
+        assert [key(t) in cache for t in ["ta", "tb", "tc"]] == \
             [True, False, False]
 
 
@@ -177,7 +182,7 @@ class TestTornManifest:
     def test_torn_last_line_is_skipped_and_counted(self, tmp_path):
         self._warm(tmp_path)
         with open(tmp_path / "manifest.jsonl", "a", encoding="utf-8") as fh:
-            fh.write('{"dim": 16, "encoder_id": "mock-enc", "key": "abc')
+            fh.write('{"dim": 16, "key": "abc')
         cache = EmbeddingCache(tmp_path)
         assert cache.torn_lines == 1
         client = mock_client()
@@ -209,10 +214,9 @@ class TestTornManifest:
 
 
 class TestPutMany:
-    def _rows(self, n: int, dim: int = 6) -> list[tuple[str, str, np.ndarray]]:
+    def _rows(self, n: int, dim: int = 6) -> list[tuple[str, np.ndarray]]:
         rng = np.random.default_rng(5)
-        return [(content_key("mock-enc", f"t{i}"), "mock-enc", rng.standard_normal(dim))
-                for i in range(n)]
+        return [(key(f"t{i}"), rng.standard_normal(dim)) for i in range(n)]
 
     @staticmethod
     def _assert_equals_one_put_per_row(tmp_path, rows, batches):
@@ -229,20 +233,20 @@ class TestPutMany:
         for line in (tmp_path / "many" / "manifest.jsonl").read_text().splitlines():
             assert line == json.dumps(json.loads(line), sort_keys=True)
         reopened = EmbeddingCache(tmp_path / "many")
-        for key, _, vec in rows:
-            assert np.array_equal(reopened.gather([key])[0], vec)
+        for k, vec in rows:
+            assert np.array_equal(reopened.gather([k])[0], vec)
 
     def test_equals_repeated_put_byte_for_byte(self, tmp_path):
         rows = self._rows(9)
         self._assert_equals_one_put_per_row(tmp_path, rows, [rows[:4], [], rows[4:]])
         reopened = EmbeddingCache(tmp_path / "many")
-        got = reopened.gather([key for key, _, _ in rows])
-        assert np.array_equal(got, np.stack([vec for _, _, vec in rows]))
+        got = reopened.gather([k for k, _ in rows])
+        assert np.array_equal(got, np.stack([vec for _, vec in rows]))
 
     def test_a_batch_of_several_dims_equals_one_put_per_row(self, tmp_path):
-        rows = self._rows(5)  # rows of other dims, one as a list, and a non-ASCII id
-        rows[1] = (rows[1][0], "enc-é✓", rows[1][2][:4].tolist())
-        rows[3] = (rows[3][0], "mock-enc", np.ones(3))
+        rows = self._rows(5)  # rows of other dims, one as a list
+        rows[1] = (rows[1][0], rows[1][1][:4].tolist())
+        rows[3] = (rows[3][0], np.ones(3))
         self._assert_equals_one_put_per_row(tmp_path, rows, [rows])
 
     def test_a_put_is_read_by_a_fresh_cache_before_close(self, tmp_path):
@@ -250,8 +254,8 @@ class TestPutMany:
         cache = EmbeddingCache(tmp_path)
         cache.put_many(rows[:1])
         cache.put_many(rows[1:])
-        got = EmbeddingCache(tmp_path).gather([key for key, _, _ in rows])
-        assert np.array_equal(got, np.stack([vec for _, _, vec in rows]))
+        got = EmbeddingCache(tmp_path).gather([k for k, _ in rows])
+        assert np.array_equal(got, np.stack([vec for _, vec in rows]))
         cache.close()
 
     def test_a_failed_vectors_write_drops_the_handle(self, tmp_path, monkeypatch):
@@ -265,9 +269,9 @@ class TestPutMany:
             cache.put_many(rows[1:2])
         assert vectors.closed and rows[1][0] not in cache
         cache.put_many(rows[1:])  # opens vectors.bin again
-        keys = [key for key, _, _ in rows]
+        keys = [k for k, _ in rows]
         assert np.array_equal(EmbeddingCache(tmp_path).gather(keys),
-                              np.stack([vec for _, _, vec in rows]))
+                              np.stack([vec for _, vec in rows]))
         cache.close()
 
     def test_manifest_failure_leaves_the_batch_missing(self, closing, tmp_path):
@@ -278,9 +282,9 @@ class TestPutMany:
         cache.manifest_path.mkdir()  # opening it to append is an OSError
         with pytest.raises(StoreError, match="cannot append"):
             cache.put_many(rows[2:])
-        keys = [key for key, _, _ in rows]
-        assert [key in cache for key in keys] == [True, True, False, False, False]
-        assert np.array_equal(cache.gather(keys[:2]), np.stack([rows[0][2], rows[1][2]]))
+        keys = [k for k, _ in rows]
+        assert [k in cache for k in keys] == [True, True, False, False, False]
+        assert np.array_equal(cache.gather(keys[:2]), np.stack([rows[0][1], rows[1][1]]))
         assert cache.gather(keys) is None
         # the batch's vectors went first: orphan bytes past the indexed rows
         assert cache.vectors_path.stat().st_size == 5 * 6 * 8
@@ -293,7 +297,7 @@ class TestPutMany:
                             lambda rows: batches.append(list(rows)) or put_many(batches[-1]))
         fetch_missing([f"t{i}" for i in range(10)], mock_client(batch_size=4), cache)
         assert [len(b) for b in batches] == [4, 4, 2]
-        assert all(content_key("mock-enc", f"t{i}") in cache for i in range(10))
+        assert all(key(f"t{i}") in cache for i in range(10))
 
 
 def test_call_count_is_exact_under_threads():
@@ -323,7 +327,7 @@ class TestGetMany:
         cache = EmbeddingCache(tmp_path)
         fetch_missing(["ta", "tb"], mock_client(), cache)
         cache.close()
-        return cache, [content_key("mock-enc", t) for t in ("ta", "tb")]
+        return cache, [key(t) for t in ("ta", "tb")]
 
     @pytest.mark.parametrize("damage", ["missing", "empty"])
     def test_missing_or_empty_vectors_file_is_all_misses(self, tmp_path, damage):
@@ -365,7 +369,7 @@ class TestGather:
         # out of file order, with a repeat: several separate reads
         texts = [self.TEXTS[i] for i in (4, 5, 6, 0, 1, 3, 3)]
         ids = [f"x{i}" for i in range(len(texts))]
-        keys = [content_key("mock-enc", t) for t in texts]
+        keys = [key(t, self.URL) for t in texts]
         gathered = cache.gather(keys)
         assert gathered.flags.c_contiguous and gathered.flags.owndata
         client = mock_client(self.URL)
@@ -377,13 +381,13 @@ class TestGather:
 
     def test_reopened_cache_reads_same_rows(self, tmp_path):
         cache = self._warm(tmp_path)
-        keys = [content_key("mock-enc", t) for t in self.TEXTS]
+        keys = [key(t, self.URL) for t in self.TEXTS]
         assert EmbeddingCache(tmp_path).gather(keys).tobytes() == cache.gather(keys).tobytes()
 
     def test_partial_hit_falls_back(self, closing, tmp_path):
         cache = closing(self._warm(tmp_path))
         texts = [self.TEXTS[0], "a text never embedded", self.TEXTS[2]]
-        assert cache.gather([content_key("mock-enc", t) for t in texts]) is None
+        assert cache.gather([key(t, self.URL) for t in texts]) is None
         client = mock_client(self.URL)
         out = fetch_and_gather(["x"] * 3, texts, client, cache)
         assert client.call_count == 1
@@ -405,7 +409,7 @@ class TestGather:
         cache = self._warm(tmp_path)
         path = tmp_path / "vectors.bin"
         path.write_bytes(path.read_bytes()[:-8])
-        keys = [content_key("mock-enc", t) for t in self.TEXTS]
+        keys = [key(t, self.URL) for t in self.TEXTS]
         assert cache.gather(keys) is None
         assert cache.gather(keys[:-1]) is not None
         # only the torn row is asked for again
@@ -414,23 +418,23 @@ class TestGather:
     def test_missing_vectors_file_falls_back(self, tmp_path):
         cache = self._warm(tmp_path)
         (tmp_path / "vectors.bin").unlink()
-        assert cache.gather([content_key("mock-enc", self.TEXTS[0])]) is None
+        assert cache.gather([key(self.TEXTS[0], self.URL)]) is None
         assert self._fetch_again(tmp_path) == self.TEXTS
 
     def test_empty_vectors_file_falls_back(self, tmp_path):
         cache = self._warm(tmp_path)
         (tmp_path / "vectors.bin").write_bytes(b"")
-        assert cache.gather([content_key("mock-enc", self.TEXTS[0])]) is None
+        assert cache.gather([key(self.TEXTS[0], self.URL)]) is None
         assert self._fetch_again(tmp_path) == self.TEXTS
 
     def test_mixed_dimensions_fall_back(self, closing, tmp_path):
         cache = closing(EmbeddingCache(tmp_path))
-        keys = [content_key("mock-enc", t) for t in ("ta", "tb")]
-        cache.put_many([(keys[0], "mock-enc", np.ones(4))])
-        cache.put_many([(keys[1], "mock-enc", np.ones(6))])
+        client = mock_client("mock://bow?dim=4")
+        keys = [content_key(client.fingerprint, t) for t in ("ta", "tb")]
+        cache.put_many([(keys[0], np.ones(4))])
+        cache.put_many([(keys[1], np.ones(6))])
         assert cache.gather(keys) is None
         assert cache.gather(keys[1:]) is not None
-        client = mock_client("mock://bow?dim=4")
         with pytest.raises(EndpointError, match="inconsistent dimensions"):
             embed_texts(["a", "b"], ["ta", "tb"], client, cache)
         assert client.call_count == 0

@@ -7,11 +7,15 @@ read and the single-count lexical report went in. The rest of what the
 demo's ``run-matrix`` + ``report`` writes, the caches under ``cache/``
 included, was pinned before the rewrite-record serialiser, the ``indent=1``
 writer and the batched embedding-cache append went in; its ``timestamp``
-values are masked.
+values are masked. ``cache/rewrites.jsonl`` and
+``cache/embeddings/manifest.jsonl`` were written again when the caches
+were keyed by content. The demo runs from a copy of ``demo/``, so the
+cache keys are pinned not to depend on where the checkout lies.
 """
 
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -38,9 +42,9 @@ def _golden_files() -> list[str]:
 
 @pytest.fixture(scope="module")
 def demo_root(tmp_path_factory):
-    root = tmp_path_factory.mktemp("demo")
-    argv = ["--config", str(DEMO / "config.yaml"),
-            "--out-dir", str(root / "out"), "--cache-dir", str(root / "cache")]
+    root = tmp_path_factory.mktemp("copy") / "demo"
+    shutil.copytree(DEMO, root, ignore=shutil.ignore_patterns("out", "cache"))
+    argv = ["--config", str(root / "config.yaml")]  # out/ and cache/ under root
     assert main([*argv, "run-matrix"]) == 0
     assert main([*argv, "report"]) == 0
     return root

@@ -1,6 +1,7 @@
 import builtins
 import gc
 import json
+import re
 import sys
 import threading
 import traceback
@@ -15,15 +16,19 @@ from rewritebench import matrix, rewrite
 from rewritebench.cli import main
 from rewritebench.config import load_config
 from rewritebench.embed import EncoderClient
-from rewritebench.errors import WorkbenchError
+from rewritebench.errors import EndpointError, WorkbenchError
 from rewritebench.matrix import CellKey, plan_cells, run_matrix
 from rewritebench.models import Regime, Strategy
 from rewritebench.stores import RunStore
 
 
-def tree_bytes(root: Path) -> dict[str, bytes]:
-    return {str(p.relative_to(root)): p.read_bytes()
+def tree_bytes(root: Path, mask_timestamps: bool = False) -> dict[str, bytes]:
+    tree = {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+    if mask_timestamps:  # the clock that stamps each fresh rewrite
+        tree = {name: re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', data)
+                for name, data in tree.items()}
+    return tree
 
 
 class TestPlanCells:
@@ -152,17 +157,13 @@ class TestRunMatrix:
                 (f"{cell.strategy.value}-{cell.regime.value}",
                  f"identity-{cell.strategy.value.lower()}-codetocode")}
 
-    def test_parallel_run_matches_serial(self, tmp_path, monkeypatch):
-        # each pass starts from its own empty cache; a fixed clock makes the
-        # rewrite records' timestamps equal across passes
-        monkeypatch.setattr("rewritebench.rewrite._utc_now",
-                            lambda: "2026-01-01T00:00:00+00:00")
+    def test_parallel_run_matches_serial(self, tmp_path):
+        # each pass starts from its own empty cache
         strategies = ("Rephrase", "NL")
         path = write_matrix_config(tmp_path, strategies=strategies,
                                    regimes=("QC", "C"))
-        # identity templates: one per strategy, for both sides
-        prompts = {(s, row["text"]) for s in strategies
-                   for row in TOY_DOCS + TOY_QUERIES}
+        # the identity templates of both strategies render one prompt per text
+        prompts = {row["text"] for row in TOY_DOCS + TOY_QUERIES}
         trees, encoder_calls = {}, set()
         for parallelism in (1, 2, 4):
             cfg = load_config(path, out_dir=str(tmp_path / f"out{parallelism}"),
@@ -177,8 +178,8 @@ class TestRunMatrix:
             assert result.exit_status == 0
             assert result.endpoint_calls["rewriter:ident"] == len(prompts)
             encoder_calls.add(result.endpoint_calls["encoder:bow"])
-            trees[parallelism] = (tree_bytes(tmp_path / f"out{parallelism}"),
-                                  tree_bytes(tmp_path / f"cache{parallelism}"))
+            trees[parallelism] = (tree_bytes(tmp_path / f"out{parallelism}", True),
+                                  tree_bytes(tmp_path / f"cache{parallelism}", True))
         assert len(encoder_calls) == 1
         assert trees[1] == trees[2] == trees[4]
 
@@ -199,7 +200,7 @@ class TestFaultIsolation:
                          strategy=Strategy.NL, regime=Regime.QC)
 
         faulty_cfg = load_config(path, out_dir=str(tmp_path / "faulty"))
-        from rewritebench.errors import WorkbenchError
+        from rewritebench.errors import EndpointError, WorkbenchError
 
         def wb_hook(cell):
             if cell == target:
@@ -258,7 +259,7 @@ class TestFaultIsolation:
     def test_baseline_failure_leaves_arm_without_delta(self, tmp_path):
         path = write_matrix_config(tmp_path)
         cfg = load_config(path)
-        from rewritebench.errors import WorkbenchError
+        from rewritebench.errors import EndpointError, WorkbenchError
 
         def hook(cell: CellKey):
             if cell.is_baseline:
@@ -432,9 +433,16 @@ class TestRewriteFailuresNotCached:
                 .read_text().splitlines()]
         return result.endpoint_calls["rewriter:rw"], {r["source_id"]: r for r in rows}
 
-    def test_failed_item_is_rewritten_on_the_next_run(self, tmp_path):
-        # d1 and q1 both mention alpha_one: the flaky endpoint fails on them
-        calls, rows = self._run(tmp_path, "mock://flaky?needle=alpha_one", "out1")
+    def test_failed_item_is_rewritten_on_the_next_run(self, tmp_path, monkeypatch):
+        # d1 and q1 both mention alpha_one: the endpoint fails on them once
+        def flaky(client, system, user, max_tokens):
+            if "alpha_one" in user:
+                raise EndpointError("down")
+            return user, False
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rewrite.RewriterClient, "_mock", flaky)
+            calls, rows = self._run(tmp_path, "mock://identity", "out1")
         assert {i for i, r in rows.items() if r["failed"]} == {"d1", "q1"}
         calls, rows = self._run(tmp_path, "mock://identity", "out2")
         assert calls == 2
@@ -534,17 +542,32 @@ class TestTableRewriter:
             rewriters=[{"rewriter_id": "tab", "url": f"mock://table?file={table_path}"},
                        {"rewriter_id": "ident", "url": "mock://identity"}])
 
-    def test_warm_run_never_reads_the_table(self, tmp_path):
+    def test_warm_run_never_reads_the_table(self, tmp_path, monkeypatch):
         table_path = tmp_path / "table.json"
         table_path.write_text(json.dumps({"unused": "x"}), encoding="utf-8")
         path = self._config(tmp_path, table_path)
         cold = run_matrix(load_config(path, out_dir=str(tmp_path / "out1")))
         assert cold.exit_status == 0 and cold.endpoint_calls["rewriter:tab"] > 0
-        table_path.write_text("{not json", encoding="utf-8")
+        # a warm run hashes the table's bytes but never parses them
+        monkeypatch.setattr(rewrite.RewriterClient, "_table_lookup",
+                            lambda client, user: pytest.fail("the table was read"))
         warm = run_matrix(load_config(path, out_dir=str(tmp_path / "out2")))
         assert warm.exit_status == 0
         assert all(v == 0 for v in warm.endpoint_calls.values())
         assert tree_bytes(tmp_path / "out1") == tree_bytes(tmp_path / "out2")
+
+    def test_changed_table_asks_its_rewriter_again(self, tmp_path):
+        table_path = tmp_path / "table.json"
+        table_path.write_text(json.dumps({"unused": "x"}), encoding="utf-8")
+        path = self._config(tmp_path, table_path)
+        cold = run_matrix(load_config(path))
+        table_path.write_text(json.dumps({TOY_DOCS[0]["text"]: "mapped"}), encoding="utf-8")
+        warm = run_matrix(load_config(path))
+        assert warm.exit_status == 0
+        assert warm.endpoint_calls == {"encoder:bow": 1, "rewriter:ident": 0,
+                                       "rewriter:tab": cold.endpoint_calls["rewriter:tab"]}
+        corpus = (tmp_path / "out" / "cells" / "bow__toy__tab__NL__C" / "rewrites.jsonl")
+        assert json.loads(corpus.read_text().splitlines()[0])["output_text"] == "mapped"
 
     def test_table_that_does_not_parse_fails_only_its_cells(self, tmp_path):
         table_path = tmp_path / "table.json"

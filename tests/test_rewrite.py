@@ -2,6 +2,7 @@ import io
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -9,9 +10,9 @@ from conftest import assert_calls_counted_under_threads
 from rewritebench.errors import ConfigError, ContractError, DomainError, StoreError
 from rewritebench.models import (Document, Query, Regime, RewritePlan,
                                  Strategy, TaskFamily)
-from rewritebench.rewrite import (RewriteCache, RewriteRecord, RewriterClient,
+from rewritebench.rewrite import (Answer, RewriteCache, RewriteRecord, RewriterClient,
                                   RewriterEndpoint, Rewritten, audit_sample,
-                                  record_json, rewrite_jobs, side_job, source_hash,
+                                  rewrite_jobs, side_job, source_hash,
                                   strip_code_fences, write_records)
 from rewritebench.templates import identity_catalog
 
@@ -142,7 +143,7 @@ class TestRewriteCorpus:
         a = rewrite_side("documents", DOCS, client(), RewriteCache(tmp_path / "rw.jsonl"))
         b = rewrite_side("documents", DOCS, client(), RewriteCache(tmp_path / "rw.jsonl"))
         assert a.texts == b.texts
-        assert [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records]
+        assert a.records == b.records
 
 
 class TestRewriteJobs:
@@ -177,28 +178,47 @@ class TestRewriteJobs:
     def test_failures_are_not_cached(self, closing, tmp_path):
         cache = closing(RewriteCache(tmp_path / "rw.jsonl"))
         rewrite_side("documents", DOCS, client("mock://flaky?needle=fn_2"), cache)
-        retry = client()
+        retry = client("mock://flaky?needle=fn_2")
         reopened = closing(RewriteCache(tmp_path / "rw.jsonl"))
         done = rewrite_side("documents", DOCS, retry, reopened)
-        assert retry.call_count == 1
-        assert not any(r.failed for r in done.records)
+        assert retry.call_count == 1  # the failed item is asked again, the rest hit
+        assert [r.failed for r in done.records] == [False, False, True, False]
 
     def test_a_put_is_read_by_a_fresh_cache_before_close(self, tmp_path):
         cache = RewriteCache(tmp_path / "cache" / "rw.jsonl")  # makes its directory
         done = rewrite_side("documents", DOCS[:2], client(), cache)
-        fresh = RewriteCache(tmp_path / "cache" / "rw.jsonl")
-        assert [fresh.get(r.rewriter_id, r.template_id, r.source_hash) for r in done.records] \
-            == done.records
+        cold = client()
+        again = rewrite_side("documents", DOCS[:2], cold,
+                             RewriteCache(tmp_path / "cache" / "rw.jsonl"))
+        assert cold.call_count == 0 and again.records == done.records
         cache.close()
 
-    def test_failed_row_in_an_old_cache_reads_as_a_miss(self, tmp_path):
+    def test_failed_row_in_an_old_cache_reads_as_a_miss(self, closing, tmp_path):
+        # rows an older version wrote: whole records, failed or not, and no key
         path = tmp_path / "rw.jsonl"
-        failed = RewriteRecord(source_id="d0", arm="NL-QC",
-                               source_hash=source_hash(DOCS[0].text), output_text="",
-                               rewriter_id="rw", template_id="t",
-                               timestamp="2026-01-01T00:00:00+00:00", failed=True)
-        path.write_text(json.dumps(failed.to_dict()) + "\n", encoding="utf-8")
-        assert RewriteCache(path).get("rw", "t", failed.source_hash) is None
+        with open(path, "w", encoding="utf-8") as fh:
+            write_records([(fh, "NL-QC")], [RewriteRecord(
+                source_id=d.id, arm="NL-QC", source_hash=source_hash(d.text),
+                output_text="" if i == 0 else "stale", rewriter_id="rw",
+                template_id="identity-nl-codetocode", timestamp="2026-01-01T00:00:00+00:00",
+                failed=i == 0) for i, d in enumerate(DOCS)])
+        rw = client()
+        done = rewrite_side("documents", DOCS, rw, closing(RewriteCache(path)))
+        assert rw.call_count == len(DOCS)
+        assert done.texts == [d.text for d in DOCS]
+
+    def test_key_covers_the_template_and_the_rewriter_url(self, closing, tmp_path):
+        cache = closing(RewriteCache(tmp_path / "rw.jsonl"))
+        rewrite_side("documents", DOCS, client(), cache)
+        identity = identity_catalog().resolve(Strategy.NL, TaskFamily.CODE_TO_CODE,
+                                              "documents")
+        for template, url in [(replace(identity, max_output_tokens=64), "mock://identity"),
+                              (replace(identity, system_text="Be brief."), "mock://identity"),
+                              (identity, "mock://identity?v=2")]:
+            rw = client(url)
+            job = side_job(DOCS, nl_qc_plan(), rw, identity_catalog(), "documents")
+            rewrite_jobs([replace(job, template=template)], cache)
+            assert rw.call_count == len(DOCS)
 
 
 class TestRewriteQueries:
@@ -233,7 +253,9 @@ class TestRewriteRecord:
         rec = RewriteRecord(source_id="d", arm="NL-QC", source_hash="abc",
                             output_text="out", rewriter_id="rw", template_id="t",
                             timestamp="2026-01-01T00:00:00+00:00", truncated=True)
-        assert RewriteRecord.from_dict(rec.to_dict()) == rec
+        fh = io.StringIO()
+        write_records([(fh, rec.arm)], [rec])
+        assert RewriteRecord(**json.loads(fh.getvalue())) == rec
 
 
 _CHARS = ['[', ']', ',', ':', '"', '\\', '\n', '\t', '\x00', '\x7f', ' ', 'a', '7',
@@ -252,33 +274,30 @@ def _random_record(rng: random.Random) -> RewriteRecord:
 
 
 class TestRecordSerialiser:
-    def test_record_json_equals_json_dumps(self):
-        rng = random.Random(7)
-        for _ in range(3000):
-            rec = _random_record(rng)
-            arm = rng.choice(["NL-QC", "NL-C", rec.arm, "\u00e9[,]\""])
-            assert record_json(rec, arm) == json.dumps(
-                {**rec.to_dict(), "arm": arm}, sort_keys=True, ensure_ascii=False)
-
     def test_write_records_equals_one_dumps_per_record(self):
         rng = random.Random(11)
-        records = [_random_record(rng) for _ in range(500)]
-        files = {arm: io.StringIO() for arm in ("NL-QC", "NL-C")}
+        records = [_random_record(rng) for _ in range(3000)]
+        files = {arm: io.StringIO() for arm in ("NL-QC", "NL-C", "\u00e9[,]\"")}
         write_records([(fh, arm) for arm, fh in files.items()], iter(records))
         for arm, fh in files.items():
             assert fh.getvalue() == "".join(
-                json.dumps({**r.to_dict(), "arm": arm}, sort_keys=True,
+                json.dumps({**asdict(r), "arm": arm}, sort_keys=True,
                            ensure_ascii=False) + "\n" for r in records)
 
-    def test_cache_line_is_the_record_under_its_own_arm(self, closing, tmp_path):
+    def test_cache_line_is_the_key_and_its_answer(self, closing, tmp_path):
         rng = random.Random(3)
-        records = [r for r in (_random_record(rng) for _ in range(50)) if not r.failed]
+        answers = {f"k{i}": Answer(r.output_text, r.timestamp, r.truncated)
+                   for i, r in enumerate(_random_record(rng) for _ in range(50))
+                   if not r.failed}
         cache = closing(RewriteCache(tmp_path / "rw.jsonl"))
-        for rec in records:
-            cache.put(rec)
+        for key, answer in answers.items():
+            cache.put(key, answer)
         assert (tmp_path / "rw.jsonl").read_text(encoding="utf-8") == "".join(
-            json.dumps(r.to_dict(), sort_keys=True, ensure_ascii=False) + "\n"
-            for r in records)
+            json.dumps({"key": key, "output_text": a.output_text, "timestamp": a.timestamp,
+                        "truncated": a.truncated}, sort_keys=True, ensure_ascii=False) + "\n"
+            for key, a in answers.items())
+        reopened = RewriteCache(tmp_path / "rw.jsonl")
+        assert {key: reopened.get(key) for key in answers} == answers
 
 
 class TestAuditSample:
