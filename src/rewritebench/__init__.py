@@ -1,11 +1,11 @@
 """Rewriting-augmented code retrieval workbench."""
 
-from .models import (Document, Query, Regime, RewritePlan, RunRecord,
-                     Strategy, TaskFamily)
+from .models import (CellKey, Document, Query, Regime, RunRecord, Strategy,
+                     TaskFamily)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Document", "Query", "Regime", "RewritePlan", "RunRecord",
-    "Strategy", "TaskFamily", "__version__",
+    "CellKey", "Document", "Query", "Regime", "RunRecord", "Strategy",
+    "TaskFamily", "__version__",
 ]

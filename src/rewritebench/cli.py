@@ -26,6 +26,7 @@ from .report import (advise_from_reports, correlation_report, join_rows,
 from .retrieval import retrieve_topk
 from .rewrite import RewriteRecord, audit_sample, write_records
 from .stores import DiagnosticsStore, JsonlLog, RunStore, write_json
+from .templates import SIDES
 
 
 def _task_spec(config: ExperimentConfig, task_id: str):
@@ -38,11 +39,11 @@ def _task_spec(config: ExperimentConfig, task_id: str):
 def _cells(config: ExperimentConfig, args) -> list[CellKey]:
     """The cells a stage command's flags name: the (encoder, task) Baseline,
     then the arm cell when ``--strategy`` is given."""
-    _task_spec(config, args.task)
+    task = _task_spec(config, args.task)
     encoder = getattr(args, "encoder", "")
     if encoder and encoder not in {e.encoder_id for e in config.encoders}:
         raise ConfigError(f"encoder {encoder!r} not in config")
-    baseline = CellKey(encoder_id=encoder, task_id=args.task)
+    baseline = CellKey(encoder_id=encoder, task_id=args.task, task_family=task.family)
     if not args.strategy:
         return [baseline]
     if not args.regime or not args.rewriter:
@@ -72,22 +73,21 @@ def cmd_rewrite(config: ExperimentConfig, args) -> int:
     cell = _cells(config, args)[-1]
     with Stages(config, [cell]) as stages:
         stages.rewrite()
-        docs, queries = stages.side(cell, "documents"), stages.side(cell, "queries")
-    collection, plan = stages.collections[cell.task_id], stages.plans[cell]
-    out = config.out_dir / "rewritten" / f"{args.task}__{plan.rewriter_id}__{plan.arm_label}"
+        done = {side: stages.side(cell, side) for side in SIDES}
+    collection = stages.collections[cell.task_id]
+    out = config.out_dir / "rewritten" / f"{args.task}__{cell.rewriter_id}__{cell.arm_label}"
     out.mkdir(parents=True, exist_ok=True)
-    sides = [("corpus", collection.documents, docs.texts)]
-    if plan.regime is Regime.QC:
-        sides.append(("queries", collection.queries, queries.texts))
-    for name, items, texts in sides:
-        with open(out / f"{name}.jsonl", "w", encoding="utf-8") as fh:
-            for item, text in zip(items, texts):
-                fh.write(json.dumps({"_id": item.id, "text": text}, ensure_ascii=False) + "\n")
-    records = docs.records + queries.records
+    for side, name in zip(SIDES, ("corpus", "queries")):
+        if cell.rewrites(side):
+            with open(out / f"{name}.jsonl", "w", encoding="utf-8") as fh:
+                for item, text in zip(getattr(collection, side), done[side].texts):
+                    fh.write(json.dumps({"_id": item.id, "text": text},
+                                        ensure_ascii=False) + "\n")
+    records = [record for side in SIDES for record in done[side].records]
     with open(out / "records.jsonl", "w", encoding="utf-8") as fh:
-        write_records([(fh, plan.arm_label)], records)
+        write_records([(fh, cell.arm_label)], records)
     failed = sum(1 for r in records if r.failed)
-    print(f"{plan.arm_label}: {len(records)} rewrites, {failed} fallbacks -> {out}")
+    print(f"{cell.arm_label}: {len(records)} rewrites, {failed} fallbacks -> {out}")
     return 0
 
 
@@ -97,7 +97,7 @@ def _matrices(config: ExperimentConfig, args):
     with Stages(config, [cell]) as stages:
         stages.rewrite()
         stages.fetch()
-        return stages.plans[cell].arm_label, stages.corpus(cell).matrix, stages.queries(cell)
+        return cell.arm_label, stages.corpus(cell).matrix, stages.queries(cell)
 
 
 def cmd_embed(config: ExperimentConfig, args) -> int:
@@ -139,7 +139,7 @@ def cmd_eval(config: ExperimentConfig, args) -> int:
     RunStore(config.out_dir / "runs.jsonl").append(arm.run_record)
     delta = "" if arm.run_record.delta_ndcg is None else \
         f" (delta {arm.run_record.delta_ndcg:+.5f})"
-    print(f"{arm.plan.arm_label}: mean NDCG@{config.k} "
+    print(f"{arm.run_record.plan.arm_label}: mean NDCG@{config.k} "
           f"{arm.run_record.mean_ndcg:.5f}{delta}, "
           f"{arm.excluded_queries} queries excluded")
     return 0
@@ -152,7 +152,7 @@ def cmd_diagnose(config: ExperimentConfig, args) -> int:
         [("lexical", arm.lexical.to_dict()), ("geometry", arm.geometry.to_dict())])
     dh = arm.lexical.delta_h_bits
     ds = arm.geometry.delta_s_bar
-    print(f"{arm.plan.arm_label}: H {arm.lexical.h_bits:.4f} bits"
+    print(f"{arm.run_record.plan.arm_label}: H {arm.lexical.h_bits:.4f} bits"
           + ("" if dh is None else f" (delta {dh:+.4f})")
           + f", s_bar {arm.geometry.s_bar:+.5f}"
           + ("" if ds is None else f" (delta {ds:+.5f})"))

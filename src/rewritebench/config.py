@@ -91,7 +91,8 @@ class ExperimentConfig:
         for cell in plan_cells(self):
             other = cells.setdefault(cell.cell_id, cell)
             if other is not cell:
-                ids = sorted({*vars(other).values()} ^ {*vars(cell).values()})
+                ids = sorted({other.encoder_id, other.task_id, other.rewriter_id}
+                             ^ {cell.encoder_id, cell.task_id, cell.rewriter_id})
                 raise ConfigError(f"ids {ids} give two cells the directory name "
                                   f"{cell.cell_id!r}")
 
@@ -106,6 +107,15 @@ def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ConfigError(f"{context} is missing required field {key!r}")
     return mapping[key]
+
+
+def _shaped(value, kind: type, context: str):
+    """*value*, which must be a *kind* (``dict`` or ``list``); anything else
+    is a ConfigError naming *context*."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{context} must be a {'mapping' if kind is dict else 'list'}, "
+                          f"got {value!r}")
+    return value
 
 
 def _number(mapping: dict, key: str, default, context: str, kind: type = int):
@@ -139,7 +149,8 @@ def load_config(path: str | Path, *, seed: int | None = None,
         return q if q.is_absolute() else base / q
 
     tasks = []
-    for t in raw.get("tasks", []):
+    for t in _shaped(raw.get("tasks", []), list, "tasks"):
+        _shaped(t, dict, "task")
         try:
             family = TaskFamily(_require(t, "family", "task"))
         except ValueError as exc:
@@ -152,14 +163,15 @@ def load_config(path: str | Path, *, seed: int | None = None,
             qrels=_resolve(_require(t, "qrels", "task")),
         ))
 
-    endpoint_defaults = raw.get("endpoint", {})
+    endpoint_defaults = _shaped(raw.get("endpoint", {}), dict, "endpoint")
     embed_batch = _number(endpoint_defaults, "embed_batch_size", 32, "endpoint")
     retries = _number(endpoint_defaults, "retries", 3, "endpoint")
     backoff = _number(endpoint_defaults, "backoff_s", 0.5, "endpoint", float)
 
     encoders = []
-    for e in raw.get("encoders", []):
-        tok = e.get("tokenizer", {"kind": "word"})
+    for e in _shaped(raw.get("encoders", []), list, "encoders"):
+        _shaped(e, dict, "encoder")
+        tok = _shaped(e.get("tokenizer", {"kind": "word"}), dict, "tokenizer")
         if tok.get("kind") == "vocab" and "vocab_file" in tok:
             tok = dict(tok, vocab_file=str(_resolve(tok["vocab_file"])))
         encoders.append(EncoderSpec(
@@ -175,7 +187,8 @@ def load_config(path: str | Path, *, seed: int | None = None,
         ))
 
     rewriters = []
-    for r in raw.get("rewriters", []):
+    for r in _shaped(raw.get("rewriters", []), list, "rewriters"):
+        _shaped(r, dict, "rewriter")
         url = _require(r, "url", "rewriter")
         table = url.startswith("mock://table") and parse_qs(urlsplit(url).query).get("file")
         if table:  # resolved relative to the config location
@@ -188,13 +201,15 @@ def load_config(path: str | Path, *, seed: int | None = None,
             auth_env=r.get("auth_env"),
         ))
 
+    strategies = _shaped(raw.get("strategies", []), list, "strategies")
+    regimes = _shaped(raw.get("regimes", []), list, "regimes")
     try:
-        strategies = [Strategy(s) for s in raw.get("strategies", [])]
-        regimes = [Regime(r) for r in raw.get("regimes", [])]
+        strategies = [Strategy(s) for s in strategies]
+        regimes = [Regime(r) for r in regimes]
     except ValueError as exc:
         raise ConfigError(f"bad strategy or regime name: {exc}") from exc
 
-    eval_cfg = raw.get("eval", {})
+    eval_cfg = _shaped(raw.get("eval", {}), dict, "eval")
     catalog = raw.get("template_catalog", "builtin")
     if catalog not in ("builtin", "identity"):
         catalog = str(_resolve(catalog))

@@ -69,7 +69,19 @@ def _mock_bow_vector(text: str, dim: int) -> np.ndarray:
 
 
 class EncoderClient(EndpointClient):
-    """One embedding endpoint; counts every upstream call it makes."""
+    """One embedding endpoint; counts every upstream call it makes. A
+    ``mock://`` URL's kind and ``dim`` are checked when the client is built."""
+
+    def __init__(self, endpoint: EncoderEndpoint):
+        super().__init__(endpoint)
+        if self._mock_kind not in (None, "hash", "bow", "fail"):
+            raise ConfigError(f"unknown mock encoder kind {self._mock_kind!r}")
+        if self._mock_kind in ("hash", "bow"):
+            dim = self._mock_params.get("dim", "64")
+            if not (dim.isdecimal() and int(dim) > 0):
+                raise ConfigError(f"mock encoder {self.encoder_id!r}: dim must be a "
+                                  f"positive integer, got {dim!r}")
+            self._dim = int(dim)
 
     @property
     def encoder_id(self) -> str:
@@ -81,12 +93,9 @@ class EncoderClient(EndpointClient):
         kind = self._mock_kind
         if kind == "fail":
             raise EndpointError(f"mock encoder {self.encoder_id!r} configured to fail")
-        dim = int(self._mock_params.get("dim", 64))
         if kind == "hash":
-            return [_mock_hash_vector(self.encoder_id, t, dim).tolist() for t in texts]
-        if kind == "bow":
-            return [_mock_bow_vector(t, dim).tolist() for t in texts]
-        raise ConfigError(f"unknown mock encoder kind {kind!r}")
+            return [_mock_hash_vector(self.encoder_id, t, self._dim).tolist() for t in texts]
+        return [_mock_bow_vector(t, self._dim).tolist() for t in texts]
 
     def _http(self, texts: Sequence[str]) -> np.ndarray:
         """The reply's rows, which must each carry an ``"embedding"`` list of

@@ -20,7 +20,7 @@ import copy
 import shutil
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import AbstractContextManager, ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -29,7 +29,7 @@ from .embed import EmbeddingCache, EncoderClient, fetch_missing
 from .errors import CacheMissError, WorkbenchError
 from .geometry import EmbeddingMatrix
 from .ingest import Collection, ingest_collection
-from .models import Regime, RewritePlan, Strategy, TaskFamily
+from .models import CellKey, Strategy
 from .pipeline import ArmResult, Corpus, build_corpus, embed_items, score_arm
 from .rewrite import (RewriteCache, RewriteJob, RewriterClient, Rewritten,
                       rewrite_jobs, side_job, write_records)
@@ -38,40 +38,13 @@ from .templates import SIDES, resolve_catalog
 from .tokenizers import build_tokenizer
 
 
-@dataclass(frozen=True)
-class CellKey:
-    encoder_id: str
-    task_id: str
-    rewriter_id: str = ""
-    strategy: Strategy = Strategy.BASELINE
-    regime: Regime = Regime.NONE
-
-    @property
-    def is_baseline(self) -> bool:
-        return self.strategy is Strategy.BASELINE
-
-    @property
-    def cell_id(self) -> str:
-        parts = [self.encoder_id, self.task_id]
-        if self.is_baseline:
-            parts.append("Baseline")
-        else:
-            parts.extend([self.rewriter_id, self.strategy.value, self.regime.value])
-        return "__".join(p.replace("/", "_").replace(" ", "_") for p in parts)
-
-    def plan(self, family: TaskFamily) -> RewritePlan:
-        if self.is_baseline:
-            return RewritePlan.baseline(task_family=family)
-        return RewritePlan(strategy=self.strategy, regime=self.regime,
-                           rewriter_id=self.rewriter_id, task_family=family)
-
-    def side_key(self, side: str) -> tuple[str, str, Strategy, str]:
-        """What the cell ranks on one side ("documents" or "queries"): the
-        task's originals, keyed as the Baseline's, or a rewrite by the
-        cell's (rewriter, strategy)."""
-        if self.is_baseline or (side == "queries" and self.regime is not Regime.QC):
-            return _originals(self.task_id, side)
-        return self.task_id, self.rewriter_id, self.strategy, side
+def side_key(cell: CellKey, side: str) -> tuple[str, str, Strategy, str]:
+    """What *cell* ranks on one side ("documents" or "queries"): the task's
+    originals, keyed as the Baseline's, or a rewrite by the cell's
+    (rewriter, strategy)."""
+    if not cell.rewrites(side):
+        return _originals(cell.task_id, side)
+    return cell.task_id, cell.rewriter_id, cell.strategy, side
 
 
 def _originals(task_id: str, side: str) -> tuple[str, str, Strategy, str]:
@@ -96,14 +69,14 @@ def plan_cells(config: ExperimentConfig) -> list[CellKey]:
     baselines, arms = [], []
     for enc in config.encoders:
         for task in config.tasks:
-            baselines.append(CellKey(encoder_id=enc.encoder_id, task_id=task.task_id))
+            baseline = CellKey(encoder_id=enc.encoder_id, task_id=task.task_id,
+                               task_family=task.family)
+            baselines.append(baseline)
             for rw in config.rewriters:
                 for strategy in config.strategies:
                     for regime in config.regimes:
-                        arms.append(CellKey(
-                            encoder_id=enc.encoder_id, task_id=task.task_id,
-                            rewriter_id=rw.rewriter_id, strategy=strategy,
-                            regime=regime))
+                        arms.append(replace(baseline, rewriter_id=rw.rewriter_id,
+                                            strategy=strategy, regime=regime))
     return baselines + arms
 
 
@@ -122,7 +95,7 @@ def _persist_group(stages: Stages, done: list[tuple[CellKey, ArmResult]]) -> Non
             write_json(cell_dir / "lexical.json", arm.lexical.to_dict())
             write_json(cell_dir / "geometry.json", arm.geometry.to_dict())
             write_json(cell_dir / "meta.json", {
-                "arm": arm.plan.arm_label,
+                "arm": cell.arm_label,
                 "excluded_queries": arm.excluded_queries,
                 "config_hash": config.config_hash,
                 "seed": config.seed,
@@ -131,7 +104,7 @@ def _persist_group(stages: Stages, done: list[tuple[CellKey, ArmResult]]) -> Non
             if corpus_records or query_records:
                 fh = files.enter_context(
                     open(cell_dir / "rewrites.jsonl", "w", encoding="utf-8"))
-                targets.append(((fh, arm.plan.arm_label), query_records))
+                targets.append(((fh, cell.arm_label), query_records))
         write_records([target for target, _ in targets], corpus_records)
         for target, query_records in targets:
             write_records([target], query_records)
@@ -158,8 +131,6 @@ class Stages(AbstractContextManager):
         self.tokenizers = {e.encoder_id: build_tokenizer(e.tokenizer) for e in encoders}
         self.rewriters = {r.rewriter_id: RewriterClient(r) for r in config.rewriters
                           if r.rewriter_id in {c.rewriter_id for c in self.cells}}
-        families = {t.task_id: t.family for t in config.tasks}
-        self.plans = {cell: cell.plan(families[cell.task_id]) for cell in self.cells}
 
         self.collections: dict[str, Collection] = {}
         self._sides: dict[tuple, Rewritten | WorkbenchError] = {}
@@ -172,14 +143,14 @@ class Stages(AbstractContextManager):
                     failed = WorkbenchError(f"task ingest failed: {exc}")
                     self._sides.update((_originals(t.task_id, side), failed) for side in SIDES)
 
-        # The texts of every side a cell ranks, by CellKey.side_key: the
+        # The texts of every side a cell ranks, by side_key: the
         # originals, without rewrite records, or a rewrite job's outputs. The
         # corpus job takes the arm of its first cell.
         self._jobs: dict[tuple, RewriteJob] = {}
         for cell in self.cells:
             collection = self.collections.get(cell.task_id)
             for side in SIDES:
-                key, original = cell.side_key(side), _originals(cell.task_id, side)
+                key, original = side_key(cell, side), _originals(cell.task_id, side)
                 if key in self._sides or key in self._jobs:
                     continue
                 if collection is None:
@@ -189,7 +160,7 @@ class Stages(AbstractContextManager):
                         texts=[x.text for x in getattr(collection, side)], records=[])
                 else:
                     try:
-                        self._jobs[key] = side_job(getattr(collection, side), self.plans[cell],
+                        self._jobs[key] = side_job(getattr(collection, side), cell,
                                                    self.rewriters[cell.rewriter_id], catalog, side)
                     except WorkbenchError as exc:
                         self._sides[key] = exc
@@ -219,7 +190,7 @@ class Stages(AbstractContextManager):
         each batch sent through the pool. An encoder's failure is kept for
         the cells it leaves without vectors."""
         for encoder_id, client in self.encoders.items():
-            keys = dict.fromkeys(cell.side_key(side) for cell in self.cells
+            keys = dict.fromkeys(side_key(cell, side) for cell in self.cells
                                  if cell.encoder_id == encoder_id for side in SIDES)
             wanted = [text for key in keys if isinstance(self._sides[key], Rewritten)
                       for text in self._sides[key].texts]
@@ -244,7 +215,7 @@ class Stages(AbstractContextManager):
     def side(self, cell: CellKey, side: str) -> Rewritten:
         """The texts and rewrite records *cell* ranks on one side. A failed
         side raises a copy of its error, as :meth:`_fetched` does."""
-        outcome = self._sides[cell.side_key(side)]
+        outcome = self._sides[side_key(cell, side)]
         if isinstance(outcome, WorkbenchError):
             raise copy.copy(outcome) from None
         return outcome
@@ -253,7 +224,7 @@ class Stages(AbstractContextManager):
         """The corpus *cell* ranks, built anew: the caller sets its lifetime."""
         texts = self.side(cell, "documents").texts  # raises a failed ingest
         with self._fetched(cell):
-            return build_corpus(self.collections[cell.task_id], texts, self.plans[cell],
+            return build_corpus(self.collections[cell.task_id], texts, cell,
                                 encoder=self.encoders[cell.encoder_id],
                                 tokenizer=self.tokenizers[cell.encoder_id],
                                 embedding_cache=self.embedding_cache)
@@ -268,7 +239,7 @@ class Stages(AbstractContextManager):
     def score(self, cell: CellKey, corpus: Corpus) -> ArmResult:
         """Score *cell* against *corpus*, with deltas once its Baseline is scored."""
         baseline_key = (cell.encoder_id, cell.task_id)
-        arm = score_arm(self.collections[cell.task_id], self.plans[cell], corpus,
+        arm = score_arm(self.collections[cell.task_id], cell, corpus,
                         self.queries(cell), baseline=self._baselines.get(baseline_key),
                         k=self.config.k, gain=self.config.gain)
         if cell.is_baseline:
@@ -297,7 +268,7 @@ def run_matrix(config: ExperimentConfig,
     # or the regimes of one (rewriter, strategy), contiguous in plan order.
     groups: dict[tuple, list[CellKey]] = {}
     for cell in cells:
-        groups.setdefault((cell.encoder_id, cell.side_key("documents")), []).append(cell)
+        groups.setdefault((cell.encoder_id, side_key(cell, "documents")), []).append(cell)
 
     with Stages(config, cells) as stages:
         stages.rewrite()

@@ -1,8 +1,8 @@
-"""Domain types for collections, rewrite arms, and evaluation records."""
+"""Domain types for collections, matrix cells, and evaluation records."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping
 
@@ -39,7 +39,6 @@ class Document:
     id: str
     text: str
     title: str | None = None
-    lang_tag: str | None = None
 
     def __post_init__(self):
         if not self.id:
@@ -61,18 +60,21 @@ class Query:
 
 
 @dataclass(frozen=True)
-class RewritePlan:
-    """One transformation arm: which strategy, which sides, which rewriter.
+class CellKey:
+    """One cell of the matrix: an (encoder, task, rewriter, strategy,
+    regime) combination. ``task_family`` picks the cell's templates and
+    takes no part in equality or hashing.
 
     ``Baseline`` is the untouched arm and is the only strategy allowed (and
     required) to carry regime ``None``.
     """
 
-    strategy: Strategy
-    regime: Regime
+    encoder_id: str
+    task_id: str
     rewriter_id: str = ""
-    template_id: str = ""
-    task_family: TaskFamily = TaskFamily.CODE_TO_CODE
+    strategy: Strategy = Strategy.BASELINE
+    regime: Regime = Regime.NONE
+    task_family: TaskFamily = field(default=TaskFamily.CODE_TO_CODE, compare=False)
 
     def __post_init__(self):
         if (self.strategy is Strategy.BASELINE) != (self.regime is Regime.NONE):
@@ -91,38 +93,26 @@ class RewritePlan:
             return "Baseline"
         return f"{self.strategy.value}-{self.regime.value}"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "strategy": self.strategy.value,
-            "regime": self.regime.value,
-            "rewriter_id": self.rewriter_id,
-            "template_id": self.template_id,
-            "task_family": self.task_family.value,
-        }
+    @property
+    def cell_id(self) -> str:
+        parts = [self.encoder_id, self.task_id]
+        if self.is_baseline:
+            parts.append("Baseline")
+        else:
+            parts.extend([self.rewriter_id, self.strategy.value, self.regime.value])
+        return "__".join(p.replace("/", "_").replace(" ", "_") for p in parts)
 
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "RewritePlan":
-        return cls(
-            strategy=Strategy(d["strategy"]),
-            regime=Regime(d["regime"]),
-            rewriter_id=d.get("rewriter_id", ""),
-            template_id=d.get("template_id", ""),
-            task_family=TaskFamily(d.get("task_family", "CodeToCode")),
-        )
-
-    @classmethod
-    def baseline(cls, task_family: TaskFamily = TaskFamily.CODE_TO_CODE) -> "RewritePlan":
-        return cls(strategy=Strategy.BASELINE, regime=Regime.NONE,
-                   task_family=task_family)
+    def rewrites(self, side: str) -> bool:
+        """Whether the cell ranks a rewrite of *side* ("documents" or
+        "queries"): every arm rewrites the corpus, and only QC the queries."""
+        return not self.is_baseline and (side == "documents" or self.regime is Regime.QC)
 
 
 @dataclass
 class RunRecord:
-    """Per-query and mean NDCG@k for one (encoder, task, arm) cell."""
+    """Per-query and mean NDCG@k for one cell, *plan*."""
 
-    encoder_id: str
-    task_id: str
-    plan: RewritePlan
+    plan: CellKey
     ndcg_per_query: dict[str, float]
     mean_ndcg: float
     delta_ndcg: float | None = None
@@ -143,10 +133,14 @@ class RunRecord:
             )
 
     def to_dict(self) -> dict[str, Any]:
+        plan = self.plan
         return {
-            "encoder_id": self.encoder_id,
-            "task_id": self.task_id,
-            "plan": self.plan.to_dict(),
+            "encoder_id": plan.encoder_id,
+            "task_id": plan.task_id,
+            "plan": {"strategy": plan.strategy.value, "regime": plan.regime.value,
+                     "rewriter_id": plan.rewriter_id,
+                     "template_id": "",  # a field of the stored layout, always empty
+                     "task_family": plan.task_family.value},
             "ndcg_per_query": dict(self.ndcg_per_query),
             "mean_ndcg": self.mean_ndcg,
             "delta_ndcg": self.delta_ndcg,
@@ -156,10 +150,12 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "RunRecord":
+        plan = d["plan"]
         return cls(
-            encoder_id=d["encoder_id"],
-            task_id=d["task_id"],
-            plan=RewritePlan.from_dict(d["plan"]),
+            plan=CellKey(encoder_id=d["encoder_id"], task_id=d["task_id"],
+                         rewriter_id=plan.get("rewriter_id", ""),
+                         strategy=Strategy(plan["strategy"]), regime=Regime(plan["regime"]),
+                         task_family=TaskFamily(plan.get("task_family", "CodeToCode"))),
             ndcg_per_query={str(k): float(v) for k, v in d["ndcg_per_query"].items()},
             mean_ndcg=float(d["mean_ndcg"]),
             delta_ndcg=None if d.get("delta_ndcg") is None else float(d["delta_ndcg"]),

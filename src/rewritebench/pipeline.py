@@ -16,7 +16,7 @@ from .embed import EmbeddingCache, EncoderClient, embed_texts
 from .geometry import EmbeddingMatrix, GeometryReport, build_geometry_report, delta_s
 from .ingest import Collection
 from .lexical import LexicalReport, build_lexical_report, delta_h
-from .models import Document, Query, RewritePlan, RunRecord
+from .models import CellKey, Document, Query, RunRecord
 from .retrieval import retrieve_topk, score_ranked_lists
 from .tokenizers import Tokenizer
 
@@ -25,7 +25,6 @@ from .tokenizers import Tokenizer
 class ArmResult:
     """A cell's scores and reports; its rewrite records stay in ``matrix.Stages``."""
 
-    plan: RewritePlan
     run_record: RunRecord
     lexical: LexicalReport
     geometry: GeometryReport
@@ -50,22 +49,22 @@ def embed_items(items: Sequence[Document | Query], texts: Sequence[str],
     return embed_texts([x.id for x in items], texts, encoder, embedding_cache)
 
 
-def build_corpus(collection: Collection, texts: Sequence[str], plan: RewritePlan, *,
+def build_corpus(collection: Collection, texts: Sequence[str], cell: CellKey, *,
                  encoder: EncoderClient, tokenizer: Tokenizer,
                  embedding_cache: EmbeddingCache) -> Corpus:
     """Lexical report, embedding matrix and geometry of one (rewritten)
-    corpus, labelled with *plan*'s arm."""
+    corpus, labelled with *cell*'s arm."""
     lexical = build_lexical_report(
         texts, tokenizer, encoder_id=encoder.encoder_id,
-        task_id=collection.task_id, arm=plan.arm_label,
-        rewriter_id=plan.rewriter_id)
+        task_id=collection.task_id, arm=cell.arm_label,
+        rewriter_id=cell.rewriter_id)
     matrix = embed_items(collection.documents, texts, encoder, embedding_cache)
     geometry = build_geometry_report(matrix, task_id=collection.task_id,
-                                     arm=plan.arm_label, rewriter_id=plan.rewriter_id)
+                                     arm=cell.arm_label, rewriter_id=cell.rewriter_id)
     return Corpus(matrix=matrix, lexical=lexical, geometry=geometry)
 
 
-def score_arm(collection: Collection, plan: RewritePlan, corpus: Corpus,
+def score_arm(collection: Collection, cell: CellKey, corpus: Corpus,
               query_matrix: EmbeddingMatrix, *, baseline: ArmResult | None = None,
               k: int = 10, gain: str = "linear") -> ArmResult:
     """Rank the corpus for every query, score NDCG@k and label the corpus
@@ -76,17 +75,15 @@ def score_arm(collection: Collection, plan: RewritePlan, corpus: Corpus,
     mean = sum(per_query.values()) / len(per_query)
 
     delta = delta_h_bits = delta_s_bar = None
-    if baseline is not None and not plan.is_baseline:
+    if baseline is not None and not cell.is_baseline:
         delta = mean - baseline.run_record.mean_ndcg
         delta_h_bits = delta_h(baseline.lexical, corpus.lexical)
         delta_s_bar = delta_s(baseline.geometry, corpus.geometry)
     # one replace per report: each one checks the whole coverage curve again
-    lexical = replace(corpus.lexical, arm=plan.arm_label, delta_h_bits=delta_h_bits)
-    geometry = replace(corpus.geometry, arm=plan.arm_label, delta_s_bar=delta_s_bar)
+    lexical = replace(corpus.lexical, arm=cell.arm_label, delta_h_bits=delta_h_bits)
+    geometry = replace(corpus.geometry, arm=cell.arm_label, delta_s_bar=delta_s_bar)
 
-    record = RunRecord(
-        encoder_id=query_matrix.encoder_id, task_id=collection.task_id, plan=plan,
-        ndcg_per_query=per_query, mean_ndcg=mean, delta_ndcg=delta,
-        gain=gain, k=k)
-    return ArmResult(plan=plan, run_record=record, lexical=lexical, geometry=geometry,
+    record = RunRecord(plan=cell, ndcg_per_query=per_query, mean_ndcg=mean,
+                       delta_ndcg=delta, gain=gain, k=k)
+    return ArmResult(run_record=record, lexical=lexical, geometry=geometry,
                      excluded_queries=query_matrix.n_rows - len(per_query))

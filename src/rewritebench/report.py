@@ -68,7 +68,7 @@ def load_stores(out_dir: str | Path) -> tuple[list[RunRecord], list[LexicalRepor
     out_dir = Path(out_dir)
     run_store = RunStore(out_dir / "runs.jsonl")
     runs = run_store.records()
-    _reject_duplicates(run_store.path, ((r.encoder_id, r.task_id, r.plan.rewriter_id,
+    _reject_duplicates(run_store.path, ((r.plan.encoder_id, r.plan.task_id, r.plan.rewriter_id,
                                          r.plan.arm_label) for r in runs))
     diag = DiagnosticsStore(out_dir / "diagnostics.jsonl")
     reports = diag.read(lambda d: (d["kind"], _REPORTS[d["kind"]](d)))
@@ -88,12 +88,12 @@ def join_rows(runs: list[RunRecord], lexical: list[LexicalReport],
     for rec in runs:
         if rec.plan.is_baseline or rec.delta_ndcg is None:
             continue
-        key = (rec.encoder_id, rec.task_id, rec.plan.rewriter_id, rec.plan.arm_label)
+        key = (rec.plan.encoder_id, rec.plan.task_id, rec.plan.rewriter_id, rec.plan.arm_label)
         lx, ge = lex.get(key), geo.get(key)
         if lx is None or ge is None or lx.delta_h_bits is None or ge.delta_s_bar is None:
             continue
         rows.append(JoinedRow(
-            encoder_id=rec.encoder_id, task_id=rec.task_id,
+            encoder_id=rec.plan.encoder_id, task_id=rec.plan.task_id,
             rewriter_id=rec.plan.rewriter_id,
             strategy=rec.plan.strategy.value, regime=rec.plan.regime.value,
             delta_h=lx.delta_h_bits, delta_s=ge.delta_s_bar,
@@ -105,12 +105,12 @@ def join_rows(runs: list[RunRecord], lexical: list[LexicalReport],
 
 def ndcg_table(runs: list[RunRecord]) -> tuple[list[str], list[list]]:
     """Per-task NDCG pivot: one row per (encoder, rewriter, regime, technique)."""
-    tasks = sorted({r.task_id for r in runs})
+    tasks = sorted({r.plan.task_id for r in runs})
     cells: dict[tuple[str, str, str, str], dict[str, float]] = defaultdict(dict)
     for r in runs:
-        key = (r.encoder_id, r.plan.rewriter_id, r.plan.regime.value,
+        key = (r.plan.encoder_id, r.plan.rewriter_id, r.plan.regime.value,
                r.plan.strategy.value)
-        cells[key][r.task_id] = r.mean_ndcg
+        cells[key][r.plan.task_id] = r.mean_ndcg
     header = ["encoder", "rewriter", "regime", "technique", *tasks, "Avg"]
     rows = []
     for key in sorted(cells):
@@ -196,7 +196,7 @@ def dominance_counts(runs: list[RunRecord]) -> dict:
     for r in runs:
         if r.plan.is_baseline:
             continue
-        key = (r.encoder_id, r.task_id, r.plan.rewriter_id, r.plan.strategy.value)
+        key = (r.plan.encoder_id, r.plan.task_id, r.plan.rewriter_id, r.plan.strategy.value)
         by_key[key][r.plan.regime.value] = r.mean_ndcg
     pairs = {k: v for k, v in by_key.items() if "QC" in v and "C" in v}
     qc_wins = sum(1 for v in pairs.values() if v["QC"] > v["C"])
@@ -222,8 +222,8 @@ def dominance_counts(runs: list[RunRecord]) -> dict:
 def find_gaps(runs: list[RunRecord]) -> list[str]:
     """Arms whose baseline was unavailable, so deltas are missing."""
     return sorted(
-        f"{r.encoder_id}/{r.task_id}/{r.plan.rewriter_id}/{r.plan.arm_label}: no baseline delta"
-        for r in runs if not r.plan.is_baseline and r.delta_ndcg is None)
+        f"{r.plan.encoder_id}/{r.plan.task_id}/{r.plan.rewriter_id}/{r.plan.arm_label}: "
+        "no baseline delta" for r in runs if not r.plan.is_baseline and r.delta_ndcg is None)
 
 
 def advise_from_reports(lexical: list[LexicalReport],
@@ -262,11 +262,11 @@ def write_reports(out_dir: str | Path, *, skip_threshold: float = 0.0) -> list[P
     write_csv(report_dir / "runs.csv",
                ["encoder", "task", "rewriter", "strategy", "regime",
                 "ndcg@10", "delta_ndcg"],
-               [[r.encoder_id, r.task_id, r.plan.rewriter_id,
+               [[r.plan.encoder_id, r.plan.task_id, r.plan.rewriter_id,
                  r.plan.strategy.value, r.plan.regime.value,
                  r.mean_ndcg, r.delta_ndcg]
                 for r in sorted(runs, key=lambda r: (
-                    r.encoder_id, r.task_id, r.plan.rewriter_id,
+                    r.plan.encoder_id, r.plan.task_id, r.plan.rewriter_id,
                     r.plan.strategy.value, r.plan.regime.value))])
     written.append(report_dir / "runs.csv")
 

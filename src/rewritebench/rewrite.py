@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from .errors import (ConfigError, ContractError, DomainError, EndpointError,
                      WorkbenchError)
-from .models import Document, Query, Regime, RewritePlan, Strategy
+from .models import CellKey, Document, Query
 from .sessions import EndpointClient
 from .stores import JsonlLog
 from .templates import PromptTemplate, TemplateCatalog
@@ -90,6 +90,8 @@ class RewriterClient(EndpointClient):
 
     def __init__(self, endpoint: RewriterEndpoint):
         super().__init__(endpoint)
+        if self._mock_kind not in (None, "identity", "table", "flaky", "fail"):
+            raise ConfigError(f"unknown mock rewriter kind {self._mock_kind!r}")
         # mock://table: checked here, read on the first request
         self._table: dict[str, str] | None = None
         self._table_error: str | None = None
@@ -120,9 +122,7 @@ class RewriterClient(EndpointClient):
                 raise EndpointError(
                     f"mock rewriter {self.rewriter_id!r} tripped on needle")
             return user, False
-        if kind == "fail":
-            raise EndpointError(f"mock rewriter {self.rewriter_id!r} configured to fail")
-        raise ConfigError(f"unknown mock rewriter kind {kind!r}")
+        raise EndpointError(f"mock rewriter {self.rewriter_id!r} configured to fail")
 
     def _table_lookup(self, user: str) -> str:
         with self._table_lock:
@@ -313,22 +313,19 @@ def rewrite_jobs(jobs: Sequence[RewriteJob], cache: RewriteCache | None = None,
     return results
 
 
-def side_job(items: Sequence[Document | Query], plan: RewritePlan,
+def side_job(items: Sequence[Document | Query], cell: CellKey,
              client: RewriterClient, catalog: TemplateCatalog, side: str) -> RewriteJob:
     """The job that rewrites *items*, one side ("documents" or "queries") of
-    a collection, under *plan*; queries are rewritten under QC only."""
-    if plan.strategy is Strategy.BASELINE:
-        raise ContractError("the Baseline arm never rewrites anything")
-    if plan.rewriter_id and plan.rewriter_id != client.rewriter_id:
+    a collection, for *cell*, which must rewrite that side."""
+    if not cell.rewrites(side):
+        raise ContractError(f"the {cell.arm_label} arm never rewrites {side}")
+    if cell.rewriter_id and cell.rewriter_id != client.rewriter_id:
         raise ConfigError(
-            f"plan expects rewriter {plan.rewriter_id!r} but client is "
+            f"cell expects rewriter {cell.rewriter_id!r} but client is "
             f"{client.rewriter_id!r}")
-    if side == "queries" and plan.regime is not Regime.QC:
-        raise ContractError(
-            f"regime {plan.regime.value} never rewrites queries (QC only)")
     return RewriteJob(ids=[x.id for x in items], texts=[x.text for x in items],
-                      template=catalog.resolve(plan.strategy, plan.task_family, side),
-                      client=client, arm=plan.arm_label)
+                      template=catalog.resolve(cell.strategy, cell.task_family, side),
+                      client=client, arm=cell.arm_label)
 
 
 _encode_str = json.encoder.encode_basestring  # the C escaper of ensure_ascii=False

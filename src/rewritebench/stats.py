@@ -3,8 +3,9 @@
 For n >= 10 the p-value uses the t approximation
 t = r * sqrt((n-2)/(1-r^2)) with n-2 degrees of freedom; below that the
 sampling distribution is enumerated exactly over all n! orderings. The
-permutation count compares an integer (Spearman) or exact-rational
-(Pearson) test statistic, so boundary cases cannot flip on float rounding.
+permutation count compares an integer test statistic (values, or average
+ranks, scaled to exact integers), so boundary cases cannot flip on float
+rounding.
 Every result records which method produced its p-values.
 """
 
@@ -79,24 +80,6 @@ def _t_pvalue(r: float, n: int) -> float:
     return min(1.0, max(_P_FLOOR, p))
 
 
-def _perm_pvalue_spearman(rx: np.ndarray, ry: np.ndarray) -> float:
-    """Exact two-sided permutation p for rank data.
-
-    Ranks are half-integers, so doubling gives integers and the statistic
-    |n * sum(a_i b_pi(i)) - sum(a) sum(b)| compares exactly in int64 (the
-    variance terms are permutation-invariant and cancel).
-    """
-    n = len(rx)
-    a = np.round(rx * 2).astype(np.int64)
-    b = np.round(ry * 2).astype(np.int64)
-    perms = np.array(list(permutations(range(n))), dtype=np.int64)
-    dots = (b[perms] * a[None, :]).sum(axis=1)
-    metrics = np.abs(n * dots - int(a.sum()) * int(b.sum()))
-    observed = abs(n * int(a @ b) - int(a.sum()) * int(b.sum()))
-    count = int((metrics >= observed).sum())
-    return count / math.factorial(n)
-
-
 def _dyadic_ints(values: np.ndarray) -> list[int]:
     """Scale float64 values to exact integers (common power-of-two factor).
 
@@ -108,12 +91,13 @@ def _dyadic_ints(values: np.ndarray) -> list[int]:
     return [num * (common // den) for num, den in ratios]
 
 
-def _perm_pvalue_pearson(x: np.ndarray, y: np.ndarray) -> float:
+def _perm_pvalue(x: np.ndarray, y: np.ndarray) -> float:
     """Exact two-sided permutation p via integer arithmetic.
 
     The statistic |n * sum(x_i y_pi(i)) - sum(x) sum(y)| is monotone in
     |r| because the variance terms are permutation-invariant; with both
-    vectors scaled to integers every comparison is exact.
+    vectors scaled to integers every comparison is exact. Average ranks
+    are multiples of 1/2, so Spearman's statistic is exact too.
     """
     n = len(x)
     ax, by = _dyadic_ints(x), _dyadic_ints(y)
@@ -137,7 +121,7 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     rx, ry = average_ranks(xa), average_ranks(ya)
     rho = _pearson_r(rx, ry)
     n = len(xa)
-    p = _t_pvalue(rho, n) if n >= T_APPROX_MIN_N else _perm_pvalue_spearman(rx, ry)
+    p = _t_pvalue(rho, n) if n >= T_APPROX_MIN_N else _perm_pvalue(rx, ry)
     return rho, p
 
 
@@ -146,7 +130,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     xa, ya = _as_pair(x, y)
     r = _pearson_r(xa, ya)
     n = len(xa)
-    p = _t_pvalue(r, n) if n >= T_APPROX_MIN_N else _perm_pvalue_pearson(xa, ya)
+    p = _t_pvalue(r, n) if n >= T_APPROX_MIN_N else _perm_pvalue(xa, ya)
     return r, p
 
 

@@ -69,19 +69,32 @@ def parse_template_file(path: str | Path) -> PromptTemplate:
         meta = load_yaml(fm) or {}
     except yaml.YAMLError as exc:
         raise ConfigError(f"template file {path} has malformed front-matter: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ConfigError(f"template file {path} front-matter must be a mapping")
     for key in ("template_id", "strategy", "task_family"):
         if key not in meta:
             raise ConfigError(f"template file {path} missing field {key!r}")
+
+    def parsed(key: str, kind: type, default=None):
+        try:
+            return kind(meta[key]) if key in meta else default
+        except (TypeError, ValueError):
+            raise ConfigError(f"template file {path} field {key!r} has the bad value "
+                              f"{meta[key]!r}") from None
+
     applies = meta.get("applies_to", list(SIDES))
     if isinstance(applies, str):
         applies = [applies]
+    if not isinstance(applies, list):
+        raise ConfigError(f"template file {path} field 'applies_to' must be a side or a "
+                          f"list of sides, got {applies!r}")
     return PromptTemplate(
         template_id=str(meta["template_id"]),
-        strategy=Strategy(meta["strategy"]),
-        task_family=TaskFamily(meta["task_family"]),
+        strategy=parsed("strategy", Strategy),
+        task_family=parsed("task_family", TaskFamily),
         system_text=str(meta.get("system", "")).strip(),
         user_text=body.lstrip("\n"),
-        max_output_tokens=int(meta.get("max_output_tokens", 512)),
+        max_output_tokens=parsed("max_output_tokens", int, 512),
         applies_to=tuple(applies),
     )
 

@@ -140,12 +140,14 @@ def score_after_baseline(baseline_report, report):
     *report*, scored after a Baseline whose corpus carries
     *baseline_report*: two lexical or two geometry reports of encoder "enc"
     and task "t", each paired with one fixed report of the other kind."""
+    from dataclasses import replace
+
     import numpy as np
 
     from rewritebench.geometry import EmbeddingMatrix, GeometryReport, l2_normalize
     from rewritebench.ingest import Collection, IngestReport
     from rewritebench.lexical import CoverageCurve, LexicalReport
-    from rewritebench.models import Query, Regime, RewritePlan, Strategy
+    from rewritebench.models import CellKey, Query, Regime, Strategy
     from rewritebench.pipeline import Corpus, score_arm
 
     collection = Collection(task_id="t", documents=[], queries=[Query(id="q1", text="q")],
@@ -165,10 +167,10 @@ def score_after_baseline(baseline_report, report):
     def corpus(r) -> Corpus:
         return Corpus(docs, *((r, other) if isinstance(r, LexicalReport) else (other, r)))
 
-    baseline = score_arm(collection, RewritePlan.baseline(), corpus(baseline_report),
-                         queries, k=2)
-    plan = RewritePlan(strategy=Strategy.NL, regime=Regime.QC, rewriter_id="rw")
-    return score_arm(collection, plan, corpus(report), queries, baseline=baseline, k=2)
+    cell = CellKey(encoder_id="enc", task_id="t")
+    baseline = score_arm(collection, cell, corpus(baseline_report), queries, k=2)
+    arm = replace(cell, rewriter_id="rw", strategy=Strategy.NL, regime=Regime.QC)
+    return score_arm(collection, arm, corpus(report), queries, baseline=baseline, k=2)
 
 
 TOY_DOCS = [

@@ -19,6 +19,19 @@ def run_cli(config_path, *argv) -> int:
     return main(["--config", str(config_path), *argv])
 
 
+def run_edited(tmp_path, where, key, value) -> int:
+    """``run-matrix``'s exit code on the toy config with the entry *key* of
+    the section that the steps *where* lead to set to *value*."""
+    path = write_matrix_config(tmp_path)
+    cfg = yaml.safe_load(path.read_text(encoding="utf-8"))
+    section = cfg
+    for step in where:
+        section = section[step]
+    section[key] = value
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    return run_cli(path, "run-matrix")
+
+
 @pytest.fixture
 def offline_config(tmp_path):
     return write_matrix_config(tmp_path, strategies=("Rephrase", "NL"),
@@ -54,6 +67,30 @@ class TestExitCodes:
             path = write_matrix_config(tmp_path / key, **{key: [item]})
             assert run_cli(path, "run-matrix") == 2
 
+    def test_bad_template_front_matter_is_two(self, tmp_path, capsys):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "nl.md").write_text(
+            "---\ntemplate_id: nl\nstrategy: NL\ntask_family: CodeToCode\n"
+            "max_output_tokens: lots\n---\n{input}\n", encoding="utf-8")
+        path = write_matrix_config(tmp_path, template_catalog="templates")
+        assert run_cli(path, "run-matrix") == 2
+        err = capsys.readouterr().err
+        assert "nl.md field 'max_output_tokens'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, url, message", [
+        ("encoders", "mock://bogus", "unknown mock encoder kind 'bogus'"),
+        ("encoders", "mock://bow?dim=abc", "dim must be a positive integer, got 'abc'"),
+        ("encoders", "mock://hash?dim=0", "dim must be a positive integer, got '0'"),
+        ("rewriters", "mock://tabel", "unknown mock rewriter kind 'tabel'")])
+    def test_bad_mock_url_is_two(self, tmp_path, capsys, key, url, message):
+        item = ({"encoder_id": "enc", "url": url, "tokenizer": {"kind": "word"}}
+                if key == "encoders" else {"rewriter_id": "rw", "url": url})
+        path = write_matrix_config(tmp_path, **{key: [item]})
+        assert run_cli(path, "run-matrix") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "cells").exists()
+
     def test_success_is_zero(self, offline_config):
         assert run_cli(offline_config, "run-matrix") == 0
 
@@ -81,17 +118,22 @@ class TestExitCodes:
         (("rewriters", 0), "backoff_s", "slow")])
     def test_non_numeric_value_is_two_naming_its_key(self, tmp_path, capsys, where, key,
                                                      value):
-        path = write_matrix_config(tmp_path)
-        cfg = yaml.safe_load(path.read_text(encoding="utf-8"))
-        section = cfg
-        for step in where:
-            section = section[step]
-        section[key] = value
-        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
-        assert run_cli(path, "run-matrix") == 2
+        assert run_edited(tmp_path, where, key, value) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert f"field {key!r} must be a number, got {value!r}" in err
+
+    @pytest.mark.parametrize("where, key, value, name", [
+        ((), "eval", 6, "eval"), ((), "endpoint", 3, "endpoint"), ((), "tasks", 5, "tasks"),
+        (("tasks",), 0, 5, "task"), ((), "encoders", "bow", "encoders"),
+        (("encoders",), 0, 5, "encoder"), (("encoders", 0), "tokenizer", "word", "tokenizer"),
+        (("rewriters",), 0, "ident", "rewriter"), ((), "regimes", 5, "regimes")])
+    def test_section_of_the_wrong_shape_is_two_naming_it(self, tmp_path, capsys, where,
+                                                          key, value, name):
+        assert run_edited(tmp_path, where, key, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {name} must be a ")
+        assert f"got {value!r}" in err
 
 
 class TestSubcommands:

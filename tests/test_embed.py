@@ -7,7 +7,8 @@ import pytest
 from conftest import assert_calls_counted_under_threads, open_failing_writes
 from rewritebench.embed import (EmbeddingCache, EncoderClient, EncoderEndpoint,
                                 content_key, embed_texts, fetch_missing)
-from rewritebench.errors import CacheMissError, ContractError, EndpointError, StoreError
+from rewritebench.errors import (CacheMissError, ConfigError, ContractError, EndpointError,
+                                 StoreError)
 from rewritebench.geometry import EmbeddingMatrix, l2_normalize
 
 
@@ -51,6 +52,12 @@ class TestMockEncoders:
         near = float(unit[0] @ unit[1])
         far = float(unit[0] @ unit[2])
         assert near > far
+
+    @pytest.mark.parametrize("url", ["mock://bogus", "mock://bow?dim=abc", "mock://hash?dim=0",
+                                     "mock://bow?dim=-4", "mock://hash?dim=2.5"])
+    def test_bad_mock_url_is_rejected_when_the_client_is_built(self, url):
+        with pytest.raises(ConfigError, match="mock encoder"):
+            mock_client(url)
 
     def test_fail_encoder_raises_after_retries(self):
         client = mock_client("mock://fail", retries=2)

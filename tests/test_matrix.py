@@ -16,7 +16,7 @@ from rewritebench import matrix, rewrite
 from rewritebench.cli import main
 from rewritebench.config import load_config
 from rewritebench.embed import EncoderClient
-from rewritebench.errors import EndpointError, WorkbenchError
+from rewritebench.errors import ConfigError, EndpointError, WorkbenchError
 from rewritebench.matrix import CellKey, plan_cells, run_matrix
 from rewritebench.models import Regime, Strategy
 from rewritebench.stores import RunStore
@@ -401,6 +401,26 @@ class TestColdPath:
             stages.fetch()
             assert not all(fh.closed for fh in handles)  # the appends' handles
         assert all(fh.closed for fh in handles)
+        gc.collect()
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_stages_that_fail_to_build_leave_no_handle_open(self, tmp_path, monkeypatch):
+        handles, real_open = [], builtins.open
+
+        def recording_open(*args, **kwargs):
+            handles.append(real_open(*args, **kwargs))
+            return handles[-1]
+
+        assert run_matrix(self._config(tmp_path)).exit_status == 0  # warm caches to read
+        cfg = load_config(write_matrix_config(
+            tmp_path, encoders=[{"encoder_id": name, "url": url, "tokenizer": {"kind": "word"}}
+                                for name, url in (("bow", "mock://bow?dim=128"),
+                                                  ("bad", "mock://bogus"))]))
+        monkeypatch.setattr(builtins, "open", recording_open)
+        with pytest.raises(ConfigError, match="unknown mock encoder kind 'bogus'"):
+            matrix.Stages(cfg, plan_cells(cfg))
+        assert handles and all(fh.closed for fh in handles)
         gc.collect()
 
     def test_one_mkdir_per_cell_directory(self, tmp_path, monkeypatch):

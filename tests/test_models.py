@@ -1,8 +1,8 @@
 import pytest
 
 from rewritebench.errors import ContractError, DomainError
-from rewritebench.models import (Document, Query, Regime, RewritePlan,
-                                 RunRecord, Strategy, TaskFamily)
+from rewritebench.models import (CellKey, Document, Query, Regime, RunRecord,
+                                 Strategy, TaskFamily)
 
 
 class TestDocumentAndQuery:
@@ -17,35 +17,52 @@ class TestDocumentAndQuery:
             Query(id="q1", text="")
 
     def test_roundtrip_fields(self):
-        d = Document(id="d1", text="body", title="t", lang_tag="py")
-        assert (d.id, d.text, d.title, d.lang_tag) == ("d1", "body", "t", "py")
+        d = Document(id="d1", text="body", title="t")
+        assert (d.id, d.text, d.title) == ("d1", "body", "t")
 
 
-class TestRewritePlan:
+BASELINE = CellKey(encoder_id="e", task_id="t")
+
+
+def arm(strategy=Strategy.NL, regime=Regime.QC, **fields) -> CellKey:
+    return CellKey(encoder_id="e", task_id="t", rewriter_id="rw", strategy=strategy,
+                   regime=regime, **fields)
+
+
+class TestCellKey:
     def test_baseline_requires_regime_none(self):
         with pytest.raises(ContractError):
-            RewritePlan(strategy=Strategy.BASELINE, regime=Regime.QC)
+            arm(strategy=Strategy.BASELINE)
         with pytest.raises(ContractError):
-            RewritePlan(strategy=Strategy.NL, regime=Regime.NONE)
+            arm(regime=Regime.NONE)
 
     def test_arm_labels(self):
-        assert RewritePlan.baseline().arm_label == "Baseline"
-        plan = RewritePlan(strategy=Strategy.NL, regime=Regime.QC, rewriter_id="rw")
-        assert plan.arm_label == "NL-QC"
-        plan = RewritePlan(strategy=Strategy.PSEUDO, regime=Regime.C, rewriter_id="rw")
-        assert plan.arm_label == "Pseudo-C"
+        assert BASELINE.arm_label == "Baseline"
+        assert arm().arm_label == "NL-QC"
+        assert arm(Strategy.PSEUDO, Regime.C).arm_label == "Pseudo-C"
+
+    def test_rewrites_corpus_in_every_arm_and_queries_under_qc_only(self):
+        sides = ("documents", "queries")
+        assert [BASELINE.rewrites(s) for s in sides] == [False, False]
+        assert [arm(regime=Regime.QC).rewrites(s) for s in sides] == [True, True]
+        assert [arm(regime=Regime.C).rewrites(s) for s in sides] == [True, False]
+
+    def test_task_family_takes_no_part_in_equality(self):
+        hybrid = arm(task_family=TaskFamily.HYBRID)
+        assert hybrid == arm() and hash(hybrid) == hash(arm())
+        assert hybrid.task_family is TaskFamily.HYBRID
 
     def test_dict_roundtrip(self):
-        plan = RewritePlan(strategy=Strategy.REPHRASE, regime=Regime.C,
-                           rewriter_id="rw", template_id="t1",
-                           task_family=TaskFamily.HYBRID)
-        assert RewritePlan.from_dict(plan.to_dict()) == plan
+        plan = arm(Strategy.REPHRASE, Regime.C, task_family=TaskFamily.HYBRID)
+        rec = RunRecord(plan=plan, ndcg_per_query={"q1": 0.5}, mean_ndcg=0.5)
+        back = RunRecord.from_dict(rec.to_dict()).plan
+        assert back == plan
+        assert (back.rewriter_id, back.task_family) == (plan.rewriter_id, TaskFamily.HYBRID)
 
 
 class TestRunRecord:
     def _record(self, per_query, mean):
-        return RunRecord(encoder_id="e", task_id="t", plan=RewritePlan.baseline(),
-                         ndcg_per_query=per_query, mean_ndcg=mean)
+        return RunRecord(plan=BASELINE, ndcg_per_query=per_query, mean_ndcg=mean)
 
     def test_mean_must_match_per_query(self):
         self._record({"q1": 0.5, "q2": 1.0}, 0.75)
@@ -62,11 +79,10 @@ class TestRunRecord:
 
     def test_dict_roundtrip_is_identity(self):
         rec = RunRecord(
-            encoder_id="enc", task_id="task",
-            plan=RewritePlan(strategy=Strategy.NL, regime=Regime.QC,
-                             rewriter_id="rw", template_id="tmpl"),
+            plan=arm(Strategy.REPHRASE, Regime.C, task_family=TaskFamily.HYBRID),
             ndcg_per_query={"q1": 0.123456789012345, "q2": 1.0},
             mean_ndcg=(0.123456789012345 + 1.0) / 2,
             delta_ndcg=-0.0625, gain="linear", k=10)
         back = RunRecord.from_dict(rec.to_dict())
         assert back == rec
+        assert back.to_dict() == rec.to_dict()  # the task family too

@@ -83,7 +83,8 @@ class TestEvaluateArm:
         cell = arm_cell()
         _, arm = score_cells(tmp_path, [BASELINE, cell])
         assert arm.run_record.delta_ndcg == 0.0
-        assert arm.run_record.plan == cell.plan(TaskFamily.CODE_TO_CODE)
+        assert arm.run_record.plan == cell
+        assert arm.run_record.plan.task_family is TaskFamily.CODE_TO_CODE
 
     def test_excluded_queries_counted(self, tmp_path):
         (arm,) = score_cells(

@@ -10,7 +10,7 @@ from rewritebench.errors import DomainError
 from rewritebench.geometry import GeometryReport
 from rewritebench.lexical import CoverageCurve, LexicalReport
 from rewritebench.matrix import run_matrix
-from rewritebench.models import Regime, RewritePlan, RunRecord, Strategy
+from rewritebench.models import CellKey, Regime, RunRecord, Strategy
 from rewritebench.report import (LEXICAL_TABLE_COLUMNS, advise_from_reports,
                                  correlation_report, dominance_counts,
                                  find_gaps, join_rows, lexical_table,
@@ -35,12 +35,10 @@ def _geometry(encoder, task, arm, s=0.3, delta=None, rewriter="rw") -> GeometryR
 
 def _run(encoder, task, strategy, regime, mean, delta=None, rewriter="rw") -> RunRecord:
     if strategy is Strategy.BASELINE:
-        plan = RewritePlan.baseline()
         rewriter = ""
-    else:
-        plan = RewritePlan(strategy=strategy, regime=regime, rewriter_id=rewriter)
-    return RunRecord(encoder_id=encoder, task_id=task, plan=plan,
-                     ndcg_per_query={"q": mean}, mean_ndcg=mean,
+    plan = CellKey(encoder_id=encoder, task_id=task, rewriter_id=rewriter,
+                   strategy=strategy, regime=regime)
+    return RunRecord(plan=plan, ndcg_per_query={"q": mean}, mean_ndcg=mean,
                      delta_ndcg=delta)
 
 

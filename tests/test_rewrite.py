@@ -8,8 +8,7 @@ import pytest
 
 from conftest import assert_calls_counted_under_threads
 from rewritebench.errors import ConfigError, ContractError, DomainError, StoreError
-from rewritebench.models import (Document, Query, Regime, RewritePlan,
-                                 Strategy, TaskFamily)
+from rewritebench.models import CellKey, Document, Query, Regime, Strategy, TaskFamily
 from rewritebench.rewrite import (Answer, RewriteCache, RewriteRecord, RewriterClient,
                                   RewriterEndpoint, Rewritten, audit_sample,
                                   rewrite_jobs, side_job, source_hash,
@@ -22,9 +21,10 @@ def client(url: str = "mock://identity", retries: int = 0) -> RewriterClient:
                                            retries=retries, backoff_s=0.0))
 
 
-def nl_qc_plan(family=TaskFamily.CODE_TO_CODE) -> RewritePlan:
-    return RewritePlan(strategy=Strategy.NL, regime=Regime.QC,
-                       rewriter_id="rw", task_family=family)
+def nl_qc_plan(family=TaskFamily.CODE_TO_CODE, regime=Regime.QC,
+               rewriter_id="rw") -> CellKey:
+    return CellKey(encoder_id="enc", task_id="t", rewriter_id=rewriter_id,
+                   strategy=Strategy.NL, regime=regime, task_family=family)
 
 
 DOCS = [Document(id=f"d{i}", text=f"def fn_{i}(): return {i}") for i in range(4)]
@@ -67,12 +67,13 @@ class TestRewriteCorpus:
     def test_baseline_plan_rejected(self):
         for side, items in (("documents", DOCS), ("queries", QUERIES)):
             with pytest.raises(ContractError, match="Baseline arm never rewrites"):
-                side_job(items, RewritePlan.baseline(), client(), identity_catalog(), side)
+                side_job(items, CellKey(encoder_id="enc", task_id="t"), client(),
+                         identity_catalog(), side)
 
     def test_mismatched_rewriter_rejected(self):
-        plan = RewritePlan(strategy=Strategy.NL, regime=Regime.QC, rewriter_id="other")
+        plan = nl_qc_plan(rewriter_id="other")
         for side, items in (("documents", DOCS), ("queries", QUERIES)):
-            with pytest.raises(ConfigError, match="expects rewriter 'other' but client is 'rw'"):
+            with pytest.raises(ConfigError, match="cell expects rewriter 'other' but client is 'rw'"):
                 side_job(items, plan, client(), identity_catalog(), side)
 
     def test_cache_hit_skips_endpoint(self, closing, tmp_path):
@@ -114,6 +115,10 @@ class TestRewriteCorpus:
         table_path.write_text("{not json", encoding="utf-8")
         assert lazy.complete("", "prompt", 16) == ("mapped", False)  # read once
 
+    def test_unknown_mock_kind_is_config_error_at_construction(self):
+        with pytest.raises(ConfigError, match="unknown mock rewriter kind 'tabel'"):
+            client("mock://tabel")
+
     def test_table_missing_file_is_config_error_at_construction(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             client(f"mock://table?file={tmp_path / 'none.json'}")
@@ -127,7 +132,7 @@ class TestRewriteCorpus:
             with pytest.raises(ConfigError, match=f"{table_path}.*does not parse"):
                 bad.complete("", "prompt", 16)
         ok = RewriterClient(RewriterEndpoint(rewriter_id="ok", url="mock://identity"))
-        ok_plan = RewritePlan(strategy=Strategy.NL, regime=Regime.QC, rewriter_id="ok")
+        ok_plan = nl_qc_plan(rewriter_id="ok")
         done = rewrite_jobs([side_job(DOCS, nl_qc_plan(), bad, identity_catalog(), "documents"),
                              side_job(DOCS, ok_plan, ok, identity_catalog(), "documents")])
         assert isinstance(done[0], ConfigError)
@@ -166,11 +171,14 @@ class TestRewriteJobs:
         assert [r.source_id for r in done[1].records] == [q.id for q in queries]
         assert len(cache.path.read_text().splitlines()) == rw.call_count
 
-    def test_error_fails_only_its_job(self):
+    def test_error_fails_only_its_job(self, tmp_path):
+        # a table that is not JSON raises a ConfigError, not an endpoint
+        # error, on the first request
+        table = tmp_path / "table.json"
+        table.write_text("{not json", encoding="utf-8")
         good = side_job(DOCS, nl_qc_plan(), client(), identity_catalog(), "documents")
-        bogus = RewriterClient(RewriterEndpoint(rewriter_id="bogus", url="mock://bogus"))
-        bad = side_job(DOCS[:1], RewritePlan(strategy=Strategy.NL, regime=Regime.QC),
-                       bogus, identity_catalog(), "documents")
+        bad = side_job(DOCS[:1], nl_qc_plan(), client(f"mock://table?file={table}"),
+                       identity_catalog(), "documents")
         done = rewrite_jobs([bad, good])
         assert isinstance(done[0], ConfigError)
         assert isinstance(done[1], Rewritten)
@@ -223,8 +231,8 @@ class TestRewriteJobs:
 
 class TestRewriteQueries:
     def test_regime_c_rejected(self):
-        plan = RewritePlan(strategy=Strategy.NL, regime=Regime.C, rewriter_id="rw")
-        with pytest.raises(ContractError, match="never rewrites queries"):
+        plan = nl_qc_plan(regime=Regime.C)
+        with pytest.raises(ContractError, match="NL-C arm never rewrites queries"):
             side_job(QUERIES, plan, client(), identity_catalog(), "queries")
 
     def test_identity_qc_keeps_queries(self):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -202,6 +203,17 @@ class TestPermutationPValues:
     def test_pvalue_always_positive(self):
         _, p = spearman(list(range(8)), list(range(8)))
         assert p > 0.0
+
+    def test_spearman_enumerates_without_holding_the_permutations(self):
+        # 9! orderings of 9 int64 ranks take 25 MiB held at once
+        tracemalloc.start()
+        try:
+            _, p = spearman(list(range(9)), [10 * v for v in range(9)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert p == 2 / math.factorial(9)  # only identity and reversal reach it
 
 
 # --- invariances -------------------------------------------------------------

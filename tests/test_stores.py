@@ -8,14 +8,14 @@ import pytest
 from conftest import open_failing_writes
 from rewritebench import stores
 from rewritebench.errors import StoreError
-from rewritebench.models import Regime, RewritePlan, RunRecord, Strategy
+from rewritebench.models import CellKey, Regime, RunRecord, Strategy
 from rewritebench.stores import DiagnosticsStore, JsonlLog, RunStore, json_chunks, write_json
 
 
 def _record(i: int = 0) -> RunRecord:
     return RunRecord(
-        encoder_id="enc", task_id="task",
-        plan=RewritePlan(strategy=Strategy.NL, regime=Regime.QC, rewriter_id="rw"),
+        plan=CellKey(encoder_id="enc", task_id="task", rewriter_id="rw",
+                     strategy=Strategy.NL, regime=Regime.QC),
         ndcg_per_query={"q1": 0.25 + i * 1e-6, "q2": 0.75},
         mean_ndcg=(0.25 + i * 1e-6 + 0.75) / 2)
 

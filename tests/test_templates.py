@@ -65,6 +65,31 @@ class TestParseTemplateFile:
             parse_template_file(path)
 
 
+    @pytest.mark.parametrize("line, field", [
+        ("max_output_tokens: lots", "max_output_tokens"),
+        ("max_output_tokens: [1]", "max_output_tokens"),
+        ("strategy: Nope", "strategy"),
+        ("task_family: Nope", "task_family"),
+        ("applies_to: 5", "applies_to"),
+        ("applies_to: {documents: 1}", "applies_to")])
+    def test_bad_front_matter_value_is_a_config_error_naming_file_and_field(
+            self, tmp_path, line, field):
+        fields = {"template_id": "t", "strategy": "NL", "task_family": "Hybrid"}
+        key, value = line.split(": ", 1)
+        fields[key] = value
+        path = tmp_path / "bad.md"
+        path.write_text("---\n" + "".join(f"{k}: {v}\n" for k, v in fields.items())
+                        + "---\n{input}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"template file {path} field {field!r}"):
+            parse_template_file(path)
+
+    def test_front_matter_that_is_not_a_mapping_is_a_config_error(self, tmp_path):
+        path = tmp_path / "bad.md"
+        path.write_text("---\n- template_id\n---\n{input}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"template file {path} front-matter"):
+            parse_template_file(path)
+
+
 class TestCatalogResolution:
     def test_builtin_covers_every_combination(self):
         catalog = builtin_catalog()
