@@ -109,6 +109,20 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+_REQUIRED = object()
+
+
+def _string(mapping: dict, key: str, context: str, default=_REQUIRED):
+    """``mapping[key]``, which must be a string, or *default* when *key* is
+    absent (without one, *key* is required); any other value is a
+    ConfigError naming *key*."""
+    value = (_require(mapping, key, context) if default is _REQUIRED
+             else mapping.get(key, default))
+    if value is not default and not isinstance(value, str):
+        raise ConfigError(f"{context} field {key!r} must be a string, got {value!r}")
+    return value
+
+
 def _shaped(value, kind: type, context: str):
     """*value*, which must be a *kind* (``dict`` or ``list``); anything else
     is a ConfigError naming *context*."""
@@ -156,11 +170,11 @@ def load_config(path: str | Path, *, seed: int | None = None,
         except ValueError as exc:
             raise ConfigError(f"unknown task family {t.get('family')!r}") from exc
         tasks.append(TaskSpec(
-            task_id=_require(t, "task_id", "task"),
+            task_id=_string(t, "task_id", "task"),
             family=family,
-            corpus=_resolve(_require(t, "corpus", "task")),
-            queries=_resolve(_require(t, "queries", "task")),
-            qrels=_resolve(_require(t, "qrels", "task")),
+            corpus=_resolve(_string(t, "corpus", "task")),
+            queries=_resolve(_string(t, "queries", "task")),
+            qrels=_resolve(_string(t, "qrels", "task")),
         ))
 
     endpoint_defaults = _shaped(raw.get("endpoint", {}), dict, "endpoint")
@@ -173,15 +187,15 @@ def load_config(path: str | Path, *, seed: int | None = None,
         _shaped(e, dict, "encoder")
         tok = _shaped(e.get("tokenizer", {"kind": "word"}), dict, "tokenizer")
         if tok.get("kind") == "vocab" and "vocab_file" in tok:
-            tok = dict(tok, vocab_file=str(_resolve(tok["vocab_file"])))
+            tok = dict(tok, vocab_file=str(_resolve(_string(tok, "vocab_file", "tokenizer"))))
         encoders.append(EncoderSpec(
             endpoint=EncoderEndpoint(
-                encoder_id=_require(e, "encoder_id", "encoder"),
-                url=_require(e, "url", "encoder"),
+                encoder_id=_string(e, "encoder_id", "encoder"),
+                url=_string(e, "url", "encoder"),
                 batch_size=_number(e, "batch_size", embed_batch, "encoder"),
                 retries=_number(e, "retries", retries, "encoder"),
                 backoff_s=_number(e, "backoff_s", backoff, "encoder", float),
-                auth_env=e.get("auth_env"),
+                auth_env=_string(e, "auth_env", "encoder", None),
             ),
             tokenizer=tok,
         ))
@@ -189,16 +203,16 @@ def load_config(path: str | Path, *, seed: int | None = None,
     rewriters = []
     for r in _shaped(raw.get("rewriters", []), list, "rewriters"):
         _shaped(r, dict, "rewriter")
-        url = _require(r, "url", "rewriter")
+        url = _string(r, "url", "rewriter")
         table = url.startswith("mock://table") and parse_qs(urlsplit(url).query).get("file")
         if table:  # resolved relative to the config location
             url = f"mock://table?file={_resolve(table[-1])}"
         rewriters.append(RewriterEndpoint(
-            rewriter_id=_require(r, "rewriter_id", "rewriter"),
+            rewriter_id=_string(r, "rewriter_id", "rewriter"),
             url=url,
             retries=_number(r, "retries", retries, "rewriter"),
             backoff_s=_number(r, "backoff_s", backoff, "rewriter", float),
-            auth_env=r.get("auth_env"),
+            auth_env=_string(r, "auth_env", "rewriter", None),
         ))
 
     strategies = _shaped(raw.get("strategies", []), list, "strategies")
@@ -210,7 +224,7 @@ def load_config(path: str | Path, *, seed: int | None = None,
         raise ConfigError(f"bad strategy or regime name: {exc}") from exc
 
     eval_cfg = _shaped(raw.get("eval", {}), dict, "eval")
-    catalog = raw.get("template_catalog", "builtin")
+    catalog = _string(raw, "template_catalog", "config", "builtin")
     if catalog not in ("builtin", "identity"):
         catalog = str(_resolve(catalog))
 
@@ -225,8 +239,8 @@ def load_config(path: str | Path, *, seed: int | None = None,
         seed=_number(raw, "seed", 0, "config") if seed is None else seed,
         skip_threshold=_number(raw, "skip_threshold", 0.0, "config", float),
         parallelism=_number(raw, "parallelism", 1, "config"),
-        cache_dir=_resolve(cache_dir or raw.get("cache_dir", "cache")),
-        out_dir=_resolve(out_dir or raw.get("out_dir", "out")),
+        cache_dir=_resolve(cache_dir or _string(raw, "cache_dir", "config", "cache")),
+        out_dir=_resolve(out_dir or _string(raw, "out_dir", "config", "out")),
         template_catalog=catalog,
         raw=raw,
     )

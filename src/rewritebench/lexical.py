@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .errors import ConfigError, DomainError
 from .tokenizers import Tokenizer
@@ -139,12 +138,8 @@ def batched_entropy(texts: Sequence[str], tokenizer: Tokenizer,
         random.Random(seed).shuffle(order)
         batches = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
 
-    per_batch = []
-    for batch in batches:
-        counts: Counter[int] = Counter()
-        for idx in batch:
-            counts.update(tokenizer.tokenize(texts[idx]))
-        per_batch.append(token_entropy(counts))
+    per_batch = [token_entropy(tokenizer.count(texts[idx] for idx in batch))
+                 for batch in batches]
     mean = sum(per_batch) / len(per_batch)
     return BatchedEntropy(mean_bits=mean, per_batch_bits=tuple(per_batch),
                           batch_size=batch_size, seed=seed)
@@ -181,7 +176,11 @@ class LexicalReport:
         if abs(self.ttr - self.unique_types / self.total_tokens) > 1e-12:
             raise DomainError("ttr inconsistent with unique/total counts")
 
-    def to_dict(self) -> dict:
+    def to_dict(self, coverage_cdf: Any = None) -> dict:
+        """The report's fields. *coverage_cdf*, when given, stands for the
+        coverage curve's rows: the cells that rank one corpus share its
+        curve, and the matrix encodes it once for all of them
+        (``stores.Encoded``)."""
         return {
             "encoder_id": self.encoder_id,
             "task_id": self.task_id,
@@ -196,7 +195,7 @@ class LexicalReport:
             "top20_mass": self.top20_mass,
             "hapax_type_rate": self.hapax_type_rate,
             "hapax_token_rate": self.hapax_token_rate,
-            "coverage_cdf": self.coverage.as_lists(),
+            "coverage_cdf": self.coverage.as_lists() if coverage_cdf is None else coverage_cdf,
             "k80": self.coverage.k80,
         }
 
@@ -229,9 +228,7 @@ def build_lexical_report(texts: Sequence[str], tokenizer: Tokenizer, *,
     """
     if len(texts) == 0:
         raise DomainError("lexical report undefined on empty corpus")
-    counts: Counter[int] = Counter()
-    for t in texts:
-        counts.update(tokenizer.tokenize(t))
+    counts = tokenizer.count(texts)
     if not counts:
         raise DomainError("corpus produced no tokens under this tokenizer")
     total = sum(counts.values())

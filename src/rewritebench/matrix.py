@@ -33,7 +33,7 @@ from .models import CellKey, Strategy
 from .pipeline import ArmResult, Corpus, build_corpus, embed_items, score_arm
 from .rewrite import (RewriteCache, RewriteJob, RewriterClient, Rewritten,
                       rewrite_jobs, side_job, write_records)
-from .stores import DiagnosticsStore, RunStore, write_json
+from .stores import DiagnosticsStore, Encoded, RunStore, write_json
 from .templates import SIDES, resolve_catalog
 from .tokenizers import build_tokenizer
 
@@ -80,20 +80,32 @@ def plan_cells(config: ExperimentConfig) -> list[CellKey]:
     return baselines + arms
 
 
-def _persist_group(stages: Stages, done: list[tuple[CellKey, ArmResult]]) -> None:
-    """Write the artifacts of the scored cells of one corpus group. A cell's
-    ``rewrites.jsonl`` holds the records of the corpus the group ranks, read
-    once from *stages* and each encoded once for every cell's file, then
-    those of the cell's own queries, which C cells and Baselines lack."""
+def _persist_group(stages: Stages, done: list[tuple[CellKey, ArmResult]],
+                   ) -> dict[CellKey, tuple[str, str]]:
+    """Write the artifacts of the scored cells of one corpus group, and
+    return each cell's ``diagnostics.jsonl`` rows, lexical and geometry.
+    Each report's dict serves its cell's file and its row; the coverage
+    curve, the bulk of both, is encoded once for the group. A
+    cell's ``rewrites.jsonl`` holds the records of the corpus the group
+    ranks, read once from *stages* and each encoded once for every cell's
+    file, then those of the cell's own queries, which C cells and Baselines
+    lack."""
     config, corpus_records = stages.config, stages.side(done[0][0], "documents").records
+    # the curve is the corpus's, the same for every cell of the group
+    curve = Encoded(done[0][1].lexical.coverage.as_lists())
+    rows = {}
     with ExitStack() as files:
         targets = []
         for cell, arm in done:
             cell_dir = Path(config.out_dir) / "cells" / cell.cell_id
             cell_dir.mkdir(parents=True, exist_ok=True)
+            lexical = arm.lexical.to_dict(coverage_cdf=curve)
+            geometry = arm.geometry.to_dict()
             write_json(cell_dir / "record.json", arm.run_record.to_dict())
-            write_json(cell_dir / "lexical.json", arm.lexical.to_dict())
-            write_json(cell_dir / "geometry.json", arm.geometry.to_dict())
+            write_json(cell_dir / "lexical.json", lexical)
+            write_json(cell_dir / "geometry.json", geometry)
+            rows[cell] = (DiagnosticsStore.line("lexical", lexical),
+                          DiagnosticsStore.line("geometry", geometry))
             write_json(cell_dir / "meta.json", {
                 "arm": cell.arm_label,
                 "excluded_queries": arm.excluded_queries,
@@ -108,6 +120,7 @@ def _persist_group(stages: Stages, done: list[tuple[CellKey, ArmResult]]) -> Non
         write_records([target for target, _ in targets], corpus_records)
         for target, query_records in targets:
             write_records([target], query_records)
+    return rows
 
 
 class Stages(AbstractContextManager):
@@ -270,6 +283,7 @@ def run_matrix(config: ExperimentConfig,
     for cell in cells:
         groups.setdefault((cell.encoder_id, side_key(cell, "documents")), []).append(cell)
 
+    diagnostics: dict[CellKey, tuple[str, str]] = {}  # of the cells that succeeded
     with Stages(config, cells) as stages:
         stages.rewrite()
         stages.fetch()
@@ -293,7 +307,7 @@ def run_matrix(config: ExperimentConfig,
                     done.append((cell, arm))
             del corpus  # before the next group builds its own
             if done:
-                _persist_group(stages, done)
+                diagnostics.update(_persist_group(stages, done))
 
     written = {cell.cell_id for cell in result.results}
     for cell_dir in (out_dir / "cells").glob("*"):  # a failed cell's, or an earlier config's
@@ -303,8 +317,7 @@ def run_matrix(config: ExperimentConfig,
     arms = [result.results[cell] for cell in cells if cell in result.results]
     RunStore(out_dir / "runs.jsonl").write(arm.run_record for arm in arms)
     DiagnosticsStore(out_dir / "diagnostics.jsonl").write(
-        report for arm in arms for report in (("lexical", arm.lexical.to_dict()),
-                                              ("geometry", arm.geometry.to_dict())))
+        row for cell in cells if cell in diagnostics for row in diagnostics[cell])
 
     for name, client in sorted(stages.encoders.items()):
         result.endpoint_calls[f"encoder:{name}"] = client.call_count

@@ -21,10 +21,10 @@ import hashlib
 import json
 import random
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import (ConfigError, ContractError, DomainError, EndpointError,
                      WorkbenchError)
@@ -165,10 +165,10 @@ class RewriterClient(EndpointClient):
         return self._call((system, user, max_tokens), f"rewriter {self.rewriter_id!r}")
 
 
-@dataclass(frozen=True)
-class Answer:
+class Answer(NamedTuple):
     """A rewriter's answer to one prompt: its output, empty when the request
-    failed, when it came back, and whether the output hit the token limit."""
+    failed, when it came back, and whether the output hit the token limit.
+    A tuple: a cache open builds one per row."""
 
     output_text: str
     timestamp: str
@@ -206,7 +206,7 @@ class RewriteCache:
         """Append *answer*: one append per answer, so a crash loses none
         that finished before it."""
         with self._lock:
-            self._log.append(json.dumps({"key": key, **asdict(answer)}, sort_keys=True,
+            self._log.append(json.dumps({"key": key, **answer._asdict()}, sort_keys=True,
                                         ensure_ascii=False))
             self._index[key] = answer
 

@@ -10,6 +10,10 @@ a torn last line (a crash mid-append) is skipped on read and cut off by the
 next append, and a malformed line anywhere else, or a row that lacks a
 field, is a StoreError. Writes are serialized through an in-process lock
 (single-writer discipline); reads take a snapshot of the file.
+
+A line is read by :func:`decode_line`, which gives what ``json.loads``
+gives, value or error, but reads a well-formed line with ``json``'s C
+scanner alone: a cache open reads tens of thousands of lines.
 """
 
 from __future__ import annotations
@@ -28,11 +32,47 @@ from .models import RunRecord
 SCHEMA_VERSION = 1
 
 _encode_str = json.encoder.encode_basestring  # the C escaper of ensure_ascii=False
+_scan_once = json.JSONDecoder().scan_once  # the C scanner of json.loads
 _ROWS_PER_CHUNK = 256
 
 
+def decode_line(line: str) -> Any:
+    """``json.loads(line)``: the same value, or the same error. The C
+    scanner reads the value from the first character; ``json.loads`` runs
+    only when that fails or leaves more than JSON whitespace after it (a
+    leading space, a BOM, a second value), and reads or rejects the line as
+    it always does."""
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError):
+        return json.loads(line)
+    if line[end:].strip(" \t\n\r"):
+        return json.loads(line)
+    return value
+
+
+class Encoded:
+    """A JSON value encoded once, for every file that carries it: ``compact``
+    as a store row holds it, ``indented`` as :func:`json_chunks` writes a
+    value of a top-level object. :func:`_dump` and :func:`json_chunks` put
+    the text in place of the value."""
+
+    __slots__ = ("compact", "indented")
+
+    def __init__(self, value):
+        self.compact = json.dumps(value, sort_keys=True, ensure_ascii=False)
+        self.indented = "".join(_value_chunks(value))
+
+
 def _dump(obj: dict[str, Any]) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+    """``json.dumps(obj, sort_keys=True, ensure_ascii=False)``, with the
+    ``compact`` text of each :class:`Encoded` value of *obj*."""
+    if Encoded not in set(map(type, obj.values())):
+        return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+    return "{" + ", ".join(
+        _encode_str(key) + ": " + (value.compact if type(value) is Encoded
+                                   else json.dumps(value, sort_keys=True, ensure_ascii=False))
+        for key, value in sorted(obj.items())) + "}"
 
 
 def _indent1(obj) -> str:
@@ -62,13 +102,13 @@ def _numeric_rows_chunks(rows: list) -> Iterator[str]:
 
 def json_chunks(obj) -> Iterator[str]:
     """The text of ``json.dumps(obj, sort_keys=True, ensure_ascii=False,
-    indent=1)``, byte for byte, in pieces.
+    indent=1)``, byte for byte, in pieces, with the ``indented`` text of each
+    :class:`Encoded` value of *obj*.
 
     ``indent`` keeps ``json`` off its C encoder. In an object with string
-    keys, a value that is non-empty rows of numbers (a coverage curve) goes
-    through :func:`_numeric_rows_chunks`; every other value is encoded as
-    before and shifted one level in. Small pieces keep a large curve from
-    being copied whole, again and again, on its way to the file.
+    keys, each value goes through :func:`_value_chunks`. Small pieces keep a
+    large curve from being copied whole, again and again, on its way to the
+    file.
     """
     if not (isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj)):
         yield _indent1(obj)
@@ -77,11 +117,21 @@ def json_chunks(obj) -> Iterator[str]:
     for key, value in sorted(obj.items()):
         yield separator + _encode_str(key) + ": "
         separator = ",\n "
-        if _is_numeric_rows(value):
-            yield from _numeric_rows_chunks(value)
+        if type(value) is Encoded:
+            yield value.indented
         else:
-            yield _indent1(value).replace("\n", "\n ")
+            yield from _value_chunks(value)
     yield "\n}"
+
+
+def _value_chunks(value) -> Iterator[str]:
+    """The text of *value* in :func:`json_chunks`, one level in: non-empty
+    rows of numbers (a coverage curve) through :func:`_numeric_rows_chunks`,
+    any other value encoded whole and shifted."""
+    if _is_numeric_rows(value):
+        yield from _numeric_rows_chunks(value)
+    else:
+        yield _indent1(value).replace("\n", "\n ")
 
 
 def write_json(path: Path, obj) -> None:
@@ -179,7 +229,7 @@ class JsonlLog:
                         tail.append(line)
                     elif line.strip():
                         try:
-                            row = json.loads(line)
+                            row = decode_line(line)
                         except ValueError as exc:
                             bad, tail = (lineno, exc), [line]
                             continue
@@ -299,19 +349,19 @@ class DiagnosticsStore(_Store):
     """Mixed store of lexical and geometry reports, tagged by ``kind``."""
 
     @staticmethod
-    def _line(kind: str, payload: dict[str, Any]) -> str:
+    def line(kind: str, payload: dict[str, Any]) -> str:
+        """The row of one report: *payload*, a report's dict, tagged *kind*."""
         if kind not in ("lexical", "geometry"):
             raise StoreError(f"unknown diagnostics kind {kind!r}")
         return _dump({"v": SCHEMA_VERSION, "kind": kind, **payload})
 
-    def write(self, reports: Iterable[tuple[str, dict[str, Any]]]) -> None:
-        """Replace the file with *reports*, (kind, payload) pairs in order."""
-        self._write([self._line(kind, payload) for kind, payload in reports],
-                    "write diagnostics to")
+    def write(self, lines: Iterable[str]) -> None:
+        """Replace the file with *lines*, rows made by :meth:`line`, in order."""
+        self._write(list(lines), "write diagnostics to")
 
     def append_many(self, reports: Iterable[tuple[str, dict[str, Any]]]) -> None:
         """Append *reports*, (kind, payload) pairs, with one write."""
-        lines = [self._line(kind, payload) for kind, payload in reports]
+        lines = [self.line(kind, payload) for kind, payload in reports]
         self._append(lambda n: lines)
 
     def append(self, kind: str, payload: dict[str, Any]) -> None:

@@ -5,17 +5,30 @@ built-ins map text to integer ids deterministically: the word tokenizer by
 hashing observed surface types, the subword tokenizer by greedy
 longest-match against an external vocabulary file (one token per line,
 rank = line number).
+
+The lexical diagnostics read a corpus as token counts, through
+:meth:`Tokenizer.count`. The base method counts :meth:`Tokenizer.tokenize`'s
+ids text by text; the word tokenizer counts a chunk of texts at a time in C
+(one ``bytes.translate`` and ``split``) and hashes each type once, with the
+same result.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from collections import Counter
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 from .errors import ConfigError
 
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+")
+# bytes.translate table that keeps the bytes _WORD_RE matches and turns every
+# other byte, each byte of a non-ASCII character included, into a space
+_WORD_BYTES = bytes(b if _WORD_RE.fullmatch(chr(b)) else 0x20 for b in range(256))
+_COUNT_CHUNK = 256  # texts per C pass of WordTokenizer.count: bounds its peak memory
 
 
 def word_tokens(text: str) -> list[str]:
@@ -36,6 +49,13 @@ class Tokenizer:
     def tokenize(self, text: str) -> list[int]:
         raise NotImplementedError
 
+    def count(self, texts: Iterable[str]) -> Counter[int]:
+        """How often each token id occurs in *texts*, all together."""
+        counts: Counter[int] = Counter()
+        for text in texts:
+            counts.update(self.tokenize(text))
+        return counts
+
 
 class _TypeIds(dict):
     """token -> stable_token_id, hashed on the first lookup of each type."""
@@ -52,8 +72,9 @@ class _TypeIds(dict):
 class WordTokenizer(Tokenizer):
     """Whitespace+punctuation splitter with hashed type ids.
 
-    Each surface type is hashed once per instance and remembered, so the
-    cost of a corpus pass is one dict lookup per token occurrence.
+    Each surface type is hashed once per instance and remembered, so a
+    :meth:`tokenize` pass over a corpus costs one dict lookup per token
+    occurrence, and a :meth:`count` one per type.
     """
 
     def __init__(self, vocab_size: int = 2 ** 20):
@@ -65,6 +86,22 @@ class WordTokenizer(Tokenizer):
     def tokenize(self, text: str) -> list[int]:
         ids = self._ids
         return [ids[t] for t in word_tokens(text)]
+
+    def count(self, texts: Iterable[str]) -> Counter[int]:
+        """``Counter`` of :meth:`tokenize` over *texts*, from one C pass per
+        chunk of at most ``_COUNT_CHUNK`` texts: joined by a newline, which
+        is no word byte, encoded (``surrogatepass`` lets a lone surrogate
+        through, as a non-word character), every non-word byte made a space,
+        split and counted. Each type is then hashed once."""
+        types: Counter[bytes] = Counter()
+        texts = iter(texts)
+        while chunk := list(islice(texts, _COUNT_CHUNK)):
+            data = "\n".join(chunk).encode("utf-8", "surrogatepass")
+            types.update(data.translate(_WORD_BYTES).split())
+        ids, counts = self._ids, Counter()
+        for token, n in types.items():
+            counts[ids[token.decode("ascii")]] += n  # two types may share an id
+        return counts
 
 
 class VocabTokenizer(Tokenizer):

@@ -1,4 +1,6 @@
 import importlib.util
+import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -161,3 +163,30 @@ def test_a_non_finite_skip_threshold_is_a_config_error(tmp_path, value):
     with pytest.raises(ConfigError, match="skip_threshold must be finite"):
         load_config(path)
     assert main(["--config", str(path), "advise"]) == 2
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("rewriters", "url", 5), ("rewriters", "rewriter_id", 5), ("rewriters", "auth_env", 5),
+    ("tasks", "corpus", 5), ("tasks", "task_id", ["a"]), ("tasks", "qrels", None),
+    ("encoders", "encoder_id", ["a"]), ("encoders", "url", 5),
+    (None, "template_catalog", 5), (None, "cache_dir", 5), (None, "out_dir", ["a"])])
+def test_a_scalar_field_of_the_wrong_type_is_a_config_error(tmp_path, section, field, value):
+    # on a copy of the demo, whose config is otherwise valid
+    shutil.copytree(REPO / "demo", tmp_path / "demo",
+                    ignore=shutil.ignore_patterns("out", "cache"))
+    path = tmp_path / "demo" / "config.yaml"
+    raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    (raw if section is None else raw[section][0])[field] = value
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(f"'{field}' must be a string, got {value!r}")):
+        load_config(path)
+    assert main(["--config", str(path), "run-matrix"]) == 2
+    assert not (tmp_path / "demo" / "out").exists()
+
+
+def test_a_vocab_file_that_is_no_string_is_a_config_error(tmp_path):
+    path = write_matrix_config(tmp_path, encoders=[
+        {"encoder_id": "bow", "url": "mock://bow?dim=8",
+         "tokenizer": {"kind": "vocab", "vocab_file": 5}}])
+    with pytest.raises(ConfigError, match="'vocab_file' must be a string, got 5"):
+        load_config(path)

@@ -300,3 +300,20 @@ def test_report_agrees_with_public_helpers_on_a_larger_corpus():
             report.hapax_type_rate, report.hapax_token_rate) == (
         unique, total, unique / total, sum(counts[:math.ceil(0.2 * unique)]) / total,
         hapax / unique, hapax / total)
+
+
+def test_word_counts_give_the_results_of_the_per_text_path(monkeypatch):
+    rng = random.Random(20)
+    words = [f"w{i}" for i in range(300)] + ["é", "名前", "x_y", "0"]
+    texts = [" ".join(rng.choices(words, k=rng.randrange(12))) + rng.choice(["", ".", "\r\n"])
+             for _ in range(700)] + ["", "\ud800"]
+    tok = WordTokenizer(vocab_size=1000)  # some types share an id
+
+    def results():
+        return (build_lexical_report(texts, tok, encoder_id="e", task_id="t", arm="NL-C"),
+                [batched_entropy(texts, tok, batch_size=size, seed=3)
+                 for size in (None, 7, 300)])
+
+    counted = results()
+    monkeypatch.setattr(WordTokenizer, "count", Tokenizer.count)  # tokenize, text by text
+    assert counted == results()

@@ -259,6 +259,82 @@ def test_json_chunks_equal_json_dumps_on_random_documents():
     assert curves > 2000 and long_curves > 50
 
 
+def test_encoded_values_give_the_text_of_the_values():
+    rng = random.Random(20261020)
+    encoded = 0
+    for _ in range(3000):
+        obj = _document(rng)
+        if not (isinstance(obj, dict) and all(isinstance(k, str) for k in obj)):
+            continue
+        mixed = {k: stores.Encoded(v) if rng.random() < 0.5 else v for k, v in obj.items()}
+        encoded += any(type(v) is stores.Encoded for v in mixed.values())
+        assert "".join(json_chunks(mixed)) == \
+            json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1), obj
+        assert stores._dump(mixed) == json.dumps(obj, sort_keys=True, ensure_ascii=False), obj
+    assert encoded > 1000
+
+
+_LINES = [
+    '{"a": 1}\n', '{"a": 1}', '[1, "x", null]\n', '"s"\n', '7\n',
+    '{"a": 1}{"b": 2}\n', '{"a": 1} {"b": 2}\n', '{"a": 1} x\n', '1 2\n', '{"a": 1},\n',
+    ' {"a": 1}\n', '\t\r\n{"a": 1}\n', '{"a": 1} \t \r\n', '{"a": 1}\r\n', '{"a": 1}\r',
+    '{"a": 1}\x0c\n', '\x0c{"a": 1}\n', '{"a": 1}\u2028\n', '\u00a0{"a": 1}\n',
+    '{"a": NaN, "b": Infinity, "c": -Infinity}\n', 'NaN\n', '{"a": nan}\n',
+    '\ufeff{"a": 1}\n', '\ufeff\n',
+    '{"a": \n', '{"a": 1\n', '{"a": "\udcff\udcfe"}\n', '{"a": "x\\ud800"}\n',
+    '\n', '   \n', '', '{"a": "tab\there"}\n', '{"a": 1, "a": 2}\n',
+]
+
+
+def _outcome(decode, line):
+    try:
+        return "value", repr(decode(line))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("line", _LINES)
+def test_decode_line_accepts_what_json_loads_accepts(line):
+    assert _outcome(stores.decode_line, line) == _outcome(json.loads, line)
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ('{"a": 1}{"b": 2}\n{"c": 3}\n', "line 1 is malformed"),
+    ('{"a": 1}\n{"b": 2} trailing\n{"c": 3}\n', "line 2 is malformed"),
+    ('{"a": 1}\n{"b": 2}{"c": 3}\n', (1, 1)),  # two objects on the last line: torn
+    (' {"a": 1}\n{"b": NaN}\t\n{"c": Infinity} \r\n', (3, 0)),
+    ('\ufeff{"a": 1}\n{"b": 2}\n', "line 1 is malformed"),
+    ('\ufeff{"a": 1}\n', (0, 1)),
+    ('{"a": 1}\r\n{"b": 2}\r\n', (2, 0)),
+    ('{"a": 1}\r\n{"b": 2}', (2, 0)),
+    ('{"a": 1}\n{"b": ', (1, 1)),
+    ('{"a": 1}\n{"b": \n\n  \r\n', (1, 1)),
+    ('{"a": 1}\n{"b": 2\n\n{"c": 3}\n', "line 2 is malformed"),
+    ('{"a": 1}\n\n{"b": 2}\n\n', (2, 0)),
+])
+def test_a_log_reads_and_repairs_as_json_loads_would(tmp_path, monkeypatch, text, outcome):
+    def run(name, decode):
+        monkeypatch.setattr(stores, "decode_line", decode)
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        rows = []
+        try:
+            log = JsonlLog(path, rows.append)
+        except StoreError as exc:
+            return str(exc).replace(str(path), "<path>")
+        log.append('{"z": 1}')
+        log.close()
+        return (len(rows), log.torn_lines), repr(rows), path.read_bytes()
+
+    new = run("new.jsonl", stores.decode_line)
+    assert new == run("old.jsonl", json.loads)
+    if isinstance(outcome, str):
+        assert outcome in new
+    else:
+        assert new[0] == outcome
+        assert new[2].endswith(b'{"z": 1}\n')
+
+
 def test_write_json_writes_the_text_and_a_newline(tmp_path):
     obj = {"coverage_cdf": [[1, 0.5], [2, 1.0]], "k80": 2, "arm": "NL-C"}
     (tmp_path / "sub").mkdir()  # the caller makes the directory
@@ -288,7 +364,7 @@ class TestWholeStoreWrites:
         reports = [("lexical", {"h_bits": 1.0}), ("geometry", {"s_bar": 0.5})]
         for kind, payload in reports:
             da.append(kind, payload)
-        dw.write(reports)
+        dw.write(DiagnosticsStore.line(kind, payload) for kind, payload in reports)
         assert dw.path.read_bytes() == da.path.read_bytes()
 
     def test_failed_write_leaves_the_old_store_and_no_temporary_file(self, tmp_path,
@@ -325,7 +401,7 @@ class TestWholeStoreWrites:
         store.append("lexical", {"h_bits": 1.0})
         before = store.path.read_bytes()
         with pytest.raises(StoreError, match="unknown diagnostics kind"):
-            store.write([("lexical", {}), ("other", {})])
+            store.write(DiagnosticsStore.line(kind, {}) for kind in ("lexical", "other"))
         assert store.path.read_bytes() == before
 
 
@@ -355,7 +431,8 @@ class TestTornStores:
 
     def test_diagnostics_store_skips_a_torn_last_line(self, tmp_path):
         store = DiagnosticsStore(tmp_path / "diag.jsonl")
-        store.write([("lexical", {"h_bits": 1.0}), ("geometry", {"s_bar": 0.5})])
+        store.write([DiagnosticsStore.line("lexical", {"h_bits": 1.0}),
+                     DiagnosticsStore.line("geometry", {"s_bar": 0.5})])
         with open(store.path, "a", encoding="utf-8") as fh:
             fh.write('{"kind": "lexi')
         assert [row["kind"] for row in store.read()] == ["lexical", "geometry"]
@@ -376,7 +453,7 @@ class TestTornStores:
     def test_a_malformed_inner_line_is_a_store_error(self, tmp_path, store_class):
         store = store_class(tmp_path / "store.jsonl")
         row = (RunStore._line(0, _record()) if store_class is RunStore
-               else DiagnosticsStore._line("lexical", {}))  # rows each store reads
+               else DiagnosticsStore.line("lexical", {}))  # rows each store reads
         store.path.write_text(f'{row}\n{{"v": 1,\n{row}\n', encoding="utf-8")
         with pytest.raises(StoreError, match="line 2 is malformed"):
             list(store.read())

@@ -1,7 +1,12 @@
+import random
+import tracemalloc
+from collections import Counter
+
 import pytest
 
+from rewritebench import tokenizers
 from rewritebench.errors import ConfigError
-from rewritebench.tokenizers import (VocabTokenizer, WordTokenizer,
+from rewritebench.tokenizers import (Tokenizer, VocabTokenizer, WordTokenizer,
                                      build_tokenizer, stable_token_id,
                                      word_tokens)
 
@@ -100,3 +105,73 @@ def test_memoised_ids_equal_stable_token_id():
             assert tok.tokenize(text) == [stable_token_id(t, tok.vocab_size)
                                           for t in word_tokens(text)]
     assert small.tokenize(text) != large.tokenize(text)
+
+
+def _tokenize_counts(tok, texts) -> Counter:
+    """The counts ``Tokenizer.count`` must give: ``tokenize``, text by text."""
+    counts = Counter()
+    for text in texts:
+        counts.update(tok.tokenize(text))
+    return counts
+
+
+class TestCount:
+    @pytest.mark.parametrize("texts", [
+        ["café naïve straße 名前 x_1 Ünïcode", "é", "ß2", "名前_ok", "_"],
+        ["a\ud800b", "\ud800", "\udcff x", "line\r\nnext\tcol\x0bv\x0cf"],
+        ["", "   ", "\n\n", "\t", "", "x"],
+        ["ab", "cd", "ef_", "_gh", "9", "0z", "end"],
+        ["", ""],
+        [],
+    ])
+    def test_word_count_equals_the_counted_tokens(self, texts):
+        tok = WordTokenizer()
+        assert tok.count(texts) == _tokenize_counts(tok, texts)
+        assert tok.count(iter(texts)) == _tokenize_counts(tok, texts)
+
+    def test_no_two_texts_merge_across_chunks(self):
+        # texts begin and end with word characters, across several chunks
+        n = 3 * tokenizers._COUNT_CHUNK + 1
+        texts = [f"t{i} mid é{i % 5}_tail" for i in range(n)]
+        tok = WordTokenizer()
+        counts = tok.count(texts)
+        assert counts == _tokenize_counts(tok, texts)
+        assert sum(counts.values()) == 3 * n
+
+    def test_types_that_share_an_id_add_up(self):
+        tok = WordTokenizer(vocab_size=3)
+        texts = [" ".join(f"w{i}" for i in range(50)), "w1 w2 w3"]
+        assert tok.count(texts) == _tokenize_counts(tok, texts)
+        assert sum(tok.count(texts).values()) == 53
+
+    def test_vocab_tokenizer_counts_through_the_base_path(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("<unk>\nre\nturn\nreturn\ndef\nf\n", encoding="utf-8")
+        tok = VocabTokenizer(path)
+        texts = ["def f return", "returnz", "", "été"]
+        assert type(tok).count is Tokenizer.count
+        assert tok.count(texts) == _tokenize_counts(tok, texts) == \
+            Counter({3: 2, 4: 1, 5: 1, 0: 4})
+
+
+def test_word_count_holds_one_chunk_at_a_time():
+    # The benchmark gates the peak memory of a run: counting a corpus must
+    # not hold its token list, or its text joined whole.
+    rng = random.Random(5)
+    words = [f"w{i}_{'x' * (i % 7)}" for i in range(2000)]
+    texts = [" ".join(rng.choices(words, k=20)) + "." for _ in range(20_000)]
+    tok = WordTokenizer()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        token_list = " ".join(texts).split()
+        list_size = tracemalloc.get_traced_memory()[0] - before
+        del token_list
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        counts = tok.count(texts)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == 20 * 20_000
+    assert peak < list_size / 4, (peak, list_size)
