@@ -25,7 +25,7 @@ from .report import (advise_from_reports, correlation_report, join_rows,
                      load_stores, write_csv, write_reports)
 from .retrieval import retrieve_topk
 from .rewrite import RewriteRecord, audit_sample, write_records
-from .stores import DiagnosticsStore, JsonlLog, RunStore, write_json
+from .stores import DiagnosticsStore, JsonlLog, RunStore, replacing, write_json
 from .templates import SIDES
 
 
@@ -59,7 +59,6 @@ def cmd_ingest(config: ExperimentConfig, args) -> int:
     tasks = [t for t in config.tasks if args.task in (None, t.task_id)]
     if not tasks:
         raise ConfigError(f"task {args.task!r} not in config")
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     for t in tasks:
         collection = ingest_collection(t.corpus, t.queries, t.qrels, task_id=t.task_id)
         report = collection.report.to_dict()
@@ -76,15 +75,14 @@ def cmd_rewrite(config: ExperimentConfig, args) -> int:
         done = {side: stages.side(cell, side) for side in SIDES}
     collection = stages.collections[cell.task_id]
     out = config.out_dir / "rewritten" / f"{args.task}__{cell.rewriter_id}__{cell.arm_label}"
-    out.mkdir(parents=True, exist_ok=True)
     for side, name in zip(SIDES, ("corpus", "queries")):
         if cell.rewrites(side):
-            with open(out / f"{name}.jsonl", "w", encoding="utf-8") as fh:
+            with replacing(out / f"{name}.jsonl") as fh:
                 for item, text in zip(getattr(collection, side), done[side].texts):
                     fh.write(json.dumps({"_id": item.id, "text": text},
                                         ensure_ascii=False) + "\n")
     records = [record for side in SIDES for record in done[side].records]
-    with open(out / "records.jsonl", "w", encoding="utf-8") as fh:
+    with replacing(out / "records.jsonl") as fh:
         write_records([(fh, cell.arm_label)], records)
     failed = sum(1 for r in records if r.failed)
     print(f"{cell.arm_label}: {len(records)} rewrites, {failed} fallbacks -> {out}")
@@ -112,8 +110,7 @@ def cmd_retrieve(config: ExperimentConfig, args) -> int:
     ranked = retrieve_topk(qmat, corpus, k=config.k if args.k is None else args.k)
     rewriter = f"{args.rewriter}__" if args.strategy else ""  # the Baseline has none
     out = config.out_dir / f"rankings_{args.task}__{args.encoder}__{rewriter}{arm_label}.jsonl"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
+    with replacing(out) as fh:
         for r in ranked:
             fh.write(json.dumps({"query_id": r.query_id,
                                  "entries": [[d, s] for d, s in r.entries]},
@@ -135,7 +132,6 @@ def _score(config: ExperimentConfig, args) -> ArmResult:
 
 def cmd_eval(config: ExperimentConfig, args) -> int:
     arm = _score(config, args)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     RunStore(config.out_dir / "runs.jsonl").append(arm.run_record)
     delta = "" if arm.run_record.delta_ndcg is None else \
         f" (delta {arm.run_record.delta_ndcg:+.5f})"
@@ -147,7 +143,6 @@ def cmd_eval(config: ExperimentConfig, args) -> int:
 
 def cmd_diagnose(config: ExperimentConfig, args) -> int:
     arm = _score(config, args)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     DiagnosticsStore(config.out_dir / "diagnostics.jsonl").append_many(
         [("lexical", arm.lexical.to_dict()), ("geometry", arm.geometry.to_dict())])
     dh = arm.lexical.delta_h_bits
@@ -164,7 +159,6 @@ def cmd_correlate(config: ExperimentConfig, args) -> int:
     rows = join_rows(runs, lexical, geometry)
     header, table = correlation_report(rows)
     out = config.out_dir / "report" / "correlations.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, header, table)
     for row in table:
         print(", ".join("" if v is None else str(v) for v in row[:2] + row[4:7]))
@@ -180,7 +174,6 @@ def cmd_advise(config: ExperimentConfig, args) -> int:
     if not advices:
         print("no rewrite-arm diagnostics in the store yet")
         return 1
-    (config.out_dir / "report").mkdir(parents=True, exist_ok=True)
     write_json(config.out_dir / "report" / "advice.json", [a.to_dict() for a in advices])
     for a in advices:
         print(f"{a.task_id} [{a.rewriter_id}]: {a.recommended} -- {a.rationale}")

@@ -141,7 +141,6 @@ class EmbeddingCache:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self.vectors_path = self.root / "vectors.bin"
         self.manifest_path = self.root / "manifest.jsonl"
         self._lock = threading.Lock()

@@ -33,7 +33,7 @@ from .models import CellKey, Strategy
 from .pipeline import ArmResult, Corpus, build_corpus, embed_items, score_arm
 from .rewrite import (RewriteCache, RewriteJob, RewriterClient, Rewritten,
                       rewrite_jobs, side_job, write_records)
-from .stores import DiagnosticsStore, Encoded, RunStore, write_json
+from .stores import DiagnosticsStore, Encoded, RunStore, replacing, write_json
 from .templates import SIDES, resolve_catalog
 from .tokenizers import build_tokenizer
 
@@ -98,7 +98,6 @@ def _persist_group(stages: Stages, done: list[tuple[CellKey, ArmResult]],
         targets = []
         for cell, arm in done:
             cell_dir = Path(config.out_dir) / "cells" / cell.cell_id
-            cell_dir.mkdir(parents=True, exist_ok=True)
             lexical = arm.lexical.to_dict(coverage_cdf=curve)
             geometry = arm.geometry.to_dict()
             write_json(cell_dir / "record.json", arm.run_record.to_dict())
@@ -114,8 +113,7 @@ def _persist_group(stages: Stages, done: list[tuple[CellKey, ArmResult]],
             })
             query_records = stages.side(cell, "queries").records
             if corpus_records or query_records:
-                fh = files.enter_context(
-                    open(cell_dir / "rewrites.jsonl", "w", encoding="utf-8"))
+                fh = files.enter_context(replacing(cell_dir / "rewrites.jsonl"))
                 targets.append(((fh, cell.arm_label), query_records))
         write_records([target for target, _ in targets], corpus_records)
         for target, query_records in targets:
@@ -273,7 +271,6 @@ def run_matrix(config: ExperimentConfig,
     key before the cell is scored and may raise to simulate a cell failure.
     """
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = MatrixResult(out_dir=out_dir)
     cells = plan_cells(config)
 

@@ -18,7 +18,7 @@ from .lexical import LexicalReport
 from .geometry import GeometryReport
 from .models import Regime, RunRecord, Strategy
 from .stats import JoinedRow, correlation_table, stars
-from .stores import DiagnosticsStore, RunStore, write_json
+from .stores import DiagnosticsStore, RunStore, replacing, write_json
 
 # correlations.csv's method for a pair whose correlation is undefined; its
 # statistic fields are empty
@@ -37,8 +37,8 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Write *header* and *rows* to *path*; the caller makes the directory."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Replace *path* with *header* and *rows* as CSV."""
+    with replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -252,48 +252,30 @@ def write_reports(out_dir: str | Path, *, skip_threshold: float = 0.0) -> list[P
     if not runs:
         raise DomainError(f"run store under {out_dir} is empty")
     report_dir = out_dir / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    header, rows = ndcg_table(runs)
-    write_csv(report_dir / "ndcg_by_task.csv", header, rows)
-    written.append(report_dir / "ndcg_by_task.csv")
-
-    write_csv(report_dir / "runs.csv",
-               ["encoder", "task", "rewriter", "strategy", "regime",
-                "ndcg@10", "delta_ndcg"],
-               [[r.plan.encoder_id, r.plan.task_id, r.plan.rewriter_id,
-                 r.plan.strategy.value, r.plan.regime.value,
-                 r.mean_ndcg, r.delta_ndcg]
-                for r in sorted(runs, key=lambda r: (
-                    r.plan.encoder_id, r.plan.task_id, r.plan.rewriter_id,
-                    r.plan.strategy.value, r.plan.regime.value))])
-    written.append(report_dir / "runs.csv")
-
-    header, rows = lexical_table(lexical)
-    write_csv(report_dir / "lexical_table.csv", header, rows)
-    written.append(report_dir / "lexical_table.csv")
-
-    header, rows = shift_table(lexical, geometry)
-    write_csv(report_dir / "shift_table.csv", header, rows)
-    written.append(report_dir / "shift_table.csv")
-
     joined = join_rows(runs, lexical, geometry)
-    header, rows = correlation_report(joined)
-    write_csv(report_dir / "correlations.csv", header, rows)
-    written.append(report_dir / "correlations.csv")
-
-    write_csv(report_dir / "scatter.csv",
-               ["encoder", "task", "rewriter", "strategy", "regime",
-                "delta_H", "delta_s_bar", "delta_ndcg"],
-               [[r.encoder_id, r.task_id, r.rewriter_id, r.strategy, r.regime,
-                 r.delta_h, r.delta_s, r.delta_ndcg] for r in joined])
-    written.append(report_dir / "scatter.csv")
+    tables = {
+        "ndcg_by_task.csv": ndcg_table(runs),
+        "runs.csv": (["encoder", "task", "rewriter", "strategy", "regime",
+                      "ndcg@10", "delta_ndcg"],
+                     [[r.plan.encoder_id, r.plan.task_id, r.plan.rewriter_id,
+                       r.plan.strategy.value, r.plan.regime.value,
+                       r.mean_ndcg, r.delta_ndcg]
+                      for r in sorted(runs, key=lambda r: (
+                          r.plan.encoder_id, r.plan.task_id, r.plan.rewriter_id,
+                          r.plan.strategy.value, r.plan.regime.value))]),
+        "lexical_table.csv": lexical_table(lexical),
+        "shift_table.csv": shift_table(lexical, geometry),
+        "correlations.csv": correlation_report(joined),
+        "scatter.csv": (["encoder", "task", "rewriter", "strategy", "regime",
+                         "delta_H", "delta_s_bar", "delta_ndcg"],
+                        [[r.encoder_id, r.task_id, r.rewriter_id, r.strategy, r.regime,
+                          r.delta_h, r.delta_s, r.delta_ndcg] for r in joined]),
+    }
+    for name, (header, rows) in tables.items():
+        write_csv(report_dir / name, header, rows)
 
     advices = advise_from_reports(lexical, skip_threshold=skip_threshold)
-    advice_path = report_dir / "advice.json"
-    write_json(advice_path, [a.to_dict() for a in advices])
-    written.append(advice_path)
+    write_json(report_dir / "advice.json", [a.to_dict() for a in advices])
 
     summary = {"counts": dominance_counts(runs), "gaps": find_gaps(runs)}
     matrix_summary = out_dir / "summary.json"
@@ -301,7 +283,5 @@ def write_reports(out_dir: str | Path, *, skip_threshold: float = 0.0) -> list[P
         meta = json.loads(matrix_summary.read_text(encoding="utf-8"))
         summary["config_hash"] = meta.get("config_hash")
         summary["seed"] = meta.get("seed")
-    summary_path = report_dir / "summary.json"
-    write_json(summary_path, summary)
-    written.append(summary_path)
-    return written
+    write_json(report_dir / "summary.json", summary)
+    return [report_dir / name for name in (*tables, "advice.json", "summary.json")]

@@ -187,7 +187,6 @@ class RewriteCache:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._index: dict[str, Answer] = {}
         self._log = JsonlLog(self.path, self._add_row)
@@ -252,7 +251,7 @@ def _request(miss: tuple[RewriteJob, str]) -> Answer | WorkbenchError:
     return Answer(strip_code_fences(raw), datetime.now(timezone.utc).isoformat(), truncated)
 
 
-def rewrite_jobs(jobs: Sequence[RewriteJob], cache: RewriteCache | None = None,
+def rewrite_jobs(jobs: Sequence[RewriteJob], cache: RewriteCache,
                  map_fn: Callable = map) -> list[Rewritten | WorkbenchError]:
     """Rewrite every job, asking the endpoint once per distinct cache key
     across all of them.
@@ -279,7 +278,7 @@ def rewrite_jobs(jobs: Sequence[RewriteJob], cache: RewriteCache | None = None,
         for key, text in zip(keys, job.texts):
             if key in answers or key in misses:
                 continue
-            hit = cache.get(key) if cache is not None else None
+            hit = cache.get(key)
             if hit is not None:
                 answers[key] = hit
             else:
@@ -287,7 +286,7 @@ def rewrite_jobs(jobs: Sequence[RewriteJob], cache: RewriteCache | None = None,
         job_items.append(zip(keys, hashes, job.ids, job.texts))
 
     for key, answer in zip(misses, map_fn(_request, misses.values())):
-        if cache is not None and isinstance(answer, Answer) and answer.output_text:
+        if isinstance(answer, Answer) and answer.output_text:
             try:
                 cache.put(key, answer)
             except WorkbenchError as exc:

@@ -1,11 +1,14 @@
-"""JSON-Lines files and stores: :class:`JsonlLog`, the one path by which
-the caches and the run and diagnostics stores read and append JSON-Lines,
-and the ``indent=1`` JSON writer every artifact file goes through.
+"""Every file the workbench writes: whole through :func:`replacing`, which
+writes a ``*.tmp`` file beside it that then replaces it, so a crash leaves
+the old file or the new one; appended to through :class:`AppendFile`. Each
+makes the file's directory, and a write that fails is a StoreError naming
+the file. On them sit :class:`JsonlLog`, the one path by which the caches
+and the run and diagnostics stores read and append JSON-Lines, and the
+``indent=1`` JSON writer every artifact file goes through.
 
 Each store line carries a schema version field ``v``. ``run-matrix``
-rewrites a store whole, once per run, through a temporary file that
-replaces it; single-cell commands append to it through a
-:class:`JsonlLog` per append. So a store follows the caches' rule:
+rewrites a store whole, once per run; single-cell commands append to it
+through a :class:`JsonlLog` per append. So a store follows the caches' rule:
 a torn last line (a crash mid-append) is skipped on read and cut off by the
 next append, and a malformed line anywhere else, or a row that lacks a
 field, is a StoreError. Writes are serialized through an in-process lock
@@ -21,10 +24,10 @@ from __future__ import annotations
 import json
 import os
 import threading
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from itertools import chain
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, TextIO
 
 from .errors import StoreError
 from .models import RunRecord
@@ -134,10 +137,35 @@ def _value_chunks(value) -> Iterator[str]:
         yield _indent1(value).replace("\n", "\n ")
 
 
+@contextmanager
+def replacing(path: Path) -> Iterator[TextIO]:
+    """A text handle whose writes replace *path* whole once the ``with``
+    block exits cleanly. They go to ``path.name + ".tmp"`` beside it, which
+    then replaces it; a block that raises removes that file and leaves
+    *path* as it was. The directory is made when the file cannot be opened
+    for want of it. An OSError is a StoreError naming *path*."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        try:
+            fh = open(tmp, "w", encoding="utf-8", newline="")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fh = open(tmp, "w", encoding="utf-8", newline="")
+        try:
+            with fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise StoreError(f"cannot write {path}: {exc}") from exc
+
+
 def write_json(path: Path, obj) -> None:
-    """Write *obj* to *path* as :func:`json_chunks` text and a newline; the
-    caller makes the directory."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Replace *path* with *obj* as :func:`json_chunks` text and a newline."""
+    with replacing(path) as fh:
         fh.writelines(json_chunks(obj))
         fh.write("\n")
 
@@ -149,7 +177,7 @@ class AppendFile:
     Each append writes straight to the file, so a crash loses none that
     returned. An append that fails cuts the file back to where it started,
     so the next one does not follow a partial line, and drops the handle;
-    the next append opens it again. The caller makes the directory.
+    the next append makes the directory and opens it again.
     """
 
     def __init__(self, path: Path):
@@ -165,6 +193,7 @@ class AppendFile:
         offset = None
         try:
             if self._fh is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fh = open(self.path, "ab", buffering=0)
             offset = self._fh.tell()
             view = memoryview(data)
@@ -291,22 +320,10 @@ class _Store:
         JsonlLog(self.path, lambda row: rows.append(convert(row)))
         return rows
 
-    def _write(self, lines: list[str], what: str) -> None:
-        """Replace the file with *lines*; the caller makes the directory.
-        The lines go to a temporary file next to it that then replaces it,
-        so a write cut off midway never leaves a truncated store, and one
-        that fails removes its temporary file."""
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with self._lock:
-            try:
-                try:
-                    with open(tmp, "w", encoding="utf-8") as fh:
-                        fh.writelines(line + "\n" for line in lines)
-                    os.replace(tmp, self.path)
-                finally:
-                    tmp.unlink(missing_ok=True)
-            except OSError as exc:
-                raise StoreError(f"cannot {what} {self.path}: {exc}") from exc
+    def _write(self, lines: Iterable[str]) -> None:
+        """Replace the file with *lines*, through :func:`replacing`."""
+        with self._lock, replacing(self.path) as fh:
+            fh.writelines(line + "\n" for line in lines)
 
     def _append(self, make_lines: Callable[[int], list[str]]) -> int:
         """Append ``make_lines(n)``, where *n* counts the rows already in
@@ -330,8 +347,7 @@ class RunStore(_Store):
 
     def write(self, records: Iterable[RunRecord]) -> None:
         """Replace the file with *records*, numbered from ``run-000000``."""
-        self._write([self._line(i, rec) for i, rec in enumerate(records)],
-                    "write run records to")
+        self._write(self._line(i, rec) for i, rec in enumerate(records))
 
     def append(self, record: RunRecord) -> str:
         """Append *record*, numbered after the file's rows; return its run id."""
@@ -357,7 +373,7 @@ class DiagnosticsStore(_Store):
 
     def write(self, lines: Iterable[str]) -> None:
         """Replace the file with *lines*, rows made by :meth:`line`, in order."""
-        self._write(list(lines), "write diagnostics to")
+        self._write(lines)
 
     def append_many(self, reports: Iterable[tuple[str, dict[str, Any]]]) -> None:
         """Append *reports*, (kind, payload) pairs, with one write."""

@@ -549,3 +549,26 @@ def test_diagnose_writes_its_two_lines_at_once(tmp_path, monkeypatch):
     assert [row["kind"] for row in map(json.loads, diagnostics.splitlines())] == \
         ["lexical", "geometry"]
     assert len(writes) == 1
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("report", "report"),  # a regular file where the report directory goes
+    ("run-matrix", "cells/bow__toy__Baseline"),  # ... where a cell directory goes
+    ("retrieve", "rankings_toy__bow__Baseline.jsonl")])  # a directory at the file's path
+def test_a_file_that_cannot_be_written_is_one_naming_it(tmp_path, capsys, command, blocked):
+    path = write_matrix_config(tmp_path)
+    out = tmp_path / "out"
+    if command == "report":
+        assert run_cli(path, "run-matrix") == 0
+    (out / blocked).parent.mkdir(parents=True, exist_ok=True)
+    if command == "retrieve":
+        (out / blocked).mkdir()
+    else:
+        (out / blocked).write_text("in the way\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = ["--task", "toy", "--encoder", "bow"] if command == "retrieve" else []
+    assert run_cli(path, command, *argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"error: cannot write {out / blocked}")
+    assert not list(out.rglob("*.tmp"))

@@ -439,6 +439,26 @@ class TestColdPath:
         assert len(made) <= len(plan_cells(cfg)) + 7
         assert max(Counter(made).values()) <= 2
 
+    def test_a_rerun_cut_off_mid_write_leaves_the_old_files_whole(self, tmp_path,
+                                                                  monkeypatch):
+        cfg = self._config(tmp_path)
+        assert run_matrix(cfg).exit_status == 0
+        before = tree_bytes(cfg.out_dir)
+        real_write_records = matrix.write_records
+
+        def cut_off(targets, records):
+            for record in records:
+                real_write_records(targets, [record])
+                raise RuntimeError("cut off after the first line")
+
+        monkeypatch.setattr(matrix, "write_records", cut_off)
+        with pytest.raises(RuntimeError, match="cut off"):
+            run_matrix(cfg)
+        after = tree_bytes(cfg.out_dir)
+        rewrites = [name for name in before if name.endswith("rewrites.jsonl")]
+        assert rewrites and all(after[name] == before[name] for name in rewrites)
+        assert not list(cfg.out_dir.rglob("*.tmp"))
+
 
 class TestRewriteFailuresNotCached:
     def _run(self, tmp_path, url, out):

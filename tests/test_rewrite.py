@@ -1,8 +1,10 @@
 import io
 import json
 import random
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
@@ -32,10 +34,13 @@ QUERIES = [Query(id=f"q{i}", text=f"find function {i}") for i in range(2)]
 
 
 def rewrite_side(side, items, rw, cache=None, plan=None) -> Rewritten:
-    """One job of *items*, a collection's *side*, through :func:`rewrite_jobs`,
-    its error raised."""
+    """One job of *items*, a collection's *side*, through :func:`rewrite_jobs`
+    with *cache*, or a fresh one, its error raised."""
     job = side_job(items, plan or nl_qc_plan(), rw, identity_catalog(), side)
-    (done,) = rewrite_jobs([job], cache)
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = RewriteCache(Path(tmp) / "rw.jsonl")
+        (done,) = rewrite_jobs([job], fresh if cache is None else cache)
+        fresh.close()
     if isinstance(done, Exception):
         raise done
     return done
@@ -124,7 +129,7 @@ class TestRewriteCorpus:
             client(f"mock://table?file={tmp_path / 'none.json'}")
 
     @pytest.mark.parametrize("body", ["{not json", "[1, 2]", "\xff\xfe"])
-    def test_table_that_does_not_parse_fails_each_request(self, tmp_path, body):
+    def test_table_that_does_not_parse_fails_each_request(self, closing, tmp_path, body):
         table_path = tmp_path / "table.json"
         table_path.write_bytes(body.encode("latin-1"))
         bad = client(f"mock://table?file={table_path}")
@@ -134,7 +139,8 @@ class TestRewriteCorpus:
         ok = RewriterClient(RewriterEndpoint(rewriter_id="ok", url="mock://identity"))
         ok_plan = nl_qc_plan(rewriter_id="ok")
         done = rewrite_jobs([side_job(DOCS, nl_qc_plan(), bad, identity_catalog(), "documents"),
-                             side_job(DOCS, ok_plan, ok, identity_catalog(), "documents")])
+                             side_job(DOCS, ok_plan, ok, identity_catalog(), "documents")],
+                            closing(RewriteCache(tmp_path / "rw.jsonl")))
         assert isinstance(done[0], ConfigError)
         assert isinstance(done[1], Rewritten)
 
@@ -171,7 +177,7 @@ class TestRewriteJobs:
         assert [r.source_id for r in done[1].records] == [q.id for q in queries]
         assert len(cache.path.read_text().splitlines()) == rw.call_count
 
-    def test_error_fails_only_its_job(self, tmp_path):
+    def test_error_fails_only_its_job(self, closing, tmp_path):
         # a table that is not JSON raises a ConfigError, not an endpoint
         # error, on the first request
         table = tmp_path / "table.json"
@@ -179,7 +185,7 @@ class TestRewriteJobs:
         good = side_job(DOCS, nl_qc_plan(), client(), identity_catalog(), "documents")
         bad = side_job(DOCS[:1], nl_qc_plan(), client(f"mock://table?file={table}"),
                        identity_catalog(), "documents")
-        done = rewrite_jobs([bad, good])
+        done = rewrite_jobs([bad, good], closing(RewriteCache(tmp_path / "rw.jsonl")))
         assert isinstance(done[0], ConfigError)
         assert isinstance(done[1], Rewritten)
 
@@ -193,7 +199,7 @@ class TestRewriteJobs:
         assert [r.failed for r in done.records] == [False, False, True, False]
 
     def test_a_put_is_read_by_a_fresh_cache_before_close(self, tmp_path):
-        cache = RewriteCache(tmp_path / "cache" / "rw.jsonl")  # makes its directory
+        cache = RewriteCache(tmp_path / "cache" / "rw.jsonl")  # a put makes its directory
         done = rewrite_side("documents", DOCS[:2], client(), cache)
         cold = client()
         again = rewrite_side("documents", DOCS[:2], cold,

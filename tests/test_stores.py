@@ -1,7 +1,9 @@
+import ast
 import json
 import math
 import random
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -60,8 +62,7 @@ class TestRunStore:
         assert len({rid for rid, _ in rows}) == 100
 
     def test_append_to_a_new_path_starts_at_run_000000(self, tmp_path):
-        path = tmp_path / "sub" / "runs.jsonl"
-        path.parent.mkdir()  # a store's caller makes its directory
+        path = tmp_path / "sub" / "runs.jsonl"  # the append makes the directory
         run_id = RunStore(path).append(_record())
         assert run_id == "run-000000"
         assert len(RunStore(path).read()) == 1
@@ -337,7 +338,6 @@ def test_a_log_reads_and_repairs_as_json_loads_would(tmp_path, monkeypatch, text
 
 def test_write_json_writes_the_text_and_a_newline(tmp_path):
     obj = {"coverage_cdf": [[1, 0.5], [2, 1.0]], "k80": 2, "arm": "NL-C"}
-    (tmp_path / "sub").mkdir()  # the caller makes the directory
     write_json(tmp_path / "sub" / "lexical.json", obj)
     assert (tmp_path / "sub" / "lexical.json").read_text(encoding="utf-8") == \
         json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1) + "\n"
@@ -457,3 +457,62 @@ class TestTornStores:
         store.path.write_text(f'{row}\n{{"v": 1,\n{row}\n', encoding="utf-8")
         with pytest.raises(StoreError, match="line 2 is malformed"):
             list(store.read())
+
+
+class TestReplacing:
+    def test_a_clean_exit_replaces_the_file_and_makes_its_directory(self, tmp_path):
+        path = tmp_path / "sub" / "a.csv"
+        for text in ("old\r\n", "new\n"):
+            with stores.replacing(path) as fh:
+                fh.write(text)
+        assert path.read_bytes() == b"new\n"  # no newline translation
+        assert [p.name for p in path.parent.iterdir()] == ["a.csv"]
+
+    @pytest.mark.parametrize("error, raised", [(RuntimeError, RuntimeError),
+                                               (OSError, StoreError),
+                                               (KeyboardInterrupt, KeyboardInterrupt)])
+    def test_a_block_that_raises_leaves_the_old_file(self, tmp_path, error, raised):
+        path = tmp_path / "a.json"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(raised) as info:
+            with stores.replacing(path) as fh:
+                fh.write("half")
+                raise error("cut off")
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+        if raised is StoreError:
+            assert str(info.value) == f"cannot write {path}: cut off"
+
+    def test_a_directory_in_the_way_is_a_store_error_naming_the_file(self, tmp_path):
+        (tmp_path / "a.json").mkdir()
+        with pytest.raises(StoreError, match=f"cannot write {tmp_path / 'a.json'}: "):
+            with stores.replacing(tmp_path / "a.json") as fh:
+                fh.write("{}")
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+
+def test_only_stores_writes_files():
+    """Every file is created through ``stores``: no other module opens a
+    file to write it, makes a directory or replaces a file."""
+    package = Path(stores.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "stores.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name == "open":  # open(file, mode) or path.open(mode)
+                at = 0 if isinstance(func, ast.Attribute) else 1
+                mode = node.args[at] if len(node.args) > at else next(
+                    (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+                writes = mode is not None and not (
+                    isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+"))
+            else:
+                writes = name in ("mkdir", "write_text", "write_bytes") or (
+                    name == "replace" and getattr(getattr(func, "value", None), "id", "") == "os")
+            if writes:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
