@@ -24,7 +24,7 @@ from .pipeline import ArmResult
 from .report import (advise_from_reports, correlation_report, join_rows,
                      load_stores, write_csv, write_reports)
 from .retrieval import retrieve_topk
-from .rewrite import RewriteRecord, audit_sample, write_records
+from .rewrite import RewriteRecord, audit_sample, record_body, write_records
 from .stores import DiagnosticsStore, JsonlLog, RunStore, replacing, write_json
 from .templates import SIDES
 
@@ -83,7 +83,7 @@ def cmd_rewrite(config: ExperimentConfig, args) -> int:
                                         ensure_ascii=False) + "\n")
     records = [record for side in SIDES for record in done[side].records]
     with replacing(out / "records.jsonl") as fh:
-        write_records([(fh, cell.arm_label)], records)
+        write_records(fh, cell.arm_label, map(record_body, records))
     failed = sum(1 for r in records if r.failed)
     print(f"{cell.arm_label}: {len(records)} rewrites, {failed} fallbacks -> {out}")
     return 0

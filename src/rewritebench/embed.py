@@ -27,7 +27,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CacheMissError, ConfigError, ContractError, EndpointError, WorkbenchError
+from .errors import (CacheMissError, ConfigError, ContractError, EndpointError, StoreError,
+                     WorkbenchError)
 from .geometry import EmbeddingMatrix, l2_normalize
 from .sessions import EndpointClient
 from .stores import AppendFile, JsonlLog
@@ -150,6 +151,8 @@ class EmbeddingCache:
             size = self.vectors_path.stat().st_size
         except FileNotFoundError:
             size = 0
+        except OSError as exc:
+            raise StoreError(f"cannot read {self.vectors_path}: {exc}") from exc
 
         def add(entry: dict) -> None:
             if entry["offset"] + entry["dim"] * 8 <= size:

@@ -67,8 +67,12 @@ class Collection:
 
 def _iter_lines_with_offsets(path: Path):
     """Yield (line_number, byte_offset, text) for every line of *path*."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise IngestError(f"cannot read: {exc.strerror}", path=str(path)) from exc
     offset = 0
-    with open(path, "rb") as fh:
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 text = raw.decode("utf-8")

@@ -7,11 +7,12 @@ shared input of its cells once, for the whole matrix or for one cell of the
 CLI, and sends its endpoint requests through one pool of
 ``config.parallelism`` threads; everything else runs on the calling thread.
 A failure is recorded against the cells that depend on it while the rest
-proceed. With warm caches a rerun issues zero endpoint calls and
-rewrites byte-identical outputs, so the runner is a fixed point under
-repetition. ``out_dir/cells/`` holds one directory per cell that succeeded
-and no other; the run records and diagnostics of those cells are
-rewritten to the global stores in cell order.
+proceed; a cell whose files cannot be written fails alone. With warm
+caches a rerun issues zero endpoint calls and rewrites byte-identical
+outputs, so the runner is a fixed point under repetition.
+``out_dir/cells/`` holds one directory per cell that succeeded and no
+other; the run records and diagnostics of those cells are rewritten to
+the global stores in cell order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import copy
 import shutil
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import AbstractContextManager, ExitStack, contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -32,7 +33,7 @@ from .ingest import Collection, ingest_collection
 from .models import CellKey, Strategy
 from .pipeline import ArmResult, Corpus, build_corpus, embed_items, score_arm
 from .rewrite import (RewriteCache, RewriteJob, RewriterClient, Rewritten,
-                      rewrite_jobs, side_job, write_records)
+                      record_body, rewrite_jobs, side_job, write_records)
 from .stores import DiagnosticsStore, Encoded, RunStore, replacing, write_json
 from .templates import SIDES, resolve_catalog
 from .tokenizers import build_tokenizer
@@ -80,45 +81,35 @@ def plan_cells(config: ExperimentConfig) -> list[CellKey]:
     return baselines + arms
 
 
-def _persist_group(stages: Stages, done: list[tuple[CellKey, ArmResult]],
-                   ) -> dict[CellKey, tuple[str, str]]:
-    """Write the artifacts of the scored cells of one corpus group, and
-    return each cell's ``diagnostics.jsonl`` rows, lexical and geometry.
-    Each report's dict serves its cell's file and its row; the coverage
-    curve, the bulk of both, is encoded once for the group. A
-    cell's ``rewrites.jsonl`` holds the records of the corpus the group
-    ranks, read once from *stages* and each encoded once for every cell's
-    file, then those of the cell's own queries, which C cells and Baselines
-    lack."""
-    config, corpus_records = stages.config, stages.side(done[0][0], "documents").records
-    # the curve is the corpus's, the same for every cell of the group
-    curve = Encoded(done[0][1].lexical.coverage.as_lists())
-    rows = {}
-    with ExitStack() as files:
-        targets = []
-        for cell, arm in done:
-            cell_dir = Path(config.out_dir) / "cells" / cell.cell_id
-            lexical = arm.lexical.to_dict(coverage_cdf=curve)
-            geometry = arm.geometry.to_dict()
-            write_json(cell_dir / "record.json", arm.run_record.to_dict())
-            write_json(cell_dir / "lexical.json", lexical)
-            write_json(cell_dir / "geometry.json", geometry)
-            rows[cell] = (DiagnosticsStore.line("lexical", lexical),
-                          DiagnosticsStore.line("geometry", geometry))
-            write_json(cell_dir / "meta.json", {
-                "arm": cell.arm_label,
-                "excluded_queries": arm.excluded_queries,
-                "config_hash": config.config_hash,
-                "seed": config.seed,
-            })
-            query_records = stages.side(cell, "queries").records
-            if corpus_records or query_records:
-                fh = files.enter_context(replacing(cell_dir / "rewrites.jsonl"))
-                targets.append(((fh, cell.arm_label), query_records))
-        write_records([target for target, _ in targets], corpus_records)
-        for target, query_records in targets:
-            write_records([target], query_records)
-    return rows
+def _write_cell(stages: Stages, cell: CellKey, arm: ArmResult, curve: Encoded,
+                corpus_lines: list[str]) -> tuple[str, str]:
+    """Write the files of one scored cell, and return its
+    ``diagnostics.jsonl`` rows, lexical and geometry. Each report's dict
+    serves its file and its row. *curve*, the coverage curve and the bulk of
+    both, and *corpus_lines*, the :func:`record_body` texts of the records
+    of the corpus the cell ranks, are encoded once for the cell's group. A
+    cell's ``rewrites.jsonl`` holds those records, then those of the cell's
+    own queries, which C cells and Baselines lack."""
+    config = stages.config
+    cell_dir = Path(config.out_dir) / "cells" / cell.cell_id
+    lexical = arm.lexical.to_dict(coverage_cdf=curve)
+    geometry = arm.geometry.to_dict()
+    write_json(cell_dir / "record.json", arm.run_record.to_dict())
+    write_json(cell_dir / "lexical.json", lexical)
+    write_json(cell_dir / "geometry.json", geometry)
+    write_json(cell_dir / "meta.json", {
+        "arm": cell.arm_label,
+        "excluded_queries": arm.excluded_queries,
+        "config_hash": config.config_hash,
+        "seed": config.seed,
+    })
+    query_records = stages.side(cell, "queries").records
+    if corpus_lines or query_records:
+        with replacing(cell_dir / "rewrites.jsonl") as fh:
+            write_records(fh, cell.arm_label, corpus_lines)
+            write_records(fh, cell.arm_label, map(record_body, query_records))
+    return (DiagnosticsStore.line("lexical", lexical),
+            DiagnosticsStore.line("geometry", geometry))
 
 
 class Stages(AbstractContextManager):
@@ -265,7 +256,8 @@ def run_matrix(config: ExperimentConfig,
     group in plan order, Baselines first so the arms get their deltas. A
     group is the cells that rank one (encoder, task, rewriter, strategy)
     corpus: it builds the corpus, scores the group's cells against it, drops
-    it and writes the cells, so one corpus is held at a time.
+    it and writes the cells, so one corpus is held at a time. A cell
+    succeeds once :func:`_write_cell` has written its files.
 
     ``fault_hook`` is test instrumentation: it is invoked with each cell
     key before the cell is scored and may raise to simulate a cell failure.
@@ -286,25 +278,34 @@ def run_matrix(config: ExperimentConfig,
         stages.fetch()
         for group in groups.values():
             try:
-                corpus: Corpus | str = stages.corpus(group[0])
+                corpus: Corpus | WorkbenchError = stages.corpus(group[0])
             except WorkbenchError as exc:
-                corpus = str(exc)
-            done = []
+                corpus = exc.with_traceback(None)
+            scored = []
             for cell in group:
                 try:
                     if fault_hook is not None:
                         fault_hook(cell)
-                    if isinstance(corpus, str):
-                        raise WorkbenchError(corpus)
-                    arm = stages.score(cell, corpus)
+                    if isinstance(corpus, WorkbenchError):
+                        raise copy.copy(corpus) from None
+                    scored.append((cell, stages.score(cell, corpus)))
+                except WorkbenchError as exc:
+                    result.failures[cell] = str(exc)
+            del corpus  # before the group's lines are encoded and the next corpus built
+            if not scored:
+                continue
+            # the corpus's, the same for every cell of the group
+            curve = Encoded(scored[0][1].lexical.coverage.as_lists())
+            corpus_lines = [record_body(record) for record
+                            in stages.side(group[0], "documents").records]
+            for cell, arm in scored:
+                try:
+                    diagnostics[cell] = _write_cell(stages, cell, arm, curve, corpus_lines)
                 except WorkbenchError as exc:
                     result.failures[cell] = str(exc)
                 else:
                     result.results[cell] = arm
-                    done.append((cell, arm))
-            del corpus  # before the next group builds its own
-            if done:
-                diagnostics.update(_persist_group(stages, done))
+            del curve, corpus_lines  # before the next group builds its corpus
 
     written = {cell.cell_id for cell in result.results}
     for cell_dir in (out_dir / "cells").glob("*"):  # a failed cell's, or an earlier config's

@@ -13,7 +13,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from .advisor import Advice, advise
-from .errors import DomainError
+from .errors import DomainError, StoreError
 from .lexical import LexicalReport
 from .geometry import GeometryReport
 from .models import Regime, RunRecord, Strategy
@@ -280,8 +280,10 @@ def write_reports(out_dir: str | Path, *, skip_threshold: float = 0.0) -> list[P
     summary = {"counts": dominance_counts(runs), "gaps": find_gaps(runs)}
     matrix_summary = out_dir / "summary.json"
     if matrix_summary.exists():
-        meta = json.loads(matrix_summary.read_text(encoding="utf-8"))
-        summary["config_hash"] = meta.get("config_hash")
-        summary["seed"] = meta.get("seed")
+        try:
+            meta = json.loads(matrix_summary.read_text(encoding="utf-8"))
+            summary["config_hash"], summary["seed"] = meta.get("config_hash"), meta.get("seed")
+        except (OSError, ValueError, AttributeError) as exc:  # AttributeError: not an object
+            raise StoreError(f"cannot read {matrix_summary}: {type(exc).__name__}: {exc}") from exc
     write_json(report_dir / "summary.json", summary)
     return [report_dir / name for name in (*tables, "advice.json", "summary.json")]

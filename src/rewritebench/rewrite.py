@@ -344,17 +344,11 @@ def record_body(record: RewriteRecord) -> str:
             f', "truncated": {"true" if record.truncated else "false"}}}')
 
 
-def write_records(targets: Sequence[tuple[TextIO, str]],
-                  records: Iterable[RewriteRecord]) -> None:
-    """Write *records* as JSON lines to each (file, arm) of *targets*, each
-    line stamped with that file's arm: QC and C read one corpus rewrite,
-    so both files take its records. A record is encoded once for all the
-    files, and only the line in hand is held."""
-    heads = [(fh, '{"arm": ' + _encode_str(arm)) for fh, arm in targets]
-    for record in records:
-        tail = record_body(record) + "\n"
-        for fh, head in heads:
-            fh.write(head + tail)
+def write_records(fh: TextIO, arm: str, bodies: Iterable[str]) -> None:
+    """Write *bodies*, records as :func:`record_body` encodes them, to *fh*
+    as JSON lines stamped with *arm*."""
+    head = '{"arm": ' + _encode_str(arm)
+    fh.writelines(f"{head}{body}\n" for body in bodies)
 
 
 @dataclass(frozen=True)

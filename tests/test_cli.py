@@ -570,5 +570,35 @@ def test_a_file_that_cannot_be_written_is_one_naming_it(tmp_path, capsys, comman
     assert run_cli(path, command, *argv) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert err.startswith(f"error: cannot write {out / blocked}")
+    # run-matrix fails the one cell whose files it cannot write
+    failed = "  FAILED bow__toy__Baseline: " if command == "run-matrix" else "error: "
+    assert err.startswith(f"{failed}cannot write {out / blocked}")
     assert not list(out.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("command, blocked, content, named", [
+    ("ingest", "corpus.jsonl", None, "corpus.jsonl"),  # a task file that is missing
+    ("run-matrix", "cache/embeddings", "in the way\n", "cache/embeddings/vectors.bin"),
+    ("run-matrix", "cache", "in the way\n", "cache/embeddings/vectors.bin"),
+    ("report", "out/summary.json", "{not json", "out/summary.json"),
+    ("report", "out/summary.json", "[1, 2]\n", "out/summary.json"),
+    ("report", "out/summary.json", "a directory", "out/summary.json")],
+    ids=["missing-task-file", "embeddings-a-file", "cache-a-file", "summary-not-json",
+         "summary-not-an-object", "summary-a-directory"])
+def test_a_file_that_cannot_be_read_is_one_naming_it(tmp_path, capsys, command, blocked,
+                                                     content, named):
+    path = write_matrix_config(tmp_path)
+    if command == "report":
+        assert run_cli(path, "run-matrix") == 0
+    target = tmp_path / blocked
+    target.unlink(missing_ok=True)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    if content == "a directory":
+        target.mkdir()
+    elif content is not None:
+        target.write_text(content, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(path, command) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: ") and str(tmp_path / named) in err

@@ -2,6 +2,7 @@ import builtins
 import gc
 import json
 import re
+import shutil
 import sys
 import threading
 import traceback
@@ -127,8 +128,8 @@ class TestRunMatrix:
         cfg = load_config(write_matrix_config(tmp_path, regimes=("QC", "C")))
         run_matrix(cfg)  # fills the rewrite cache, whose puts encode too
         encoded = []
-        record_body = rewrite.record_body
-        monkeypatch.setattr(rewrite, "record_body",
+        record_body = matrix.record_body
+        monkeypatch.setattr(matrix, "record_body",
                             lambda rec: encoded.append(rec) or record_body(rec))
         run_matrix(cfg)
         # QC writes the corpus and query records, C the same corpus records
@@ -273,14 +274,57 @@ class TestFaultIsolation:
         assert records[0].delta_ndcg is None  # gap, not fabricated
 
     def test_broken_task_fails_all_its_cells(self, tmp_path):
-        path = write_matrix_config(tmp_path)
-        (tmp_path / "qrels.tsv").write_text("q1\td1\tnot_a_number\n",
-                                            encoding="utf-8")
-        cfg = load_config(path)
+        for name, qrels in (("malformed", "q1\td1\tnot_a_number\n"), ("missing", None)):
+            path = write_matrix_config(tmp_path / name)
+            if qrels is None:
+                (tmp_path / name / "qrels.tsv").unlink()
+            else:
+                (tmp_path / name / "qrels.tsv").write_text(qrels, encoding="utf-8")
+            result = run_matrix(load_config(path))
+            assert result.exit_status == 1
+            assert len(result.failures) == 2
+            assert all(msg.startswith("task ingest failed: ")
+                       and str(tmp_path / name / "qrels.tsv") in msg
+                       for msg in result.failures.values())
+
+    def test_a_cell_whose_files_cannot_be_written_fails_alone(self, tmp_path):
+        cfg = load_config(write_matrix_config(tmp_path, regimes=("QC", "C")))
+        assert run_matrix(cfg).exit_status == 0
+        nl_c = CellKey(encoder_id="bow", task_id="toy", task_family="CodeToCode",
+                       rewriter_id="ident", strategy=Strategy.NL, regime=Regime.C)
+        others = [cell for cell in plan_cells(cfg) if cell != nl_c]
+        clean = {cell: tree_bytes(cfg.out_dir / "cells" / cell.cell_id) for cell in others}
+        blocked = cfg.out_dir / "cells" / nl_c.cell_id
+        shutil.rmtree(blocked)
+        blocked.write_text("in the way\n", encoding="utf-8")
         result = run_matrix(cfg)
         assert result.exit_status == 1
-        assert len(result.failures) == 2
-        assert all("ingest failed" in msg for msg in result.failures.values())
+        assert list(result.failures) == [nl_c]
+        assert result.failures[nl_c].startswith(f"cannot write {blocked / 'record.json'}")
+        assert {cell: tree_bytes(cfg.out_dir / "cells" / cell.cell_id)
+                for cell in others} == clean
+        assert [r.plan.cell_id for r in RunStore(cfg.out_dir / "runs.jsonl").records()] == \
+            [cell.cell_id for cell in others]
+        diagnostics = (cfg.out_dir / "diagnostics.jsonl").read_text(encoding="utf-8")
+        assert len(diagnostics.splitlines()) == 2 * len(others)
+        summary = json.loads((cfg.out_dir / "summary.json").read_text(encoding="utf-8"))
+        assert list(summary["failures"]) == [nl_c.cell_id]
+        assert not list(cfg.out_dir.rglob("*.tmp"))
+
+    def test_a_corpus_that_fails_to_build_fails_only_its_encoders_cells(self, tmp_path):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\u00a7\n", encoding="utf-8")  # in no toy text, and no <unk>
+        encoders = [{"encoder_id": "bow", "url": "mock://bow?dim=16",
+                     "tokenizer": {"kind": "word"}},
+                    {"encoder_id": "mute", "url": "mock://bow?dim=16",
+                     "tokenizer": {"kind": "vocab", "vocab_file": str(vocab)}}]
+        cfg = load_config(write_matrix_config(tmp_path, encoders=encoders,
+                                              regimes=("QC", "C")))
+        result = run_matrix(cfg)
+        mute = {cell for cell in plan_cells(cfg) if cell.encoder_id == "mute"}
+        assert len(mute) == 3 and set(result.failures) == mute
+        assert all("corpus produced no tokens" in msg for msg in result.failures.values())
+        assert set(result.results) == set(plan_cells(cfg)) - mute
 
     def test_missing_query_template_fails_only_that_qc_cell(self, tmp_path):
         catalog = tmp_path / "templates"
@@ -446,9 +490,9 @@ class TestColdPath:
         before = tree_bytes(cfg.out_dir)
         real_write_records = matrix.write_records
 
-        def cut_off(targets, records):
-            for record in records:
-                real_write_records(targets, [record])
+        def cut_off(fh, arm, bodies):
+            for body in bodies:
+                real_write_records(fh, arm, [body])
                 raise RuntimeError("cut off after the first line")
 
         monkeypatch.setattr(matrix, "write_records", cut_off)
@@ -561,7 +605,7 @@ class TestPool:
                 return fn(*args, **kwargs)
             return recording
 
-        for name in ("build_corpus", "score_arm", "_persist_group"):
+        for name in ("build_corpus", "score_arm", "_write_cell"):
             monkeypatch.setattr(matrix, name, on_thread(name, getattr(matrix, name)))
         for owner, name in ((EncoderClient, "embed_batch"), (rewrite.RewriterClient, "complete")):
             monkeypatch.setattr(owner, name, on_thread("endpoint", getattr(owner, name)))
@@ -571,7 +615,7 @@ class TestPool:
         caller = threading.get_ident()
         assert threads.pop("endpoint") - {caller}  # the pool's threads
         assert threads == {name: {caller} for name in
-                           ("build_corpus", "score_arm", "_persist_group")}
+                           ("build_corpus", "score_arm", "_write_cell")}
         assert set(threading.enumerate()) == before  # no thread outlives the run
 
 

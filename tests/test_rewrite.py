@@ -12,7 +12,7 @@ from conftest import assert_calls_counted_under_threads
 from rewritebench.errors import ConfigError, ContractError, DomainError, StoreError
 from rewritebench.models import CellKey, Document, Query, Regime, Strategy, TaskFamily
 from rewritebench.rewrite import (Answer, RewriteCache, RewriteRecord, RewriterClient,
-                                  RewriterEndpoint, Rewritten, audit_sample,
+                                  RewriterEndpoint, Rewritten, audit_sample, record_body,
                                   rewrite_jobs, side_job, source_hash,
                                   strip_code_fences, write_records)
 from rewritebench.templates import identity_catalog
@@ -211,11 +211,11 @@ class TestRewriteJobs:
         # rows an older version wrote: whole records, failed or not, and no key
         path = tmp_path / "rw.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
-            write_records([(fh, "NL-QC")], [RewriteRecord(
+            write_records(fh, "NL-QC", [record_body(RewriteRecord(
                 source_id=d.id, arm="NL-QC", source_hash=source_hash(d.text),
                 output_text="" if i == 0 else "stale", rewriter_id="rw",
                 template_id="identity-nl-codetocode", timestamp="2026-01-01T00:00:00+00:00",
-                failed=i == 0) for i, d in enumerate(DOCS)])
+                failed=i == 0)) for i, d in enumerate(DOCS)])
         rw = client()
         done = rewrite_side("documents", DOCS, rw, closing(RewriteCache(path)))
         assert rw.call_count == len(DOCS)
@@ -268,7 +268,7 @@ class TestRewriteRecord:
                             output_text="out", rewriter_id="rw", template_id="t",
                             timestamp="2026-01-01T00:00:00+00:00", truncated=True)
         fh = io.StringIO()
-        write_records([(fh, rec.arm)], [rec])
+        write_records(fh, rec.arm, [record_body(rec)])
         assert RewriteRecord(**json.loads(fh.getvalue())) == rec
 
 
@@ -292,8 +292,9 @@ class TestRecordSerialiser:
         rng = random.Random(11)
         records = [_random_record(rng) for _ in range(3000)]
         files = {arm: io.StringIO() for arm in ("NL-QC", "NL-C", "\u00e9[,]\"")}
-        write_records([(fh, arm) for arm, fh in files.items()], iter(records))
+        bodies = [record_body(r) for r in records]
         for arm, fh in files.items():
+            write_records(fh, arm, iter(bodies))
             assert fh.getvalue() == "".join(
                 json.dumps({**asdict(r), "arm": arm}, sort_keys=True,
                            ensure_ascii=False) + "\n" for r in records)
