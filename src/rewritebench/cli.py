@@ -120,13 +120,14 @@ def cmd_retrieve(config: ExperimentConfig, args) -> int:
 
 
 def _score(config: ExperimentConfig, args) -> ArmResult:
-    """The result of the cell the flags name, scored after its Baseline."""
+    """The result of the cell the flags name, scored against its Baseline."""
     cells = _cells(config, args)
+    arm = None
     with Stages(config, cells) as stages:
         stages.rewrite()
         stages.fetch()
-        for cell in cells:
-            arm = stages.score(cell, stages.corpus(cell))
+        for cell in cells:  # the Baseline, then the arm the flags name, if any
+            arm = stages.score(cell, stages.corpus(cell), arm)
     return arm
 
 

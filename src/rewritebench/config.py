@@ -21,7 +21,7 @@ from .embed import EncoderEndpoint
 from .errors import ConfigError
 from .models import Regime, Strategy, TaskFamily
 from .rewrite import RewriterEndpoint
-from .templates import load_yaml
+from .templates import load_yaml, read_text
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def load_config(path: str | Path, *, seed: int | None = None,
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = load_yaml(path.read_text(encoding="utf-8"))
+        raw = load_yaml(read_text(path, "config"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -188,6 +188,8 @@ def load_config(path: str | Path, *, seed: int | None = None,
         tok = _shaped(e.get("tokenizer", {"kind": "word"}), dict, "tokenizer")
         if tok.get("kind") == "vocab" and "vocab_file" in tok:
             tok = dict(tok, vocab_file=str(_resolve(_string(tok, "vocab_file", "tokenizer"))))
+        if "vocab_size" in tok:
+            tok = dict(tok, vocab_size=_number(tok, "vocab_size", None, "tokenizer"))
         encoders.append(EncoderSpec(
             endpoint=EncoderEndpoint(
                 encoder_id=_string(e, "encoder_id", "encoder"),

@@ -118,7 +118,8 @@ class Stages(AbstractContextManager):
     ``config.parallelism`` threads that sends the endpoint requests of
     :meth:`rewrite` and :meth:`fetch`. A failed input is raised by whatever
     reads it; leaving the ``with`` block shuts the pool down, then closes
-    the clients, then the caches."""
+    the clients, then the caches. :func:`run_matrix` scores an arm against
+    a Baseline whose files were written."""
 
     def __init__(self, config: ExperimentConfig, cells: Sequence[CellKey]):
         self.config, self.cells = config, list(cells)
@@ -167,7 +168,6 @@ class Stages(AbstractContextManager):
                     except WorkbenchError as exc:
                         self._sides[key] = exc
 
-        self._baselines: dict[tuple[str, str], ArmResult] = {}
         self._fetch_failures: dict[str, WorkbenchError] = {}  # by encoder id
         self._pool = (ThreadPoolExecutor(config.parallelism)
                       if config.parallelism > 1 else None)
@@ -238,26 +238,23 @@ class Stages(AbstractContextManager):
             return embed_items(self.collections[cell.task_id].queries, texts,
                                self.encoders[cell.encoder_id], self.embedding_cache)
 
-    def score(self, cell: CellKey, corpus: Corpus) -> ArmResult:
-        """Score *cell* against *corpus*, with deltas once its Baseline is scored."""
-        baseline_key = (cell.encoder_id, cell.task_id)
-        arm = score_arm(self.collections[cell.task_id], cell, corpus,
-                        self.queries(cell), baseline=self._baselines.get(baseline_key),
-                        k=self.config.k, gain=self.config.gain)
-        if cell.is_baseline:
-            self._baselines[baseline_key] = arm
-        return arm
+    def score(self, cell: CellKey, corpus: Corpus, baseline: ArmResult | None) -> ArmResult:
+        """Score *cell* against *corpus*, with deltas against *baseline* if given."""
+        return score_arm(self.collections[cell.task_id], cell, corpus, self.queries(cell),
+                         baseline=baseline, k=self.config.k, gain=self.config.gain)
 
 
 def run_matrix(config: ExperimentConfig,
                fault_hook: Callable[[CellKey], None] | None = None) -> MatrixResult:
     """Execute the full matrix described by *config*: the rewrite and fetch
     stages of :class:`Stages`, then, on the calling thread, each corpus
-    group in plan order, Baselines first so the arms get their deltas. A
-    group is the cells that rank one (encoder, task, rewriter, strategy)
-    corpus: it builds the corpus, scores the group's cells against it, drops
-    it and writes the cells, so one corpus is held at a time. A cell
-    succeeds once :func:`_write_cell` has written its files.
+    group in plan order, Baselines first. A group is the cells that rank
+    one (encoder, task, rewriter, strategy) corpus: it builds the corpus,
+    scores the group's cells against it, drops it and writes the cells, so
+    one corpus is held at a time. A cell succeeds once :func:`_write_cell`
+    has written its files, and an arm is measured against its Baseline's
+    entry of ``result.results``, which holds only the cells that succeeded:
+    an arm whose Baseline failed, in scoring or in writing, gets no deltas.
 
     ``fault_hook`` is test instrumentation: it is invoked with each cell
     key before the cell is scored and may raise to simulate a cell failure.
@@ -288,7 +285,8 @@ def run_matrix(config: ExperimentConfig,
                         fault_hook(cell)
                     if isinstance(corpus, WorkbenchError):
                         raise copy.copy(corpus) from None
-                    scored.append((cell, stages.score(cell, corpus)))
+                    baseline = result.results.get(CellKey(cell.encoder_id, cell.task_id))
+                    scored.append((cell, stages.score(cell, corpus, baseline)))
                 except WorkbenchError as exc:
                     result.failures[cell] = str(exc)
             del corpus  # before the group's lines are encoded and the next corpus built

@@ -132,10 +132,10 @@ class RewriterClient(EndpointClient):
                 except (OSError, ValueError) as exc:
                     self._table_error = str(exc)
                 else:
-                    if isinstance(table, dict):
+                    if isinstance(table, dict) and set(map(type, table.values())) <= {str}:
                         self._table = table
                     else:
-                        self._table_error = "not a JSON object"
+                        self._table_error = "not a JSON object of strings"
             if self._table is None:
                 raise ConfigError(f"mock://table file {self._table_path} does not "
                                   f"parse: {self._table_error}")

@@ -36,7 +36,6 @@ SCHEMA_VERSION = 1
 
 _encode_str = json.encoder.encode_basestring  # the C escaper of ensure_ascii=False
 _scan_once = json.JSONDecoder().scan_once  # the C scanner of json.loads
-_ROWS_PER_CHUNK = 256
 
 
 def decode_line(line: str) -> Any:
@@ -58,13 +57,19 @@ class Encoded:
     """A JSON value encoded once, for every file that carries it: ``compact``
     as a store row holds it, ``indented`` as :func:`json_chunks` writes a
     value of a top-level object. :func:`_dump` and :func:`json_chunks` put
-    the text in place of the value."""
+    the text in place of the value. The ``indented`` text of rows of numbers
+    (a coverage curve) is made from ``compact``: a number's text holds no
+    ``[``, ``]`` or ``,``, so the separators alone place the line breaks."""
 
     __slots__ = ("compact", "indented")
 
     def __init__(self, value):
         self.compact = json.dumps(value, sort_keys=True, ensure_ascii=False)
-        self.indented = "".join(_value_chunks(value))
+        if _is_numeric_rows(value):
+            rows = self.compact[2:-2].replace("], [", "\n  ],\n  [\n   ")
+            self.indented = "[\n  [\n   " + rows.replace(", ", ",\n   ") + "\n  ]\n ]"
+        else:
+            self.indented = _indent1(value).replace("\n", "\n ")
 
 
 def _dump(obj: dict[str, Any]) -> str:
@@ -89,30 +94,11 @@ def _is_numeric_rows(value) -> bool:
             and all(value) and set(map(type, chain.from_iterable(value))) <= {int, float})
 
 
-def _numeric_rows_chunks(rows: list) -> Iterator[str]:
-    """The ``indent=1`` text of non-empty rows of numbers, as a value of a
-    top-level object, in pieces of at most ``_ROWS_PER_CHUNK`` rows. The C
-    encoder writes each piece compactly, and since a number's text holds no
-    ``[``, ``]`` or ``,`` the commas alone place the line breaks."""
-    yield "[\n  [\n   "
-    for start in range(0, len(rows), _ROWS_PER_CHUNK):
-        if start:
-            yield "\n  ],\n  [\n   "
-        compact = json.dumps(rows[start:start + _ROWS_PER_CHUNK], separators=(",", ":"))
-        yield compact[2:-2].replace(",", ",\n   ").replace("],\n   [", "\n  ],\n  [\n   ")
-    yield "\n  ]\n ]"
-
-
 def json_chunks(obj) -> Iterator[str]:
     """The text of ``json.dumps(obj, sort_keys=True, ensure_ascii=False,
     indent=1)``, byte for byte, in pieces, with the ``indented`` text of each
-    :class:`Encoded` value of *obj*.
-
-    ``indent`` keeps ``json`` off its C encoder. In an object with string
-    keys, each value goes through :func:`_value_chunks`. Small pieces keep a
-    large curve from being copied whole, again and again, on its way to the
-    file.
-    """
+    :class:`Encoded` value of *obj*. In an object with string keys, each
+    other value is encoded with ``indent=1`` and shifted one level in."""
     if not (isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj)):
         yield _indent1(obj)
         return
@@ -120,21 +106,9 @@ def json_chunks(obj) -> Iterator[str]:
     for key, value in sorted(obj.items()):
         yield separator + _encode_str(key) + ": "
         separator = ",\n "
-        if type(value) is Encoded:
-            yield value.indented
-        else:
-            yield from _value_chunks(value)
+        yield (value.indented if type(value) is Encoded
+               else _indent1(value).replace("\n", "\n "))
     yield "\n}"
-
-
-def _value_chunks(value) -> Iterator[str]:
-    """The text of *value* in :func:`json_chunks`, one level in: non-empty
-    rows of numbers (a coverage curve) through :func:`_numeric_rows_chunks`,
-    any other value encoded whole and shifted."""
-    if _is_numeric_rows(value):
-        yield from _numeric_rows_chunks(value)
-    else:
-        yield _indent1(value).replace("\n", "\n ")
 
 
 @contextmanager

@@ -30,6 +30,15 @@ def load_yaml(text: str):
     return yaml.load(text, Loader=_YAML_LOADER)
 
 
+def read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of *path*, a *what* file the config names; a file that
+    cannot be read or decoded is a ConfigError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class PromptTemplate:
     template_id: str
@@ -58,7 +67,7 @@ class PromptTemplate:
 
 def parse_template_file(path: str | Path) -> PromptTemplate:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path, "template")
     if not text.startswith("---"):
         raise ConfigError(f"template file {path} missing front-matter")
     try:

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigError
+from .templates import read_text
 
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+")
 # bytes.translate table that keeps the bytes _WORD_RE matches and turns every
@@ -117,7 +118,7 @@ class VocabTokenizer(Tokenizer):
         vocab_path = Path(vocab_path)
         if not vocab_path.is_file():
             raise ConfigError(f"vocabulary file not found: {vocab_path}")
-        entries = vocab_path.read_text(encoding="utf-8").splitlines()
+        entries = read_text(vocab_path, "vocabulary").splitlines()
         self._ids: dict[str, int] = {}
         for rank, tok in enumerate(entries):
             if tok and tok not in self._ids:

@@ -115,7 +115,8 @@ class TestExitCodes:
         ((), "skip_threshold", "low"), (("endpoint",), "retries", "many"),
         (("endpoint",), "backoff_s", "fast"), (("endpoint",), "embed_batch_size", [8]),
         (("encoders", 0), "batch_size", "big"), (("encoders", 0), "retries", "x"),
-        (("rewriters", 0), "backoff_s", "slow")])
+        (("rewriters", 0), "backoff_s", "slow"),
+        (("encoders", 0, "tokenizer"), "vocab_size", "lots")])
     def test_non_numeric_value_is_two_naming_its_key(self, tmp_path, capsys, where, key,
                                                      value):
         assert run_edited(tmp_path, where, key, value) == 2
@@ -602,3 +603,27 @@ def test_a_file_that_cannot_be_read_is_one_naming_it(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith("error: ") and str(tmp_path / named) in err
+
+
+@pytest.mark.parametrize("blocked, content", [
+    ("config.yaml", b"seed: \xff\n"),
+    ("templates/nl.md", b"---\ntemplate_id: nl\n---\n\xff{input}\n"),
+    ("templates/nl.md", None),  # a directory
+    ("vocab.txt", b"def\n\xff\n")],
+    ids=["config-not-utf8", "template-not-utf8", "template-a-directory", "vocab-not-utf8"])
+def test_an_input_file_that_cannot_be_read_is_two_naming_it(tmp_path, capsys, blocked,
+                                                           content):
+    encoders = [{"encoder_id": "bow", "url": "mock://bow?dim=16",
+                 "tokenizer": {"kind": "vocab", "vocab_file": "vocab.txt"}}]
+    path = write_matrix_config(tmp_path, encoders=encoders if blocked == "vocab.txt" else None,
+                               template_catalog=Path(blocked).parent.name or "identity")
+    target = tmp_path / blocked
+    target.parent.mkdir(exist_ok=True)
+    if content is None:
+        target.mkdir()
+    else:
+        target.write_bytes(content)
+    assert run_cli(path, "run-matrix") == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("configuration error: ") and str(target) in err

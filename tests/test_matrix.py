@@ -311,6 +311,34 @@ class TestFaultIsolation:
         assert list(summary["failures"]) == [nl_c.cell_id]
         assert not list(cfg.out_dir.rglob("*.tmp"))
 
+    def test_a_baseline_that_cannot_be_written_gives_its_arms_no_deltas(self, tmp_path):
+        path = write_matrix_config(tmp_path, regimes=("QC", "C"))
+        cfg = load_config(path)
+        assert run_matrix(cfg).exit_status == 0
+        runs = cfg.out_dir / "runs.jsonl"
+        clean = {row["plan"]["regime"]: row["mean_ndcg"] for row in map(
+            json.loads, runs.read_text(encoding="utf-8").splitlines())}
+        baseline, *arms = plan_cells(cfg)
+        blocked = cfg.out_dir / "cells" / baseline.cell_id
+        shutil.rmtree(blocked)
+        blocked.write_text("in the way\n", encoding="utf-8")
+        result = run_matrix(cfg)
+        assert result.exit_status == 1 and list(result.failures) == [baseline]
+        rows = [json.loads(line) for line in runs.read_text(encoding="utf-8").splitlines()]
+        assert [row["plan"]["regime"] for row in rows] == [arm.regime.value for arm in arms]
+        for row in rows:
+            assert row["delta_ndcg"] is None and row["mean_ndcg"] == clean[row["plan"]["regime"]]
+        for arm in arms:
+            cell_dir = cfg.out_dir / "cells" / arm.cell_id
+            lexical = json.loads((cell_dir / "lexical.json").read_text(encoding="utf-8"))
+            geometry = json.loads((cell_dir / "geometry.json").read_text(encoding="utf-8"))
+            assert lexical["delta_h_bits"] is None and geometry["delta_s_bar"] is None
+        assert main(["--config", str(path), "report"]) == 0
+        summary = json.loads((cfg.out_dir / "report" / "summary.json").read_text(
+            encoding="utf-8"))
+        assert len(summary["gaps"]) == len(arms)
+        assert all(any(arm.arm_label in gap for gap in summary["gaps"]) for arm in arms)
+
     def test_a_corpus_that_fails_to_build_fails_only_its_encoders_cells(self, tmp_path):
         vocab = tmp_path / "vocab.txt"
         vocab.write_text("\u00a7\n", encoding="utf-8")  # in no toy text, and no <unk>

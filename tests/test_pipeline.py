@@ -16,17 +16,22 @@ def arm_cell(strategy: Strategy = Strategy.NL, regime: Regime = Regime.QC) -> Ce
 
 def scored(tmp_path, cells, docs=TOY_DOCS, queries=TOY_QUERIES, qrels=TOY_QRELS):
     """One Stages over a toy config (mock bow encoder, k=3, identity
-    rewriter and templates) and each cell's result, scored in order by it."""
+    rewriter and templates) and each cell's result, scored in order by it,
+    an arm against the result of the last Baseline before it."""
     write_jsonl(tmp_path / "corpus.jsonl", docs)
     write_jsonl(tmp_path / "queries.jsonl", queries)
     write_qrels(tmp_path / "qrels.tsv", qrels)
     cfg = load_config(write_matrix_config(tmp_path, tasks=[
         {"task_id": "toy", "family": "CodeToCode", "corpus": "corpus.jsonl",
          "queries": "queries.jsonl", "qrels": "qrels.tsv"}]))
+    results, baseline = [], None
     with Stages(cfg, cells) as stages:
         stages.rewrite()
         stages.fetch()
-        return stages, [stages.score(cell, stages.corpus(cell)) for cell in cells]
+        for cell in cells:
+            results.append(stages.score(cell, stages.corpus(cell), baseline))
+            baseline = results[-1] if cell.is_baseline else baseline
+        return stages, results
 
 
 def score_cells(tmp_path, cells, **inputs):

@@ -128,7 +128,7 @@ class TestRewriteCorpus:
         with pytest.raises(ConfigError, match="does not exist"):
             client(f"mock://table?file={tmp_path / 'none.json'}")
 
-    @pytest.mark.parametrize("body", ["{not json", "[1, 2]", "\xff\xfe"])
+    @pytest.mark.parametrize("body", ["{not json", "[1, 2]", "\xff\xfe", '{"prompt": 5}'])
     def test_table_that_does_not_parse_fails_each_request(self, closing, tmp_path, body):
         table_path = tmp_path / "table.json"
         table_path.write_bytes(body.encode("latin-1"))

@@ -199,7 +199,7 @@ _CHARS = ['[', ']', ',', ':', '"', '\\', '\n', ' ', '\t', '\x00', 'a', 'Z', '0',
           '\u00e9', '\u65e5', '\u2028', '\U0001f600']
 _NUMBERS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 0.1, 1e300, 5e-324,
             2 ** 70, -(2 ** 64), 0, 7]
-_PIECE = 256  # rows per piece of a curve in json_chunks
+_PIECE = 256  # long curves have _PIECE - 1 to 2 * _PIECE + 3 rows
 
 
 def _text(rng: random.Random) -> str:
@@ -213,7 +213,7 @@ def _number(rng: random.Random, bools: bool = True):
 
 
 def _rows(rng: random.Random, depth: int) -> list:
-    if depth == 1 and rng.random() < 0.03:  # longer than one piece of a curve
+    if depth == 1 and rng.random() < 0.03:  # a long curve, as a large corpus gives
         n = rng.choice([_PIECE - 1, _PIECE, _PIECE + 1, 2 * _PIECE + 3])
         return [[_number(rng, bools=False) for _ in range(rng.randrange(1, 3))]
                 for _ in range(n)]
