@@ -83,9 +83,12 @@ class ExperimentConfig:
             raise ConfigError("parallelism must be >= 1")
         for kind, ids in (("task", [t.task_id for t in self.tasks]),
                           ("encoder", [e.encoder_id for e in self.encoders]),
-                          ("rewriter", [r.rewriter_id for r in self.rewriters])):
-            if len(set(ids)) != len(ids):
-                raise ConfigError(f"duplicate {kind} ids in config")
+                          ("rewriter", [r.rewriter_id for r in self.rewriters]),
+                          ("strategy", [s.value for s in self.strategies]),
+                          ("regime", [r.value for r in self.regimes])):
+            repeated = sorted({i for i in ids if ids.count(i) > 1})
+            if repeated:
+                raise ConfigError(f"duplicate {kind} ids in config: {repeated}")
         from .matrix import plan_cells  # matrix builds on this module
         cells: dict = {}
         for cell in plan_cells(self):

@@ -121,10 +121,10 @@ class GeometryReport:
     def from_dict(cls, d: Mapping) -> "GeometryReport":
         return cls(
             encoder_id=d["encoder_id"], task_id=d["task_id"], arm=d["arm"],
-            rewriter_id=d.get("rewriter_id", ""),
+            rewriter_id=d["rewriter_id"],
             s_bar=float(d["s_bar"]),
             batch_size_used=int(d["batch_size_used"]),
-            delta_s_bar=None if d.get("delta_s_bar") is None else float(d["delta_s_bar"]),
+            delta_s_bar=None if d["delta_s_bar"] is None else float(d["delta_s_bar"]),
         )
 
 

@@ -49,43 +49,20 @@ def ranked_types(token_counts: Mapping[int, int]) -> list[tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class LexicalStats:
-    total_tokens: int
-    unique_types: int
-    ttr: float
-    top20_mass: float
-    hapax_type_rate: float
-    hapax_token_rate: float
-
-
-def _stats(ranked: Sequence[tuple[int, int]], total: int) -> LexicalStats:
-    """Frequency-distribution statistics of *total* tokens of *ranked* types.
-
-    Top-20% mass is the token fraction carried by the ceil(0.2 * types)
-    most frequent types (count-descending, id-ascending tiebreak). Hapax
-    rates come in two readings: the fraction of *types* occurring once and
-    the fraction of *tokens* belonging to such types; the values coincide
-    in numerator, not denominator.
-    """
-    unique = len(ranked)
-    top_mass = sum(c for _, c in ranked[:math.ceil(0.2 * unique)])
-    hapax_types = sum(1 for _, c in ranked if c == 1)
-    return LexicalStats(
-        total_tokens=total,
-        unique_types=unique,
-        ttr=unique / total,
-        top20_mass=top_mass / total,
-        hapax_type_rate=hapax_types / unique,
-        hapax_token_rate=hapax_types / total,
-    )
-
-
-@dataclass(frozen=True)
 class CoverageCurve:
     """Cumulative token fraction covered by the top-k vocabulary ranks."""
 
     points: tuple[tuple[int, float], ...]
     k80: int
+
+    def __post_init__(self):
+        if not self.points:
+            raise DomainError("coverage curve needs at least one point")
+        fracs = [f for _, f in self.points]
+        if any(b < a - 1e-12 for a, b in zip(fracs, fracs[1:])):
+            raise DomainError("coverage curve must be non-decreasing")
+        if abs(fracs[-1] - 1.0) > COVERAGE_FINAL_TOL:
+            raise DomainError(f"coverage curve must end at 1.0, got {fracs[-1]}")
 
     def as_lists(self) -> list[list[float]]:
         return [[k, f] for k, f in self.points]
@@ -95,18 +72,13 @@ def coverage_cdf(token_counts: Mapping[int, int]) -> CoverageCurve:
     """Coverage curve over ranked types plus k80, the smallest k reaching
     80% of total tokens (exact integer comparison, no float threshold)."""
     total, _ = _validated_counts(token_counts)
-    return _coverage(ranked_types(token_counts), total)
-
-
-def _coverage(ranked: Sequence[tuple[int, int]], total: int) -> CoverageCurve:
     points = []
-    cum = 0
-    k80 = len(ranked)
-    for k, (_, c) in enumerate(ranked, start=1):
+    cum = k80 = 0
+    for k, (_, c) in enumerate(ranked_types(token_counts), start=1):
         cum += c
         points.append((k, cum / total))
-        if k80 == len(ranked) and 5 * cum >= 4 * total:
-            k80 = min(k80, k)
+        if not k80 and 5 * cum >= 4 * total:
+            k80 = k
     return CoverageCurve(points=tuple(points), k80=k80)
 
 
@@ -168,16 +140,11 @@ class LexicalReport:
         if self.h_bits < -1e-12 or self.h_bits > math.log2(self.unique_types) + 1e-9:
             raise DomainError(
                 f"entropy {self.h_bits} outside [0, log2({self.unique_types})]")
-        fracs = [f for _, f in self.coverage.points]
-        if any(b < a - 1e-12 for a, b in zip(fracs, fracs[1:])):
-            raise DomainError("coverage curve must be non-decreasing")
-        if abs(fracs[-1] - 1.0) > COVERAGE_FINAL_TOL:
-            raise DomainError(f"coverage curve must end at 1.0, got {fracs[-1]}")
         if abs(self.ttr - self.unique_types / self.total_tokens) > 1e-12:
             raise DomainError("ttr inconsistent with unique/total counts")
 
-    def to_dict(self, coverage_cdf: Any = None) -> dict:
-        """The report's fields. *coverage_cdf*, when given, stands for the
+    def to_dict(self, curve: Any = None) -> dict:
+        """The report's fields. *curve*, when given, stands for the
         coverage curve's rows: the cells that rank one corpus share its
         curve, and the matrix encodes it once for all of them
         (``stores.Encoded``)."""
@@ -195,7 +162,7 @@ class LexicalReport:
             "top20_mass": self.top20_mass,
             "hapax_type_rate": self.hapax_type_rate,
             "hapax_token_rate": self.hapax_token_rate,
-            "coverage_cdf": self.coverage.as_lists() if coverage_cdf is None else coverage_cdf,
+            "coverage_cdf": self.coverage.as_lists() if curve is None else curve,
             "k80": self.coverage.k80,
         }
 
@@ -207,14 +174,14 @@ class LexicalReport:
         )
         return cls(
             encoder_id=d["encoder_id"], task_id=d["task_id"], arm=d["arm"],
-            rewriter_id=d.get("rewriter_id", ""), vocab_size=int(d["vocab_size"]),
+            rewriter_id=d["rewriter_id"], vocab_size=int(d["vocab_size"]),
             h_bits=float(d["h_bits"]),
             unique_types=int(d["unique_types"]), total_tokens=int(d["total_tokens"]),
             ttr=float(d["ttr"]), top20_mass=float(d["top20_mass"]),
             hapax_type_rate=float(d["hapax_type_rate"]),
             hapax_token_rate=float(d["hapax_token_rate"]),
             coverage=curve,
-            delta_h_bits=None if d.get("delta_h_bits") is None else float(d["delta_h_bits"]),
+            delta_h_bits=None if d["delta_h_bits"] is None else float(d["delta_h_bits"]),
         )
 
 
@@ -223,25 +190,29 @@ def build_lexical_report(texts: Sequence[str], tokenizer: Tokenizer, *,
                          rewriter_id: str = "") -> LexicalReport:
     """Pooled lexical diagnostics over a corpus of texts.
 
-    The corpus is counted once and its types ranked once; entropy, stats
-    and coverage curve all read that one table.
+    The corpus is counted once; entropy and the coverage curve read that one
+    table, and the statistics are read off the curve. Top-20% mass is the
+    token fraction carried by the ceil(0.2 * types) most frequent types
+    (count-descending, id-ascending tiebreak), the curve's point at that
+    rank. Hapax rates come in two readings: the fraction of *types*
+    occurring once and the fraction of *tokens* belonging to such types;
+    the values coincide in numerator, not denominator.
     """
     if len(texts) == 0:
         raise DomainError("lexical report undefined on empty corpus")
     counts = tokenizer.count(texts)
     if not counts:
         raise DomainError("corpus produced no tokens under this tokenizer")
-    total = sum(counts.values())
-    ranked = ranked_types(counts)
-    stats = _stats(ranked, total)
+    curve = coverage_cdf(counts)
+    unique, total = len(curve.points), sum(counts.values())
+    hapax_types = sum(1 for c in counts.values() if c == 1)
     return LexicalReport(
         encoder_id=encoder_id, task_id=task_id, arm=arm, rewriter_id=rewriter_id,
-        vocab_size=tokenizer.vocab_size,
-        h_bits=token_entropy(counts),
-        unique_types=stats.unique_types, total_tokens=stats.total_tokens,
-        ttr=stats.ttr, top20_mass=stats.top20_mass,
-        hapax_type_rate=stats.hapax_type_rate, hapax_token_rate=stats.hapax_token_rate,
-        coverage=_coverage(ranked, total),
+        vocab_size=tokenizer.vocab_size, h_bits=token_entropy(counts),
+        unique_types=unique, total_tokens=total, ttr=unique / total,
+        top20_mass=curve.points[math.ceil(0.2 * unique) - 1][1],
+        hapax_type_rate=hapax_types / unique, hapax_token_rate=hapax_types / total,
+        coverage=curve,
     )
 
 

@@ -92,7 +92,7 @@ def _write_cell(stages: Stages, cell: CellKey, arm: ArmResult, curve: Encoded,
     own queries, which C cells and Baselines lack."""
     config = stages.config
     cell_dir = Path(config.out_dir) / "cells" / cell.cell_id
-    lexical = arm.lexical.to_dict(coverage_cdf=curve)
+    lexical = arm.lexical.to_dict(curve=curve)
     geometry = arm.geometry.to_dict()
     write_json(cell_dir / "record.json", arm.run_record.to_dict())
     write_json(cell_dir / "lexical.json", lexical)

@@ -153,12 +153,12 @@ class RunRecord:
         plan = d["plan"]
         return cls(
             plan=CellKey(encoder_id=d["encoder_id"], task_id=d["task_id"],
-                         rewriter_id=plan.get("rewriter_id", ""),
+                         rewriter_id=plan["rewriter_id"],
                          strategy=Strategy(plan["strategy"]), regime=Regime(plan["regime"]),
-                         task_family=TaskFamily(plan.get("task_family", "CodeToCode"))),
+                         task_family=TaskFamily(plan["task_family"])),
             ndcg_per_query={str(k): float(v) for k, v in d["ndcg_per_query"].items()},
             mean_ndcg=float(d["mean_ndcg"]),
-            delta_ndcg=None if d.get("delta_ndcg") is None else float(d["delta_ndcg"]),
-            gain=d.get("gain", "linear"),
-            k=int(d.get("k", 10)),
+            delta_ndcg=None if d["delta_ndcg"] is None else float(d["delta_ndcg"]),
+            gain=d["gain"],
+            k=int(d["k"]),
         )

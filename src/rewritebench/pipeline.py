@@ -79,7 +79,6 @@ def score_arm(collection: Collection, cell: CellKey, corpus: Corpus,
         delta = mean - baseline.run_record.mean_ndcg
         delta_h_bits = delta_h(baseline.lexical, corpus.lexical)
         delta_s_bar = delta_s(baseline.geometry, corpus.geometry)
-    # one replace per report: each one checks the whole coverage curve again
     lexical = replace(corpus.lexical, arm=cell.arm_label, delta_h_bits=delta_h_bits)
     geometry = replace(corpus.geometry, arm=cell.arm_label, delta_s_bar=delta_s_bar)
 

@@ -63,11 +63,14 @@ _REPORTS = {"lexical": LexicalReport.from_dict, "geometry": GeometryReport.from_
 def load_stores(out_dir: str | Path) -> tuple[list[RunRecord], list[LexicalReport],
                                               list[GeometryReport]]:
     """The stores' records; a cell key stored twice (say, by an ``eval``
-    after ``run-matrix``) is a DomainError, and a row that lacks a field a
-    StoreError."""
+    after ``run-matrix``) is a DomainError, as are runs of more than one k;
+    a row that lacks a field or fails a check is a StoreError."""
     out_dir = Path(out_dir)
     run_store = RunStore(out_dir / "runs.jsonl")
     runs = run_store.records()
+    ks = sorted({r.k for r in runs})
+    if len(ks) > 1:
+        raise DomainError(f"runs of more than one k in {run_store.path}: {ks}")
     _reject_duplicates(run_store.path, ((r.plan.encoder_id, r.plan.task_id, r.plan.rewriter_id,
                                          r.plan.arm_label) for r in runs))
     diag = DiagnosticsStore(out_dir / "diagnostics.jsonl")
@@ -256,7 +259,7 @@ def write_reports(out_dir: str | Path, *, skip_threshold: float = 0.0) -> list[P
     tables = {
         "ndcg_by_task.csv": ndcg_table(runs),
         "runs.csv": (["encoder", "task", "rewriter", "strategy", "regime",
-                      "ndcg@10", "delta_ndcg"],
+                      f"ndcg@{runs[0].k}", "delta_ndcg"],
                      [[r.plan.encoder_id, r.plan.task_id, r.plan.rewriter_id,
                        r.plan.strategy.value, r.plan.regime.value,
                        r.mean_ndcg, r.delta_ndcg]

@@ -33,7 +33,7 @@ class RankedList:
 
     def __post_init__(self):
         self.entries = tuple((str(d), float(s)) for d, s in self.entries)
-        ids = [d for d, _ in self.entries]
+        ids = self.doc_ids
         if len(set(ids)) != len(ids):
             raise ContractError(f"ranked list for {self.query_id!r} repeats a doc id")
         for (d1, s1), (d2, s2) in zip(self.entries, self.entries[1:]):

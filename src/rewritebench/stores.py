@@ -29,7 +29,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, TextIO
 
-from .errors import StoreError
+from .errors import ContractError, DomainError, StoreError
 from .models import RunRecord
 
 SCHEMA_VERSION = 1
@@ -195,11 +195,12 @@ class JsonlLog:
     parse: it is skipped and counted in ``torn_lines``. The first
     :meth:`append` cuts it off, or adds a missing final newline, so the new
     line starts a line of its own. A malformed line anywhere else, or a row
-    that *add* cannot take (a missing field, a value of the wrong type), is
-    corruption: StoreError, naming the file and line. The file is streamed,
-    never held whole. One process at a time may write the file; an append
-    that finds the file changed since it was read, with a repair pending,
-    raises StoreError rather than cut another writer's line.
+    that *add* cannot take (a missing field, a value of the wrong type or
+    one that fails a check), is corruption: StoreError, naming the file and
+    line. The file is streamed, never held whole. One process at a time
+    may write the file; an append that finds the file changed since it was
+    read, with a repair pending, raises StoreError rather than cut another
+    writer's line.
 
     Appends go through one :class:`AppendFile` handle, which :meth:`close`
     closes.
@@ -238,7 +239,8 @@ class JsonlLog:
                             continue
                         try:
                             add(row)
-                        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                        except (AttributeError, ContractError, DomainError, KeyError,
+                                TypeError, ValueError) as exc:
                             raise StoreError(f"{self.path}: line {lineno} is malformed: "
                                              f"{type(exc).__name__}: {exc}") from exc
         except OSError as exc:

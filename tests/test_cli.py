@@ -468,19 +468,76 @@ def test_eval_after_a_torn_line_cuts_it_off(tmp_path):
     pytest.param("runs.jsonl", '{"v": 1}', id="runs.jsonl-no-run-id"),
     pytest.param("diagnostics.jsonl", '{"v": 1, "kind": "lexical"}',
                  id="diagnostics.jsonl-no-coverage"),
+    # rows that fail a check: the first row with these fields replaced
+    pytest.param("diagnostics.jsonl", {"coverage_cdf": [[1, 1.0], [2, 0.5]]},
+                 id="diagnostics.jsonl-decreasing-coverage"),
+    pytest.param("diagnostics.jsonl", {"coverage_cdf": []}, id="diagnostics.jsonl-empty-coverage"),
+    pytest.param("runs.jsonl", {"ndcg_per_query": {"q1": 1.5}}, id="runs.jsonl-ndcg-above-one"),
+    pytest.param("runs.jsonl", {"plan": {"strategy": "Baseline", "regime": "QC",
+                                         "rewriter_id": "", "task_family": "CodeToCode"}},
+                 id="runs.jsonl-baseline-under-qc"),
 ])
 def test_a_malformed_inner_line_of_a_store_is_an_error(tmp_path, capsys, store, bad_line):
     path = write_matrix_config(tmp_path)
     assert run_cli(path, "run-matrix") == 0
     file = tmp_path / "out" / store
     lines = file.read_text(encoding="utf-8").splitlines(keepends=True)
-    bad_line = lines[0][:20] if bad_line is None else bad_line
+    if bad_line is None:
+        bad_line = lines[0][:20]
+    elif isinstance(bad_line, dict):
+        bad_line = json.dumps({**json.loads(lines[0]), **bad_line})
     file.write_text(bad_line + "\n" + "".join(lines[1:]), encoding="utf-8")
     for command in ("report", "correlate", "advise"):
         capsys.readouterr()
         assert run_cli(path, command) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{store}: line 1 is malformed" in err, command
+
+
+@pytest.mark.parametrize("store, part, field", [
+    ("runs.jsonl", "plan", "rewriter_id"),
+    ("runs.jsonl", "plan", "task_family"),
+    ("runs.jsonl", None, "k"),
+    ("runs.jsonl", None, "gain"),
+    ("runs.jsonl", None, "delta_ndcg"),
+    ("diagnostics.jsonl", "lexical", "rewriter_id"),
+    ("diagnostics.jsonl", "lexical", "delta_h_bits"),
+    ("diagnostics.jsonl", "geometry", "rewriter_id"),
+    ("diagnostics.jsonl", "geometry", "delta_s_bar"),
+])
+def test_a_stored_row_that_lacks_a_field_is_an_error(tmp_path, capsys, store, part, field):
+    # *part*: the row's "plan", or the rows of one diagnostics kind
+    path = write_matrix_config(tmp_path)
+    assert run_cli(path, "run-matrix") == 0
+    file = tmp_path / "out" / store
+    rows = [json.loads(line) for line in file.read_text(encoding="utf-8").splitlines()]
+    for row in rows:
+        if part == "plan":
+            del row["plan"][field]
+        elif row.get("kind") == part:
+            del row[field]
+    file.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(path, "report") == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: ") and f"{store}: line " in err and "is malformed" in err
+
+
+def test_report_names_the_k_of_its_runs_and_rejects_more_than_one(tmp_path, capsys):
+    path = write_matrix_config(tmp_path)
+    assert run_cli(path, "run-matrix") == 0
+    assert run_cli(path, "report") == 0
+    header = (tmp_path / "out" / "report" / "runs.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == "encoder,task,rewriter,strategy,regime,ndcg@3,delta_ndcg"
+    file = tmp_path / "out" / "runs.jsonl"
+    lines = file.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[-1] = json.dumps({**json.loads(lines[-1]), "k": 10}) + "\n"
+    file.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(path, "report") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "runs.jsonl: [3, 10]" in err
 
 
 def _audit_after(tmp_path, capsys, edit) -> tuple[int, str]:
@@ -503,10 +560,14 @@ def test_audit_skips_a_torn_last_rewrite_record(tmp_path, capsys):
     assert len(bundle) == len(TOY_DOCS) + len(TOY_QUERIES)  # the NL-QC cell's records
 
 
-@pytest.mark.parametrize("bad_line", ['{"source_id": "d', '{"source_id": "d1"}'],
-                         ids=["malformed", "no-arm"])
-def test_audit_rejects_a_bad_inner_rewrite_record(tmp_path, capsys, bad_line):
-    status, err = _audit_after(tmp_path, capsys, lambda lines: [bad_line + "\n"] + lines)
+@pytest.mark.parametrize("edit", [
+    lambda lines: ['{"source_id": "d\n', *lines],
+    lambda lines: ['{"source_id": "d1"}\n', *lines],
+    lambda lines: [json.dumps({**json.loads(lines[0]), "output_text": "", "failed": False}) + "\n",
+                   *lines[1:]],
+], ids=["malformed", "no-arm", "empty-output-not-failed"])
+def test_audit_rejects_a_bad_inner_rewrite_record(tmp_path, capsys, edit):
+    status, err = _audit_after(tmp_path, capsys, edit)
     assert status == 1
     assert err.startswith("error: ") and "rewrites.jsonl: line 1 is malformed" in err
 

@@ -78,9 +78,13 @@ class TestLoadConfig:
     def test_duplicate_ids_rejected(self, tmp_path):
         enc = {"encoder_id": "bow", "url": "mock://bow?dim=8",
                "tokenizer": {"kind": "word"}}
-        path = write_matrix_config(tmp_path, encoders=[enc, enc])
-        with pytest.raises(ConfigError, match="duplicate encoder"):
-            load_config(path)
+        cases = (("encoders", [enc, enc], "encoder ids in config: ['bow']"),
+                 ("strategies", ["NL", "NL"], "strategy ids in config: ['NL']"),
+                 ("regimes", ["QC", "C", "QC"], "regime ids in config: ['QC']"))
+        for field, values, message in cases:
+            path = write_matrix_config(tmp_path / field, **{field: values})
+            with pytest.raises(ConfigError, match=re.escape(f"duplicate {message}")):
+                load_config(path)
 
     def test_bad_gain_rejected(self, tmp_path):
         path = write_matrix_config(tmp_path, extra={"eval": {"k": 10, "gain": "log"}})

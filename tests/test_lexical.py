@@ -164,6 +164,12 @@ class TestCoverageCdf:
         with pytest.raises(DomainError):
             coverage_cdf({})
 
+    @pytest.mark.parametrize("points", [(), ((1, 0.6), (2, 0.5)), ((1, 0.5), (2, 0.9))],
+                             ids=["empty", "decreasing", "ends-below-one"])
+    def test_a_bad_curve_is_a_domain_error(self, points):
+        with pytest.raises(DomainError):
+            CoverageCurve(points=points, k80=1)
+
 
 class TestBatchedEntropy:
     def test_single_batch_equals_pooled(self):
@@ -317,3 +323,25 @@ def test_word_counts_give_the_results_of_the_per_text_path(monkeypatch):
     counted = results()
     monkeypatch.setattr(WordTokenizer, "count", Tokenizer.count)  # tokenize, text by text
     assert counted == results()
+
+
+def test_statistics_equal_an_integer_oracle_bit_for_bit():
+    rng = random.Random(31)
+    for _ in range(300):
+        # few distinct counts over many types, so ranks tie often
+        ids = rng.sample(range(100), rng.randint(1, 60))
+        counts = {tok: rng.choice((1, 1, 2, 3, 5)) for tok in ids}
+        tokens = [tok for tok, c in counts.items() for _ in range(c)]
+        rng.shuffle(tokens)
+        report = lexical_stats(tokens)
+        ranked = sorted(counts.values(), reverse=True)
+        unique, total, hapax = len(ranked), len(tokens), ranked.count(1)
+        cums = [sum(ranked[:k]) for k in range(1, unique + 1)]
+        assert report.top20_mass == sum(ranked[:-(-unique // 5)]) / total
+        assert (report.hapax_type_rate, report.hapax_token_rate) == (hapax / unique,
+                                                                     hapax / total)
+        assert report.ttr == unique / total
+        assert report.coverage.points == tuple((k, cum / total)
+                                               for k, cum in enumerate(cums, 1))
+        assert report.coverage.k80 == next(k for k, cum in enumerate(cums, 1)
+                                           if 5 * cum >= 4 * total)
