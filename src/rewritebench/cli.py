@@ -14,18 +14,19 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, WorkbenchError
 from .ingest import ingest_collection
-from .matrix import CellKey, Stages, plan_cells, run_matrix
+from .matrix import CellKey, Stages, plan_cells, run_matrix, write_cells
 from .models import Regime, Strategy
 from .pipeline import ArmResult
 from .report import (advise_from_reports, correlation_report, join_rows,
                      load_stores, write_csv, write_reports)
 from .retrieval import retrieve_topk
 from .rewrite import RewriteRecord, audit_sample, record_body, write_records
-from .stores import DiagnosticsStore, JsonlLog, RunStore, replacing, write_json
+from .stores import JsonlLog, replacing, write_json
 from .templates import SIDES
 
 
@@ -119,8 +120,10 @@ def cmd_retrieve(config: ExperimentConfig, args) -> int:
     return 0
 
 
-def _score(config: ExperimentConfig, args) -> ArmResult:
-    """The result of the cell the flags name, scored against its Baseline."""
+def _score(config: ExperimentConfig, args) -> tuple[ArmResult, Path]:
+    """The result of the cell the flags name, scored against its Baseline,
+    and the directory it writes that cell's files to: ``scored/<cell_id>/``,
+    the files ``run-matrix`` writes to ``cells/<cell_id>/``."""
     cells = _cells(config, args)
     arm = None
     with Stages(config, cells) as stages:
@@ -128,30 +131,30 @@ def _score(config: ExperimentConfig, args) -> ArmResult:
         stages.fetch()
         for cell in cells:  # the Baseline, then the arm the flags name, if any
             arm = stages.score(cell, stages.corpus(cell), arm)
-    return arm
+    (outcome,) = write_cells(stages, [(cells[-1], arm)], config.out_dir / "scored")
+    if isinstance(outcome, WorkbenchError):
+        raise outcome
+    return arm, config.out_dir / "scored" / cells[-1].cell_id
 
 
 def cmd_eval(config: ExperimentConfig, args) -> int:
-    arm = _score(config, args)
-    RunStore(config.out_dir / "runs.jsonl").append(arm.run_record)
+    arm, out = _score(config, args)
     delta = "" if arm.run_record.delta_ndcg is None else \
         f" (delta {arm.run_record.delta_ndcg:+.5f})"
     print(f"{arm.run_record.plan.arm_label}: mean NDCG@{config.k} "
           f"{arm.run_record.mean_ndcg:.5f}{delta}, "
-          f"{arm.excluded_queries} queries excluded")
+          f"{arm.excluded_queries} queries excluded -> {out}")
     return 0
 
 
 def cmd_diagnose(config: ExperimentConfig, args) -> int:
-    arm = _score(config, args)
-    DiagnosticsStore(config.out_dir / "diagnostics.jsonl").append_many(
-        [("lexical", arm.lexical.to_dict()), ("geometry", arm.geometry.to_dict())])
+    arm, out = _score(config, args)
     dh = arm.lexical.delta_h_bits
     ds = arm.geometry.delta_s_bar
     print(f"{arm.run_record.plan.arm_label}: H {arm.lexical.h_bits:.4f} bits"
           + ("" if dh is None else f" (delta {dh:+.4f})")
           + f", s_bar {arm.geometry.s_bar:+.5f}"
-          + ("" if ds is None else f" (delta {ds:+.5f})"))
+          + ("" if ds is None else f" (delta {ds:+.5f})") + f" -> {out}")
     return 0
 
 
@@ -274,11 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, default=None)
     p.set_defaults(func=cmd_retrieve)
 
-    p = sub.add_parser("eval", help="score one arm and append its run record")
+    p = sub.add_parser("eval", help="score one arm and write its cell's files")
     arm_flags(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("diagnose", help="entropy and cosine diagnostics for one arm")
+    p = sub.add_parser("diagnose", help="score one arm's entropy and cosine shift and "
+                       "write its cell's files")
     arm_flags(p)
     p.set_defaults(func=cmd_diagnose)
 

@@ -11,8 +11,8 @@ proceed; a cell whose files cannot be written fails alone. With warm
 caches a rerun issues zero endpoint calls and rewrites byte-identical
 outputs, so the runner is a fixed point under repetition.
 ``out_dir/cells/`` holds one directory per cell that succeeded and no
-other; the run records and diagnostics of those cells are rewritten to
-the global stores in cell order.
+other; the run records and diagnostics of those cells are written to the
+global stores in cell order, which nothing else writes.
 """
 
 from __future__ import annotations
@@ -81,35 +81,45 @@ def plan_cells(config: ExperimentConfig) -> list[CellKey]:
     return baselines + arms
 
 
-def _write_cell(stages: Stages, cell: CellKey, arm: ArmResult, curve: Encoded,
-                corpus_lines: list[str]) -> tuple[str, str]:
-    """Write the files of one scored cell, and return its
-    ``diagnostics.jsonl`` rows, lexical and geometry. Each report's dict
-    serves its file and its row. *curve*, the coverage curve and the bulk of
-    both, and *corpus_lines*, the :func:`record_body` texts of the records
-    of the corpus the cell ranks, are encoded once for the cell's group. A
-    cell's ``rewrites.jsonl`` holds those records, then those of the cell's
-    own queries, which C cells and Baselines lack."""
+def write_cells(stages: Stages, scored: list[tuple[CellKey, ArmResult]],
+                cells_dir: Path) -> list[tuple[str, str] | WorkbenchError]:
+    """Write the files of each scored cell of one corpus group to
+    ``cells_dir/<cell_id>/``, and return, for each cell in turn, its
+    ``diagnostics.jsonl`` rows, lexical and geometry, or the error that
+    failed its write. Each report's dict serves its file and its row. The
+    coverage curve, the bulk of both, and the :func:`record_body` texts of
+    the records of the corpus the group ranks are encoded once. A cell's
+    ``rewrites.jsonl`` holds those records, then those of the cell's own
+    queries, which C cells and Baselines lack."""
     config = stages.config
-    cell_dir = Path(config.out_dir) / "cells" / cell.cell_id
-    lexical = arm.lexical.to_dict(curve=curve)
-    geometry = arm.geometry.to_dict()
-    write_json(cell_dir / "record.json", arm.run_record.to_dict())
-    write_json(cell_dir / "lexical.json", lexical)
-    write_json(cell_dir / "geometry.json", geometry)
-    write_json(cell_dir / "meta.json", {
-        "arm": cell.arm_label,
-        "excluded_queries": arm.excluded_queries,
-        "config_hash": config.config_hash,
-        "seed": config.seed,
-    })
-    query_records = stages.side(cell, "queries").records
-    if corpus_lines or query_records:
-        with replacing(cell_dir / "rewrites.jsonl") as fh:
-            write_records(fh, cell.arm_label, corpus_lines)
-            write_records(fh, cell.arm_label, map(record_body, query_records))
-    return (DiagnosticsStore.line("lexical", lexical),
-            DiagnosticsStore.line("geometry", geometry))
+    curve = Encoded(scored[0][1].lexical.coverage.as_lists())  # the corpus's
+    corpus_lines = [record_body(record) for record
+                    in stages.side(scored[0][0], "documents").records]
+    outcomes: list[tuple[str, str] | WorkbenchError] = []
+    for cell, arm in scored:
+        cell_dir = cells_dir / cell.cell_id
+        lexical = arm.lexical.to_dict(curve=curve)
+        geometry = arm.geometry.to_dict()
+        try:
+            write_json(cell_dir / "record.json", arm.run_record.to_dict())
+            write_json(cell_dir / "lexical.json", lexical)
+            write_json(cell_dir / "geometry.json", geometry)
+            write_json(cell_dir / "meta.json", {
+                "arm": cell.arm_label,
+                "excluded_queries": arm.excluded_queries,
+                "config_hash": config.config_hash,
+                "seed": config.seed,
+            })
+            query_records = stages.side(cell, "queries").records
+            if corpus_lines or query_records:
+                with replacing(cell_dir / "rewrites.jsonl") as fh:
+                    write_records(fh, cell.arm_label, corpus_lines)
+                    write_records(fh, cell.arm_label, map(record_body, query_records))
+            outcomes.append((DiagnosticsStore.line("lexical", lexical),
+                             DiagnosticsStore.line("geometry", geometry)))
+        except WorkbenchError as exc:
+            outcomes.append(exc.with_traceback(None))  # its frames hold the curve
+    return outcomes
 
 
 class Stages(AbstractContextManager):
@@ -251,7 +261,7 @@ def run_matrix(config: ExperimentConfig,
     group in plan order, Baselines first. A group is the cells that rank
     one (encoder, task, rewriter, strategy) corpus: it builds the corpus,
     scores the group's cells against it, drops it and writes the cells, so
-    one corpus is held at a time. A cell succeeds once :func:`_write_cell`
+    one corpus is held at a time. A cell succeeds once :func:`write_cells`
     has written its files, and an arm is measured against its Baseline's
     entry of ``result.results``, which holds only the cells that succeeded:
     an arm whose Baseline failed, in scoring or in writing, gets no deltas.
@@ -292,18 +302,12 @@ def run_matrix(config: ExperimentConfig,
             del corpus  # before the group's lines are encoded and the next corpus built
             if not scored:
                 continue
-            # the corpus's, the same for every cell of the group
-            curve = Encoded(scored[0][1].lexical.coverage.as_lists())
-            corpus_lines = [record_body(record) for record
-                            in stages.side(group[0], "documents").records]
-            for cell, arm in scored:
-                try:
-                    diagnostics[cell] = _write_cell(stages, cell, arm, curve, corpus_lines)
-                except WorkbenchError as exc:
-                    result.failures[cell] = str(exc)
+            for (cell, arm), outcome in zip(scored, write_cells(stages, scored,
+                                                                 out_dir / "cells")):
+                if isinstance(outcome, WorkbenchError):
+                    result.failures[cell] = str(outcome)
                 else:
-                    result.results[cell] = arm
-            del curve, corpus_lines  # before the next group builds its corpus
+                    diagnostics[cell], result.results[cell] = outcome, arm
 
     written = {cell.cell_id for cell in result.results}
     for cell_dir in (out_dir / "cells").glob("*"):  # a failed cell's, or an earlier config's

@@ -62,9 +62,9 @@ _REPORTS = {"lexical": LexicalReport.from_dict, "geometry": GeometryReport.from_
 
 def load_stores(out_dir: str | Path) -> tuple[list[RunRecord], list[LexicalReport],
                                               list[GeometryReport]]:
-    """The stores' records; a cell key stored twice (say, by an ``eval``
-    after ``run-matrix``) is a DomainError, as are runs of more than one k;
-    a row that lacks a field or fails a check is a StoreError."""
+    """The stores' records; a cell key stored twice is a DomainError, as
+    are runs of more than one k; a row that lacks a field or fails a check,
+    or a torn last line, is a StoreError."""
     out_dir = Path(out_dir)
     run_store = RunStore(out_dir / "runs.jsonl")
     runs = run_store.records()
@@ -285,8 +285,8 @@ def write_reports(out_dir: str | Path, *, skip_threshold: float = 0.0) -> list[P
     if matrix_summary.exists():
         try:
             meta = json.loads(matrix_summary.read_text(encoding="utf-8"))
-            summary["config_hash"], summary["seed"] = meta.get("config_hash"), meta.get("seed")
-        except (OSError, ValueError, AttributeError) as exc:  # AttributeError: not an object
+            summary["config_hash"], summary["seed"] = meta["config_hash"], meta["seed"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:  # TypeError: not an object
             raise StoreError(f"cannot read {matrix_summary}: {type(exc).__name__}: {exc}") from exc
     write_json(report_dir / "summary.json", summary)
     return [report_dir / name for name in (*tables, "advice.json", "summary.json")]

@@ -3,16 +3,14 @@ writes a ``*.tmp`` file beside it that then replaces it, so a crash leaves
 the old file or the new one; appended to through :class:`AppendFile`. Each
 makes the file's directory, and a write that fails is a StoreError naming
 the file. On them sit :class:`JsonlLog`, the one path by which the caches
-and the run and diagnostics stores read and append JSON-Lines, and the
-``indent=1`` JSON writer every artifact file goes through.
+read and append JSON-Lines and the run and diagnostics stores are read,
+and the ``indent=1`` JSON writer every artifact file goes through.
 
 Each store line carries a schema version field ``v``. ``run-matrix``
-rewrites a store whole, once per run; single-cell commands append to it
-through a :class:`JsonlLog` per append. So a store follows the caches' rule:
-a torn last line (a crash mid-append) is skipped on read and cut off by the
-next append, and a malformed line anywhere else, or a row that lacks a
-field, is a StoreError. Writes are serialized through an in-process lock
-(single-writer discipline); reads take a snapshot of the file.
+writes a store whole, once per run, and nothing appends to it. So a store
+line that does not parse, the last one too, is damage from outside the
+program, as is a row that lacks a field: a StoreError naming the file and
+line.
 
 A line is read by :func:`decode_line`, which gives what ``json.loads``
 gives, value or error, but reads a well-formed line with ``json``'s C
@@ -23,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from contextlib import contextmanager, suppress
 from itertools import chain
 from pathlib import Path
@@ -192,15 +189,15 @@ class JsonlLog:
     """An append-only JSON-Lines file, read once on open and appended to after.
 
     Opening only reads. A crash mid-append leaves a last line that does not
-    parse: it is skipped and counted in ``torn_lines``. The first
-    :meth:`append` cuts it off, or adds a missing final newline, so the new
-    line starts a line of its own. A malformed line anywhere else, or a row
-    that *add* cannot take (a missing field, a value of the wrong type or
-    one that fails a check), is corruption: StoreError, naming the file and
-    line. The file is streamed, never held whole. One process at a time
-    may write the file; an append that finds the file changed since it was
-    read, with a repair pending, raises StoreError rather than cut another
-    writer's line.
+    parse: it is skipped, counted in ``torn_lines`` and numbered in
+    ``torn_at``. The first :meth:`append` cuts it off, or adds a missing
+    final newline, so the new line starts a line of its own. A malformed
+    line anywhere else, or a row that *add* cannot take (a missing field, a
+    value of the wrong type or one that fails a check), is corruption:
+    StoreError, naming the file and line. The file is streamed, never held
+    whole. One process at a time may write the file; an append that finds
+    the file changed since it was read, with a repair pending, raises
+    StoreError rather than cut another writer's line.
 
     Appends go through one :class:`AppendFile` handle, which :meth:`close`
     closes.
@@ -209,6 +206,7 @@ class JsonlLog:
     def __init__(self, path: Path, add: Callable[[Any], None]):
         self.path = path
         self.torn_lines = 0
+        self.torn_at = 0        # the number of the torn last line, if any
         self._size = 0          # file size when read
         self._keep: int | None = None  # size to cut to before the first append
         self._newline = False   # the last line lacks its "\n"
@@ -246,7 +244,7 @@ class JsonlLog:
         except OSError as exc:
             raise StoreError(f"cannot read {self.path}: {exc}") from exc
         if bad is not None:
-            self.torn_lines = 1
+            self.torn_lines, self.torn_at = 1, bad[0]
             torn = "".join(tail).encode("utf-8", errors="surrogateescape")
             self._keep = self._size - len(torn)
         elif line and not line.endswith(("\n", "\r")):
@@ -279,37 +277,26 @@ class JsonlLog:
 
 
 class _Store:
-    """A JSON-Lines store: :meth:`_write` replaces it whole, and each append
-    reads the file through a :class:`JsonlLog` of its own, appends and
-    closes it; a command appends to a store once. An instance must be the
-    file's only writer."""
+    """A JSON-Lines store, which :meth:`_write` replaces whole. An instance
+    must be the file's only writer."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._lock = threading.Lock()
 
     def _read(self, convert: Callable[[dict[str, Any]], Any]) -> list[Any]:
         """The file's rows (none when it is missing), each passed through
-        *convert* as a JsonlLog reads it: a row *convert* cannot take is a
-        StoreError naming the file and line."""
+        *convert* as a JsonlLog reads it: a row *convert* cannot take, or a
+        torn last line, is a StoreError naming the file and line."""
         rows: list[Any] = []
-        JsonlLog(self.path, lambda row: rows.append(convert(row)))
+        log = JsonlLog(self.path, lambda row: rows.append(convert(row)))
+        if log.torn_at:
+            raise StoreError(f"{self.path}: line {log.torn_at} is torn")
         return rows
 
     def _write(self, lines: Iterable[str]) -> None:
         """Replace the file with *lines*, through :func:`replacing`."""
-        with self._lock, replacing(self.path) as fh:
+        with replacing(self.path) as fh:
             fh.writelines(line + "\n" for line in lines)
-
-    def _append(self, make_lines: Callable[[int], list[str]]) -> int:
-        """Append ``make_lines(n)``, where *n* counts the rows already in
-        the file, and return *n*."""
-        with self._lock:
-            rows: list[Any] = []
-            log = JsonlLog(self.path, rows.append)
-            log.append_many(make_lines(len(rows)))
-            log.close()
-            return len(rows)
 
 
 class RunStore(_Store):
@@ -324,11 +311,6 @@ class RunStore(_Store):
     def write(self, records: Iterable[RunRecord]) -> None:
         """Replace the file with *records*, numbered from ``run-000000``."""
         self._write(self._line(i, rec) for i, rec in enumerate(records))
-
-    def append(self, record: RunRecord) -> str:
-        """Append *record*, numbered after the file's rows; return its run id."""
-        number = self._append(lambda n: [self._line(n, record)])
-        return f"run-{number:06d}"
 
     def read(self) -> list[tuple[str, RunRecord]]:
         return self._read(lambda row: (row["run_id"], RunRecord.from_dict(row)))
@@ -350,14 +332,6 @@ class DiagnosticsStore(_Store):
     def write(self, lines: Iterable[str]) -> None:
         """Replace the file with *lines*, rows made by :meth:`line`, in order."""
         self._write(lines)
-
-    def append_many(self, reports: Iterable[tuple[str, dict[str, Any]]]) -> None:
-        """Append *reports*, (kind, payload) pairs, with one write."""
-        lines = [self.line(kind, payload) for kind, payload in reports]
-        self._append(lambda n: lines)
-
-    def append(self, kind: str, payload: dict[str, Any]) -> None:
-        self.append_many([(kind, payload)])
 
     def read(self, convert: Callable[[dict[str, Any]], Any] = lambda row: row) -> list[Any]:
         """The file's rows, each passed through *convert*, as by :meth:`_read`."""

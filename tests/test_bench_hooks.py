@@ -47,8 +47,9 @@ def test_the_embed_layer_keeps_its_span(monkeypatch):
 
 
 def test_only_the_known_stage_hooks_are_missing(monkeypatch):
-    # these five name code that is gone; a sixth would zero another
-    # per-layer metric without failing the benchmark
+    # these seven name code that is gone (the two store appends' layers read
+    # zero already: run-matrix writes its stores whole); an eighth would zero
+    # another per-layer metric without failing the benchmark
     spans = _spans(monkeypatch)
     tracer = spans.Tracer()
     tracer.install(spans.STAGES)
@@ -58,7 +59,9 @@ def test_only_the_known_stage_hooks_are_missing(monkeypatch):
             "rewritebench.embed.EmbeddingCache.put",
             "rewritebench.matrix.run_arm",
             "rewritebench.pipeline.rewrite_corpus",
-            "rewritebench.pipeline.rewrite_queries"]
+            "rewritebench.pipeline.rewrite_queries",
+            "rewritebench.stores.DiagnosticsStore.append",
+            "rewritebench.stores.RunStore.append"]
     finally:
         tracer.uninstall(spans.STAGES)
     assert not hasattr(rewritebench.pipeline.embed_texts, "__wrapped__")

@@ -13,6 +13,7 @@ from conftest import TOY_DOCS, TOY_QUERIES, write_matrix_config
 from rewritebench.cli import main
 from rewritebench.embed import EncoderClient
 from rewritebench.rewrite import RewriterClient
+from rewritebench.stores import RunStore
 
 
 def run_cli(config_path, *argv) -> int:
@@ -180,8 +181,10 @@ class TestSubcommands:
                        "--regime", "QC") == 0
         out = capsys.readouterr().out
         assert "delta +0.00000" in out
-        runs = (tmp_path / "out" / "runs.jsonl").read_text().splitlines()
-        assert len(runs) == 2
+        scored = tmp_path / "out" / "scored"
+        assert sorted(p.name for p in scored.iterdir()) == \
+            ["bow__toy__Baseline", "bow__toy__ident__NL__QC"]
+        assert not (tmp_path / "out" / "runs.jsonl").exists()
 
     def test_diagnose_appends_diagnostics(self, tmp_path, capsys):
         path = write_matrix_config(tmp_path)
@@ -189,8 +192,10 @@ class TestSubcommands:
                        "--rewriter", "ident", "--strategy", "NL",
                        "--regime", "QC") == 0
         assert "delta +0.0000" in capsys.readouterr().out
-        diag = (tmp_path / "out" / "diagnostics.jsonl").read_text().splitlines()
-        assert len(diag) == 2
+        cell_dir = tmp_path / "out" / "scored" / "bow__toy__ident__NL__QC"
+        assert json.loads((cell_dir / "lexical.json").read_text())["delta_h_bits"] == 0.0
+        assert json.loads((cell_dir / "geometry.json").read_text())["delta_s_bar"] == 0.0
+        assert not (tmp_path / "out" / "diagnostics.jsonl").exists()
 
     def test_matrix_report_correlate_advise_audit(self, offline_config, tmp_path, capsys):
         assert run_cli(offline_config, "run-matrix") == 0
@@ -218,8 +223,9 @@ class TestSubcommands:
         assert run_cli(path, "run-matrix") == 0
         assert run_cli(path, "run-matrix") == 0
         assert run_cli(path, "report") == 0
-        # eval appends: a second row for a cell the matrix already wrote
-        assert run_cli(path, "eval", "--task", "toy", "--encoder", "bow") == 0
+        runs = RunStore(tmp_path / "out" / "runs.jsonl")
+        records = runs.records()
+        runs.write([*records, records[0]])  # the Baseline's row twice
         capsys.readouterr()
         assert run_cli(path, "report") == 1
         assert "duplicate cell key ('bow', 'toy', '', 'Baseline')" in capsys.readouterr().err
@@ -287,28 +293,51 @@ def test_audit_samples_only_the_records_of_its_task(tmp_path):
     assert len(bundle) == len(TOY_DOCS) + len(TOY_QUERIES)  # the NL-QC cell's of "toy"
 
 
+def _files(cell_dir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(cell_dir.iterdir())}
+
+
 @pytest.mark.parametrize("regime", ["QC", "C"])
 def test_eval_and_diagnose_equal_the_matrix_cell(tmp_path, regime):
     path = write_matrix_config(tmp_path, regimes=("QC", "C"))
     assert run_cli(path, "run-matrix") == 0
-    fresh = tmp_path / "fresh"
     flags = ["--task", "toy", "--encoder", "bow", "--rewriter", "ident",
              "--strategy", "NL", "--regime", regime]
-    assert run_cli(path, "--out-dir", str(fresh), "eval", *flags) == 0
-    assert run_cli(path, "--out-dir", str(fresh), "diagnose", *flags) == 0
+    cell = f"bow__toy__ident__NL__{regime}"
+    matrix_files = _files(tmp_path / "out" / "cells" / cell)
+    assert sorted(matrix_files) == ["geometry.json", "lexical.json", "meta.json",
+                                    "record.json", "rewrites.jsonl"]
+    for command in ("eval", "diagnose"):
+        fresh = tmp_path / f"fresh_{command}"
+        assert run_cli(path, "--out-dir", str(fresh), command, *flags) == 0
+        assert [p.name for p in fresh.iterdir()] == ["scored"]
+        assert _files(fresh / "scored" / cell) == matrix_files, command
 
-    cell_dir = tmp_path / "out" / "cells" / f"bow__toy__ident__NL__{regime}"
-    (run,) = [json.loads(line) for line in (fresh / "runs.jsonl").read_text().splitlines()]
-    del run["v"], run["run_id"]
-    assert run == json.loads((cell_dir / "record.json").read_text())
-    reports = {}
-    for line in (fresh / "diagnostics.jsonl").read_text().splitlines():
-        row = json.loads(line)
-        del row["v"]
-        reports[row.pop("kind")] = row
-    assert sorted(reports) == ["geometry", "lexical"]
-    for kind, report in reports.items():
-        assert report == json.loads((cell_dir / f"{kind}.json").read_text())
+
+@pytest.mark.parametrize("arm", [[], ["--rewriter", "ident", "--strategy", "NL", "--regime", "QC"],
+                                 ["--rewriter", "ident", "--strategy", "NL", "--regime", "C"]],
+                         ids=["Baseline", "QC", "C"])
+def test_run_matrix_is_the_only_writer_of_the_stores(tmp_path, arm):
+    path = write_matrix_config(tmp_path, regimes=("QC", "C"))
+    out = tmp_path / "out"
+    assert run_cli(path, "run-matrix") == 0
+    assert run_cli(path, "report") == 0
+    stores = {name: (out / name).read_bytes()
+              for name in ("runs.jsonl", "diagnostics.jsonl", "summary.json")}
+    reports = _report_files(out)
+    cell = "bow__toy__" + ("__".join(arm[1::2]) if arm else "Baseline")
+    for command in ("rewrite", "embed", "retrieve", "eval", "diagnose"):
+        if command == "rewrite":
+            if not arm:
+                continue  # rewrite names an arm
+            assert run_cli(path, command, "--task", "toy", *arm) == 0
+        else:
+            assert run_cli(path, command, "--task", "toy", "--encoder", "bow", *arm) == 0
+        assert {name: (out / name).read_bytes() for name in stores} == stores, command
+        assert run_cli(path, "report") == 0
+        assert _report_files(out) == reports, command
+        if command in ("eval", "diagnose"):
+            assert _files(out / "scored" / cell) == _files(out / "cells" / cell), command
 
 
 def test_eval_on_a_cold_cache_equals_the_matrix_cell(tmp_path, monkeypatch):
@@ -323,11 +352,9 @@ def test_eval_on_a_cold_cache_equals_the_matrix_cell(tmp_path, monkeypatch):
                    "--rewriter", "ident", "--strategy", "NL", "--regime", "QC") == 0
     # the fetch stage asks once for the distinct texts of the Baseline and the arm
     assert len(calls) == 1
-    (run,) = [json.loads(line)
-              for line in (tmp_path / "fresh" / "runs.jsonl").read_text().splitlines()]
-    del run["v"], run["run_id"]
-    cell_dir = tmp_path / "out" / "cells" / "bow__toy__ident__NL__QC"
-    assert run == json.loads((cell_dir / "record.json").read_text())
+    # the cold run stamps its rewrite records anew
+    assert _masked_tree(tmp_path / "fresh" / "scored" / "bow__toy__ident__NL__QC") == \
+        _masked_tree(tmp_path / "out" / "cells" / "bow__toy__ident__NL__QC")
 
 
 def test_eval_at_parallelism_two_on_a_cold_cache_equals_the_matrix_cell(tmp_path,
@@ -353,11 +380,9 @@ def test_eval_at_parallelism_two_on_a_cold_cache_equals_the_matrix_cell(tmp_path
     assert len(threads[1]) == len(threads[2]) > 1
     assert set(threads[1]) == {threading.get_ident()} != set(threads[2])
     assert run_cli(path, "run-matrix") == 0
-    cell_dir = tmp_path / "out" / "cells" / "bow__toy__ident__NL__C"
-    (run,) = [json.loads(line)
-              for line in (tmp_path / "fresh2" / "runs.jsonl").read_text().splitlines()]
-    del run["v"], run["run_id"]
-    assert run == json.loads((cell_dir / "record.json").read_text())
+    cell = "bow__toy__ident__NL__C"
+    assert (tmp_path / "fresh2" / "scored" / cell / "record.json").read_bytes() == \
+        (tmp_path / "out" / "cells" / cell / "record.json").read_bytes()
 
 
 def test_eval_with_a_dead_encoder_reports_its_fetch(tmp_path, capsys):
@@ -436,29 +461,20 @@ def _report_files(out_dir):
 
 @pytest.mark.parametrize("store", ["runs.jsonl", "diagnostics.jsonl"])
 def test_report_reads_the_intact_rows_of_a_torn_store(tmp_path, capsys, store):
+    # nothing appends to a store, so a torn last line is damage: an error
     path = write_matrix_config(tmp_path)
     assert run_cli(path, "run-matrix") == 0
     assert run_cli(path, "report") == 0
     before = _report_files(tmp_path / "out")
-    with open(tmp_path / "out" / store, "a", encoding="utf-8") as fh:
-        fh.write('{"v": 1, "kind": "lexi')  # a crash mid-append
-    assert run_cli(path, "report") == 0
-    assert run_cli(path, "correlate") == 0
+    file = tmp_path / "out" / store
+    n_lines = len(file.read_text(encoding="utf-8").splitlines())
+    with open(file, "a", encoding="utf-8") as fh:
+        fh.write('{"v": 1, "kind": "lexi')
+    for command in ("report", "correlate"):
+        capsys.readouterr()
+        assert run_cli(path, command) == 1
+        assert capsys.readouterr().err == f"error: {file}: line {n_lines + 1} is torn\n"
     assert _report_files(tmp_path / "out") == before
-    assert "Traceback" not in capsys.readouterr().err
-
-
-def test_eval_after_a_torn_line_cuts_it_off(tmp_path):
-    path = write_matrix_config(tmp_path)
-    assert run_cli(path, "run-matrix") == 0
-    runs = tmp_path / "out" / "runs.jsonl"
-    intact = runs.read_bytes()
-    with open(runs, "a", encoding="utf-8") as fh:
-        fh.write('{"v": 1, "run_id": "run-0000')
-    assert run_cli(path, "eval", "--task", "toy", "--encoder", "bow") == 0
-    assert runs.read_bytes().startswith(intact)
-    rows = [json.loads(line) for line in runs.read_text(encoding="utf-8").splitlines()]
-    assert [row["run_id"] for row in rows] == ["run-000000", "run-000001", "run-000002"]
 
 
 @pytest.mark.parametrize("store, bad_line", [
@@ -572,50 +588,10 @@ def test_audit_rejects_a_bad_inner_rewrite_record(tmp_path, capsys, edit):
     assert err.startswith("error: ") and "rewrites.jsonl: line 1 is malformed" in err
 
 
-def test_diagnose_writes_its_two_lines_at_once(tmp_path, monkeypatch):
-    # a crash between two writes would leave a lone lexical row, and a rerun
-    # would then store that cell key twice
-    path = write_matrix_config(tmp_path)
-    writes, real_open = [], open
-
-    class Recording:
-        def __init__(self, fh):
-            self._fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            self._fh.close()
-
-        def write(self, data):
-            writes.append(data)
-            return self._fh.write(data)
-
-        def writelines(self, lines):
-            for line in lines:
-                self.write(line)
-
-        def __getattr__(self, name):
-            return getattr(self._fh, name)
-
-    def recording_open(file, mode="r", *args, **kwargs):
-        fh = real_open(file, mode, *args, **kwargs)
-        return Recording(fh) if str(file).endswith("diagnostics.jsonl") else fh
-
-    monkeypatch.setattr("builtins.open", recording_open)
-    assert run_cli(path, "diagnose", "--task", "toy", "--encoder", "bow",
-                   "--rewriter", "ident", "--strategy", "NL", "--regime", "QC") == 0
-    monkeypatch.undo()
-    diagnostics = (tmp_path / "out" / "diagnostics.jsonl").read_bytes()
-    assert [row["kind"] for row in map(json.loads, diagnostics.splitlines())] == \
-        ["lexical", "geometry"]
-    assert len(writes) == 1
-
-
 @pytest.mark.parametrize("command, blocked", [
     ("report", "report"),  # a regular file where the report directory goes
     ("run-matrix", "cells/bow__toy__Baseline"),  # ... where a cell directory goes
+    ("eval", "scored/bow__toy__Baseline"),
     ("retrieve", "rankings_toy__bow__Baseline.jsonl")])  # a directory at the file's path
 def test_a_file_that_cannot_be_written_is_one_naming_it(tmp_path, capsys, command, blocked):
     path = write_matrix_config(tmp_path)
@@ -628,7 +604,7 @@ def test_a_file_that_cannot_be_written_is_one_naming_it(tmp_path, capsys, comman
     else:
         (out / blocked).write_text("in the way\n", encoding="utf-8")
     capsys.readouterr()
-    argv = ["--task", "toy", "--encoder", "bow"] if command == "retrieve" else []
+    argv = ["--task", "toy", "--encoder", "bow"] if command in ("retrieve", "eval") else []
     assert run_cli(path, command, *argv) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
@@ -644,9 +620,10 @@ def test_a_file_that_cannot_be_written_is_one_naming_it(tmp_path, capsys, comman
     ("run-matrix", "cache", "in the way\n", "cache/embeddings/vectors.bin"),
     ("report", "out/summary.json", "{not json", "out/summary.json"),
     ("report", "out/summary.json", "[1, 2]\n", "out/summary.json"),
+    ("report", "out/summary.json", '{"seed": 0}\n', "out/summary.json"),
     ("report", "out/summary.json", "a directory", "out/summary.json")],
     ids=["missing-task-file", "embeddings-a-file", "cache-a-file", "summary-not-json",
-         "summary-not-an-object", "summary-a-directory"])
+         "summary-not-an-object", "summary-without-config-hash", "summary-a-directory"])
 def test_a_file_that_cannot_be_read_is_one_naming_it(tmp_path, capsys, command, blocked,
                                                      content, named):
     path = write_matrix_config(tmp_path)

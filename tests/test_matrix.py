@@ -633,7 +633,7 @@ class TestPool:
                 return fn(*args, **kwargs)
             return recording
 
-        for name in ("build_corpus", "score_arm", "_write_cell"):
+        for name in ("build_corpus", "score_arm", "write_cells"):
             monkeypatch.setattr(matrix, name, on_thread(name, getattr(matrix, name)))
         for owner, name in ((EncoderClient, "embed_batch"), (rewrite.RewriterClient, "complete")):
             monkeypatch.setattr(owner, name, on_thread("endpoint", getattr(owner, name)))
@@ -643,7 +643,7 @@ class TestPool:
         caller = threading.get_ident()
         assert threads.pop("endpoint") - {caller}  # the pool's threads
         assert threads == {name: {caller} for name in
-                           ("build_corpus", "score_arm", "_write_cell")}
+                           ("build_corpus", "score_arm", "write_cells")}
         assert set(threading.enumerate()) == before  # no thread outlives the run
 
 

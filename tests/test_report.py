@@ -45,8 +45,7 @@ def _run(encoder, task, strategy, regime, mean, delta=None, rewriter="rw") -> Ru
 def build_synthetic_store(out_dir: Path, n_cells: int = 8) -> None:
     """Constructed ground truth: delta_ndcg == delta_H exactly and
     delta_s == -delta_H, under both regimes, for n_cells combos."""
-    runs = RunStore(out_dir / "runs.jsonl")
-    diag = DiagnosticsStore(out_dir / "diagnostics.jsonl")
+    runs, reports = [], []
     combos = [(f"e{i // 4}", f"t{i % 4}") for i in range(n_cells)]
     seen = set()
     for i, (enc, task) in enumerate(combos):
@@ -54,17 +53,19 @@ def build_synthetic_store(out_dir: Path, n_cells: int = 8) -> None:
             continue
         seen.add((enc, task))
         runs.append(_run(enc, task, Strategy.BASELINE, Regime.NONE, 0.1))
-        diag.append("lexical", _lexical(enc, task, "Baseline", rewriter="").to_dict())
-        diag.append("geometry", _geometry(enc, task, "Baseline", rewriter="").to_dict())
+        reports.append(_lexical(enc, task, "Baseline", rewriter=""))
+        reports.append(_geometry(enc, task, "Baseline", rewriter=""))
     for i, (enc, task) in enumerate(combos):
         d = 0.01 * (i + 1)
         for regime in (Regime.QC, Regime.C):
             arm = f"NL-{regime.value}"
             runs.append(_run(enc, task, Strategy.NL, regime, 0.1 + d, delta=d))
-            diag.append("lexical",
-                        _lexical(enc, task, arm, h=5.0 + d, delta=d).to_dict())
-            diag.append("geometry",
-                        _geometry(enc, task, arm, s=0.3 - d, delta=-d).to_dict())
+            reports.append(_lexical(enc, task, arm, h=5.0 + d, delta=d))
+            reports.append(_geometry(enc, task, arm, s=0.3 - d, delta=-d))
+    RunStore(out_dir / "runs.jsonl").write(runs)
+    DiagnosticsStore(out_dir / "diagnostics.jsonl").write(
+        DiagnosticsStore.line("lexical" if isinstance(r, LexicalReport) else "geometry",
+                              r.to_dict()) for r in reports)
 
 
 class TestJoinRows:
@@ -238,16 +239,17 @@ class TestWriteReports:
 
     def test_duplicate_run_key_rejected(self, tmp_path):
         build_synthetic_store(tmp_path)
-        RunStore(tmp_path / "runs.jsonl").append(
-            _run("e0", "t1", Strategy.NL, Regime.C, 0.5, delta=0.4))
+        runs = RunStore(tmp_path / "runs.jsonl")
+        runs.write([*runs.records(), _run("e0", "t1", Strategy.NL, Regime.C, 0.5, delta=0.4)])
         with pytest.raises(DomainError, match=r"duplicate cell key "
                            r"\('e0', 't1', 'rw', 'NL-C'\) in .*runs\.jsonl"):
             write_reports(tmp_path)
 
     def test_duplicate_diagnostics_key_rejected(self, tmp_path):
         build_synthetic_store(tmp_path)
-        DiagnosticsStore(tmp_path / "diagnostics.jsonl").append(
-            "geometry", _geometry("e1", "t0", "Baseline", rewriter="").to_dict())
+        diag = DiagnosticsStore(tmp_path / "diagnostics.jsonl")
+        diag.write([*diag.path.read_text(encoding="utf-8").splitlines(), DiagnosticsStore.line(
+            "geometry", _geometry("e1", "t0", "Baseline", rewriter="").to_dict())])
         with pytest.raises(DomainError, match=r"duplicate cell key "
                            r"\('geometry', 'e1', 't0', '', 'Baseline'\) in "
                            r".*diagnostics\.jsonl"):

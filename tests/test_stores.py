@@ -2,7 +2,6 @@ import ast
 import json
 import math
 import random
-import threading
 from pathlib import Path
 
 import pytest
@@ -26,74 +25,42 @@ class TestRunStore:
     def test_roundtrip_is_identity(self, tmp_path):
         store = RunStore(tmp_path / "runs.jsonl")
         rec = _record()
-        store.append(rec)
+        store.write([rec])
         (run_id, back), = store.read()
         assert back == rec
         assert run_id == "run-000000"
 
     def test_distinct_ids_stable_order(self, tmp_path):
         store = RunStore(tmp_path / "runs.jsonl")
-        id_a = store.append(_record(1))
-        id_b = store.append(_record(2))
-        assert id_a != id_b
+        store.write([_record(1), _record(2)])
         rows = store.read()
-        assert [rid for rid, _ in rows] == [id_a, id_b]
+        assert [rid for rid, _ in rows] == ["run-000000", "run-000001"]
+        assert [rec for _, rec in rows] == [_record(1), _record(2)]
 
     def test_thousand_records_all_readable(self, tmp_path):
         store = RunStore(tmp_path / "runs.jsonl")
-        for i in range(1000):
-            store.append(_record(i))
+        store.write(_record(i) for i in range(1000))
         assert len(store.read()) == 1000
 
-    def test_concurrent_appends_serialize(self, tmp_path):
-        store = RunStore(tmp_path / "runs.jsonl")
-
-        def worker(n):
-            for i in range(25):
-                store.append(_record(n * 100 + i))
-
-        threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        rows = store.read()
-        assert len(rows) == 100
-        assert len({rid for rid, _ in rows}) == 100
-
     def test_append_to_a_new_path_starts_at_run_000000(self, tmp_path):
-        path = tmp_path / "sub" / "runs.jsonl"  # the append makes the directory
-        run_id = RunStore(path).append(_record())
-        assert run_id == "run-000000"
-        assert len(RunStore(path).read()) == 1
+        path = tmp_path / "sub" / "runs.jsonl"  # the write makes the directory
+        RunStore(path).write([_record()])
+        assert [rid for rid, _ in RunStore(path).read()] == ["run-000000"]
 
     def test_schema_version_on_every_line(self, tmp_path):
-        import json
         path = tmp_path / "runs.jsonl"
-        RunStore(path).append(_record())
-        line = json.loads(path.read_text().splitlines()[0])
-        assert line["v"] == 1
+        RunStore(path).write([_record(0), _record(1)])
+        assert [json.loads(line)["v"] for line in path.read_text().splitlines()] == [1, 1]
 
 
 class TestDiagnosticsStore:
     def test_kinds_separated(self, tmp_path):
         store = DiagnosticsStore(tmp_path / "diag.jsonl")
-        store.append("lexical", {"encoder_id": "e", "h_bits": 1.0})
-        store.append("geometry", {"encoder_id": "e", "s_bar": 0.5})
+        store.write([DiagnosticsStore.line("lexical", {"encoder_id": "e", "h_bits": 1.0}),
+                     DiagnosticsStore.line("geometry", {"encoder_id": "e", "s_bar": 0.5})])
         assert len(store.by_kind("lexical")) == 1
         assert len(store.by_kind("geometry")) == 1
         assert store.by_kind("lexical")[0]["h_bits"] == 1.0
-
-
-def test_run_ids_continue_across_reopen(tmp_path):
-    path = tmp_path / "runs.jsonl"
-    first = RunStore(path)
-    ids = [first.append(_record(i)) for i in range(3)]
-    ids.append(RunStore(path).append(_record(3)))
-    reopened = RunStore(path)
-    ids += [reopened.append(_record(i)) for i in range(4, 6)]
-    assert ids == [f"run-{i:06d}" for i in range(6)]
-    assert [rid for rid, _ in RunStore(path).read()] == ids
 
 
 def _load(path):
@@ -345,27 +312,29 @@ def test_write_json_writes_the_text_and_a_newline(tmp_path):
 
 class TestWholeStoreWrites:
     def test_write_replaces_the_file_and_numbers_from_zero(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        for i in range(3):
-            RunStore(path).append(_record(i))
-        store = RunStore(path)
+        store = RunStore(tmp_path / "runs.jsonl")
+        store.write(_record(i) for i in range(3))
         store.write([_record(7), _record(8)])
         assert [rid for rid, _ in store.read()] == ["run-000000", "run-000001"]
         assert store.records() == [_record(7), _record(8)]
-        assert store.append(_record(9)) == "run-000002"
 
     def test_write_matches_appends_byte_for_byte(self, tmp_path):
-        appended, written = RunStore(tmp_path / "a.jsonl"), RunStore(tmp_path / "w.jsonl")
-        for i in range(3):
-            appended.append(_record(i))
+        # a store holds the lines a JSON-Lines log appends of its sorted-key rows
+        def appended(name, rows):
+            log = JsonlLog(tmp_path / name, lambda row: None)
+            log.append_many(json.dumps(row, sort_keys=True, ensure_ascii=False) for row in rows)
+            log.close()
+            return (tmp_path / name).read_bytes()
+
+        written = RunStore(tmp_path / "w.jsonl")
         written.write(_record(i) for i in range(3))
-        assert written.path.read_bytes() == appended.path.read_bytes()
-        da, dw = DiagnosticsStore(tmp_path / "da.jsonl"), DiagnosticsStore(tmp_path / "dw.jsonl")
+        assert written.path.read_bytes() == appended("a.jsonl", [
+            {"v": 1, "run_id": f"run-{i:06d}", **_record(i).to_dict()} for i in range(3)])
+        dw = DiagnosticsStore(tmp_path / "dw.jsonl")
         reports = [("lexical", {"h_bits": 1.0}), ("geometry", {"s_bar": 0.5})]
-        for kind, payload in reports:
-            da.append(kind, payload)
         dw.write(DiagnosticsStore.line(kind, payload) for kind, payload in reports)
-        assert dw.path.read_bytes() == da.path.read_bytes()
+        assert dw.path.read_bytes() == appended("da.jsonl", [
+            {"v": 1, "kind": kind, **payload} for kind, payload in reports])
 
     def test_failed_write_leaves_the_old_store_and_no_temporary_file(self, tmp_path,
                                                                      monkeypatch):
@@ -398,7 +367,7 @@ class TestWholeStoreWrites:
 
     def test_write_rejects_an_unknown_kind_before_touching_the_file(self, tmp_path):
         store = DiagnosticsStore(tmp_path / "diag.jsonl")
-        store.append("lexical", {"h_bits": 1.0})
+        store.write([DiagnosticsStore.line("lexical", {"h_bits": 1.0})])
         before = store.path.read_bytes()
         with pytest.raises(StoreError, match="unknown diagnostics kind"):
             store.write(DiagnosticsStore.line(kind, {}) for kind in ("lexical", "other"))
@@ -420,34 +389,25 @@ def test_append_many_equals_appends_and_repairs_a_torn_tail(tmp_path):
 
 
 class TestTornStores:
-    """The stores read and append through JsonlLog, as the caches do."""
+    """The stores read through JsonlLog, as the caches do, but nothing
+    appends to a store: a torn last line is damage, not a crash mid-append."""
 
     def test_run_store_skips_a_torn_last_line(self, tmp_path):
         store = RunStore(tmp_path / "runs.jsonl")
         store.write([_record(0), _record(1)])
         with open(store.path, "a", encoding="utf-8") as fh:
-            fh.write('{"v": 1, "run_id": "run-0000')  # a crash mid-append
-        assert store.records() == [_record(0), _record(1)]
+            fh.write('{"v": 1, "run_id": "run-0000')
+        with pytest.raises(StoreError, match=r"runs\.jsonl: line 3 is torn$"):
+            store.records()
 
     def test_diagnostics_store_skips_a_torn_last_line(self, tmp_path):
         store = DiagnosticsStore(tmp_path / "diag.jsonl")
         store.write([DiagnosticsStore.line("lexical", {"h_bits": 1.0}),
                      DiagnosticsStore.line("geometry", {"s_bar": 0.5})])
         with open(store.path, "a", encoding="utf-8") as fh:
-            fh.write('{"kind": "lexi')
-        assert [row["kind"] for row in store.read()] == ["lexical", "geometry"]
-
-    def test_append_cuts_the_torn_line_and_numbers_after_the_intact_rows(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        RunStore(path).write([_record(i) for i in range(3)])
-        intact = path.read_bytes()
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"v": 1, "run_id": "run-0000')
-        store = RunStore(path)
-        assert store.append(_record(3)) == "run-000003"
-        assert path.read_bytes().startswith(intact)
-        assert [rid for rid, _ in RunStore(path).read()] == \
-            [f"run-{i:06d}" for i in range(4)]
+            fh.write('\n{"kind": "lexi\n\n')  # a blank line either side
+        with pytest.raises(StoreError, match=r"diag\.jsonl: line 4 is torn$"):
+            store.read()
 
     @pytest.mark.parametrize("store_class", [RunStore, DiagnosticsStore])
     def test_a_malformed_inner_line_is_a_store_error(self, tmp_path, store_class):
