@@ -25,7 +25,7 @@ from .pipeline import ArmResult
 from .report import (advise_from_reports, correlation_report, join_rows,
                      load_stores, write_csv, write_reports)
 from .retrieval import retrieve_topk
-from .rewrite import RewriteRecord, audit_sample, record_body, write_records
+from .rewrite import RewriteRecord, audit_sample, write_records
 from .stores import JsonlLog, replacing, write_json
 from .templates import SIDES
 
@@ -82,11 +82,11 @@ def cmd_rewrite(config: ExperimentConfig, args) -> int:
                 for item, text in zip(getattr(collection, side), done[side].texts):
                     fh.write(json.dumps({"_id": item.id, "text": text},
                                         ensure_ascii=False) + "\n")
-    records = [record for side in SIDES for record in done[side].records]
     with replacing(out / "records.jsonl") as fh:
-        write_records(fh, cell.arm_label, map(record_body, records))
-    failed = sum(1 for r in records if r.failed)
-    print(f"{cell.arm_label}: {len(records)} rewrites, {failed} fallbacks -> {out}")
+        for side in SIDES:
+            write_records(fh, cell.arm_label, done[side].record_bodies())
+    failed = [not answer.output_text for side in SIDES for answer in done[side].answers]
+    print(f"{cell.arm_label}: {len(failed)} rewrites, {sum(failed)} fallbacks -> {out}")
     return 0
 
 

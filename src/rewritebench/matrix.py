@@ -32,8 +32,9 @@ from .geometry import EmbeddingMatrix
 from .ingest import Collection, ingest_collection
 from .models import CellKey, Strategy
 from .pipeline import ArmResult, Corpus, build_corpus, embed_items, score_arm
+from .retrieval import build_judgments
 from .rewrite import (RewriteCache, RewriteJob, RewriterClient, Rewritten,
-                      record_body, rewrite_jobs, side_job, write_records)
+                      rewrite_jobs, side_job, write_records)
 from .stores import DiagnosticsStore, Encoded, RunStore, replacing, write_json
 from .templates import SIDES, resolve_catalog
 from .tokenizers import build_tokenizer
@@ -87,14 +88,13 @@ def write_cells(stages: Stages, scored: list[tuple[CellKey, ArmResult]],
     ``cells_dir/<cell_id>/``, and return, for each cell in turn, its
     ``diagnostics.jsonl`` rows, lexical and geometry, or the error that
     failed its write. Each report's dict serves its file and its row. The
-    coverage curve, the bulk of both, and the :func:`record_body` texts of
-    the records of the corpus the group ranks are encoded once. A cell's
-    ``rewrites.jsonl`` holds those records, then those of the cell's own
-    queries, which C cells and Baselines lack."""
+    coverage curve, the bulk of both, and the record bodies of the corpus
+    the group ranks are encoded once. A cell's ``rewrites.jsonl`` holds
+    those records, then those of the cell's own queries, which C cells and
+    Baselines lack."""
     config = stages.config
     curve = Encoded(scored[0][1].lexical.coverage.as_lists())  # the corpus's
-    corpus_lines = [record_body(record) for record
-                    in stages.side(scored[0][0], "documents").records]
+    corpus_lines = list(stages.side(scored[0][0], "documents").record_bodies())
     outcomes: list[tuple[str, str] | WorkbenchError] = []
     for cell, arm in scored:
         cell_dir = cells_dir / cell.cell_id
@@ -110,11 +110,11 @@ def write_cells(stages: Stages, scored: list[tuple[CellKey, ArmResult]],
                 "config_hash": config.config_hash,
                 "seed": config.seed,
             })
-            query_records = stages.side(cell, "queries").records
-            if corpus_lines or query_records:
+            queries = stages.side(cell, "queries")
+            if corpus_lines or queries.answers:
                 with replacing(cell_dir / "rewrites.jsonl") as fh:
                     write_records(fh, cell.arm_label, corpus_lines)
-                    write_records(fh, cell.arm_label, map(record_body, query_records))
+                    write_records(fh, cell.arm_label, queries.record_bodies())
             outcomes.append((DiagnosticsStore.line("lexical", lexical),
                              DiagnosticsStore.line("geometry", geometry)))
         except WorkbenchError as exc:
@@ -128,8 +128,8 @@ class Stages(AbstractContextManager):
     ``config.parallelism`` threads that sends the endpoint requests of
     :meth:`rewrite` and :meth:`fetch`. A failed input is raised by whatever
     reads it; leaving the ``with`` block shuts the pool down, then closes
-    the clients, then the caches. :func:`run_matrix` scores an arm against
-    a Baseline whose files were written."""
+    the clients, then the caches, and drops the judgments. :func:`run_matrix`
+    scores an arm against a Baseline whose files were written."""
 
     def __init__(self, config: ExperimentConfig, cells: Sequence[CellKey]):
         self.config, self.cells = config, list(cells)
@@ -155,10 +155,11 @@ class Stages(AbstractContextManager):
                 except WorkbenchError as exc:
                     failed = WorkbenchError(f"task ingest failed: {exc}")
                     self._sides.update((_originals(t.task_id, side), failed) for side in SIDES)
+        self._judgments = {t: build_judgments([d.id for d in c.documents], c.qrels, config.k,
+                                              config.gain) for t, c in self.collections.items()}
 
         # The texts of every side a cell ranks, by side_key: the
-        # originals, without rewrite records, or a rewrite job's outputs. The
-        # corpus job takes the arm of its first cell.
+        # originals, without rewrite records, or a rewrite job's outputs.
         self._jobs: dict[tuple, RewriteJob] = {}
         for cell in self.cells:
             collection = self.collections.get(cell.task_id)
@@ -170,7 +171,7 @@ class Stages(AbstractContextManager):
                     self._sides[key] = self._sides[original]  # the failed ingest
                 elif key == original:
                     self._sides[key] = Rewritten(
-                        texts=[x.text for x in getattr(collection, side)], records=[])
+                        texts=[x.text for x in getattr(collection, side)])
                 else:
                     try:
                         self._jobs[key] = side_job(getattr(collection, side), cell,
@@ -190,6 +191,7 @@ class Stages(AbstractContextManager):
             client.close()
         self.rewrite_cache.close()
         self.embedding_cache.close()
+        self._judgments.clear()
 
     def rewrite(self) -> None:
         """Stage 1: rewrite the cells' sides, once per distinct prompt, each
@@ -250,8 +252,8 @@ class Stages(AbstractContextManager):
 
     def score(self, cell: CellKey, corpus: Corpus, baseline: ArmResult | None) -> ArmResult:
         """Score *cell* against *corpus*, with deltas against *baseline* if given."""
-        return score_arm(self.collections[cell.task_id], cell, corpus, self.queries(cell),
-                         baseline=baseline, k=self.config.k, gain=self.config.gain)
+        return score_arm(self._judgments[cell.task_id], cell, corpus, self.queries(cell),
+                         baseline=baseline)
 
 
 def run_matrix(config: ExperimentConfig,

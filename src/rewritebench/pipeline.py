@@ -17,7 +17,7 @@ from .geometry import EmbeddingMatrix, GeometryReport, build_geometry_report, de
 from .ingest import Collection
 from .lexical import LexicalReport, build_lexical_report, delta_h
 from .models import CellKey, Document, Query, RunRecord
-from .retrieval import retrieve_topk, score_ranked_lists
+from .retrieval import Judgments, score_queries
 from .tokenizers import Tokenizer
 
 
@@ -64,14 +64,12 @@ def build_corpus(collection: Collection, texts: Sequence[str], cell: CellKey, *,
     return Corpus(matrix=matrix, lexical=lexical, geometry=geometry)
 
 
-def score_arm(collection: Collection, cell: CellKey, corpus: Corpus,
-              query_matrix: EmbeddingMatrix, *, baseline: ArmResult | None = None,
-              k: int = 10, gain: str = "linear") -> ArmResult:
-    """Rank the corpus for every query, score NDCG@k and label the corpus
-    reports with this cell's arm. Deltas (NDCG, entropy, cosine) are
-    attached when the matching baseline result is supplied."""
-    ranked = retrieve_topk(query_matrix, corpus.matrix, k=k)
-    per_query = score_ranked_lists(ranked, collection.qrels, k=k, gain=gain)
+def score_arm(judgments: Judgments, cell: CellKey, corpus: Corpus,
+              query_matrix: EmbeddingMatrix, *, baseline: ArmResult | None = None) -> ArmResult:
+    """Rank the corpus for every query, score NDCG@k against *judgments*
+    and label the corpus reports with this cell's arm. Deltas (NDCG, entropy,
+    cosine) are attached when the matching baseline result is supplied."""
+    per_query = score_queries(query_matrix, corpus.matrix, judgments)
     mean = sum(per_query.values()) / len(per_query)
 
     delta = delta_h_bits = delta_s_bar = None
@@ -83,6 +81,6 @@ def score_arm(collection: Collection, cell: CellKey, corpus: Corpus,
     geometry = replace(corpus.geometry, arm=cell.arm_label, delta_s_bar=delta_s_bar)
 
     record = RunRecord(plan=cell, ndcg_per_query=per_query, mean_ndcg=mean,
-                       delta_ndcg=delta, gain=gain, k=k)
+                       delta_ndcg=delta, gain=judgments.gain, k=judgments.k)
     return ArmResult(run_record=record, lexical=lexical, geometry=geometry,
                      excluded_queries=query_matrix.n_rows - len(per_query))

@@ -5,6 +5,9 @@ since rows are unit length), with a deterministic tie-break by ascending
 doc id so runs are byte-reproducible across platforms. Scores stay in
 double precision end to end. A partition finds each query's k-th score,
 and the exact (score, id) sort runs only on the docs that reach it.
+:func:`retrieve_topk` returns ranked lists; :func:`score_queries` scores
+a cell from the same top-k rows without them, against the
+:class:`Judgments` of its task.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -47,9 +50,10 @@ class RankedList:
         return tuple(d for d, _ in self.entries)
 
 
-def retrieve_topk(query_matrix: EmbeddingMatrix, corpus_matrix: EmbeddingMatrix,
-                  k: int = 10) -> list[RankedList]:
-    """Exact top-k corpus items per query by inner product."""
+def _scores(query_matrix: EmbeddingMatrix, corpus_matrix: EmbeddingMatrix,
+            k: int) -> tuple[np.ndarray, int]:
+    """The score matrix of every (query, doc) pair, one GEMM, and *k*
+    clamped to the corpus size."""
     if not query_matrix.normalized or not corpus_matrix.normalized:
         raise ContractError("retrieval requires normalized matrices on both sides")
     if query_matrix.encoder_id != corpus_matrix.encoder_id:
@@ -63,39 +67,44 @@ def retrieve_topk(query_matrix: EmbeddingMatrix, corpus_matrix: EmbeddingMatrix,
         raise ContractError(f"k must be >= 1, got {k}")
     n_docs = corpus_matrix.n_rows
     if k > n_docs:
-        warnings.warn(f"k={k} exceeds corpus size {n_docs}; clamping", stacklevel=2)
+        warnings.warn(f"k={k} exceeds corpus size {n_docs}; clamping", stacklevel=3)
         k = n_docs
-
-    # rank of each row when doc ids are sorted ascending, for tie-breaking
-    id_rank = np.empty(n_docs, dtype=np.int64)
-    id_rank[sorted(range(n_docs), key=lambda i: corpus_matrix.ids[i])] = np.arange(n_docs)
-
-    scores = query_matrix.vectors @ corpus_matrix.vectors.T
-    out = []
-    for start in range(0, query_matrix.n_rows, _TOPK_BLOCK_ROWS):
-        stop = start + _TOPK_BLOCK_ROWS
-        block = scores[start:stop]
-        for qid, row, order in zip(query_matrix.ids[start:stop], block,
-                                   _topk_rows(block, id_rank, k)):
-            entries = tuple((corpus_matrix.ids[di], float(row[di])) for di in order)
-            out.append(RankedList(query_id=qid, entries=entries))
-    return out
+    return query_matrix.vectors @ corpus_matrix.vectors.T, k
 
 
-def _topk_rows(block: np.ndarray, id_rank: np.ndarray, k: int) -> Iterator[np.ndarray]:
+def _id_rank(doc_ids: Sequence[str]) -> np.ndarray:
+    """Each row's rank when the doc ids are sorted ascending, for tie-breaking."""
+    id_rank = np.empty(len(doc_ids), dtype=np.int64)
+    id_rank[sorted(range(len(doc_ids)), key=doc_ids.__getitem__)] = np.arange(len(doc_ids))
+    return id_rank
+
+
+def retrieve_topk(query_matrix: EmbeddingMatrix, corpus_matrix: EmbeddingMatrix,
+                  k: int = 10) -> list[RankedList]:
+    """Exact top-k corpus items per query by inner product."""
+    scores, k = _scores(query_matrix, corpus_matrix, k)
+    ids = corpus_matrix.ids
+    return [RankedList(query_id=qid, entries=tuple((ids[di], float(row[di])) for di in order))
+            for qid, row, order in zip(query_matrix.ids, scores,
+                                       _topk_rows(scores, _id_rank(ids), k))]
+
+
+def _topk_rows(scores: np.ndarray, id_rank: np.ndarray, k: int) -> Iterator[np.ndarray]:
     """Column indices of each row's top k by (score desc, doc id asc).
 
     Only docs scoring at least the row's k-th largest score can make the
     cut, so the exact sort runs on those candidates alone. Ties straddling
     the boundary are all candidates, and the id tie-break settles them.
     """
-    n_docs = block.shape[1]
-    kth = np.partition(block, n_docs - k, axis=1)[:, n_docs - k]
-    for row, bound in zip(block, kth):
-        cand = np.flatnonzero(row >= bound)
-        if cand.size < k:  # NaN scores never pass the bound: sort them all
-            cand = np.arange(n_docs)
-        yield cand[np.lexsort((id_rank[cand], -row[cand]))][:k]
+    n_docs = scores.shape[1]
+    for start in range(0, len(scores), _TOPK_BLOCK_ROWS):
+        block = scores[start:start + _TOPK_BLOCK_ROWS]
+        kth = np.partition(block, n_docs - k, axis=1)[:, n_docs - k]
+        for row, bound in zip(block, kth):
+            cand = np.flatnonzero(row >= bound)
+            if cand.size < k:  # NaN scores never pass the bound: sort them all
+                cand = np.arange(n_docs)
+            yield cand[np.lexsort((id_rank[cand], -row[cand]))][:k]
 
 
 def _gain(rel: int, mode: str) -> float:
@@ -104,6 +113,21 @@ def _gain(rel: int, mode: str) -> float:
     if mode == "exp":
         return float(2 ** rel - 1)
     raise ContractError(f"unknown gain mode {mode!r}")
+
+
+def _dcg(rels: Iterable[int], gain: str) -> float:
+    """sum_{i>=1} gain(rel_i) / log2(i+1) over *rels* in rank order; grades
+    that are not positive contribute zero."""
+    dcg = 0.0
+    for i, rel in enumerate(rels, start=1):
+        if rel > 0:
+            dcg += _gain(rel, gain) / math.log2(i + 1)
+    return dcg
+
+
+def _ideal(qrels_for_query: Mapping[str, int]) -> list[int]:
+    """The positive grades of one query, best first: the ideal ranking's."""
+    return sorted((g for g in qrels_for_query.values() if g > 0), reverse=True)
 
 
 def ndcg_at_k(ranked: RankedList, qrels_for_query: Mapping[str, int],
@@ -116,31 +140,59 @@ def ndcg_at_k(ranked: RankedList, qrels_for_query: Mapping[str, int],
     """
     if gain not in GAIN_MODES:
         raise ContractError(f"unknown gain mode {gain!r}")
-    grades = [g for g in qrels_for_query.values() if g > 0]
-    if not grades:
+    ideal = _ideal(qrels_for_query)
+    if not ideal:
         raise ContractError(
             f"query {ranked.query_id!r} has no positive grade; it should have "
             "been excluded upstream")
-    dcg = 0.0
-    for i, (doc_id, _) in enumerate(ranked.entries[:k], start=1):
-        rel = qrels_for_query.get(doc_id, 0)
-        if rel > 0:
-            dcg += _gain(rel, gain) / math.log2(i + 1)
-    idcg = 0.0
-    for i, rel in enumerate(sorted(grades, reverse=True)[:k], start=1):
-        idcg += _gain(rel, gain) / math.log2(i + 1)
-    return dcg / idcg
+    return (_dcg([qrels_for_query.get(doc_id, 0) for doc_id, _ in ranked.entries[:k]], gain)
+            / _dcg(ideal[:k], gain))
 
 
-def score_ranked_lists(ranked_lists: Sequence[RankedList],
-                       qrels: Mapping[str, Mapping[str, int]],
-                       k: int = 10, gain: str = "linear") -> dict[str, float]:
-    """NDCG@k per evaluable query (positive grades only)."""
+@dataclass(frozen=True)
+class Judgments:
+    """A task's qrels laid over its corpus rows, shared by every cell that
+    scores the task: the rows' ``id_rank``, and for each query with a
+    positive grade, its positive grades by corpus row and its ideal DCG@k.
+    Grades on doc ids the corpus lacks count in the ideal DCG only."""
+
+    doc_ids: tuple[str, ...]
+    id_rank: np.ndarray
+    queries: dict[str, tuple[dict[int, int], float]]
+    k: int
+    gain: str
+
+
+def build_judgments(doc_ids: Sequence[str], qrels: Mapping[str, Mapping[str, int]],
+                    k: int = 10, gain: str = "linear") -> Judgments:
+    """The :class:`Judgments` of a corpus whose rows are *doc_ids*."""
+    if gain not in GAIN_MODES:
+        raise ContractError(f"unknown gain mode {gain!r}")
+    row = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+    queries = {}
+    for qid, grades in qrels.items():
+        ideal = _ideal(grades)
+        if ideal:
+            queries[qid] = ({row[d]: g for d, g in grades.items() if g > 0 and d in row},
+                            _dcg(ideal[:k], gain))
+    return Judgments(doc_ids=tuple(doc_ids), id_rank=_id_rank(doc_ids), queries=queries,
+                     k=k, gain=gain)
+
+
+def score_queries(query_matrix: EmbeddingMatrix, corpus_matrix: EmbeddingMatrix,
+                  judgments: Judgments) -> dict[str, float]:
+    """NDCG@k of each query of *query_matrix* with a positive grade, in row
+    order: :func:`ndcg_at_k` over :func:`retrieve_topk`, summed straight
+    from each query's top-k rows."""
+    scores, k = _scores(query_matrix, corpus_matrix, judgments.k)
+    if corpus_matrix.ids != judgments.doc_ids:
+        raise ContractError("the corpus rows are not the judged doc ids")
     out: dict[str, float] = {}
-    for ranked in ranked_lists:
-        grades = qrels.get(ranked.query_id, {})
-        if any(g > 0 for g in grades.values()):
-            out[ranked.query_id] = ndcg_at_k(ranked, grades, k=k, gain=gain)
+    for qid, order in zip(query_matrix.ids, _topk_rows(scores, judgments.id_rank, k)):
+        judged = judgments.queries.get(qid)
+        if judged is not None:
+            grades, ideal_dcg = judged
+            out[qid] = _dcg([grades.get(i, 0) for i in order.tolist()], judgments.gain) / ideal_dcg
     if not out:
         raise DomainError("no evaluable query produced a score")
     return out

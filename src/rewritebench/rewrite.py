@@ -24,7 +24,7 @@ import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import (ConfigError, ContractError, DomainError, EndpointError,
                      WorkbenchError)
@@ -56,7 +56,8 @@ def strip_code_fences(text: str) -> str:
 
 @dataclass(frozen=True)
 class RewriteRecord:
-    """Audit trail for one rewritten item; ``source_hash`` pins the exact
+    """One line of a cell's ``rewrites.jsonl``, as ``audit`` reads it back:
+    the audit trail of one rewritten item. ``source_hash`` pins the exact
     input so humans can trace any output back to its origin."""
 
     source_id: str
@@ -218,22 +219,47 @@ class RewriteCache:
 @dataclass(frozen=True)
 class RewriteJob:
     """The items of one side (documents or queries) to rewrite under one
-    template. ``arm`` labels the job's records."""
+    template."""
 
     ids: Sequence[str]
     texts: Sequence[str]
     template: PromptTemplate
     client: RewriterClient
-    arm: str
+
+
+_encode_str = json.encoder.encode_basestring  # the C escaper of ensure_ascii=False
 
 
 @dataclass(frozen=True)
 class Rewritten:
-    """A job's outputs and audit records, in its input order. A failed item's
-    output is its source text."""
+    """A job's outputs, in its input order, and what its audit records are
+    built from: each item's id, source hash and cached answer, and the job's
+    rewriter and template. A failed item's answer has no output, and its
+    output here is its source text. A side that is not rewritten has its
+    texts and no records."""
 
     texts: list[str]
-    records: list[RewriteRecord]
+    ids: Sequence[str] = ()
+    hashes: Sequence[str] = ()
+    answers: Sequence[Answer] = ()
+    rewriter_id: str = ""
+    template_id: str = ""
+
+    def record_bodies(self) -> Iterator[str]:
+        """Each item's :class:`RewriteRecord` as JSON after its ``"arm"``
+        value, closing brace included. Under ``sort_keys`` ``"arm"`` comes
+        first, so one body serves every arm that reads the record."""
+        rewriter, template = _encode_str(self.rewriter_id), _encode_str(self.template_id)
+        for item_id, src_hash, (output, timestamp, truncated) in zip(
+                self.ids, self.hashes, self.answers):
+            yield (f', "failed": {"false" if output else "true"}'
+                   f', "output_text": {_encode_str(output)}'
+                   f', "rewriter_id": {rewriter}'
+                   f', "source_hash": {_encode_str(src_hash)}'
+                   f', "source_id": {_encode_str(item_id)}'
+                   f', "template_id": {template}'
+                   f', "timestamp": {_encode_str(timestamp)}'
+                   f', "truncated": {"true" if truncated else "false"}}}')
 
 
 def _request(miss: tuple[RewriteJob, str]) -> Answer | WorkbenchError:
@@ -259,13 +285,13 @@ def rewrite_jobs(jobs: Sequence[RewriteJob], cache: RewriteCache,
     Cache hits resolve inline. Each miss is one request, run through
     *map_fn*: a pool's ``map``, or the builtin ``map`` to run them inline.
     Answers with an output are cached in request order, so the cache file
-    does not depend on the pool's size. Every record is built from its
-    (job, item, answer), hit or miss. A job whose request or cache write
-    raised gets that error in place of its result; the other jobs are
-    unaffected.
+    does not depend on the pool's size. Each distinct source text is hashed
+    once. A job whose request or cache write raised gets that error in
+    place of its result; the other jobs are unaffected.
     """
     answers: dict[str, Answer | WorkbenchError] = {}
     misses: dict[str, tuple[RewriteJob, str]] = {}
+    hashes: dict[str, str] = {}  # by source text
     job_items = []
     for job in jobs:
         # the key hashes all an answer depends on: the rewriter's fingerprint,
@@ -273,8 +299,11 @@ def rewrite_jobs(jobs: Sequence[RewriteJob], cache: RewriteCache,
         t = job.template
         head = "\0".join((job.client.fingerprint, t.system_text, t.user_text,
                           str(t.max_output_tokens), ""))
-        hashes = [source_hash(text) for text in job.texts]
-        keys = [hashlib.sha256((head + h).encode("utf-8")).hexdigest() for h in hashes]
+        for text in job.texts:
+            if text not in hashes:
+                hashes[text] = source_hash(text)
+        src_hashes = [hashes[text] for text in job.texts]
+        keys = [hashlib.sha256((head + h).encode("utf-8")).hexdigest() for h in src_hashes]
         for key, text in zip(keys, job.texts):
             if key in answers or key in misses:
                 continue
@@ -283,7 +312,7 @@ def rewrite_jobs(jobs: Sequence[RewriteJob], cache: RewriteCache,
                 answers[key] = hit
             else:
                 misses[key] = (job, text)
-        job_items.append(zip(keys, hashes, job.ids, job.texts))
+        job_items.append((keys, src_hashes))
 
     for key, answer in zip(misses, map_fn(_request, misses.values())):
         if isinstance(answer, Answer) and answer.output_text:
@@ -294,21 +323,13 @@ def rewrite_jobs(jobs: Sequence[RewriteJob], cache: RewriteCache,
         answers[key] = answer
 
     results: list[Rewritten | WorkbenchError] = []
-    for job, items in zip(jobs, job_items):
-        outs, recs = [], []
-        for key, src_hash, item_id, text in items:
-            answer = answers[key]
-            if isinstance(answer, WorkbenchError):
-                results.append(answer)
-                break
-            outs.append(answer.output_text or text)
-            recs.append(RewriteRecord(
-                source_id=item_id, arm=job.arm, source_hash=src_hash,
-                output_text=answer.output_text, rewriter_id=job.client.rewriter_id,
-                template_id=job.template.template_id, timestamp=answer.timestamp,
-                truncated=answer.truncated, failed=not answer.output_text))
-        else:
-            results.append(Rewritten(texts=outs, records=recs))
+    for job, (keys, src_hashes) in zip(jobs, job_items):
+        outcomes = [answers[key] for key in keys]
+        error = next((a for a in outcomes if isinstance(a, WorkbenchError)), None)
+        results.append(error or Rewritten(
+            texts=[a.output_text or text for a, text in zip(outcomes, job.texts)],
+            ids=job.ids, hashes=src_hashes, answers=outcomes,
+            rewriter_id=job.client.rewriter_id, template_id=job.template.template_id))
     return results
 
 
@@ -324,29 +345,12 @@ def side_job(items: Sequence[Document | Query], cell: CellKey,
             f"{client.rewriter_id!r}")
     return RewriteJob(ids=[x.id for x in items], texts=[x.text for x in items],
                       template=catalog.resolve(cell.strategy, cell.task_family, side),
-                      client=client, arm=cell.arm_label)
-
-
-_encode_str = json.encoder.encode_basestring  # the C escaper of ensure_ascii=False
-
-
-def record_body(record: RewriteRecord) -> str:
-    """The JSON of *record* after its ``"arm"`` value, closing brace
-    included. Under ``sort_keys`` ``"arm"`` comes first, so one body serves
-    every arm that reads the record."""
-    return (f', "failed": {"true" if record.failed else "false"}'
-            f', "output_text": {_encode_str(record.output_text)}'
-            f', "rewriter_id": {_encode_str(record.rewriter_id)}'
-            f', "source_hash": {_encode_str(record.source_hash)}'
-            f', "source_id": {_encode_str(record.source_id)}'
-            f', "template_id": {_encode_str(record.template_id)}'
-            f', "timestamp": {_encode_str(record.timestamp)}'
-            f', "truncated": {"true" if record.truncated else "false"}}}')
+                      client=client)
 
 
 def write_records(fh: TextIO, arm: str, bodies: Iterable[str]) -> None:
-    """Write *bodies*, records as :func:`record_body` encodes them, to *fh*
-    as JSON lines stamped with *arm*."""
+    """Write *bodies*, records as :meth:`Rewritten.record_bodies` encodes
+    them, to *fh* as JSON lines stamped with *arm*."""
     head = '{"arm": ' + _encode_str(arm)
     fh.writelines(f"{head}{body}\n" for body in bodies)
 

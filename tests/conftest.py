@@ -145,13 +145,12 @@ def score_after_baseline(baseline_report, report):
     import numpy as np
 
     from rewritebench.geometry import EmbeddingMatrix, GeometryReport, l2_normalize
-    from rewritebench.ingest import Collection, IngestReport
     from rewritebench.lexical import CoverageCurve, LexicalReport
-    from rewritebench.models import CellKey, Query, Regime, Strategy
+    from rewritebench.models import CellKey, Regime, Strategy
     from rewritebench.pipeline import Corpus, score_arm
+    from rewritebench.retrieval import build_judgments
 
-    collection = Collection(task_id="t", documents=[], queries=[Query(id="q1", text="q")],
-                            qrels={"q1": {"d1": 1}}, report=IngestReport())
+    judgments = build_judgments(("d1", "d2"), {"q1": {"d1": 1}}, k=2)
     docs = l2_normalize(EmbeddingMatrix("enc", ("d1", "d2"), np.eye(2)))
     queries = l2_normalize(EmbeddingMatrix("enc", ("q1",), [[1.0, 0.0]]))
     if isinstance(report, LexicalReport):
@@ -168,9 +167,9 @@ def score_after_baseline(baseline_report, report):
         return Corpus(docs, *((r, other) if isinstance(r, LexicalReport) else (other, r)))
 
     cell = CellKey(encoder_id="enc", task_id="t")
-    baseline = score_arm(collection, cell, corpus(baseline_report), queries, k=2)
+    baseline = score_arm(judgments, cell, corpus(baseline_report), queries)
     arm = replace(cell, rewriter_id="rw", strategy=Strategy.NL, regime=Regime.QC)
-    return score_arm(collection, arm, corpus(report), queries, baseline=baseline, k=2)
+    return score_arm(judgments, arm, corpus(report), queries, baseline=baseline)
 
 
 TOY_DOCS = [

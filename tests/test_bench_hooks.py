@@ -47,9 +47,11 @@ def test_the_embed_layer_keeps_its_span(monkeypatch):
 
 
 def test_only_the_known_stage_hooks_are_missing(monkeypatch):
-    # these seven name code that is gone (the two store appends' layers read
-    # zero already: run-matrix writes its stores whole); an eighth would zero
-    # another per-layer metric without failing the benchmark
+    # these nine name code that is gone (the two store appends' layers read
+    # zero already: run-matrix writes its stores whole, and the two retrieval
+    # layers read zero: a cell is scored from its top-k rows by
+    # retrieval.score_queries); a tenth would zero another per-layer metric
+    # without failing the benchmark
     spans = _spans(monkeypatch)
     tracer = spans.Tracer()
     tracer.install(spans.STAGES)
@@ -58,8 +60,10 @@ def test_only_the_known_stage_hooks_are_missing(monkeypatch):
             "rewritebench.embed.EmbeddingCache.get",
             "rewritebench.embed.EmbeddingCache.put",
             "rewritebench.matrix.run_arm",
+            "rewritebench.pipeline.retrieve_topk",
             "rewritebench.pipeline.rewrite_corpus",
             "rewritebench.pipeline.rewrite_queries",
+            "rewritebench.pipeline.score_ranked_lists",
             "rewritebench.stores.DiagnosticsStore.append",
             "rewritebench.stores.RunStore.append"]
     finally:

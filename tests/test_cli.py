@@ -186,7 +186,7 @@ class TestSubcommands:
             ["bow__toy__Baseline", "bow__toy__ident__NL__QC"]
         assert not (tmp_path / "out" / "runs.jsonl").exists()
 
-    def test_diagnose_appends_diagnostics(self, tmp_path, capsys):
+    def test_diagnose_writes_its_cell_under_scored(self, tmp_path, capsys):
         path = write_matrix_config(tmp_path)
         assert run_cli(path, "diagnose", "--task", "toy", "--encoder", "bow",
                        "--rewriter", "ident", "--strategy", "NL",
@@ -460,7 +460,7 @@ def _report_files(out_dir):
 
 
 @pytest.mark.parametrize("store", ["runs.jsonl", "diagnostics.jsonl"])
-def test_report_reads_the_intact_rows_of_a_torn_store(tmp_path, capsys, store):
+def test_report_rejects_a_torn_store(tmp_path, capsys, store):
     # nothing appends to a store, so a torn last line is damage: an error
     path = write_matrix_config(tmp_path)
     assert run_cli(path, "run-matrix") == 0

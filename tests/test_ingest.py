@@ -5,14 +5,13 @@ import pytest
 from conftest import make_collection, write_jsonl, write_qrels
 from rewritebench.errors import IngestError
 from rewritebench.ingest import ingest_collection
-from rewritebench.retrieval import RankedList, score_ranked_lists
+from rewritebench.retrieval import build_judgments
 
 
 def scored_query_ids(col) -> list[str]:
     """The queries that NDCG scores against the collection's qrels."""
-    ranked = [RankedList(query_id=q.id, entries=((col.documents[0].id, 1.0),))
-              for q in col.queries]
-    return list(score_ranked_lists(ranked, col.qrels))
+    judged = build_judgments([d.id for d in col.documents], col.qrels).queries
+    return [q.id for q in col.queries if q.id in judged]
 
 
 class TestHappyPath:

@@ -126,15 +126,20 @@ class TestRunMatrix:
 
     def test_group_encodes_each_shared_record_once(self, tmp_path, monkeypatch):
         cfg = load_config(write_matrix_config(tmp_path, regimes=("QC", "C")))
-        run_matrix(cfg)  # fills the rewrite cache, whose puts encode too
+        run_matrix(cfg)  # warms the caches: the rerun is what is counted
         encoded = []
-        record_body = matrix.record_body
-        monkeypatch.setattr(matrix, "record_body",
-                            lambda rec: encoded.append(rec) or record_body(rec))
+        record_bodies = rewrite.Rewritten.record_bodies
+
+        def spy(done):
+            for body in record_bodies(done):
+                encoded.append(body)
+                yield body
+
+        monkeypatch.setattr(rewrite.Rewritten, "record_bodies", spy)
         run_matrix(cfg)
         # QC writes the corpus and query records, C the same corpus records
         assert len(encoded) == len(TOY_DOCS) + len(TOY_QUERIES)
-        assert len({id(rec) for rec in encoded}) == len(encoded)
+        assert len(set(encoded)) == len(encoded)
         qc = cfg.out_dir / "cells" / "bow__toy__ident__NL__QC" / "rewrites.jsonl"
         c = cfg.out_dir / "cells" / "bow__toy__ident__NL__C" / "rewrites.jsonl"
         corpus = qc.read_text().splitlines()[:len(TOY_DOCS)]

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from conftest import (TOY_DOCS, TOY_QRELS, TOY_QUERIES, write_jsonl,
@@ -5,6 +7,7 @@ from conftest import (TOY_DOCS, TOY_QRELS, TOY_QUERIES, write_jsonl,
 from rewritebench.config import load_config
 from rewritebench.matrix import CellKey, Stages
 from rewritebench.models import Regime, Strategy, TaskFamily
+from rewritebench.retrieval import Judgments
 
 BASELINE = CellKey(encoder_id="bow", task_id="toy")
 
@@ -41,7 +44,7 @@ def score_cells(tmp_path, cells, **inputs):
 
 def n_records(stages: Stages, cell: CellKey) -> tuple[int, int]:
     """The numbers of rewrite records of the documents and the queries *cell* ranks."""
-    return tuple(len(stages.side(cell, side).records) for side in ("documents", "queries"))
+    return tuple(len(stages.side(cell, side).answers) for side in ("documents", "queries"))
 
 
 class TestBaselineArm:
@@ -97,3 +100,11 @@ class TestEvaluateArm:
             queries=TOY_QUERIES + [{"_id": "q_nopos", "text": "unjudged query text"}])
         assert arm.excluded_queries == 1
         assert "q_nopos" not in arm.run_record.ndcg_per_query
+
+
+def test_no_judgments_outlive_the_stages(tmp_path):
+    # the per-task table is the stages': the results and the Stages object
+    # itself, still referenced here, hold none of it once the block ends
+    stages, results = scored(tmp_path, [BASELINE, arm_cell()])
+    gc.collect()
+    assert results and not [o for o in gc.get_objects() if isinstance(o, Judgments)]

@@ -1,13 +1,14 @@
 import math
+import warnings
 from itertools import permutations, product
 
 import numpy as np
 import pytest
 
-from rewritebench.errors import ContractError
+from rewritebench.errors import ContractError, DomainError
 from rewritebench.geometry import EmbeddingMatrix, l2_normalize
-from rewritebench.retrieval import (RankedList, ndcg_at_k, retrieve_topk,
-                                    score_ranked_lists)
+from rewritebench.retrieval import (RankedList, build_judgments, ndcg_at_k,
+                                    retrieve_topk, score_queries)
 
 
 # --- independent oracles -------------------------------------------------
@@ -137,11 +138,14 @@ class TestNdcg:
                 if abs(ndcg_at_k(ranked("q", list(p)), qrels) - 1.0) < 1e-12]
         assert best == [("d0", "d1", "d2")]
 
-    def test_score_ranked_lists_skips_no_positive_queries(self):
-        lists = [ranked("q1", ["d1"]), ranked("q2", ["d1"])]
+    def test_queries_without_a_positive_grade_are_not_scored(self):
+        corpus = matrix(["d1"], [[1.0]])
+        queries = matrix(["q1", "q2", "q3"], [[1.0], [1.0], [1.0]])
         qrels = {"q1": {"d1": 1}, "q2": {"d1": 0}}
-        out = score_ranked_lists(lists, qrels)
+        out = score_queries(queries, corpus, build_judgments(corpus.ids, qrels, k=1))
         assert set(out) == {"q1"}
+        with pytest.raises(DomainError, match="no evaluable query"):
+            score_queries(queries, corpus, build_judgments(corpus.ids, {"q2": {"d1": 0}}, k=1))
 
 
 # --- retrieve_topk ---------------------------------------------------------
@@ -271,3 +275,84 @@ class TestPartitionedTopk:
         for qi, r in enumerate(retrieve_topk(queries, corpus, k=10)):
             assert [s for _, s in r.entries] == [float(scores[qi, col[d]])
                                                 for d in r.doc_ids]
+
+
+# --- the matrix path: NDCG straight from the top-k rows ---------------------
+
+def ndcg_over_ranked_lists(queries: EmbeddingMatrix, corpus: EmbeddingMatrix,
+                           qrels: dict[str, dict[str, int]], k: int,
+                           gain: str) -> dict[str, float]:
+    """Reference: ndcg_at_k over the RankedLists of retrieve_topk, for each
+    query with a positive grade, in query order."""
+    out = {}
+    for r in retrieve_topk(queries, corpus, k=k):
+        grades = qrels.get(r.query_id, {})
+        if any(g > 0 for g in grades.values()):
+            out[r.query_id] = ndcg_at_k(r, grades, k=k, gain=gain)
+    return out
+
+
+def tied_inputs(seed: int, n_docs: int = 40, n_queries: int = 300):
+    """Integer-valued vectors of dimension 3 (so many exact score ties,
+    some at the k-th score), some docs duplicating another's row, doc ids
+    in shuffled order, and qrels with zero grades, positives on unknown
+    doc ids, and queries with no positive grade or no qrels at all."""
+    rng = np.random.default_rng(seed)
+    vecs = rng.integers(-2, 3, (n_docs, 3)).astype(float)
+    vecs[rng.integers(0, n_docs, 8)] = vecs[rng.integers(0, n_docs, 8)]  # duplicate rows
+    vecs[~vecs.any(axis=1)] = 1.0
+    ids = [f"d{i:03d}" for i in rng.permutation(n_docs)]
+    corpus = matrix(ids, vecs)
+    qvecs = rng.integers(-2, 3, (n_queries, 3)).astype(float)
+    qvecs[~qvecs.any(axis=1)] = 1.0
+    queries = matrix([f"q{i}" for i in range(n_queries)], qvecs)
+    qrels: dict[str, dict[str, int]] = {}
+    for qid in queries.ids:
+        if rng.random() < 0.1:
+            continue  # no qrels row at all
+        docs = list(rng.choice(ids, rng.integers(1, min(6, n_docs + 1)), replace=False))
+        docs += [f"unknown{j}" for j in range(rng.integers(0, 3))]
+        qrels[qid] = {d: int(rng.integers(0, 4)) for d in docs}
+    return queries, corpus, qrels
+
+
+class TestMatrixPathScoring:
+    @pytest.mark.parametrize("gain", ["linear", "exp"])
+    @pytest.mark.parametrize("k", [1, 3, 10, 39, 40])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_ndcg_at_k_over_retrieve_topk(self, seed, k, gain):
+        queries, corpus, qrels = tied_inputs(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = score_queries(queries, corpus, build_judgments(corpus.ids, qrels, k=k,
+                                                                 gain=gain))
+        want = ndcg_over_ranked_lists(queries, corpus, qrels, k, gain)
+        assert list(got.items()) == list(want.items())
+        assert len(got) < queries.n_rows  # some queries were excluded
+
+    @pytest.mark.parametrize("gain", ["linear", "exp"])
+    def test_k_above_the_corpus_clamps_with_the_same_warning(self, gain):
+        # few docs and many positives on unknown ids: the ideal DCG sums
+        # more grades than the corpus has rows
+        queries, corpus, qrels = tied_inputs(3, n_docs=4, n_queries=50)
+        with pytest.warns(UserWarning) as got_warnings:
+            got = score_queries(queries, corpus, build_judgments(corpus.ids, qrels, k=7,
+                                                                 gain=gain))
+        with pytest.warns(UserWarning) as want_warnings:
+            want = ndcg_over_ranked_lists(queries, corpus, qrels, 7, gain)
+        assert [str(w.message) for w in got_warnings] == \
+            [str(w.message) for w in want_warnings] == ["k=7 exceeds corpus size 4; clamping"]
+        assert list(got.items()) == list(want.items())
+
+    def test_ties_do_straddle_the_boundary(self):
+        queries, corpus, _ = tied_inputs(0)
+        scores = -np.sort(-(queries.vectors @ corpus.vectors.T), axis=1)
+        assert (scores[:, 9] == scores[:, 10]).any()
+        assert (corpus.vectors[:, None] == corpus.vectors[None]).all(axis=2).sum() > \
+            corpus.n_rows  # duplicate rows
+
+    def test_a_corpus_other_than_the_judged_one_is_rejected(self):
+        queries, corpus, qrels = tied_inputs(0)
+        judged = build_judgments(corpus.ids[::-1], qrels, k=10)
+        with pytest.raises(ContractError, match="doc ids"):
+            score_queries(queries, corpus, judged)

@@ -12,9 +12,8 @@ from conftest import assert_calls_counted_under_threads
 from rewritebench.errors import ConfigError, ContractError, DomainError, StoreError
 from rewritebench.models import CellKey, Document, Query, Regime, Strategy, TaskFamily
 from rewritebench.rewrite import (Answer, RewriteCache, RewriteRecord, RewriterClient,
-                                  RewriterEndpoint, Rewritten, audit_sample, record_body,
-                                  rewrite_jobs, side_job, source_hash,
-                                  strip_code_fences, write_records)
+                                  RewriterEndpoint, Rewritten, audit_sample, rewrite_jobs,
+                                  side_job, source_hash, strip_code_fences, write_records)
 from rewritebench.templates import identity_catalog
 
 
@@ -61,13 +60,11 @@ class TestStripCodeFences:
 class TestRewriteCorpus:
     def test_identity_mock_reproduces_corpus(self):
         done = rewrite_side("documents", DOCS, client())
-        records = done.records
         assert done.texts == [d.text for d in DOCS]
-        assert [r.source_id for r in records] == [d.id for d in DOCS]
-        assert len(records) == len(DOCS)
-        assert all(not r.failed for r in records)
-        assert all(r.source_hash == source_hash(d.text)
-                   for r, d in zip(records, DOCS))
+        assert done.ids == [d.id for d in DOCS]
+        assert len(done.answers) == len(DOCS)
+        assert all(answer.output_text for answer in done.answers)
+        assert done.hashes == [source_hash(d.text) for d in DOCS]
 
     def test_baseline_plan_rejected(self):
         for side, items in (("documents", DOCS), ("queries", QUERIES)):
@@ -90,16 +87,15 @@ class TestRewriteCorpus:
         done = rewrite_side("documents", DOCS, cold, cache)
         assert cold.call_count == 0
         assert done.texts == [d.text for d in DOCS]
-        assert len(done.records) == len(DOCS)
+        assert len(done.answers) == len(DOCS)
 
     def test_failure_falls_back_and_flags(self):
         # one document trips the flaky endpoint; the rest rewrite normally
         flaky = client("mock://flaky?needle=fn_2")
         done = rewrite_side("documents", DOCS, flaky)
         assert len(done.texts) == len(DOCS)
-        flagged = [r for r in done.records if r.failed]
-        assert len(flagged) == 1
-        assert flagged[0].source_id == "d2"
+        flagged = [i for i, answer in zip(done.ids, done.answers) if not answer.output_text]
+        assert flagged == ["d2"]
         assert done.texts[2] == DOCS[2].text  # fallback keeps the original
 
     def test_table_mock_maps_texts(self, tmp_path):
@@ -145,8 +141,8 @@ class TestRewriteCorpus:
         assert isinstance(done[1], Rewritten)
 
     def test_id_multiset_preserved(self):
-        records = rewrite_side("documents", DOCS, client()).records
-        assert sorted(r.source_id for r in records) == sorted(d.id for d in DOCS)
+        done = rewrite_side("documents", DOCS, client())
+        assert sorted(done.ids) == sorted(d.id for d in DOCS)
 
     def test_frozen_cache_makes_rewrite_pure(self, closing, tmp_path):
         cache = closing(RewriteCache(tmp_path / "rw.jsonl"))
@@ -154,7 +150,7 @@ class TestRewriteCorpus:
         a = rewrite_side("documents", DOCS, client(), RewriteCache(tmp_path / "rw.jsonl"))
         b = rewrite_side("documents", DOCS, client(), RewriteCache(tmp_path / "rw.jsonl"))
         assert a.texts == b.texts
-        assert a.records == b.records
+        assert a.answers == b.answers
 
 
 class TestRewriteJobs:
@@ -173,8 +169,8 @@ class TestRewriteJobs:
         assert rw.call_count == len(DOCS) + len(QUERIES)
         assert [d.texts for d in done] == [[d.text for d in docs],
                                            [q.text for q in queries]]
-        assert [r.source_id for r in done[0].records] == [d.id for d in docs]
-        assert [r.source_id for r in done[1].records] == [q.id for q in queries]
+        assert done[0].ids == [d.id for d in docs]
+        assert done[1].ids == [q.id for q in queries]
         assert len(cache.path.read_text().splitlines()) == rw.call_count
 
     def test_error_fails_only_its_job(self, closing, tmp_path):
@@ -196,7 +192,7 @@ class TestRewriteJobs:
         reopened = closing(RewriteCache(tmp_path / "rw.jsonl"))
         done = rewrite_side("documents", DOCS, retry, reopened)
         assert retry.call_count == 1  # the failed item is asked again, the rest hit
-        assert [r.failed for r in done.records] == [False, False, True, False]
+        assert [not answer.output_text for answer in done.answers] == [False, False, True, False]
 
     def test_a_put_is_read_by_a_fresh_cache_before_close(self, tmp_path):
         cache = RewriteCache(tmp_path / "cache" / "rw.jsonl")  # a put makes its directory
@@ -204,18 +200,19 @@ class TestRewriteJobs:
         cold = client()
         again = rewrite_side("documents", DOCS[:2], cold,
                              RewriteCache(tmp_path / "cache" / "rw.jsonl"))
-        assert cold.call_count == 0 and again.records == done.records
+        assert cold.call_count == 0 and again.answers == done.answers
         cache.close()
 
     def test_failed_row_in_an_old_cache_reads_as_a_miss(self, closing, tmp_path):
         # rows an older version wrote: whole records, failed or not, and no key
         path = tmp_path / "rw.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
-            write_records(fh, "NL-QC", [record_body(RewriteRecord(
+            fh.writelines(json.dumps(asdict(RewriteRecord(
                 source_id=d.id, arm="NL-QC", source_hash=source_hash(d.text),
                 output_text="" if i == 0 else "stale", rewriter_id="rw",
                 template_id="identity-nl-codetocode", timestamp="2026-01-01T00:00:00+00:00",
-                failed=i == 0)) for i, d in enumerate(DOCS)])
+                failed=i == 0)), sort_keys=True, ensure_ascii=False) + "\n"
+                for i, d in enumerate(DOCS))
         rw = client()
         done = rewrite_side("documents", DOCS, rw, closing(RewriteCache(path)))
         assert rw.call_count == len(DOCS)
@@ -244,7 +241,7 @@ class TestRewriteQueries:
     def test_identity_qc_keeps_queries(self):
         done = rewrite_side("queries", QUERIES, client())
         assert done.texts == [q.text for q in QUERIES]
-        assert len(done.records) == len(QUERIES)
+        assert len(done.answers) == len(QUERIES)
 
     def test_text_to_code_query_uses_table_mapping(self, tmp_path):
         table = {QUERIES[0].text: "def generated(): pass"}
@@ -253,7 +250,7 @@ class TestRewriteQueries:
         done = rewrite_side("queries", QUERIES, client(f"mock://table?file={path}"),
                             plan=nl_qc_plan(TaskFamily.TEXT_TO_CODE))
         assert done.texts[0] == "def generated(): pass"
-        assert done.records[0].arm == "NL-QC"
+        assert done.template_id == "identity-nl-texttocode"
 
 
 class TestRewriteRecord:
@@ -267,8 +264,11 @@ class TestRewriteRecord:
         rec = RewriteRecord(source_id="d", arm="NL-QC", source_hash="abc",
                             output_text="out", rewriter_id="rw", template_id="t",
                             timestamp="2026-01-01T00:00:00+00:00", truncated=True)
+        done = Rewritten(texts=["out"], ids=["d"], hashes=["abc"],
+                         answers=[Answer("out", "2026-01-01T00:00:00+00:00", True)],
+                         rewriter_id="rw", template_id="t")
         fh = io.StringIO()
-        write_records(fh, rec.arm, [record_body(rec)])
+        write_records(fh, rec.arm, done.record_bodies())
         assert RewriteRecord(**json.loads(fh.getvalue())) == rec
 
 
@@ -276,34 +276,46 @@ _CHARS = ['[', ']', ',', ':', '"', '\\', '\n', '\t', '\x00', '\x7f', ' ', 'a', '
           '\u00e9', '\u65e5', '\u2028', '\U0001f600']
 
 
-def _random_record(rng: random.Random) -> RewriteRecord:
+def _random_rewritten(rng: random.Random, n_items: int) -> Rewritten:
+    """A job's outcome with random ids, hashes and answers, a third of them
+    failed (no output), a third truncated, under a random rewriter and
+    template."""
     def text(n: int) -> str:
         return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(n)))
-    failed = rng.random() < 0.3
-    return RewriteRecord(
-        source_id=text(8), arm=text(6), source_hash=text(8),
-        output_text="" if failed and rng.random() < 0.5 else text(20) + "x",
-        rewriter_id=text(6), template_id=text(6), timestamp=text(12),
-        truncated=rng.random() < 0.3, failed=failed)
+    answers = [Answer("" if rng.random() < 0.3 else text(20) + "x", text(12),
+                      rng.random() < 0.3) for _ in range(n_items)]
+    return Rewritten(texts=[text(8) for _ in answers], ids=[text(8) for _ in answers],
+                     hashes=[text(8) for _ in answers], answers=answers,
+                     rewriter_id=text(6), template_id=text(6))
+
+
+def _records(done: Rewritten) -> list[RewriteRecord]:
+    """The audit records *done* stands for, under a placeholder arm."""
+    return [RewriteRecord(source_id=item_id, arm="?", source_hash=src_hash,
+                          output_text=answer.output_text, rewriter_id=done.rewriter_id,
+                          template_id=done.template_id, timestamp=answer.timestamp,
+                          truncated=answer.truncated, failed=not answer.output_text)
+            for item_id, src_hash, answer in zip(done.ids, done.hashes, done.answers)]
 
 
 class TestRecordSerialiser:
     def test_write_records_equals_one_dumps_per_record(self):
         rng = random.Random(11)
-        records = [_random_record(rng) for _ in range(3000)]
+        jobs = [_random_rewritten(rng, rng.randrange(30)) for _ in range(200)]
+        records = [record for done in jobs for record in _records(done)]
+        assert any(r.failed for r in records) and any(r.truncated for r in records)
         files = {arm: io.StringIO() for arm in ("NL-QC", "NL-C", "\u00e9[,]\"")}
-        bodies = [record_body(r) for r in records]
         for arm, fh in files.items():
-            write_records(fh, arm, iter(bodies))
+            for done in jobs:
+                write_records(fh, arm, done.record_bodies())
             assert fh.getvalue() == "".join(
                 json.dumps({**asdict(r), "arm": arm}, sort_keys=True,
                            ensure_ascii=False) + "\n" for r in records)
 
     def test_cache_line_is_the_key_and_its_answer(self, closing, tmp_path):
         rng = random.Random(3)
-        answers = {f"k{i}": Answer(r.output_text, r.timestamp, r.truncated)
-                   for i, r in enumerate(_random_record(rng) for _ in range(50))
-                   if not r.failed}
+        answers = {f"k{i}": answer for i, answer in enumerate(_random_rewritten(rng, 50).answers)
+                   if answer.output_text}
         cache = closing(RewriteCache(tmp_path / "rw.jsonl"))
         for key, answer in answers.items():
             cache.put(key, answer)

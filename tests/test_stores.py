@@ -42,7 +42,7 @@ class TestRunStore:
         store.write(_record(i) for i in range(1000))
         assert len(store.read()) == 1000
 
-    def test_append_to_a_new_path_starts_at_run_000000(self, tmp_path):
+    def test_write_to_a_new_path_starts_at_run_000000(self, tmp_path):
         path = tmp_path / "sub" / "runs.jsonl"  # the write makes the directory
         RunStore(path).write([_record()])
         assert [rid for rid, _ in RunStore(path).read()] == ["run-000000"]
@@ -392,7 +392,7 @@ class TestTornStores:
     """The stores read through JsonlLog, as the caches do, but nothing
     appends to a store: a torn last line is damage, not a crash mid-append."""
 
-    def test_run_store_skips_a_torn_last_line(self, tmp_path):
+    def test_run_store_rejects_a_torn_last_line(self, tmp_path):
         store = RunStore(tmp_path / "runs.jsonl")
         store.write([_record(0), _record(1)])
         with open(store.path, "a", encoding="utf-8") as fh:
@@ -400,7 +400,7 @@ class TestTornStores:
         with pytest.raises(StoreError, match=r"runs\.jsonl: line 3 is torn$"):
             store.records()
 
-    def test_diagnostics_store_skips_a_torn_last_line(self, tmp_path):
+    def test_diagnostics_store_rejects_a_torn_last_line(self, tmp_path):
         store = DiagnosticsStore(tmp_path / "diag.jsonl")
         store.write([DiagnosticsStore.line("lexical", {"h_bits": 1.0}),
                      DiagnosticsStore.line("geometry", {"s_bar": 0.5})])
