@@ -11,6 +11,14 @@ runs offline:
     mock://bow?dim=D    hashed bag-of-words; token overlap -> high cosine
     mock://fail         always raises (for retry/abort paths)
 
+A ``mock://bow`` row is a sum over the text's :func:`word_tokens`: each
+occurrence of a token adds ±1.0 at one slot, both read off the token's
+sha256 (slot: its first 8 bytes, big-endian, mod D; sign: + when byte 8 is
+odd). Each client hashes a token type once and remembers its signed slot,
+and builds a batch's rows with one ``np.bincount``; sums of ±1.0 are exact
+in float64, so the rows do not depend on the order of the adds. Every
+encoder answers a batch with one float64 ``(n, dim)`` array.
+
 Raw (pre-normalization) vectors are cached keyed by :func:`content_key`, a
 hash of the encoder's fingerprint and the text; normalization is applied
 at load.
@@ -59,14 +67,19 @@ def _mock_hash_vector(encoder_id: str, text: str, dim: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(dim)
 
 
-def _mock_bow_vector(text: str, dim: int) -> np.ndarray:
-    vec = np.zeros(dim, dtype=np.float64)
-    for tok in word_tokens(text):
-        digest = hashlib.sha256(tok.encode("utf-8")).digest()
-        idx = int.from_bytes(digest[:8], "big") % dim
-        sign = 1.0 if digest[8] & 1 else -1.0
-        vec[idx] += sign
-    return vec
+class _TypeSlots(dict):
+    """token -> its signed ``mock://bow`` slot: the slot for a + sign, ``~slot``
+    for a - sign. Each type is hashed on its first lookup."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, token: str) -> int:
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        slot = int.from_bytes(digest[:8], "big") % self.dim
+        signed = self[token] = slot if digest[8] & 1 else ~slot
+        return signed
 
 
 class EncoderClient(EndpointClient):
@@ -83,6 +96,7 @@ class EncoderClient(EndpointClient):
                 raise ConfigError(f"mock encoder {self.encoder_id!r}: dim must be a "
                                   f"positive integer, got {dim!r}")
             self._dim = int(dim)
+            self._slots = _TypeSlots(self._dim)
 
     @property
     def encoder_id(self) -> str:
@@ -90,13 +104,25 @@ class EncoderClient(EndpointClient):
 
     model_id = encoder_id
 
-    def _mock(self, texts: Sequence[str]) -> list[list[float]]:
+    def _mock(self, texts: Sequence[str]) -> np.ndarray:
         kind = self._mock_kind
         if kind == "fail":
             raise EndpointError(f"mock encoder {self.encoder_id!r} configured to fail")
+        dim = self._dim
         if kind == "hash":
-            return [_mock_hash_vector(self.encoder_id, t, self._dim).tolist() for t in texts]
-        return [_mock_bow_vector(t, self._dim).tolist() for t in texts]
+            rows = [_mock_hash_vector(self.encoder_id, t, dim) for t in texts]
+            return np.array(rows, dtype=np.float64).reshape(len(texts), dim)
+        lookup, codes, lengths = self._slots.__getitem__, [], []
+        for text in texts:
+            tokens = word_tokens(text)
+            lengths.append(len(tokens))
+            codes += map(lookup, tokens)
+        signed = np.array(codes, dtype=np.int64)
+        negative = signed < 0
+        cells = np.repeat(np.arange(len(texts), dtype=np.int64) * dim, lengths)
+        cells += np.where(negative, ~signed, signed)
+        weights = np.where(negative, -1.0, 1.0)
+        return np.bincount(cells, weights, minlength=len(texts) * dim).reshape(len(texts), dim)
 
     def _http(self, texts: Sequence[str]) -> np.ndarray:
         """The reply's rows, which must each carry an ``"embedding"`` list of
@@ -118,8 +144,9 @@ class EncoderClient(EndpointClient):
                                 "not lists of finite numbers of one length")
         return vectors.astype(np.float64, copy=False)
 
-    def embed_batch(self, texts: Sequence[str]) -> Sequence[Sequence[float]]:
-        """Embed one batch, retrying with exponential backoff."""
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """Embed one batch, retrying with exponential backoff: one float64
+        row per text."""
         return self._call((texts,), f"encoder {self.encoder_id!r}",
                           f" on a batch of {len(texts)}")
 
@@ -244,7 +271,7 @@ def fetch_missing(texts: Iterable[str], client: EncoderClient, cache: EmbeddingC
     batches = [keys[i:i + bs] for i in range(0, len(keys), bs)]
     failures: list[WorkbenchError] = []  # appended to by the pool's threads
 
-    def fetch(batch: list[str]) -> Sequence[Sequence[float]] | None:
+    def fetch(batch: list[str]) -> np.ndarray | None:
         if failures:
             return None
         try:

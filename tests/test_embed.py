@@ -1,15 +1,24 @@
+import hashlib
 import json
+import shutil
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import assert_calls_counted_under_threads, open_failing_writes
+from rewritebench.config import load_config
 from rewritebench.embed import (EmbeddingCache, EncoderClient, EncoderEndpoint,
                                 content_key, embed_texts, fetch_missing)
-from rewritebench.errors import (CacheMissError, ConfigError, ContractError, EndpointError,
-                                 StoreError)
+from rewritebench.errors import (CacheMissError, ConfigError, ContractError, DomainError,
+                                 EndpointError, StoreError)
 from rewritebench.geometry import EmbeddingMatrix, l2_normalize
+from rewritebench.matrix import run_matrix
+from rewritebench.tokenizers import word_tokens
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 def mock_client(url: str = "mock://hash?dim=16", batch_size: int = 32,
@@ -35,11 +44,11 @@ class TestMockEncoders:
     def test_hash_encoder_deterministic(self):
         a = mock_client().embed_batch(["hello world"])
         b = mock_client().embed_batch(["hello world"])
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_hash_encoder_distinguishes_texts(self):
         out = mock_client().embed_batch(["alpha", "beta"])
-        assert out[0] != out[1]
+        assert not np.array_equal(out[0], out[1])
 
     def test_bow_encoder_rewards_token_overlap(self):
         client = mock_client("mock://bow?dim=128")
@@ -61,9 +70,101 @@ class TestMockEncoders:
 
     def test_fail_encoder_raises_after_retries(self):
         client = mock_client("mock://fail", retries=2)
-        with pytest.raises(EndpointError, match="after 3 attempts"):
-            client.embed_batch(["x"])
-        assert client.call_count == 3
+        for batch in (["x"], ["y", "z"]):  # retries + 1 calls per batch
+            with pytest.raises(EndpointError, match="after 3 attempts"):
+                client.embed_batch(batch)
+        assert client.call_count == 6
+
+
+def bow_oracle(text: str, dim: int) -> np.ndarray:
+    """The ``mock://bow`` row of *text* as first defined: one sha256 and one
+    add per token occurrence."""
+    vec = np.zeros(dim, dtype=np.float64)
+    for tok in word_tokens(text):
+        digest = hashlib.sha256(tok.encode("utf-8")).digest()
+        vec[int.from_bytes(digest[:8], "big") % dim] += 1.0 if digest[8] & 1 else -1.0
+    return vec
+
+
+BOW_TEXTS = [
+    "def parse_args(argv2): return __init__ x_1 9lives _",
+    "naïve café — ünïcödé 日本語 mixed_with ascii9 straße",
+    "a a a b a b b loop loop loop",
+    "",
+    "!?., ;() [] {} -- ==",
+]
+
+
+class TestBowEncoder:
+    """``mock://bow`` rows equal the per-occurrence formula byte for byte."""
+
+    @pytest.mark.parametrize("dim", [1, 7, 256])
+    def test_rows_equal_the_per_occurrence_formula(self, dim):
+        out = mock_client(f"mock://bow?dim={dim}").embed_batch(BOW_TEXTS)
+        assert out.dtype == np.float64 and out.shape == (len(BOW_TEXTS), dim)
+        assert out.tobytes() == np.stack([bow_oracle(t, dim) for t in BOW_TEXTS]).tobytes()
+
+    def test_a_text_without_words_is_a_zero_row_that_cannot_be_normalized(self, closing,
+                                                                          tmp_path):
+        client = mock_client("mock://bow?dim=7")
+        cache = closing(EmbeddingCache(tmp_path))
+        texts = ["a word", "!?., ;()"]
+        fetch_missing(texts, client, cache)
+        assert not cache.gather([content_key(client.fingerprint, texts[1])]).any()
+        with pytest.raises(DomainError, match="zero-vector row 'p'"):
+            embed_texts(["w", "p"], texts, client, cache)
+
+    def test_a_type_is_hashed_once_per_client(self, monkeypatch):
+        client = mock_client("mock://bow?dim=7")
+        hashed, sha256 = [], hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+        first = client.embed_batch(["alpha beta alpha"])
+        second = client.embed_batch(["beta gamma beta", "alpha"])
+        assert sorted(hashed) == [b"alpha", b"beta", b"gamma"]
+        monkeypatch.undo()
+        assert first.tobytes() == bow_oracle("alpha beta alpha", 7).tobytes()
+        assert second.tobytes() == np.stack(
+            [bow_oracle("beta gamma beta", 7), bow_oracle("alpha", 7)]).tobytes()
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_a_pool_sharing_the_memo_writes_the_inline_cache_bytes(self, closing,
+                                                                  tmp_path, workers):
+        texts = [f"shared_{i % 5} word{i % 3} shared_{i % 5} t{i}" for i in range(23)]
+        client = mock_client("mock://bow?dim=16", batch_size=3)
+        pooled = closing(EmbeddingCache(tmp_path / "pooled"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch inside the memo's lookups
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                fetch_missing(texts, client, pooled, pool.map)
+        finally:
+            sys.setswitchinterval(interval)
+        inline = closing(EmbeddingCache(tmp_path / "inline"))
+        fetch_missing(texts, mock_client("mock://bow?dim=16", batch_size=3), inline)
+        for name in ("vectors.bin", "manifest.jsonl"):
+            assert (tmp_path / "pooled" / name).read_bytes() == \
+                (tmp_path / "inline" / name).read_bytes()
+        keys = [content_key(client.fingerprint, t) for t in texts]
+        assert pooled.gather(keys).tobytes() == \
+            np.stack([bow_oracle(t, 16) for t in texts]).tobytes()
+
+
+class TestCallAccounting:
+    def test_a_cold_demo_run_counts_one_call_per_batch(self, tmp_path, monkeypatch):
+        shutil.copytree(DEMO, tmp_path / "demo", ignore=shutil.ignore_patterns("out", "cache"))
+        counts, embed_batch = [], EncoderClient.embed_batch
+
+        def counting(self, texts):
+            out = embed_batch(self, texts)
+            counts.append((len(texts), self.call_count, out.shape))
+            return out
+
+        monkeypatch.setattr(EncoderClient, "embed_batch", counting)
+        result = run_matrix(load_config(tmp_path / "demo" / "config.yaml"))
+        assert result.exit_status == 0, result.failures
+        # the demo's 24 distinct texts at embed_batch_size 8
+        assert result.endpoint_calls == {"encoder:bow": 3, "rewriter:nlmock": 12}
+        assert counts == [(8, 1, (8, 512)), (8, 2, (8, 512)), (8, 3, (8, 512))]
 
 
 class TestEmbedTexts:
