@@ -250,8 +250,9 @@ class EmbeddingCache:
 
 
 def fetch_missing(texts: Iterable[str], client: EncoderClient, cache: EmbeddingCache,
-                  map_fn: Callable = map) -> None:
-    """Put every distinct text of *texts* that *cache* lacks into it.
+                  map_fn: Callable = map) -> dict[str, str]:
+    """Put every distinct text of *texts* that *cache* lacks into it, and
+    return each distinct text's :func:`content_key`, computed once.
 
     The misses go to the endpoint in batches of its batch size, one request
     per batch, run through *map_fn*: a pool's ``map``, or the builtin
@@ -261,11 +262,13 @@ def fetch_missing(texts: Iterable[str], client: EncoderClient, cache: EmbeddingC
     that came back is cached, that failure is raised.
     """
     fingerprint = client.fingerprint
+    keyed: dict[str, str] = {}
     misses: dict[str, str] = {}
     for text in texts:
-        key = content_key(fingerprint, text)
-        if key not in cache and key not in misses:
-            misses[key] = text
+        if text not in keyed:
+            key = keyed[text] = content_key(fingerprint, text)
+            if key not in cache:
+                misses[key] = text
     keys = list(misses)
     bs = client.endpoint.batch_size
     batches = [keys[i:i + bs] for i in range(0, len(keys), bs)]
@@ -289,22 +292,27 @@ def fetch_missing(texts: Iterable[str], client: EncoderClient, cache: EmbeddingC
             failures.append(exc)
     if failures:
         raise failures[0]
+    return keyed
 
 
 def embed_texts(ids: Sequence[str], texts: Sequence[str], client: EncoderClient,
-                cache: EmbeddingCache) -> EmbeddingMatrix:
+                cache: EmbeddingCache, keys: Sequence[str] | None = None) -> EmbeddingMatrix:
     """One normalized vector per text, in input order, from *cache* alone:
     the rows are gathered into the matrix itself and normalized in place, so
-    no other copy of it is made. A text without a cached vector is a
-    :class:`CacheMissError`, and rows of more than one dim an
-    :class:`EndpointError`; the encoder is never called."""
+    no other copy of it is made. *keys*, when given, are the texts' content
+    keys, as :func:`fetch_missing` returned them. A text
+    without a cached vector is a :class:`CacheMissError`, and rows of more
+    than one dim an :class:`EndpointError`; the encoder is never called."""
     if len(ids) != len(texts):
         raise ContractError(f"{len(ids)} ids for {len(texts)} texts")
     if len(texts) == 0:
         raise ContractError("cannot embed an empty text list")
 
-    encoder_id, fingerprint = client.encoder_id, client.fingerprint
-    keys = [content_key(fingerprint, t) for t in texts]
+    encoder_id = client.encoder_id
+    if keys is None:
+        keys = [content_key(client.fingerprint, t) for t in texts]
+    elif len(keys) != len(texts):
+        raise ContractError(f"{len(keys)} keys for {len(texts)} texts")
     vectors = cache.gather(keys)
     if vectors is None:
         missing = sum(key not in cache for key in keys)

@@ -1,10 +1,11 @@
 """Collection ingestion for BEIR-style retrieval tasks.
 
 Corpus and queries arrive as JSON-Lines (``_id``/``text``, corpus lines may
-add ``title``); qrels arrive as tab-separated ``query-id<TAB>corpus-id<TAB>score``
-with an optional auto-detected header line. Ingest is deterministic and
-order-preserving; every dropped or suspicious row is recorded in the report
-rather than silently discarded.
+add ``title``; each must encode as UTF-8, so a ``\\ud800`` escape of a lone
+surrogate is an error); qrels arrive as tab-separated
+``query-id<TAB>corpus-id<TAB>score`` with an optional auto-detected header
+line. Ingest is deterministic and order-preserving; every dropped or
+suspicious row is recorded in the report rather than silently discarded.
 """
 
 from __future__ import annotations
@@ -104,6 +105,12 @@ def _load_jsonl_items(path: Path, *, want_title: bool):
         if title is not None and not isinstance(title, str):
             raise IngestError("'title' must be a string when present",
                               path=str(path), line=lineno, offset=offset)
+        for name, value in (("_id", _id), ("text", text), ("title", title or "")):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, from a "\ud800" escape
+                raise IngestError(f"{name!r} does not encode as UTF-8", path=str(path),
+                                  line=lineno, offset=offset) from None
         items.append((lineno, offset, _id, text, title))
     return items
 

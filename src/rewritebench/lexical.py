@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, DomainError
 from .tokenizers import Tokenizer
 
@@ -43,11 +45,6 @@ def token_entropy(token_counts: Mapping[int, int]) -> float:
     return -math.fsum(terms) + 0.0
 
 
-def ranked_types(token_counts: Mapping[int, int]) -> list[tuple[int, int]]:
-    """(token_id, count) sorted by descending count, ascending id on ties."""
-    return sorted(token_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
 @dataclass(frozen=True)
 class CoverageCurve:
     """Cumulative token fraction covered by the top-k vocabulary ranks."""
@@ -69,17 +66,21 @@ class CoverageCurve:
 
 
 def coverage_cdf(token_counts: Mapping[int, int]) -> CoverageCurve:
-    """Coverage curve over ranked types plus k80, the smallest k reaching
-    80% of total tokens (exact integer comparison, no float threshold)."""
+    """Coverage curve over the types ranked by descending count, plus k80,
+    the smallest k reaching 80% of total tokens (exact integer comparison,
+    no float threshold). Tied types add the same count whatever their
+    order, so the curve depends on the counts alone.
+
+    One numpy pass: the running totals are exact int64 sums, and each
+    point is one of them divided by the total, both exact in float64, so
+    it is the correctly rounded quotient that ``cum / total`` gives on
+    Python ints."""
     total, _ = _validated_counts(token_counts)
-    points = []
-    cum = k80 = 0
-    for k, (_, c) in enumerate(ranked_types(token_counts), start=1):
-        cum += c
-        points.append((k, cum / total))
-        if not k80 and 5 * cum >= 4 * total:
-            k80 = k
-    return CoverageCurve(points=tuple(points), k80=k80)
+    counts = np.fromiter(token_counts.values(), dtype=np.int64, count=len(token_counts))
+    cum = np.cumsum(np.sort(counts)[::-1])
+    k80 = int(np.argmax(5 * cum >= 4 * total)) + 1
+    return CoverageCurve(points=tuple(zip(range(1, len(cum) + 1), (cum / total).tolist())),
+                         k80=k80)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import shutil
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field, replace
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 
 from .config import ExperimentConfig
 from .embed import EmbeddingCache, EncoderClient, fetch_missing
-from .errors import CacheMissError, WorkbenchError
+from .errors import CacheMissError, ContractError, WorkbenchError
 from .geometry import EmbeddingMatrix
 from .ingest import Collection, ingest_collection
 from .models import CellKey, Strategy
@@ -93,7 +94,7 @@ def write_cells(stages: Stages, scored: list[tuple[CellKey, ArmResult]],
     those records, then those of the cell's own queries, which C cells and
     Baselines lack."""
     config = stages.config
-    curve = Encoded(scored[0][1].lexical.coverage.as_lists())  # the corpus's
+    curve = Encoded(scored[0][1].lexical.coverage.points)  # the corpus's
     corpus_lines = list(stages.side(scored[0][0], "documents").record_bodies())
     outcomes: list[tuple[str, str] | WorkbenchError] = []
     for cell, arm in scored:
@@ -128,14 +129,19 @@ class Stages(AbstractContextManager):
     ``config.parallelism`` threads that sends the endpoint requests of
     :meth:`rewrite` and :meth:`fetch`. A failed input is raised by whatever
     reads it; leaving the ``with`` block shuts the pool down, then closes
-    the clients, then the caches, and drops the judgments. :func:`run_matrix`
-    scores an arm against a Baseline whose files were written."""
+    the clients, then the embedding cache, and drops the judgments and the
+    content keys no gather read. :func:`run_matrix` scores an arm against a
+    Baseline whose files were written.
+
+    What a stage needs is held only while some later stage reads it: the
+    rewrite cache is open for :meth:`rewrite` alone, and each text set's
+    content keys, computed once by :meth:`fetch`, are dropped after the
+    last gather of that set."""
 
     def __init__(self, config: ExperimentConfig, cells: Sequence[CellKey]):
         self.config, self.cells = config, list(cells)
         catalog = resolve_catalog(config.template_catalog)
         self.embedding_cache = EmbeddingCache(Path(config.cache_dir) / "embeddings")
-        self.rewrite_cache = RewriteCache(Path(config.cache_dir) / "rewrites.jsonl")
 
         # only what the cells name: a per-arm command needs one of each
         encoders = [e for e in config.encoders
@@ -160,7 +166,7 @@ class Stages(AbstractContextManager):
 
         # The texts of every side a cell ranks, by side_key: the
         # originals, without rewrite records, or a rewrite job's outputs.
-        self._jobs: dict[tuple, RewriteJob] = {}
+        self._jobs: dict[tuple, RewriteJob] | None = {}  # None once rewrite has run
         for cell in self.cells:
             collection = self.collections.get(cell.task_id)
             for side in SIDES:
@@ -180,6 +186,8 @@ class Stages(AbstractContextManager):
                         self._sides[key] = exc
 
         self._fetch_failures: dict[str, WorkbenchError] = {}  # by encoder id
+        # by (encoder id, side key): [gathers left, the set's content keys]
+        self._keys: dict[tuple, list] = {}
         self._pool = (ThreadPoolExecutor(config.parallelism)
                       if config.parallelism > 1 else None)
         self._map: Callable = map if self._pool is None else self._pool.map
@@ -189,29 +197,61 @@ class Stages(AbstractContextManager):
             self._pool.shutdown()
         for client in (*self.encoders.values(), *self.rewriters.values()):
             client.close()
-        self.rewrite_cache.close()
         self.embedding_cache.close()
         self._judgments.clear()
+        self._keys.clear()
 
     def rewrite(self) -> None:
         """Stage 1: rewrite the cells' sides, once per distinct prompt, each
-        request sent through the pool."""
-        self._sides.update(zip(self._jobs, rewrite_jobs(list(self._jobs.values()),
-                                                        self.rewrite_cache, self._map)))
+        request sent through the pool. The rewrite cache is opened for this
+        stage and closed when it ends, which releases its index of every
+        cached answer; the sides keep the answers they use. The stage runs
+        once: a second call is a ContractError, not a second round of
+        requests."""
+        if self._jobs is None:
+            raise ContractError("the rewrite stage has already run")
+        jobs, self._jobs = self._jobs, None
+        cache = RewriteCache(Path(self.config.cache_dir) / "rewrites.jsonl")
+        try:
+            self._sides.update(zip(jobs, rewrite_jobs(list(jobs.values()), cache, self._map)))
+        finally:
+            cache.close()
 
     def fetch(self) -> None:
         """Stage 2: fetch the vectors the cells lack, each distinct text once,
-        each batch sent through the pool. An encoder's failure is kept for
-        the cells it leaves without vectors."""
+        each batch sent through the pool, and keep each text set's content
+        keys for its gathers: one per cell that ranks with it on the query
+        side, one per corpus built on the documents side, which the QC and C
+        cells of a (rewriter, strategy) share. An encoder's failure is kept
+        for the cells it leaves without vectors."""
         for encoder_id, client in self.encoders.items():
-            keys = dict.fromkeys(side_key(cell, side) for cell in self.cells
-                                 if cell.encoder_id == encoder_id for side in SIDES)
-            wanted = [text for key in keys if isinstance(self._sides[key], Rewritten)
-                      for text in self._sides[key].texts]
+            cells = [cell for cell in self.cells if cell.encoder_id == encoder_id]
+            sets = [key for key in dict.fromkeys(side_key(cell, side) for cell in cells
+                                                 for side in SIDES)
+                    if isinstance(self._sides[key], Rewritten)]
             try:
-                fetch_missing(wanted, client, self.embedding_cache, self._map)
+                keyed = fetch_missing((text for key in sets for text in self._sides[key].texts),
+                                      client, self.embedding_cache, self._map)
             except WorkbenchError as exc:
                 self._fetch_failures[encoder_id] = exc.with_traceback(None)
+                continue
+            query_gathers = Counter(side_key(cell, "queries") for cell in cells)
+            for key in sets:  # a documents set is not in query_gathers: one gather
+                self._keys[encoder_id, key] = [query_gathers[key] or 1,
+                                               [keyed[text] for text in self._sides[key].texts]]
+
+    def _gather_keys(self, cell: CellKey, side: str) -> list[str] | None:
+        """The content keys of the texts *cell* ranks on *side*, as
+        :meth:`fetch` computed them, dropped with the set's last gather;
+        ``None`` when fetch kept none for it."""
+        key = (cell.encoder_id, side_key(cell, side))
+        entry = self._keys.get(key)
+        if entry is None:
+            return None
+        entry[0] -= 1
+        if not entry[0]:
+            del self._keys[key]
+        return entry[1]
 
     @contextmanager
     def _fetched(self, cell: CellKey):
@@ -241,14 +281,16 @@ class Stages(AbstractContextManager):
             return build_corpus(self.collections[cell.task_id], texts, cell,
                                 encoder=self.encoders[cell.encoder_id],
                                 tokenizer=self.tokenizers[cell.encoder_id],
-                                embedding_cache=self.embedding_cache)
+                                embedding_cache=self.embedding_cache,
+                                keys=self._gather_keys(cell, "documents"))
 
     def queries(self, cell: CellKey) -> EmbeddingMatrix:
         """The query matrix *cell* ranks with, gathered anew from the cache."""
         texts = self.side(cell, "queries").texts
         with self._fetched(cell):
             return embed_items(self.collections[cell.task_id].queries, texts,
-                               self.encoders[cell.encoder_id], self.embedding_cache)
+                               self.encoders[cell.encoder_id], self.embedding_cache,
+                               self._gather_keys(cell, "queries"))
 
     def score(self, cell: CellKey, corpus: Corpus, baseline: ArmResult | None) -> ArmResult:
         """Score *cell* against *corpus*, with deltas against *baseline* if given."""

@@ -23,8 +23,9 @@ from .errors import ContractError, DomainError
 from .geometry import EmbeddingMatrix
 
 GAIN_MODES = ("linear", "exp")
-# Query rows partitioned at once; bounds the partition's scratch memory.
-_TOPK_BLOCK_ROWS = 256
+# Bytes of score rows partitioned at once: np.partition copies its block, so
+# this bounds the scratch above the score matrix. A block holds at least one row.
+_TOPK_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass
@@ -97,8 +98,9 @@ def _topk_rows(scores: np.ndarray, id_rank: np.ndarray, k: int) -> Iterator[np.n
     the boundary are all candidates, and the id tie-break settles them.
     """
     n_docs = scores.shape[1]
-    for start in range(0, len(scores), _TOPK_BLOCK_ROWS):
-        block = scores[start:start + _TOPK_BLOCK_ROWS]
+    rows = max(1, _TOPK_BLOCK_BYTES // (scores.itemsize * n_docs))
+    for start in range(0, len(scores), rows):
+        block = scores[start:start + rows]
         kth = np.partition(block, n_docs - k, axis=1)[:, n_docs - k]
         for row, bound in zip(block, kth):
             cand = np.flatnonzero(row >= bound)

@@ -34,6 +34,18 @@ from .stores import JsonlLog
 from .templates import PromptTemplate, TemplateCatalog
 
 
+_encode_str = json.encoder.encode_basestring  # the C escaper of ensure_ascii=False
+
+
+def _encodes(text: str) -> bool:
+    """Whether *text* encodes as UTF-8: it holds no lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def source_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -133,10 +145,12 @@ class RewriterClient(EndpointClient):
                 except (OSError, ValueError) as exc:
                     self._table_error = str(exc)
                 else:
-                    if isinstance(table, dict) and set(map(type, table.values())) <= {str}:
-                        self._table = table
-                    else:
+                    if not (isinstance(table, dict) and set(map(type, table.values())) <= {str}):
                         self._table_error = "not a JSON object of strings"
+                    elif not _encodes("".join(table) + "".join(table.values())):
+                        self._table_error = "an entry does not encode as UTF-8"
+                    else:
+                        self._table = table
             if self._table is None:
                 raise ConfigError(f"mock://table file {self._table_path} does not "
                                   f"parse: {self._table_error}")
@@ -158,6 +172,9 @@ class RewriterClient(EndpointClient):
         except (KeyError, IndexError, TypeError) as exc:
             raise EndpointError(
                 f"rewriter {self.rewriter_id!r} returned an unexpected payload") from exc
+        if not _encodes(text):  # a lone surrogate, from a "\ud800" escape
+            raise EndpointError(
+                f"rewriter {self.rewriter_id!r} returned text that does not encode as UTF-8")
         truncated = choice.get("finish_reason") == "length"
         return text, truncated
 
@@ -204,10 +221,15 @@ class RewriteCache:
 
     def put(self, key: str, answer: Answer) -> None:
         """Append *answer*: one append per answer, so a crash loses none
-        that finished before it."""
+        that finished before it. The line is ``json.dumps({"key": key,
+        **answer._asdict()}, sort_keys=True, ensure_ascii=False)``, byte for
+        byte."""
+        output, timestamp, truncated = answer
+        line = (f'{{"key": {_encode_str(key)}, "output_text": {_encode_str(output)}, '
+                f'"timestamp": {_encode_str(timestamp)}, '
+                f'"truncated": {"true" if truncated else "false"}}}')
         with self._lock:
-            self._log.append(json.dumps({"key": key, **answer._asdict()}, sort_keys=True,
-                                        ensure_ascii=False))
+            self._log.append(line)
             self._index[key] = answer
 
     def close(self) -> None:
@@ -225,9 +247,6 @@ class RewriteJob:
     texts: Sequence[str]
     template: PromptTemplate
     client: RewriterClient
-
-
-_encode_str = json.encoder.encode_basestring  # the C escaper of ensure_ascii=False
 
 
 @dataclass(frozen=True)

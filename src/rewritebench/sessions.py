@@ -13,28 +13,26 @@ call and kept alive for reuse. Proxies come from the environment
 the transport is built: an https origin is reached through a ``CONNECT``
 tunnel, an http one by sending the proxy the absolute URL. HTTPS verifies
 against the system trust store. Redirects are not followed and ``.netrc``
-is not read.
+is not read. The HTTP stack (``http.client``, ``ssl``, ``urllib.request``)
+is imported when the first transport is built, so a process whose
+endpoints are all ``mock://``, or that only reads results, never loads it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import os
-import ssl
 import threading
 import time
 from functools import cached_property
-from typing import Any
+from typing import TYPE_CHECKING, Any
 from urllib.parse import parse_qs, urlsplit
-from urllib.request import getproxies, proxy_bypass
 
 from .errors import ConfigError, EndpointError
 
-# What a kept-alive connection the server has dropped raises before a status
-# line comes back: the request is sent again once, on a new connection.
-_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+if TYPE_CHECKING:
+    import http.client
 
 
 class JsonTransport:
@@ -44,6 +42,9 @@ class JsonTransport:
     connection made so far; a later call makes a new one."""
 
     def __init__(self, url: str, timeout_s: float, auth_env: str | None = None):
+        import ssl
+        from urllib.request import getproxies, proxy_bypass
+
         parts = urlsplit(url)
         if parts.scheme not in ("http", "https"):
             raise ConfigError(f"endpoint URL {url!r} has scheme {parts.scheme!r}; "
@@ -75,6 +76,8 @@ class JsonTransport:
         self._made: list[http.client.HTTPConnection] = []
 
     def _connection(self) -> http.client.HTTPConnection:
+        import http.client
+
         conn = getattr(self._local, "conn", None)
         if conn is None:
             host, port = self._proxy or (self._host, self._port)
@@ -93,6 +96,8 @@ class JsonTransport:
     def post(self, payload: dict) -> dict:
         """POST *payload* and return the decoded JSON object of a 200
         answer. Any other outcome raises :class:`EndpointError`."""
+        import http.client
+
         body = json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.auth_env) if self.auth_env else None
@@ -104,7 +109,9 @@ class JsonTransport:
             try:
                 conn.request("POST", self._target, body=body, headers=headers)
                 resp = conn.getresponse()
-            except _STALE:
+            # what a kept-alive connection the server has dropped raises before
+            # a status line comes back: sent again once, on a new connection
+            except (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError):
                 if not reused:
                     raise
                 conn.close()

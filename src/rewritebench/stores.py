@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager, suppress
-from itertools import chain
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, TextIO
 
@@ -51,22 +50,23 @@ def decode_line(line: str) -> Any:
 
 
 class Encoded:
-    """A JSON value encoded once, for every file that carries it: ``compact``
-    as a store row holds it, ``indented`` as :func:`json_chunks` writes a
-    value of a top-level object. :func:`_dump` and :func:`json_chunks` put
-    the text in place of the value. The ``indented`` text of rows of numbers
-    (a coverage curve) is made from ``compact``: a number's text holds no
-    ``[``, ``]`` or ``,``, so the separators alone place the line breaks."""
+    """A coverage curve's JSON text, encoded once for every file that
+    carries it, straight from its points: at least one (rank, fraction)
+    pair of an int and a finite float, which ``json`` writes as their
+    ``repr``. ``compact`` is the text of the list of ``[rank, fraction]``
+    rows as a store row holds it, ``indented`` as :func:`json_chunks`
+    writes a value of a top-level object; :func:`_dump` and
+    :func:`json_chunks` put the text in place of the value. A number's text
+    holds no ``[``, ``]`` or ``,``, so the separators alone place the line
+    breaks."""
 
     __slots__ = ("compact", "indented")
 
-    def __init__(self, value):
-        self.compact = json.dumps(value, sort_keys=True, ensure_ascii=False)
-        if _is_numeric_rows(value):
-            rows = self.compact[2:-2].replace("], [", "\n  ],\n  [\n   ")
-            self.indented = "[\n  [\n   " + rows.replace(", ", ",\n   ") + "\n  ]\n ]"
-        else:
-            self.indented = _indent1(value).replace("\n", "\n ")
+    def __init__(self, points: Iterable[tuple[int, float]]):
+        rows = "], [".join([f"{k!r}, {f!r}" for k, f in points])
+        self.compact = f"[[{rows}]]"
+        rows = rows.replace("], [", "\n  ],\n  [\n   ").replace(", ", ",\n   ")
+        self.indented = f"[\n  [\n   {rows}\n  ]\n ]"
 
 
 def _dump(obj: dict[str, Any]) -> str:
@@ -82,13 +82,6 @@ def _dump(obj: dict[str, Any]) -> str:
 
 def _indent1(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1)
-
-
-def _is_numeric_rows(value) -> bool:
-    """A non-empty list of non-empty lists of ints and floats; the checks
-    run in C, a curve has thousands of points."""
-    return (type(value) is list and bool(value) and set(map(type, value)) == {list}
-            and all(value) and set(map(type, chain.from_iterable(value))) <= {int, float})
 
 
 def json_chunks(obj) -> Iterator[str]:

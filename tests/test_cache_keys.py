@@ -11,9 +11,11 @@ reads as all misses. A changed table is covered in ``test_matrix.py``
 import json
 import re
 import shutil
+from collections import Counter
 from pathlib import Path
 
 from conftest import FIXTURES
+from rewritebench import embed
 from rewritebench.config import load_config
 from rewritebench.matrix import run_matrix
 
@@ -95,3 +97,22 @@ def test_cache_of_the_old_keys_reads_as_all_misses(tmp_path):
                 cache / "embeddings" / "vectors.bin")
     assert run(config) == {"encoder:bow": 3, "rewriter:nlmock": 12}
     assert masked_tree(tmp_path / "old" / "out") == masked_tree(tmp_path / "fresh" / "out")
+
+
+def test_each_text_is_keyed_once_per_run(tmp_path, monkeypatch):
+    # the fetch stage keys each distinct (encoder, text) once and hands the
+    # keys of a text set to every gather of it, on a cold run and a warm one
+    config = demo_copy(tmp_path / "demo")
+    keyed: Counter = Counter()
+    content_key = embed.content_key
+
+    def counting(fingerprint: str, text: str) -> str:
+        keyed[fingerprint, text] += 1
+        return content_key(fingerprint, text)
+
+    monkeypatch.setattr(embed, "content_key", counting)
+    for temperature in ("cold", "warm"):
+        keyed.clear()
+        calls = run(config)
+        assert calls["encoder:bow"] == (0 if temperature == "warm" else 3)
+        assert len(keyed) == N_TEXTS and set(keyed.values()) == {1}, temperature

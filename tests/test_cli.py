@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -437,6 +438,27 @@ def test_cli_import_leaves_requests_out():
          "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_a_mock_run_leaves_the_http_stack_out(tmp_path):
+    # the HTTP stack is imported by the first transport built, and a run whose
+    # endpoints are all mock:// builds none; report and audit build none either
+    demo = tmp_path / "demo"
+    shutil.copytree(Path(__file__).resolve().parent.parent / "demo", demo,
+                    ignore=shutil.ignore_patterns("out", "cache"))
+    config = str(demo / "config.yaml")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from rewritebench.cli import main; "
+         f"assert main(['--config', {config!r}, 'run-matrix']) == 0; "
+         f"assert main(['--config', {config!r}, 'report']) == 0; "
+         f"assert main(['--config', {config!r}, 'audit', '--task', 'demo', "
+         "'--sample-size', '3']) == 0; "
+         "print(sorted({'http.client', 'ssl', 'urllib.request'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_retrieve_names_the_rewriter_of_an_arm(tmp_path):

@@ -338,6 +338,27 @@ class TestMalformedReplies:
         assert record["delta_ndcg"] == 0.0  # it ranked the source texts
 
 
+    def test_content_that_does_not_encode_is_retried_then_falls_back(self, server,
+                                                                     tmp_path):
+        # the reply's JSON escape "\ud800" decodes to a lone surrogate, which
+        # no UTF-8 text can hold: a malformed reply, so nothing of it is cached
+        server.content = lambda user: f"REWRITTEN \ud800 {user}"
+        client = _rewrite_client(server, retries=1)
+        with pytest.raises(EndpointError, match="after 2 attempts.*does not encode"):
+            client.complete("", "u", 8)
+        assert len(server.requests) == 2
+        remote = {"rewriter_id": "remote-rw", "url": _url(server, "/v1/chat/completions")}
+        cfg = load_config(write_matrix_config(tmp_path, rewriters=[remote]))
+        result = run_matrix(cfg)
+        assert result.exit_status == 0
+        cell_dir = cfg.out_dir / "cells" / "bow__toy__remote-rw__NL__QC"
+        rows = [json.loads(line)
+                for line in (cell_dir / "rewrites.jsonl").read_text().splitlines()]
+        assert len(rows) == len(TOY_DOCS) + 3
+        assert all(row["failed"] and row["output_text"] == "" for row in rows)
+        assert not (cfg.cache_dir / "rewrites.jsonl").exists()
+
+
 def _wait_for(condition, timeout_s=5.0) -> bool:
     deadline = time.monotonic() + timeout_s
     while not condition():

@@ -70,6 +70,24 @@ class TestFatalErrors:
         assert err.value.line == 2
         assert err.value.offset == len(good) + 1
 
+    @pytest.mark.parametrize("side, field", [("corpus", "_id"), ("corpus", "text"),
+                                             ("corpus", "title"), ("queries", "_id"),
+                                             ("queries", "text")])
+    def test_a_string_that_does_not_encode_names_its_line(self, tmp_path, side, field):
+        # the JSON escape "\ud800" decodes to a lone surrogate, which no
+        # UTF-8 text can hold: it would crash the first hash of the text
+        good = json.dumps({"_id": "x0", "text": "ok"})
+        bad = {"_id": "x1", "text": "fine", field: "half \ud800 a pair"}
+        files = {"corpus": tmp_path / "c.jsonl", "queries": tmp_path / "q.jsonl"}
+        for name, path in files.items():
+            rows = [good] + ([json.dumps(bad)] if name == side else [])
+            path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        qrels = write_qrels(tmp_path / "qr.tsv", [("x0", "x0", 1)])
+        with pytest.raises(IngestError, match=f"'{field}' does not encode as UTF-8") as err:
+            ingest_collection(files["corpus"], files["queries"], qrels)
+        assert (err.value.path, err.value.line, err.value.offset) == (
+            str(files[side]), 2, len(good) + 1)
+
     def test_non_integer_grade_rejected(self, tmp_path):
         corpus = write_jsonl(tmp_path / "c.jsonl", [{"_id": "d1", "text": "x"}])
         queries = write_jsonl(tmp_path / "q.jsonl", [{"_id": "q1", "text": "y"}])

@@ -1,8 +1,10 @@
+import json
 import math
 import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -11,6 +13,7 @@ from rewritebench.errors import ConfigError, DomainError
 from rewritebench.lexical import (CoverageCurve, LexicalReport,
                                   batched_entropy, build_lexical_report,
                                   coverage_cdf, delta_h, token_entropy)
+from rewritebench.stores import Encoded, json_chunks
 from rewritebench.tokenizers import Tokenizer, WordTokenizer
 
 
@@ -327,16 +330,18 @@ def test_word_counts_give_the_results_of_the_per_text_path(monkeypatch):
 
 def test_statistics_equal_an_integer_oracle_bit_for_bit():
     rng = random.Random(31)
-    for _ in range(300):
-        # few distinct counts over many types, so ranks tie often
-        ids = rng.sample(range(100), rng.randint(1, 60))
-        counts = {tok: rng.choice((1, 1, 2, 3, 5)) for tok in ids}
+    # few distinct counts over many types, so ranks tie often: small tables,
+    # then large ones with ids up to 2**20 and a few heavy types
+    shapes = [(100, 60, (1, 1, 2, 3, 5))] * 300 + [(1 << 20, 3000, (1, 1, 1, 2, 3, 5, 997))] * 6
+    for id_range, max_types, choices in shapes:
+        ids = rng.sample(range(id_range), rng.randint(1, max_types))
+        counts = {tok: rng.choice(choices) for tok in ids}
         tokens = [tok for tok, c in counts.items() for _ in range(c)]
         rng.shuffle(tokens)
         report = lexical_stats(tokens)
         ranked = sorted(counts.values(), reverse=True)
         unique, total, hapax = len(ranked), len(tokens), ranked.count(1)
-        cums = [sum(ranked[:k]) for k in range(1, unique + 1)]
+        cums = list(accumulate(ranked))  # exact integer running totals
         assert report.top20_mass == sum(ranked[:-(-unique // 5)]) / total
         assert (report.hapax_type_rate, report.hapax_token_rate) == (hapax / unique,
                                                                      hapax / total)
@@ -345,3 +350,8 @@ def test_statistics_equal_an_integer_oracle_bit_for_bit():
                                                for k, cum in enumerate(cums, 1))
         assert report.coverage.k80 == next(k for k, cum in enumerate(cums, 1)
                                            if 5 * cum >= 4 * total)
+        # the text every file carries: that of json.dumps of the curve's rows
+        rows = report.coverage.as_lists()
+        encoded = Encoded(report.coverage.points)
+        assert encoded.compact == json.dumps(rows)
+        assert "".join(json_chunks({"c": encoded})) == json.dumps({"c": rows}, indent=1)

@@ -292,6 +292,22 @@ class TestFaultIsolation:
                        and str(tmp_path / name / "qrels.tsv") in msg
                        for msg in result.failures.values())
 
+    def test_a_task_whose_text_does_not_encode_fails_all_its_cells(self, tmp_path):
+        # a "\ud800" escape is a lone surrogate: refused at ingest, it reaches
+        # no hash, no cache and no cell file
+        path = write_matrix_config(tmp_path)
+        corpus = tmp_path / "corpus.jsonl"
+        with corpus.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"_id": "d9", "text": "def f(): \ud800"}) + "\n")
+        result = run_matrix(load_config(path))
+        assert result.exit_status == 1 and not result.results
+        assert len(result.failures) == 2
+        assert all(msg.startswith("task ingest failed: 'text' does not encode as UTF-8")
+                   and f"path={corpus} line={len(TOY_DOCS) + 1}" in msg
+                   for msg in result.failures.values())
+        assert not (tmp_path / "cache" / "rewrites.jsonl").exists()
+        assert not (tmp_path / "out" / "cells").exists()
+
     def test_a_cell_whose_files_cannot_be_written_fails_alone(self, tmp_path):
         cfg = load_config(write_matrix_config(tmp_path, regimes=("QC", "C")))
         assert run_matrix(cfg).exit_status == 0
@@ -685,6 +701,33 @@ class TestTableRewriter:
                                        "rewriter:tab": cold.endpoint_calls["rewriter:tab"]}
         corpus = (tmp_path / "out" / "cells" / "bow__toy__tab__NL__C" / "rewrites.jsonl")
         assert json.loads(corpus.read_text().splitlines()[0])["output_text"] == "mapped"
+
+    def test_an_entry_that_does_not_encode_fails_only_its_cells(self, tmp_path):
+        # json.dumps escapes the lone surrogate as "\ud800": the table parses,
+        # but no UTF-8 file can hold that output, so the table is refused
+        runs = {}
+        for name, output in (("clean", "mapped"), ("broken", "mapped \ud800")):
+            table_path = tmp_path / name / "table.json"
+            table_path.parent.mkdir()
+            table_path.write_text(json.dumps({TOY_DOCS[0]["text"]: output}),
+                                  encoding="utf-8")
+            runs[name] = run_matrix(load_config(self._config(tmp_path / name, table_path)))
+        broken = runs["broken"]
+        assert runs["clean"].exit_status == 0 and broken.exit_status == 1
+        assert {c.rewriter_id for c in broken.failures} == {"tab"}
+        assert {c.rewriter_id for c in broken.results} == {"", "ident"}
+        assert all("does not encode as UTF-8" in msg for msg in broken.failures.values())
+        # the healthy cells' files are the clean run's (meta.json holds the
+        # config hash, which the table's path enters)
+        for cell in broken.results:
+            trees = [tree_bytes(tmp_path / name / "out" / "cells" / cell.cell_id, True)
+                     for name in runs]
+            for tree in trees:
+                del tree["meta.json"]
+            assert trees[0] == trees[1] and "record.json" in trees[1]
+        cached = (tmp_path / "broken" / "cache" / "rewrites.jsonl").read_bytes()
+        assert b"mapped" not in cached
+        cached.decode("utf-8")
 
     def test_table_that_does_not_parse_fails_only_its_cells(self, tmp_path):
         table_path = tmp_path / "table.json"

@@ -5,9 +5,11 @@ import pytest
 from conftest import (TOY_DOCS, TOY_QRELS, TOY_QUERIES, write_jsonl,
                       write_matrix_config, write_qrels)
 from rewritebench.config import load_config
+from rewritebench.errors import ContractError
 from rewritebench.matrix import CellKey, Stages
 from rewritebench.models import Regime, Strategy, TaskFamily
 from rewritebench.retrieval import Judgments
+from rewritebench.rewrite import RewriteCache
 
 BASELINE = CellKey(encoder_id="bow", task_id="toy")
 
@@ -17,16 +19,21 @@ def arm_cell(strategy: Strategy = Strategy.NL, regime: Regime = Regime.QC) -> Ce
                    strategy=strategy, regime=regime)
 
 
-def scored(tmp_path, cells, docs=TOY_DOCS, queries=TOY_QUERIES, qrels=TOY_QRELS):
-    """One Stages over a toy config (mock bow encoder, k=3, identity
-    rewriter and templates) and each cell's result, scored in order by it,
-    an arm against the result of the last Baseline before it."""
+def toy_config(tmp_path, docs=TOY_DOCS, queries=TOY_QUERIES, qrels=TOY_QRELS):
+    """A toy config: mock bow encoder, k=3, identity rewriter and templates."""
     write_jsonl(tmp_path / "corpus.jsonl", docs)
     write_jsonl(tmp_path / "queries.jsonl", queries)
     write_qrels(tmp_path / "qrels.tsv", qrels)
-    cfg = load_config(write_matrix_config(tmp_path, tasks=[
+    return load_config(write_matrix_config(tmp_path, tasks=[
         {"task_id": "toy", "family": "CodeToCode", "corpus": "corpus.jsonl",
          "queries": "queries.jsonl", "qrels": "qrels.tsv"}]))
+
+
+def scored(tmp_path, cells, docs=TOY_DOCS, queries=TOY_QUERIES, qrels=TOY_QRELS):
+    """One Stages over a :func:`toy_config` and each cell's result, scored
+    in order by it, an arm against the result of the last Baseline before
+    it."""
+    cfg = toy_config(tmp_path, docs, queries, qrels)
     results, baseline = [], None
     with Stages(cfg, cells) as stages:
         stages.rewrite()
@@ -100,6 +107,25 @@ class TestEvaluateArm:
             queries=TOY_QUERIES + [{"_id": "q_nopos", "text": "unjudged query text"}])
         assert arm.excluded_queries == 1
         assert "q_nopos" not in arm.run_record.ndcg_per_query
+
+
+def test_the_rewrite_stage_releases_its_cache_and_runs_once(tmp_path):
+    # the index of every cached answer is the rewrite stage's alone: once the
+    # stage ends no RewriteCache is alive, while the sides keep their answers;
+    # a second rewrite is refused rather than asking the endpoint again
+    cfg = toy_config(tmp_path)
+    for run in ("cold", "warm"):
+        with Stages(cfg, [BASELINE, arm_cell()]) as stages:
+            stages.rewrite()
+            gc.collect()
+            assert not [o for o in gc.get_objects() if isinstance(o, RewriteCache)], run
+            assert n_records(stages, arm_cell()) == (len(TOY_DOCS), len(TOY_QUERIES))
+            assert all(answer.output_text for side in ("documents", "queries")
+                       for answer in stages.side(arm_cell(), side).answers)
+            with pytest.raises(ContractError, match="already run"):
+                stages.rewrite()
+            assert stages.rewriters["ident"].call_count == (len(TOY_DOCS) + len(TOY_QUERIES)
+                                                            if run == "cold" else 0)
 
 
 def test_no_judgments_outlive_the_stages(tmp_path):

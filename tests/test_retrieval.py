@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 from itertools import permutations, product
 
 import numpy as np
 import pytest
 
+from rewritebench import retrieval
 from rewritebench.errors import ContractError, DomainError
 from rewritebench.geometry import EmbeddingMatrix, l2_normalize
 from rewritebench.retrieval import (RankedList, build_judgments, ndcg_at_k,
@@ -350,6 +352,35 @@ class TestMatrixPathScoring:
         assert (scores[:, 9] == scores[:, 10]).any()
         assert (corpus.vectors[:, None] == corpus.vectors[None]).all(axis=2).sum() > \
             corpus.n_rows  # duplicate rows
+
+    @pytest.mark.parametrize("k", [1, 10, 1999])
+    def test_blocks_of_rows_with_ties_and_nan_scores(self, k):
+        # 2,000 docs make blocks of a few rows, so block edges fall between
+        # queries; a NaN query row and a NaN doc row never pass the k-th
+        # score, and their rows fall back to the full sort
+        queries, corpus, qrels = tied_inputs(4, n_docs=2000, n_queries=200)
+        assert retrieval._TOPK_BLOCK_BYTES // (8 * corpus.n_rows) < queries.n_rows // 4
+        queries.vectors[[0, 33, 199]] = np.nan
+        corpus.vectors[[5, 1500]] = np.nan
+        got = score_queries(queries, corpus, build_judgments(corpus.ids, qrels, k=k))
+        assert list(got.items()) == list(
+            ndcg_over_ranked_lists(queries, corpus, qrels, k, "linear").items())
+
+    def test_the_partition_scratch_is_bounded_in_bytes(self):
+        # np.partition copies the block of score rows it works on: the memory
+        # score_queries takes beyond its score matrix stays near the block
+        # budget, however many queries share the block
+        n_queries, n_docs = 256, 8000
+        queries, corpus, qrels = tied_inputs(5, n_docs=n_docs, n_queries=n_queries)
+        judgments = build_judgments(corpus.ids, qrels, k=10)
+        tracemalloc.start()
+        try:
+            score_queries(queries, corpus, judgments)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scores = n_queries * n_docs * 8
+        assert scores < peak < scores + 4 * retrieval._TOPK_BLOCK_BYTES
 
     def test_a_corpus_other_than_the_judged_one_is_rejected(self):
         queries, corpus, qrels = tied_inputs(0)

@@ -314,8 +314,9 @@ class TestRecordSerialiser:
 
     def test_cache_line_is_the_key_and_its_answer(self, closing, tmp_path):
         rng = random.Random(3)
-        answers = {f"k{i}": answer for i, answer in enumerate(_random_rewritten(rng, 50).answers)
+        answers = {f"k{i}": answer for i, answer in enumerate(_random_rewritten(rng, 400).answers)
                    if answer.output_text}
+        assert {a.truncated for a in answers.values()} == {True, False}
         cache = closing(RewriteCache(tmp_path / "rw.jsonl"))
         for key, answer in answers.items():
             cache.put(key, answer)

@@ -227,14 +227,30 @@ def test_json_chunks_equal_json_dumps_on_random_documents():
     assert curves > 2000 and long_curves > 50
 
 
+def _curve(rng: random.Random) -> list[tuple[int, float]]:
+    """(rank, fraction) points: an int and a finite float each, one to
+    2 * _PIECE + 3 of them, as a large corpus gives."""
+    ints = [0, 7, 2 ** 70, -(2 ** 64)]
+    floats = [f for f in _NUMBERS if isinstance(f, float) and math.isfinite(f)]
+    n = rng.choice([1, 2, 5, _PIECE - 1, _PIECE, 2 * _PIECE + 3])
+    return [(rng.choice(ints) if rng.random() < 0.1 else k,
+             rng.choice(floats) if rng.random() < 0.3 else rng.uniform(-1e3, 1e3))
+            for k in range(1, n + 1)]
+
+
 def test_encoded_values_give_the_text_of_the_values():
+    # Encoded holds a curve's points; the text must be that of the rows
     rng = random.Random(20261020)
     encoded = 0
     for _ in range(3000):
         obj = _document(rng)
         if not (isinstance(obj, dict) and all(isinstance(k, str) for k in obj)):
             continue
-        mixed = {k: stores.Encoded(v) if rng.random() < 0.5 else v for k, v in obj.items()}
+        mixed = dict(obj)
+        for key in obj:
+            if rng.random() < 0.5:
+                points = _curve(rng)
+                obj[key], mixed[key] = [list(p) for p in points], stores.Encoded(points)
         encoded += any(type(v) is stores.Encoded for v in mixed.values())
         assert "".join(json_chunks(mixed)) == \
             json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1), obj
