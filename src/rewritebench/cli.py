@@ -20,7 +20,7 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, WorkbenchError
 from .ingest import ingest_collection
 from .matrix import CellKey, Stages, plan_cells, run_matrix, write_cells
-from .models import Regime, Strategy
+from .models import Regime, Strategy, path_name
 from .pipeline import ArmResult
 from .report import (advise_from_reports, correlation_report, join_rows,
                      load_stores, write_csv, write_reports)
@@ -63,7 +63,7 @@ def cmd_ingest(config: ExperimentConfig, args) -> int:
     for t in tasks:
         collection = ingest_collection(t.corpus, t.queries, t.qrels, task_id=t.task_id)
         report = collection.report.to_dict()
-        write_json(config.out_dir / f"ingest_{t.task_id}.json", report)
+        write_json(config.out_dir / f"ingest_{path_name(t.task_id)}.json", report)
         print(f"{t.task_id}: {report['n_documents']} docs, {report['n_queries']} queries, "
               f"{report['n_qrels_rows']} qrels rows, {report['warning_count']} warnings")
     return 0
@@ -75,7 +75,7 @@ def cmd_rewrite(config: ExperimentConfig, args) -> int:
         stages.rewrite()
         done = {side: stages.side(cell, side) for side in SIDES}
     collection = stages.collections[cell.task_id]
-    out = config.out_dir / "rewritten" / f"{args.task}__{cell.rewriter_id}__{cell.arm_label}"
+    out = config.out_dir / "rewritten" / path_name(args.task, cell.rewriter_id, cell.arm_label)
     for side, name in zip(SIDES, ("corpus", "queries")):
         if cell.rewrites(side):
             with replacing(out / f"{name}.jsonl") as fh:
@@ -95,7 +95,7 @@ def _matrices(config: ExperimentConfig, args):
     cell = _cells(config, args)[-1]
     with Stages(config, [cell]) as stages:
         stages.rewrite()
-        stages.fetch()
+        stages.fetch(cell.encoder_id)
         return cell.arm_label, stages.corpus(cell).matrix, stages.queries(cell)
 
 
@@ -109,8 +109,9 @@ def cmd_embed(config: ExperimentConfig, args) -> int:
 def cmd_retrieve(config: ExperimentConfig, args) -> int:
     arm_label, corpus, qmat = _matrices(config, args)
     ranked = retrieve_topk(qmat, corpus, k=config.k if args.k is None else args.k)
-    rewriter = f"{args.rewriter}__" if args.strategy else ""  # the Baseline has none
-    out = config.out_dir / f"rankings_{args.task}__{args.encoder}__{rewriter}{arm_label}.jsonl"
+    rewriter = [args.rewriter] if args.strategy else []  # the Baseline has none
+    name = path_name(args.task, args.encoder, *rewriter, arm_label)
+    out = config.out_dir / f"rankings_{name}.jsonl"
     with replacing(out) as fh:
         for r in ranked:
             fh.write(json.dumps({"query_id": r.query_id,
@@ -128,7 +129,7 @@ def _score(config: ExperimentConfig, args) -> tuple[ArmResult, Path]:
     arm = None
     with Stages(config, cells) as stages:
         stages.rewrite()
-        stages.fetch()
+        stages.fetch(cells[0].encoder_id)
         for cell in cells:  # the Baseline, then the arm the flags name, if any
             arm = stages.score(cell, stages.corpus(cell), arm)
     (outcome,) = write_cells(stages, [(cells[-1], arm)], config.out_dir / "scored")

@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import copy
 import shutil
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import AbstractContextManager, contextmanager
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .config import ExperimentConfig
-from .embed import EmbeddingCache, EncoderClient, fetch_missing
-from .errors import CacheMissError, ContractError, WorkbenchError
+from .embed import EmbeddingCache, EncoderClient, content_key, fetch_missing
+from .errors import ContractError, WorkbenchError
 from .geometry import EmbeddingMatrix
 from .ingest import Collection, ingest_collection
 from .models import CellKey, Strategy
@@ -52,6 +51,12 @@ def side_key(cell: CellKey, side: str) -> tuple[str, str, Strategy, str]:
 
 def _originals(task_id: str, side: str) -> tuple[str, str, Strategy, str]:
     return task_id, "", Strategy.BASELINE, side
+
+
+def _raise(failure: WorkbenchError) -> NoReturn:
+    """Raise a copy of *failure*, kept for every cell it fails: raising it
+    would chain each cell's frames, and the corpus they hold, onto it."""
+    raise copy.copy(failure) from None
 
 
 @dataclass
@@ -130,13 +135,12 @@ class Stages(AbstractContextManager):
     :meth:`rewrite` and :meth:`fetch`. A failed input is raised by whatever
     reads it; leaving the ``with`` block shuts the pool down, then closes
     the clients, then the embedding cache, and drops the judgments and the
-    content keys no gather read. :func:`run_matrix` scores an arm against a
-    Baseline whose files were written.
+    content keys. :func:`run_matrix` scores an arm against a Baseline whose
+    files were written.
 
     What a stage needs is held only while some later stage reads it: the
-    rewrite cache is open for :meth:`rewrite` alone, and each text set's
-    content keys, computed once by :meth:`fetch`, are dropped after the
-    last gather of that set."""
+    rewrite cache is open for :meth:`rewrite` alone, and the content keys
+    are those of the last :meth:`fetch`'s sets, less the corpora built."""
 
     def __init__(self, config: ExperimentConfig, cells: Sequence[CellKey]):
         self.config, self.cells = config, list(cells)
@@ -185,9 +189,8 @@ class Stages(AbstractContextManager):
                     except WorkbenchError as exc:
                         self._sides[key] = exc
 
-        self._fetch_failures: dict[str, WorkbenchError] = {}  # by encoder id
-        # by (encoder id, side key): [gathers left, the set's content keys]
-        self._keys: dict[tuple, list] = {}
+        # by (encoder id, side key): the set's content keys, or its fetch's failure
+        self._keys: dict[tuple, list[str] | WorkbenchError] = {}
         self._pool = (ThreadPoolExecutor(config.parallelism)
                       if config.parallelism > 1 else None)
         self._map: Callable = map if self._pool is None else self._pool.map
@@ -217,80 +220,61 @@ class Stages(AbstractContextManager):
         finally:
             cache.close()
 
-    def fetch(self) -> None:
-        """Stage 2: fetch the vectors the cells lack, each distinct text once,
-        each batch sent through the pool, and keep each text set's content
-        keys for its gathers: one per cell that ranks with it on the query
-        side, one per corpus built on the documents side, which the QC and C
-        cells of a (rewriter, strategy) share. An encoder's failure is kept
-        for the cells it leaves without vectors."""
-        for encoder_id, client in self.encoders.items():
-            cells = [cell for cell in self.cells if cell.encoder_id == encoder_id]
-            sets = [key for key in dict.fromkeys(side_key(cell, side) for cell in cells
-                                                 for side in SIDES)
-                    if isinstance(self._sides[key], Rewritten)]
-            try:
-                keyed = fetch_missing((text for key in sets for text in self._sides[key].texts),
-                                      client, self.embedding_cache, self._map)
-            except WorkbenchError as exc:
-                self._fetch_failures[encoder_id] = exc.with_traceback(None)
-                continue
-            query_gathers = Counter(side_key(cell, "queries") for cell in cells)
-            for key in sets:  # a documents set is not in query_gathers: one gather
-                self._keys[encoder_id, key] = [query_gathers[key] or 1,
-                                               [keyed[text] for text in self._sides[key].texts]]
-
-    def _gather_keys(self, cell: CellKey, side: str) -> list[str] | None:
-        """The content keys of the texts *cell* ranks on *side*, as
-        :meth:`fetch` computed them, dropped with the set's last gather;
-        ``None`` when fetch kept none for it."""
-        key = (cell.encoder_id, side_key(cell, side))
-        entry = self._keys.get(key)
-        if entry is None:
-            return None
-        entry[0] -= 1
-        if not entry[0]:
-            del self._keys[key]
-        return entry[1]
-
-    @contextmanager
-    def _fetched(self, cell: CellKey):
-        """Report a vector the cache lacks as the failure of the fetch that
-        left it out. Each cell raises a copy: raising the kept error again
-        would chain each cell's frames, and the corpora they hold, onto it."""
+    def fetch(self, encoder_id: str) -> None:
+        """Stage 2, for one encoder: fetch the vectors its cells lack, each
+        distinct text once, each batch sent through the pool. The previous
+        fetch's entries give way to one per text set these cells rank: the
+        set's content keys, or the fetch's failure if the set still lacks a
+        vector, so a failed fetch leaves the sets it had cached to score."""
+        sets = [key for key in dict.fromkeys(side_key(cell, side) for cell in self.cells
+                                             if cell.encoder_id == encoder_id
+                                             for side in SIDES)
+                if isinstance(self._sides[key], Rewritten)]
+        self._keys.clear()
+        texts = dict.fromkeys(text for key in sets for text in self._sides[key].texts)
+        client, failure = self.encoders[encoder_id], None
         try:
-            yield
-        except CacheMissError:
-            failure = self._fetch_failures.get(cell.encoder_id)
-            if failure is None:
-                raise
-            raise copy.copy(failure) from None
+            keyed = fetch_missing(texts, client, self.embedding_cache, self._map)
+        except WorkbenchError as exc:
+            failure = exc.with_traceback(None)
+            keyed = {text: content_key(client.fingerprint, text) for text in texts}
+        for key in sets:
+            keys = [keyed[text] for text in self._sides[key].texts]
+            self._keys[encoder_id, key] = (keys if failure is None or all(
+                k in self.embedding_cache for k in keys) else failure)
+
+    def _content_keys(self, cell: CellKey, side: str) -> list[str]:
+        """The content keys of the texts *cell* ranks on *side*, from its
+        encoder's fetch, which a documents set gives up to its one corpus
+        build. A set the fetch left without vectors raises its failure."""
+        key = (cell.encoder_id, side_key(cell, side))
+        entry = self._keys.pop(key, None) if side == "documents" else self._keys.get(key)
+        if not isinstance(entry, list):
+            _raise(entry or ContractError(f"no fetch holds the {side} keys of {cell.cell_id}"))
+        return entry
 
     def side(self, cell: CellKey, side: str) -> Rewritten:
         """The texts and rewrite records *cell* ranks on one side. A failed
-        side raises a copy of its error, as :meth:`_fetched` does."""
+        side raises a copy of its error."""
         outcome = self._sides[side_key(cell, side)]
         if isinstance(outcome, WorkbenchError):
-            raise copy.copy(outcome) from None
+            _raise(outcome)
         return outcome
 
     def corpus(self, cell: CellKey) -> Corpus:
         """The corpus *cell* ranks, built anew: the caller sets its lifetime."""
         texts = self.side(cell, "documents").texts  # raises a failed ingest
-        with self._fetched(cell):
-            return build_corpus(self.collections[cell.task_id], texts, cell,
-                                encoder=self.encoders[cell.encoder_id],
-                                tokenizer=self.tokenizers[cell.encoder_id],
-                                embedding_cache=self.embedding_cache,
-                                keys=self._gather_keys(cell, "documents"))
+        return build_corpus(self.collections[cell.task_id], texts, cell,
+                            encoder=self.encoders[cell.encoder_id],
+                            tokenizer=self.tokenizers[cell.encoder_id],
+                            embedding_cache=self.embedding_cache,
+                            keys=self._content_keys(cell, "documents"))
 
     def queries(self, cell: CellKey) -> EmbeddingMatrix:
         """The query matrix *cell* ranks with, gathered anew from the cache."""
-        texts = self.side(cell, "queries").texts
-        with self._fetched(cell):
-            return embed_items(self.collections[cell.task_id].queries, texts,
-                               self.encoders[cell.encoder_id], self.embedding_cache,
-                               self._gather_keys(cell, "queries"))
+        return embed_items(self.collections[cell.task_id].queries,
+                           self.side(cell, "queries").texts, self.encoders[cell.encoder_id],
+                           self.embedding_cache, self._content_keys(cell, "queries"))
 
     def score(self, cell: CellKey, corpus: Corpus, baseline: ArmResult | None) -> ArmResult:
         """Score *cell* against *corpus*, with deltas against *baseline* if given."""
@@ -300,15 +284,16 @@ class Stages(AbstractContextManager):
 
 def run_matrix(config: ExperimentConfig,
                fault_hook: Callable[[CellKey], None] | None = None) -> MatrixResult:
-    """Execute the full matrix described by *config*: the rewrite and fetch
-    stages of :class:`Stages`, then, on the calling thread, each corpus
-    group in plan order, Baselines first. A group is the cells that rank
-    one (encoder, task, rewriter, strategy) corpus: it builds the corpus,
-    scores the group's cells against it, drops it and writes the cells, so
-    one corpus is held at a time. A cell succeeds once :func:`write_cells`
-    has written its files, and an arm is measured against its Baseline's
-    entry of ``result.results``, which holds only the cells that succeeded:
-    an arm whose Baseline failed, in scoring or in writing, gets no deltas.
+    """Execute the full matrix described by *config*: the rewrite stage of
+    :class:`Stages`, then, on the calling thread, encoder by encoder in
+    config order, that encoder's fetch and its corpus groups in plan order,
+    Baselines first. A group is the cells that rank one (encoder, task,
+    rewriter, strategy) corpus: it builds the corpus, scores the group's
+    cells against it, drops it and writes the cells, so one corpus is held
+    at a time. A cell succeeds once :func:`write_cells` has written its
+    files, and an arm is measured against its Baseline's entry of
+    ``result.results``, which holds only the cells that succeeded: an arm
+    whose Baseline failed, in scoring or in writing, gets no deltas.
 
     ``fault_hook`` is test instrumentation: it is invoked with each cell
     key before the cell is scored and may raise to simulate a cell failure.
@@ -317,41 +302,43 @@ def run_matrix(config: ExperimentConfig,
     result = MatrixResult(out_dir=out_dir)
     cells = plan_cells(config)
 
-    # The cells that rank one corpus, by (encoder, side key): a Baseline alone,
-    # or the regimes of one (rewriter, strategy), contiguous in plan order.
-    groups: dict[tuple, list[CellKey]] = {}
+    # The cells that rank one corpus, by encoder, then by side key: a Baseline
+    # alone, or the regimes of one (rewriter, strategy), contiguous in plan order.
+    groups: dict[str, dict[tuple, list[CellKey]]] = {}
     for cell in cells:
-        groups.setdefault((cell.encoder_id, side_key(cell, "documents")), []).append(cell)
+        groups.setdefault(cell.encoder_id, {}).setdefault(
+            side_key(cell, "documents"), []).append(cell)
 
     diagnostics: dict[CellKey, tuple[str, str]] = {}  # of the cells that succeeded
     with Stages(config, cells) as stages:
         stages.rewrite()
-        stages.fetch()
-        for group in groups.values():
-            try:
-                corpus: Corpus | WorkbenchError = stages.corpus(group[0])
-            except WorkbenchError as exc:
-                corpus = exc.with_traceback(None)
-            scored = []
-            for cell in group:
+        for encoder_id, encoder_groups in groups.items():
+            stages.fetch(encoder_id)
+            for group in encoder_groups.values():
                 try:
-                    if fault_hook is not None:
-                        fault_hook(cell)
-                    if isinstance(corpus, WorkbenchError):
-                        raise copy.copy(corpus) from None
-                    baseline = result.results.get(CellKey(cell.encoder_id, cell.task_id))
-                    scored.append((cell, stages.score(cell, corpus, baseline)))
+                    corpus: Corpus | WorkbenchError = stages.corpus(group[0])
                 except WorkbenchError as exc:
-                    result.failures[cell] = str(exc)
-            del corpus  # before the group's lines are encoded and the next corpus built
-            if not scored:
-                continue
-            for (cell, arm), outcome in zip(scored, write_cells(stages, scored,
-                                                                 out_dir / "cells")):
-                if isinstance(outcome, WorkbenchError):
-                    result.failures[cell] = str(outcome)
-                else:
-                    diagnostics[cell], result.results[cell] = outcome, arm
+                    corpus = exc.with_traceback(None)
+                scored = []
+                for cell in group:
+                    try:
+                        if fault_hook is not None:
+                            fault_hook(cell)
+                        if isinstance(corpus, WorkbenchError):
+                            _raise(corpus)
+                        baseline = result.results.get(CellKey(cell.encoder_id, cell.task_id))
+                        scored.append((cell, stages.score(cell, corpus, baseline)))
+                    except WorkbenchError as exc:
+                        result.failures[cell] = str(exc)
+                del corpus  # before the group's lines are encoded and the next corpus built
+                if not scored:
+                    continue
+                for (cell, arm), outcome in zip(scored, write_cells(stages, scored,
+                                                                     out_dir / "cells")):
+                    if isinstance(outcome, WorkbenchError):
+                        result.failures[cell] = str(outcome)
+                    else:
+                        diagnostics[cell], result.results[cell] = outcome, arm
 
     written = {cell.cell_id for cell in result.results}
     for cell_dir in (out_dir / "cells").glob("*"):  # a failed cell's, or an earlier config's
@@ -363,10 +350,9 @@ def run_matrix(config: ExperimentConfig,
     DiagnosticsStore(out_dir / "diagnostics.jsonl").write(
         row for cell in cells if cell in diagnostics for row in diagnostics[cell])
 
-    for name, client in sorted(stages.encoders.items()):
-        result.endpoint_calls[f"encoder:{name}"] = client.call_count
-    for name, client in sorted(stages.rewriters.items()):
-        result.endpoint_calls[f"rewriter:{name}"] = client.call_count
+    for kind, clients in (("encoder", stages.encoders), ("rewriter", stages.rewriters)):
+        for name, client in sorted(clients.items()):
+            result.endpoint_calls[f"{kind}:{name}"] = client.call_count
 
     write_json(out_dir / "summary.json", {
         "config_hash": config.config_hash,

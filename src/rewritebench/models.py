@@ -59,6 +59,13 @@ class Query:
             raise DomainError(f"query {self.id!r} has empty text")
 
 
+def path_name(*parts: str) -> str:
+    """One file or directory name of *parts*, joined by ``__``, with each
+    ``/`` and space made ``_`` so that no id names a directory: the name of
+    a cell's directory and of every file a per-arm command writes."""
+    return "__".join(p.replace("/", "_").replace(" ", "_") for p in parts)
+
+
 @dataclass(frozen=True)
 class CellKey:
     """One cell of the matrix: an (encoder, task, rewriter, strategy,
@@ -100,7 +107,7 @@ class CellKey:
             parts.append("Baseline")
         else:
             parts.extend([self.rewriter_id, self.strategy.value, self.regime.value])
-        return "__".join(p.replace("/", "_").replace(" ", "_") for p in parts)
+        return path_name(*parts)
 
     def rewrites(self, side: str) -> bool:
         """Whether the cell ranks a rewrite of *side* ("documents" or

@@ -44,20 +44,18 @@ class Corpus:
 
 def embed_items(items: Sequence[Document | Query], texts: Sequence[str],
                 encoder: EncoderClient, embedding_cache: EmbeddingCache,
-                keys: Sequence[str] | None = None) -> EmbeddingMatrix:
+                keys: Sequence[str]) -> EmbeddingMatrix:
     """The matrix of *texts*, one per item of a collection side, with the
     items' ids as row ids, gathered from the cache the fetch stage filled
-    by the texts' content *keys*, computed here when not given."""
+    by the texts' content *keys*."""
     return embed_texts([x.id for x in items], texts, encoder, embedding_cache, keys=keys)
 
 
 def build_corpus(collection: Collection, texts: Sequence[str], cell: CellKey, *,
                  encoder: EncoderClient, tokenizer: Tokenizer,
-                 embedding_cache: EmbeddingCache,
-                 keys: Sequence[str] | None = None) -> Corpus:
+                 embedding_cache: EmbeddingCache, keys: Sequence[str]) -> Corpus:
     """Lexical report, embedding matrix and geometry of one (rewritten)
-    corpus, labelled with *cell*'s arm; *keys* as :func:`embed_items` takes
-    them."""
+    corpus, labelled with *cell*'s arm; *keys* as :func:`embed_items` takes them."""
     lexical = build_lexical_report(
         texts, tokenizer, encoder_id=encoder.encoder_id,
         task_id=collection.task_id, arm=cell.arm_label,

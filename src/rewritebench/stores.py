@@ -9,12 +9,15 @@ and the ``indent=1`` JSON writer every artifact file goes through.
 Each store line carries a schema version field ``v``. ``run-matrix``
 writes a store whole, once per run, and nothing appends to it. So a store
 line that does not parse, the last one too, is damage from outside the
-program, as is a row that lacks a field: a StoreError naming the file and
-line.
+program, as is a row that lacks a field or holds a number that is not
+finite, which ``json`` writes and reads as ``NaN`` or ``Infinity`` but the
+program never writes: a StoreError naming the file and line.
 
-A line is read by :func:`decode_line`, which gives what ``json.loads``
-gives, value or error, but reads a well-formed line with ``json``'s C
-scanner alone: a cache open reads tens of thousands of lines.
+A log line is read by :func:`decode_line`, which gives what
+``json.loads`` gives, value or error, but reads a well-formed line with
+``json``'s C scanner alone: a cache open reads tens of thousands of lines.
+A store line is read by a ``json`` decoder that refuses ``NaN`` and
+``Infinity``, with the same C scanner.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ def decode_line(line: str) -> Any:
     if line[end:].strip(" \t\n\r"):
         return json.loads(line)
     return value
+
+
+def _not_finite(name: str):
+    raise DomainError(f"{name} is not a finite number")
 
 
 class Encoded:
@@ -224,12 +231,9 @@ class JsonlLog:
                         tail.append(line)
                     elif line.strip():
                         try:
-                            row = decode_line(line)
-                        except ValueError as exc:
+                            add(self._decode(line))
+                        except json.JSONDecodeError as exc:
                             bad, tail = (lineno, exc), [line]
-                            continue
-                        try:
-                            add(row)
                         except (AttributeError, ContractError, DomainError, KeyError,
                                 TypeError, ValueError) as exc:
                             raise StoreError(f"{self.path}: line {lineno} is malformed: "
@@ -242,6 +246,10 @@ class JsonlLog:
             self._keep = self._size - len(torn)
         elif line and not line.endswith(("\n", "\r")):
             self._newline = True
+
+    @staticmethod
+    def _decode(line: str) -> Any:
+        return decode_line(line)
 
     def append(self, line: str) -> None:
         """Write *line* and its newline; the caller serializes calls."""
@@ -269,6 +277,14 @@ class JsonlLog:
         self._file.close()
 
 
+class _StoreLog(JsonlLog):
+    """A store's lines, read as :class:`JsonlLog` reads them but by a
+    ``json`` decoder, C scanner and all, to which a ``NaN`` or ``Infinity``
+    value makes its row malformed."""
+
+    _decode = staticmethod(json.JSONDecoder(parse_constant=_not_finite).decode)
+
+
 class _Store:
     """A JSON-Lines store, which :meth:`_write` replaces whole. An instance
     must be the file's only writer."""
@@ -281,7 +297,7 @@ class _Store:
         *convert* as a JsonlLog reads it: a row *convert* cannot take, or a
         torn last line, is a StoreError naming the file and line."""
         rows: list[Any] = []
-        log = JsonlLog(self.path, lambda row: rows.append(convert(row)))
+        log = _StoreLog(self.path, lambda row: rows.append(convert(row)))
         if log.torn_at:
             raise StoreError(f"{self.path}: line {log.torn_at} is torn")
         return rows

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shutil
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from conftest import TOY_DOCS, TOY_QUERIES, write_matrix_config
+from conftest import (TOY_DOCS, TOY_QRELS, TOY_QUERIES, write_jsonl, write_matrix_config,
+                      write_qrels)
 from rewritebench.cli import main
 from rewritebench.embed import EncoderClient
 from rewritebench.rewrite import RewriterClient
@@ -477,6 +479,55 @@ def test_retrieve_names_the_rewriter_of_an_arm(tmp_path):
     assert rankings["ident"] != rankings["other"]  # neither overwrote the other
 
 
+def _path_name(*parts):
+    return "__".join(p.replace("/", "_").replace(" ", "_") for p in parts)
+
+
+@pytest.mark.parametrize("ids", [("org/bow", "toy/v2", "Qwen/nl"),
+                                 ("x/../../../escaped", "y/../../../task", "z/../../../rw"),
+                                 ("my bow", "my toy", "my rw")],
+                         ids=["slash", "dot-dot", "space"])
+@pytest.mark.parametrize("command", ["ingest", "rewrite", "retrieve", "retrieve-arm", "eval",
+                                     "diagnose"])
+def test_a_stage_command_writes_its_one_name_under_out_dir(tmp_path, ids, command):
+    # each id part goes through the cell directories' mapping, "/" and " "
+    # to "_", in the documented order
+    encoder, task, rewriter = ids
+    root = tmp_path / "a" / "b" / "c"  # room above out/ for an id that climbs out of it
+    root.mkdir(parents=True)
+    write_jsonl(root / "corpus.jsonl", TOY_DOCS)
+    write_jsonl(root / "queries.jsonl", TOY_QUERIES)
+    write_qrels(root / "qrels.tsv", TOY_QRELS)
+    path = write_matrix_config(
+        root, tasks=[{"task_id": task, "family": "CodeToCode", "corpus": "corpus.jsonl",
+                      "queries": "queries.jsonl", "qrels": "qrels.tsv"}],
+        encoders=[{"encoder_id": encoder, "url": "mock://bow?dim=16",
+                   "tokenizer": {"kind": "word"}}],
+        rewriters=[{"rewriter_id": rewriter, "url": "mock://identity"}])
+    arm = ["--rewriter", rewriter, "--strategy", "NL", "--regime", "QC"]
+    argv, name = {
+        "ingest": (["ingest"], f"ingest_{_path_name(task)}.json"),
+        "rewrite": (["rewrite", "--task", task, *arm],
+                    f"rewritten/{_path_name(task, rewriter, 'NL-QC')}"),
+        "retrieve": (["retrieve", "--task", task, "--encoder", encoder],
+                     f"rankings_{_path_name(task, encoder, 'Baseline')}.jsonl"),
+        "retrieve-arm": (["retrieve", "--task", task, "--encoder", encoder, *arm],
+                         f"rankings_{_path_name(task, encoder, rewriter, 'NL-QC')}.jsonl"),
+        "eval": (["eval", "--task", task, "--encoder", encoder, *arm],
+                 f"scored/{_path_name(encoder, task, rewriter, 'NL', 'QC')}"),
+        "diagnose": (["diagnose", "--task", task, "--encoder", encoder],
+                     f"scored/{_path_name(encoder, task, 'Baseline')}"),
+    }[command]
+    out, cache = root / "out", root / "cache"
+    out.mkdir()
+    before = set(tmp_path.rglob("*"))
+    assert run_cli(path, *argv) == 0
+    target = out / name
+    made = {p for p in set(tmp_path.rglob("*")) - before if p != cache and cache not in p.parents}
+    assert made == {target, *target.rglob("*"), *(p for p in target.parents if out in p.parents)}
+    assert target.is_file() == (command in ("ingest", "retrieve", "retrieve-arm"))
+
+
 def _report_files(out_dir):
     return {p.name: p.read_bytes() for p in sorted((out_dir / "report").iterdir())}
 
@@ -560,6 +611,41 @@ def test_a_stored_row_that_lacks_a_field_is_an_error(tmp_path, capsys, store, pa
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith("error: ") and f"{store}: line " in err and "is malformed" in err
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["first-line", "last-line"])
+@pytest.mark.parametrize("store, kind, field, value", [
+    ("diagnostics.jsonl", "lexical", "coverage_cdf", math.nan),  # its first fraction
+    ("diagnostics.jsonl", "lexical", "h_bits", math.nan),
+    ("diagnostics.jsonl", "lexical", "ttr", math.nan),
+    ("diagnostics.jsonl", "lexical", "top20_mass", math.nan),
+    ("runs.jsonl", None, "mean_ndcg", math.nan),
+    ("runs.jsonl", None, "delta_ndcg", math.inf),
+])
+def test_a_stored_number_that_is_not_finite_is_an_error(tmp_path, capsys, store, kind, field,
+                                                         value, last):
+    # json.dumps writes NaN and Infinity and json.loads reads them back, but
+    # the program writes neither: a row that holds one is malformed, on the
+    # last line too, where a line that does not parse reads as torn
+    path = write_matrix_config(tmp_path)
+    assert run_cli(path, "run-matrix") == 0
+    file = tmp_path / "out" / store
+    rows = [json.loads(line) for line in file.read_text(encoding="utf-8").splitlines()]
+    row = rows.pop(max(i for i, row in enumerate(rows)  # the arm's, which has deltas
+                       if row.get("kind") == kind and row.get(field) is not None))
+    if field == "coverage_cdf":
+        row[field][0][1] = value
+    else:
+        row[field] = value
+    rows.insert(len(rows) if last else 0, row)
+    file.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    line = len(rows) if last else 1
+    for command in ("report", "correlate", "advise"):
+        capsys.readouterr()
+        assert run_cli(path, command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {file}: line {line} is malformed: "), command
+        assert "is not a finite number" in err and len(err.splitlines()) == 1, command
 
 
 def test_report_names_the_k_of_its_runs_and_rejects_more_than_one(tmp_path, capsys):

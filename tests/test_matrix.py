@@ -241,6 +241,32 @@ class TestFaultIsolation:
         assert all("failed after 3 attempts" in msg for msg in result.failures.values())
         assert set(result.results) == set(plan_cells(cfg)) - dead
 
+    def test_a_fetch_that_fails_partway_leaves_the_cached_cells_to_score(self, tmp_path,
+                                                                          monkeypatch):
+        # a strategy is added to a warm run while the encoder is down: the
+        # Baseline's and NL's text sets are cached, Rephrase's are not
+        def run(strategies):
+            return run_matrix(load_config(write_matrix_config(
+                tmp_path, strategies=strategies, regimes=("QC", "C"),
+                template_catalog="builtin")))  # so Rephrase's texts differ from NL's
+
+        def cell_files():  # meta.json holds the config hash, which the new strategy moves
+            return {name: data for name, data in tree_bytes(tmp_path / "out" / "cells").items()
+                    if not name.endswith("meta.json")}
+
+        assert run(("NL",)).exit_status == 0
+        before = cell_files()
+
+        def down(self, texts):
+            raise EndpointError("encoder down")
+
+        monkeypatch.setattr(EncoderClient, "embed_batch", down)
+        result = run(("NL", "Rephrase"))
+        assert sorted(c.arm_label for c in result.failures) == ["Rephrase-C", "Rephrase-QC"]
+        assert set(result.failures.values()) == {"encoder down"}
+        assert len(result.results) == 3
+        assert cell_files() == before
+
     def test_failed_rerun_removes_the_cells_earlier_files(self, tmp_path):
         path = write_matrix_config(tmp_path, regimes=("QC", "C"))
         cfg = load_config(path)
@@ -479,7 +505,6 @@ class TestColdPath:
             cache / "embeddings" / "vectors.bin")] == [1, 1, 1]
 
     @pytest.mark.filterwarnings("error::ResourceWarning")
-    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     def test_leaving_stages_closes_every_handle(self, tmp_path, monkeypatch):
         handles, real_open = [], builtins.open
 
@@ -491,13 +516,12 @@ class TestColdPath:
         cfg = self._config(tmp_path)
         with matrix.Stages(cfg, plan_cells(cfg)) as stages:
             stages.rewrite()
-            stages.fetch()
+            stages.fetch("bow")
             assert not all(fh.closed for fh in handles)  # the appends' handles
         assert all(fh.closed for fh in handles)
         gc.collect()
 
     @pytest.mark.filterwarnings("error::ResourceWarning")
-    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     def test_stages_that_fail_to_build_leave_no_handle_open(self, tmp_path, monkeypatch):
         handles, real_open = [], builtins.open
 
@@ -634,6 +658,43 @@ class TestCorpusLifetime:
         assert len(plan_cells(cfg)) == 2 * (1 + 3 * 2)
         assert alive_at_score == [1] * len(plan_cells(cfg))
         assert all(ref() is None for ref in refs)
+
+    def test_a_corpus_build_sees_only_its_encoders_keys(self, tmp_path, monkeypatch):
+        """Each encoder's fetch replaces the last one's content keys, and a
+        corpus build takes its set's keys away; query sets keep theirs until
+        the next fetch."""
+        encoders = [{"encoder_id": f"bow{dim}", "url": f"mock://bow?dim={dim}",
+                     "tokenizer": {"kind": "word"}} for dim in (16, 24)]
+        cfg = load_config(write_matrix_config(tmp_path, encoders=encoders,
+                                              regimes=("QC", "C")))
+        kept, seen = [], []
+
+        class KeptStages(matrix.Stages):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                kept.append(self)
+
+        build_corpus = matrix.build_corpus
+
+        def checking_build(collection, texts, cell, **kwargs):
+            corpus = build_corpus(collection, texts, cell, **kwargs)
+            held = [key for encoder, key in kept[0]._keys if encoder == cell.encoder_id]
+            seen.append((cell.encoder_id, len(kept[0]._keys) - len(held),
+                         sorted(side for *_, side in held),
+                         matrix.side_key(cell, "documents") in held))
+            return corpus
+
+        monkeypatch.setattr(matrix, "Stages", KeptStages)
+        monkeypatch.setattr(matrix, "build_corpus", checking_build)
+        assert run_matrix(cfg).exit_status == 0
+        # per encoder: the Baseline's corpus, then NL's, which QC and C share;
+        # no other encoder's entry, and the Baseline's query set throughout
+        for encoder in ("bow16", "bow24"):
+            assert [s for s in seen if s[0] == encoder] == [
+                (encoder, 0, ["documents", "queries", "queries"], False),
+                (encoder, 0, ["queries", "queries"], False)]
+        assert [s[0] for s in seen] == ["bow16", "bow16", "bow24", "bow24"]
+        assert not kept[0]._keys
 
 
 class TestPool:

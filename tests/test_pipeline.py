@@ -37,7 +37,7 @@ def scored(tmp_path, cells, docs=TOY_DOCS, queries=TOY_QUERIES, qrels=TOY_QRELS)
     results, baseline = [], None
     with Stages(cfg, cells) as stages:
         stages.rewrite()
-        stages.fetch()
+        stages.fetch("bow")
         for cell in cells:
             results.append(stages.score(cell, stages.corpus(cell), baseline))
             baseline = results[-1] if cell.is_baseline else baseline
