@@ -14,8 +14,14 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
+from .models import finite
 
 NORM_TOL = 1e-6
+# Bytes of scratch a dense step takes at once: l2_normalize's norms run on
+# blocks of rows of about this size, and the sum of squares of
+# mean_offdiag_cosine on leaves of this size. The bits do not depend on it.
+_SCRATCH_BYTES = 128 * 1024
+_LEAF = _SCRATCH_BYTES // 8  # float64 elements; more than numpy's pairwise block of 128
 
 
 @dataclass
@@ -57,17 +63,50 @@ def l2_normalize(matrix: EmbeddingMatrix, *, out: np.ndarray | None = None,
                  ) -> EmbeddingMatrix:
     """Scale every row to unit length, preserving direction. With *out*
     (which may be ``matrix.vectors`` itself) the rows are written there
-    instead of into a new array; the bits are the same."""
-    norms = np.linalg.norm(matrix.vectors, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DomainError(f"cannot normalize zero-vector row {matrix.ids[zero[0]]!r}")
+    instead of into a new array; the bits are the same. A row whose norm
+    is zero or not finite (a NaN or infinite entry, or squares past the
+    float range) is a DomainError naming it, and nothing is written.
+
+    ``np.linalg.norm`` squares its input into a temporary, so the norms are
+    taken a block of rows at a time; each row is reduced on its own, so
+    they are the bits of one call over the whole matrix."""
+    v = matrix.vectors
+    rows = max(1, _SCRATCH_BYTES // (v.itemsize * max(1, v.shape[1])))
+    norms = np.empty(len(v))
+    with np.errstate(over="ignore"):  # a norm past the float range is refused below
+        for start in range(0, len(v), rows):
+            norms[start:start + rows] = np.linalg.norm(v[start:start + rows], axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+    if bad.size:
+        row, norm = matrix.ids[bad[0]], norms[bad[0]]
+        if norm == 0.0:
+            raise DomainError(f"cannot normalize zero-vector row {row!r}")
+        raise DomainError(f"cannot normalize row {row!r}: its norm is {norm}")
     return EmbeddingMatrix(
         encoder_id=matrix.encoder_id,
         ids=matrix.ids,
-        vectors=np.divide(matrix.vectors, norms[:, None], out=out),
+        vectors=np.divide(v, norms[:, None], out=out),
         normalized=True,
     )
+
+
+def _sum_of_squares(flat: np.ndarray, buf: np.ndarray, lo: int, n: int) -> float:
+    """``(x * x).sum()`` of ``x = flat[lo:lo + n]``, a 1-D float64 array,
+    bit for bit, with no temporary but *buf*, of at least ``min(n, _LEAF)``
+    elements.
+
+    numpy sums a contiguous float64 array pairwise: a run of more than 128
+    elements is split at half its length, rounded down to a multiple of 8,
+    and each half is summed the same way. The same splits are followed down
+    to runs of at most ``_LEAF`` elements, each squared into *buf* and
+    summed by numpy, and the halves are added back up the tree.
+    """
+    if n <= _LEAF:
+        return float(np.square(flat[lo:lo + n], out=buf[:n]).sum())
+    half = n // 2
+    half -= half % 8
+    return (_sum_of_squares(flat, buf, lo, half)
+            + _sum_of_squares(flat, buf, lo + half, n - half))
 
 
 def mean_offdiag_cosine(matrix: EmbeddingMatrix) -> float:
@@ -84,7 +123,8 @@ def mean_offdiag_cosine(matrix: EmbeddingMatrix) -> float:
     v = matrix.vectors
     total = v.sum(axis=0)
     gram_total = float(total @ total)
-    diag = float((v * v).sum())
+    flat = v.ravel(order="K")  # the elements in memory order, as (v * v).sum() adds them
+    diag = _sum_of_squares(flat, np.empty(min(flat.size, _LEAF)), 0, flat.size)
     return (gram_total - diag) / (b * (b - 1))
 
 
@@ -122,9 +162,10 @@ class GeometryReport:
         return cls(
             encoder_id=d["encoder_id"], task_id=d["task_id"], arm=d["arm"],
             rewriter_id=d["rewriter_id"],
-            s_bar=float(d["s_bar"]),
+            s_bar=finite("s_bar", d["s_bar"]),
             batch_size_used=int(d["batch_size_used"]),
-            delta_s_bar=None if d["delta_s_bar"] is None else float(d["delta_s_bar"]),
+            delta_s_bar=(None if d["delta_s_bar"] is None
+                         else finite("delta_s_bar", d["delta_s_bar"])),
         )
 
 

@@ -18,6 +18,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .models import finite
 from .tokenizers import Tokenizer
 
 COVERAGE_FINAL_TOL = 1e-9
@@ -56,6 +57,8 @@ class CoverageCurve:
         if not self.points:
             raise DomainError("coverage curve needs at least one point")
         fracs = [f for _, f in self.points]
+        if not math.isfinite(fracs[0]):  # with the checks below, every point is finite
+            raise DomainError(f"coverage curve must start at a finite fraction, got {fracs[0]}")
         if any(b < a - 1e-12 for a, b in zip(fracs, fracs[1:])):
             raise DomainError("coverage curve must be non-decreasing")
         if abs(fracs[-1] - 1.0) > COVERAGE_FINAL_TOL:
@@ -176,13 +179,14 @@ class LexicalReport:
         return cls(
             encoder_id=d["encoder_id"], task_id=d["task_id"], arm=d["arm"],
             rewriter_id=d["rewriter_id"], vocab_size=int(d["vocab_size"]),
-            h_bits=float(d["h_bits"]),
+            h_bits=finite("h_bits", d["h_bits"]),
             unique_types=int(d["unique_types"]), total_tokens=int(d["total_tokens"]),
-            ttr=float(d["ttr"]), top20_mass=float(d["top20_mass"]),
-            hapax_type_rate=float(d["hapax_type_rate"]),
-            hapax_token_rate=float(d["hapax_token_rate"]),
+            ttr=finite("ttr", d["ttr"]), top20_mass=finite("top20_mass", d["top20_mass"]),
+            hapax_type_rate=finite("hapax_type_rate", d["hapax_type_rate"]),
+            hapax_token_rate=finite("hapax_token_rate", d["hapax_token_rate"]),
             coverage=curve,
-            delta_h_bits=None if d["delta_h_bits"] is None else float(d["delta_h_bits"]),
+            delta_h_bits=(None if d["delta_h_bits"] is None
+                          else finite("delta_h_bits", d["delta_h_bits"])),
         )
 
 

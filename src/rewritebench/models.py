@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping
@@ -9,6 +10,16 @@ from typing import Any, Mapping
 from .errors import ContractError, DomainError
 
 MEAN_NDCG_TOL = 1e-12
+
+
+def finite(name: str, value: Any) -> float:
+    """*value* as a float, which must be finite: a stored number literal
+    past the float range reads as an infinity. A DomainError naming *name*
+    otherwise."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise DomainError(f"{name} {number} is not a finite number")
+    return number
 
 
 class Strategy(str, Enum):
@@ -164,8 +175,8 @@ class RunRecord:
                          strategy=Strategy(plan["strategy"]), regime=Regime(plan["regime"]),
                          task_family=TaskFamily(plan["task_family"])),
             ndcg_per_query={str(k): float(v) for k, v in d["ndcg_per_query"].items()},
-            mean_ndcg=float(d["mean_ndcg"]),
-            delta_ndcg=None if d["delta_ndcg"] is None else float(d["delta_ndcg"]),
+            mean_ndcg=finite("mean_ndcg", d["mean_ndcg"]),
+            delta_ndcg=None if d["delta_ndcg"] is None else finite("delta_ndcg", d["delta_ndcg"]),
             gain=d["gain"],
             k=int(d["k"]),
         )

@@ -3,8 +3,10 @@
 Search is brute-force inner product over the full corpus matrix (cosine,
 since rows are unit length), with a deterministic tie-break by ascending
 doc id so runs are byte-reproducible across platforms. Scores stay in
-double precision end to end. A partition finds each query's k-th score,
-and the exact (score, id) sort runs only on the docs that reach it.
+double precision end to end. The scores are one GEMM per fixed block of
+query rows, so the scratch is bounded by the corpus size, not by the
+number of queries. A partition finds each query's k-th score, and the
+exact (score, id) sort runs only on the docs that reach it.
 :func:`retrieve_topk` returns ranked lists; :func:`score_queries` scores
 a cell from the same top-k rows without them, against the
 :class:`Judgments` of its task.
@@ -23,9 +25,13 @@ from .errors import ContractError, DomainError
 from .geometry import EmbeddingMatrix
 
 GAIN_MODES = ("linear", "exp")
+# Query rows per GEMM block. Every GEMM call packs the whole corpus matrix,
+# so much smaller blocks re-read it too often; a task with at most this many
+# queries is scored with one GEMM.
+_GEMM_ROWS = 128
 # Bytes of score rows partitioned at once: np.partition copies its block, so
-# this bounds the scratch above the score matrix. A block holds at least one row.
-_TOPK_BLOCK_BYTES = 512 * 1024
+# this bounds the scratch above the GEMM block. A block holds at least one row.
+_TOPK_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass
@@ -51,10 +57,10 @@ class RankedList:
         return tuple(d for d, _ in self.entries)
 
 
-def _scores(query_matrix: EmbeddingMatrix, corpus_matrix: EmbeddingMatrix,
-            k: int) -> tuple[np.ndarray, int]:
-    """The score matrix of every (query, doc) pair, one GEMM, and *k*
-    clamped to the corpus size."""
+def _clamped_k(query_matrix: EmbeddingMatrix, corpus_matrix: EmbeddingMatrix,
+               k: int) -> int:
+    """*k* clamped to the corpus size, once the two matrices are checked
+    to be scored against each other."""
     if not query_matrix.normalized or not corpus_matrix.normalized:
         raise ContractError("retrieval requires normalized matrices on both sides")
     if query_matrix.encoder_id != corpus_matrix.encoder_id:
@@ -70,7 +76,7 @@ def _scores(query_matrix: EmbeddingMatrix, corpus_matrix: EmbeddingMatrix,
     if k > n_docs:
         warnings.warn(f"k={k} exceeds corpus size {n_docs}; clamping", stacklevel=3)
         k = n_docs
-    return query_matrix.vectors @ corpus_matrix.vectors.T, k
+    return k
 
 
 def _id_rank(doc_ids: Sequence[str]) -> np.ndarray:
@@ -83,30 +89,39 @@ def _id_rank(doc_ids: Sequence[str]) -> np.ndarray:
 def retrieve_topk(query_matrix: EmbeddingMatrix, corpus_matrix: EmbeddingMatrix,
                   k: int = 10) -> list[RankedList]:
     """Exact top-k corpus items per query by inner product."""
-    scores, k = _scores(query_matrix, corpus_matrix, k)
+    k = _clamped_k(query_matrix, corpus_matrix, k)
     ids = corpus_matrix.ids
     return [RankedList(query_id=qid, entries=tuple((ids[di], float(row[di])) for di in order))
-            for qid, row, order in zip(query_matrix.ids, scores,
-                                       _topk_rows(scores, _id_rank(ids), k))]
+            for qid, (row, order) in zip(query_matrix.ids, _topk_rows(
+                query_matrix.vectors, corpus_matrix.vectors, _id_rank(ids), k))]
 
 
-def _topk_rows(scores: np.ndarray, id_rank: np.ndarray, k: int) -> Iterator[np.ndarray]:
-    """Column indices of each row's top k by (score desc, doc id asc).
+def _topk_rows(queries: np.ndarray, corpus: np.ndarray, id_rank: np.ndarray,
+               k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each query's scores against every doc, and the column indices of
+    its top k by (score desc, doc id asc).
 
-    Only docs scoring at least the row's k-th largest score can make the
-    cut, so the exact sort runs on those candidates alone. Ties straddling
-    the boundary are all candidates, and the id tie-break settles them.
+    The scores are one GEMM per block of ``_GEMM_ROWS`` query rows, each
+    written into the one buffer of the call, so a row of scores holds only
+    until the next row is taken. Only docs scoring at least the row's k-th
+    largest score can make the cut, so the exact sort runs on those
+    candidates alone. Ties straddling the boundary are all candidates, and
+    the id tie-break settles them.
     """
-    n_docs = scores.shape[1]
-    rows = max(1, _TOPK_BLOCK_BYTES // (scores.itemsize * n_docs))
-    for start in range(0, len(scores), rows):
-        block = scores[start:start + rows]
-        kth = np.partition(block, n_docs - k, axis=1)[:, n_docs - k]
-        for row, bound in zip(block, kth):
-            cand = np.flatnonzero(row >= bound)
-            if cand.size < k:  # NaN scores never pass the bound: sort them all
-                cand = np.arange(n_docs)
-            yield cand[np.lexsort((id_rank[cand], -row[cand]))][:k]
+    n_docs = corpus.shape[0]
+    buf = np.empty((min(_GEMM_ROWS, len(queries)), n_docs))
+    rows = max(1, _TOPK_BLOCK_BYTES // (buf.itemsize * n_docs))
+    for first in range(0, len(queries), _GEMM_ROWS):
+        block = queries[first:first + _GEMM_ROWS]
+        scores = np.matmul(block, corpus.T, out=buf[:len(block)])
+        for start in range(0, len(scores), rows):
+            part = scores[start:start + rows]
+            kth = np.partition(part, n_docs - k, axis=1)[:, n_docs - k]
+            for row, bound in zip(part, kth):
+                cand = np.flatnonzero(row >= bound)
+                if cand.size < k:  # NaN scores never pass the bound: sort them all
+                    cand = np.arange(n_docs)
+                yield row, cand[np.lexsort((id_rank[cand], -row[cand]))][:k]
 
 
 def _gain(rel: int, mode: str) -> float:
@@ -186,11 +201,12 @@ def score_queries(query_matrix: EmbeddingMatrix, corpus_matrix: EmbeddingMatrix,
     """NDCG@k of each query of *query_matrix* with a positive grade, in row
     order: :func:`ndcg_at_k` over :func:`retrieve_topk`, summed straight
     from each query's top-k rows."""
-    scores, k = _scores(query_matrix, corpus_matrix, judgments.k)
+    k = _clamped_k(query_matrix, corpus_matrix, judgments.k)
     if corpus_matrix.ids != judgments.doc_ids:
         raise ContractError("the corpus rows are not the judged doc ids")
     out: dict[str, float] = {}
-    for qid, order in zip(query_matrix.ids, _topk_rows(scores, judgments.id_rank, k)):
+    for qid, (_, order) in zip(query_matrix.ids, _topk_rows(
+            query_matrix.vectors, corpus_matrix.vectors, judgments.id_rank, k)):
         judged = judgments.queries.get(qid)
         if judged is not None:
             grades, ideal_dcg = judged

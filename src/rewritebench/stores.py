@@ -10,8 +10,9 @@ Each store line carries a schema version field ``v``. ``run-matrix``
 writes a store whole, once per run, and nothing appends to it. So a store
 line that does not parse, the last one too, is damage from outside the
 program, as is a row that lacks a field or holds a number that is not
-finite, which ``json`` writes and reads as ``NaN`` or ``Infinity`` but the
-program never writes: a StoreError naming the file and line.
+finite, which ``json`` writes and reads as ``NaN`` or ``Infinity``, or
+reads from a literal past the float range, but the program never writes:
+a StoreError naming the file and line.
 
 A log line is read by :func:`decode_line`, which gives what
 ``json.loads`` gives, value or error, but reads a well-formed line with
@@ -235,7 +236,7 @@ class JsonlLog:
                         except json.JSONDecodeError as exc:
                             bad, tail = (lineno, exc), [line]
                         except (AttributeError, ContractError, DomainError, KeyError,
-                                TypeError, ValueError) as exc:
+                                OverflowError, TypeError, ValueError) as exc:
                             raise StoreError(f"{self.path}: line {lineno} is malformed: "
                                              f"{type(exc).__name__}: {exc}") from exc
         except OSError as exc:

@@ -648,6 +648,51 @@ def test_a_stored_number_that_is_not_finite_is_an_error(tmp_path, capsys, store,
         assert "is not a finite number" in err and len(err.splitlines()) == 1, command
 
 
+@pytest.mark.parametrize("last", [False, True], ids=["first-line", "last-line"])
+@pytest.mark.parametrize("store, kind, field, literal", [
+    ("runs.jsonl", None, "delta_ndcg", "1e999"),
+    ("runs.jsonl", None, "k", "1e999"),
+    ("diagnostics.jsonl", "lexical", "coverage_cdf", "-1e999"),  # its first fraction
+    ("diagnostics.jsonl", "lexical", "curve_rank", "1e999"),  # its first rank
+    ("diagnostics.jsonl", "lexical", "k80", "1e999"),
+    ("diagnostics.jsonl", "lexical", "top20_mass", "1e999"),
+    ("diagnostics.jsonl", "lexical", "hapax_type_rate", "-1e999"),
+    ("diagnostics.jsonl", "lexical", "hapax_token_rate", "1e999"),
+    ("diagnostics.jsonl", "lexical", "delta_h_bits", "1e999"),
+    ("diagnostics.jsonl", "geometry", "delta_s_bar", "-1e999"),
+    ("diagnostics.jsonl", "geometry", "batch_size_used", "1e999"),
+])
+def test_a_stored_number_literal_that_overflows_is_an_error(tmp_path, capsys, store, kind,
+                                                            field, literal, last):
+    # json reads a literal past the float range as an infinity, which no
+    # range check of the row may let through, and int() cannot convert
+    path = write_matrix_config(tmp_path)
+    assert run_cli(path, "run-matrix") == 0
+    file = tmp_path / "out" / store
+    rows = [json.loads(line) for line in file.read_text(encoding="utf-8").splitlines()]
+    row = rows.pop(max(i for i, row in enumerate(rows)  # the arm's, which has deltas
+                       if row.get("kind") == kind))
+    marker = 123456.789  # a number the row holds nowhere else
+    if field == "coverage_cdf":
+        row[field][0][1] = marker
+    elif field == "curve_rank":
+        row["coverage_cdf"][0][0] = marker
+    else:
+        assert row[field] is not None
+        row[field] = marker
+    rows.insert(len(rows) if last else 0, row)
+    text = "".join(json.dumps(row) + "\n" for row in rows)
+    assert text.count(repr(marker)) == 1
+    file.write_text(text.replace(repr(marker), literal), encoding="utf-8")
+    line = len(rows) if last else 1
+    for command in ("report", "correlate", "advise"):
+        capsys.readouterr()
+        assert run_cli(path, command) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {file}: line {line} is malformed: "), command
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, command
+
+
 def test_report_names_the_k_of_its_runs_and_rejects_more_than_one(tmp_path, capsys):
     path = write_matrix_config(tmp_path)
     assert run_cli(path, "run-matrix") == 0

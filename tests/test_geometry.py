@@ -1,9 +1,13 @@
+import gc
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import score_after_baseline
+from rewritebench import geometry
 from rewritebench.errors import ConfigError, ContractError, DomainError
 from rewritebench.geometry import (EmbeddingMatrix, GeometryReport,
                                    NORM_TOL, build_geometry_report, delta_s,
@@ -82,6 +86,15 @@ class TestL2Normalize:
         with pytest.raises(DomainError, match="dead"):
             l2_normalize(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_a_row_whose_norm_is_not_finite_names_its_id(self, bad):
+        # 1e200 squares past the float range: the norm is inf
+        v = np.ones((3, 4))
+        v[1, 2] = bad
+        m = EmbeddingMatrix(encoder_id="e", ids=("ok", "bad", "ok2"), vectors=v)
+        with pytest.raises(DomainError, match="'bad'"):
+            l2_normalize(m)
+
 
 class TestMeanOffdiagCosine:
     def test_identical_rows_give_one(self):
@@ -149,6 +162,95 @@ class TestMeanOffdiagCosine:
                             vectors=np.array([[1.0, 0.0]]), normalized=True)
         with pytest.raises(DomainError):
             mean_offdiag_cosine(m)
+
+
+def _traced_peak(fn, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _spread(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal entries scaled over six decades, so that the order of the
+    adds shows in the bits of a sum."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+
+LEAF = geometry._LEAF
+
+
+class TestBoundedScratch:
+    """The norms in blocks of rows and the pairwise sum of squares in
+    leaves give the bits of numpy's whole-matrix calls."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_blocked_norms_are_the_whole_matrix_norms(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.choice([1, 7, 64, 160, 256, 1024, 5000]))
+        rows = max(1, geometry._SCRATCH_BYTES // (8 * d))
+        b = int(rng.integers(1, 4 * rows + 3))
+        v = _spread(rng, (b, d))
+        want = v / np.linalg.norm(v, axis=1)[:, None]
+        m = EmbeddingMatrix(encoder_id="e", ids=tuple(f"r{i}" for i in range(b)), vectors=v)
+        assert l2_normalize(m).vectors.tobytes() == want.tobytes()
+        assert l2_normalize(m, out=v).vectors.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", sorted({
+        1, 7, 8, 9, 127, 128, 129, 1000,
+        *(LEAF + e for e in (-9, -8, -7, -1, 0, 1, 7, 8, 9)),
+        *(2 * LEAF + e for e in (-17, -16, -15, -1, 0, 1, 15, 16, 17)),
+        *(m * LEAF + e for m in (3, 5, 17) for e in (-8, -1, 1, 8)),
+        1_000_003}))
+    def test_pairwise_sum_of_squares_is_numpys(self, n):
+        flat = _spread(np.random.default_rng(n), n)
+        got = geometry._sum_of_squares(flat, np.empty(min(n, LEAF)), 0, n)
+        assert got == float((flat * flat).sum())
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mean_offdiag_cosine_keeps_the_sum_of_v_squared(self, seed):
+        # the pre-leaf formula, bit for bit: b = 2, one leaf, many leaves,
+        # and C-ordered, F-ordered and strided rows
+        rng = np.random.default_rng(seed)
+        b = 2 if seed % 4 == 0 else int(rng.integers(3, 3 * LEAF // 64))
+        m = unit_rows(rng, b, int(rng.choice([8, 63, 64, 65, 256])))
+        v = [m.vectors, np.asfortranarray(m.vectors), np.repeat(m.vectors, 2, axis=1)[:, ::2]
+             ][seed % 3]
+        v = EmbeddingMatrix(encoder_id="e", ids=m.ids, vectors=v, normalized=True).vectors
+        total = v.sum(axis=0)
+        want = (float(total @ total) - float((v * v).sum())) / (b * (b - 1))
+        got = mean_offdiag_cosine(EmbeddingMatrix(encoder_id="e", ids=m.ids, vectors=v,
+                                                  normalized=True))
+        assert got == want
+
+    def test_the_matrix_is_freed_once_the_last_reference_goes(self):
+        # no reference cycle holds it until the cyclic collector runs: a
+        # corpus group's matrix is gone before the next one is built
+        m = unit_rows(np.random.default_rng(7), 3 * LEAF // 64, 64)  # three leaves
+        vectors = weakref.ref(m.vectors)
+        gc.disable()
+        try:
+            mean_offdiag_cosine(m)
+            del m
+            assert vectors() is None
+        finally:
+            gc.enable()
+
+    def test_l2_normalize_takes_one_block_beyond_its_output(self):
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((1000, 1024))
+        m = EmbeddingMatrix(encoder_id="e", ids=tuple(f"r{i}" for i in range(1000)),
+                            vectors=v)
+        slack = 64 * 1024  # the norms and the checks over them, 8 KB a vector
+        assert _traced_peak(l2_normalize, m) < v.nbytes + geometry._SCRATCH_BYTES + slack
+        assert _traced_peak(l2_normalize, m, out=v) < geometry._SCRATCH_BYTES + slack
+
+    def test_mean_offdiag_cosine_takes_one_leaf(self):
+        m = unit_rows(np.random.default_rng(6), 1000, 1024)
+        peak = _traced_peak(mean_offdiag_cosine, m)
+        assert peak < LEAF * 8 + 2 * 1024 * 8 + 16 * 1024  # the leaf, the column sums
 
 
 def _geo(s_bar: float, encoder="enc", task="t", arm="NL-QC") -> GeometryReport:

@@ -1,8 +1,10 @@
 import builtins
 import gc
 import json
+import math
 import re
 import shutil
+import struct
 import sys
 import threading
 import traceback
@@ -16,7 +18,7 @@ from conftest import TOY_DOCS, TOY_QUERIES, write_matrix_config
 from rewritebench import matrix, rewrite
 from rewritebench.cli import main
 from rewritebench.config import load_config
-from rewritebench.embed import EncoderClient
+from rewritebench.embed import EncoderClient, content_key
 from rewritebench.errors import ConfigError, EndpointError, WorkbenchError
 from rewritebench.matrix import CellKey, plan_cells, run_matrix
 from rewritebench.models import Regime, Strategy
@@ -266,6 +268,30 @@ class TestFaultIsolation:
         assert set(result.failures.values()) == {"encoder down"}
         assert len(result.results) == 3
         assert cell_files() == before
+
+    def test_a_damaged_cached_vector_fails_only_the_cells_that_read_it(self, tmp_path):
+        # a NaN over the first float of a source query's cached vector: the
+        # Baseline ranks the source queries and fails, naming the query; the
+        # NL-QC cell ranks their rewrites (builtin templates) and still scores
+        path = write_matrix_config(tmp_path, template_catalog="builtin")
+        cfg = load_config(path)
+        assert run_matrix(cfg).exit_status == 0
+        client = EncoderClient(cfg.encoders[0].endpoint)
+        key = content_key(client.fingerprint, TOY_QUERIES[0]["text"])
+        cache = cfg.cache_dir / "embeddings"
+        offsets = [row["offset"] for row in map(json.loads, (cache / "manifest.jsonl")
+                                                 .read_text(encoding="utf-8").splitlines())
+                   if row["key"] == key]
+        with open(cache / "vectors.bin", "r+b") as fh:
+            fh.seek(offsets[-1])
+            fh.write(struct.pack("<d", math.nan))
+        result = run_matrix(cfg)
+        assert result.exit_status == 1
+        assert [c.arm_label for c in result.failures] == ["Baseline"]
+        assert "'q1'" in next(iter(result.failures.values()))
+        assert [c.arm_label for c in result.results] == ["NL-QC"]
+        records = RunStore(cfg.out_dir / "runs.jsonl").records()
+        assert [(r.plan.arm_label, r.delta_ndcg) for r in records] == [("NL-QC", None)]
 
     def test_failed_rerun_removes_the_cells_earlier_files(self, tmp_path):
         path = write_matrix_config(tmp_path, regimes=("QC", "C"))

@@ -278,6 +278,22 @@ class TestPartitionedTopk:
             assert [s for _, s in r.entries] == [float(scores[qi, col[d]])
                                                 for d in r.doc_ids]
 
+    @pytest.mark.parametrize("n_queries", [257, 333])
+    def test_scores_are_the_entries_of_each_blocks_gemm(self, n_queries):
+        # more queries than one GEMM block, the last block one row or a
+        # part: each score is the entry of its own block's product
+        rng = np.random.default_rng(n_queries)
+        corpus = matrix([f"d{i}" for i in range(501)], rng.standard_normal((501, 160)))
+        queries = matrix([f"q{i}" for i in range(n_queries)],
+                         rng.standard_normal((n_queries, 160)))
+        rows = retrieval._GEMM_ROWS
+        assert rows < n_queries
+        scores = np.vstack([queries.vectors[a:a + rows] @ corpus.vectors.T
+                            for a in range(0, n_queries, rows)])
+        for qi, r in enumerate(retrieve_topk(queries, corpus, k=10)):
+            assert [s for _, s in r.entries] == [float(scores[qi, int(d[1:])])
+                                                for d in r.doc_ids]
+
 
 # --- the matrix path: NDCG straight from the top-k rows ---------------------
 
@@ -367,20 +383,26 @@ class TestMatrixPathScoring:
             ndcg_over_ranked_lists(queries, corpus, qrels, k, "linear").items())
 
     def test_the_partition_scratch_is_bounded_in_bytes(self):
-        # np.partition copies the block of score rows it works on: the memory
-        # score_queries takes beyond its score matrix stays near the block
-        # budget, however many queries share the block
-        n_queries, n_docs = 256, 8000
-        queries, corpus, qrels = tied_inputs(5, n_docs=n_docs, n_queries=n_queries)
-        judgments = build_judgments(corpus.ids, qrels, k=10)
-        tracemalloc.start()
-        try:
-            score_queries(queries, corpus, judgments)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        scores = n_queries * n_docs * 8
-        assert scores < peak < scores + 4 * retrieval._TOPK_BLOCK_BYTES
+        # the scores are one GEMM per block of query rows, written into one
+        # buffer, and np.partition copies the part of it that it works on:
+        # the memory score_queries takes stays under one GEMM block and one
+        # partition block, however many queries the cell has
+        n_docs = 8000
+        block = retrieval._GEMM_ROWS * n_docs * 8
+        peaks = {}
+        for n_queries in (256, 1024):
+            queries, corpus, qrels = tied_inputs(5, n_docs=n_docs, n_queries=n_queries)
+            judgments = build_judgments(corpus.ids, qrels, k=10)
+            tracemalloc.start()
+            try:
+                scores = score_queries(queries, corpus, judgments)
+                peaks[n_queries] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(scores) > n_queries // 2
+        assert block < peaks[256] < block + 4 * retrieval._TOPK_BLOCK_BYTES
+        # what grows is the dict of scores it returns
+        assert peaks[1024] < peaks[256] + 100 * 1024
 
     def test_a_corpus_other_than_the_judged_one_is_rejected(self):
         queries, corpus, qrels = tied_inputs(0)
